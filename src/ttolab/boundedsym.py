@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import (BoundaryGrid, CircleFunction, FourierPolynomial,
-                     lp_norm)
+                     lp_norm, pow2_at_least)
 from .errors import DivisibilityViolated, SupportOverflow
 from .inner import BlaschkeProduct, InnerFunction, Monomial, divides
 from .modelspace import ModelSpace
@@ -131,11 +131,7 @@ class FejerWindowSet:
 
     def closure_angles(self) -> int:
         """Angle count making the discrete rotation-average identity exact."""
-        need = 4 * self.M + self.N + 2
-        J = 64
-        while J < need:
-            J *= 2
-        return J
+        return max(64, pow2_at_least(4 * self.M + self.N + 2))
 
 
 def fejer_split(phi: FourierPolynomial, N: int):
@@ -234,6 +230,7 @@ def minimal_analytic_extension(coeffs, degenerate_gap: float = 1e-8) -> CFExtens
     U, s, Vh = np.linalg.svd(T)
     sigma = float(s[0])
     degenerate = N > 1 and (s[0] - s[1]) <= degenerate_gap * s[0]
+    grid = BoundaryGrid(max(4096, pow2_at_least(16 * N)))
     if not degenerate:
         w = np.conj(Vh[0])
         u = U[:, 0]
@@ -243,7 +240,6 @@ def minimal_analytic_extension(coeffs, degenerate_gap: float = 1e-8) -> CFExtens
             length = max(4 * N, 64)
             taylor = _series_division(sigma * u, w, length)
             taylor_defect = float(np.max(np.abs(taylor[:N] - c)))
-            grid = BoundaryGrid(max(4096, _pow2_at_least(16 * N)))
             vals = (np.polyval((sigma * u)[::-1], grid.points)
                     / np.polyval(w[::-1], grid.points))
             modulus_defect = float(np.max(np.abs(np.abs(vals) - sigma)))
@@ -254,19 +250,11 @@ def minimal_analytic_extension(coeffs, degenerate_gap: float = 1e-8) -> CFExtens
                                    taylor_defect, modulus_defect)
             degenerate = True
     # fallback: ship the polynomial itself; norm is its sup, compression exact
-    grid = BoundaryGrid(max(4096, _pow2_at_least(16 * N)))
     vals = np.polyval(c[::-1], grid.points)
     taylor = np.zeros(max(4 * N, 64), dtype=complex)
     taylor[:N] = c
     return CFExtension(c, float(np.max(np.abs(vals))), taylor, c.copy(), None,
                        True, 0.0, float("nan"))
-
-
-def _pow2_at_least(m: int) -> int:
-    n = 16
-    while n < m:
-        n *= 2
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +381,7 @@ def assemble_bounded_symbol(op: TTOperator,
     scale = max(1.0, float(np.linalg.norm(op.matrix)))
     build_residual = float(np.linalg.norm(rebuilt - op.matrix)) / scale
 
-    grid = BoundaryGrid(_pow2_at_least(max(4096, 16 * N)))
+    grid = BoundaryGrid(pow2_at_least(max(4096, 16 * N)))
     result = BoundedSymbolResult(central, cf2, cf3, 0.0, 0.0, 0.0,
                                  build_residual, cf2.suboptimal or cf3.suboptimal)
     f = result.boundary(grid)

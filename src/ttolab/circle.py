@@ -79,6 +79,13 @@ class CircleFunction:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _from_fft(cls, grid, co, bandwidth=None):
+        """Synthesize from coefficients in FFT bin order, keeping them cached."""
+        f = cls(grid, np.fft.ifft(co) * grid.n, bandwidth=bandwidth)
+        f._coeffs = co
+        return f
+
+    @classmethod
     def from_callable(cls, grid, fn, bandwidth=None):
         return cls(grid, fn(grid.points), bandwidth=bandwidth)
 
@@ -92,9 +99,7 @@ class CircleFunction:
             vec[k % grid.n] = complex(c)
         if bandwidth is None and coeffs:
             bandwidth = max(abs(int(k)) for k in coeffs)
-        f = cls(grid, np.fft.ifft(vec) * grid.n, bandwidth=bandwidth)
-        f._coeffs = vec
-        return f
+        return cls._from_fft(grid, vec, bandwidth)
 
     @classmethod
     def constant(cls, grid, value):
@@ -159,17 +164,10 @@ class CircleFunction:
         co = self.coeffs
         n, m = self.grid.n, grid.n
         out = np.zeros(m, dtype=complex)
-        if m >= n:
-            half = n // 2
-            out[:half] = co[:half]
-            out[m - half:] = co[n - half:]
-        else:
-            half = m // 2
-            out[:half] = co[:half]
-            out[m - half:] = co[n - half:]
-        g = CircleFunction(grid, np.fft.ifft(out) * m, bandwidth=self.bandwidth)
-        g._coeffs = out
-        return g
+        half = min(n, m) // 2
+        out[:half] = co[:half]
+        out[m - half:] = co[n - half:]
+        return CircleFunction._from_fft(grid, out, self.bandwidth)
 
 
 def analyze(f: CircleFunction):
@@ -180,27 +178,21 @@ def analyze(f: CircleFunction):
 def synthesize(grid: BoundaryGrid, shifted_coeffs) -> CircleFunction:
     """Inverse of :func:`analyze`."""
     co = np.fft.ifftshift(np.asarray(shifted_coeffs, dtype=complex))
-    f = CircleFunction(grid, np.fft.ifft(co) * grid.n)
-    f._coeffs = co
-    return f
+    return CircleFunction._from_fft(grid, co)
 
 
 def riesz_plus(f: CircleFunction) -> CircleFunction:
     """Riesz projection onto nonnegative frequencies (L^2 -> H^2)."""
     co = f.coeffs.copy()
     co[f.grid.freqs < 0] = 0.0
-    g = CircleFunction(f.grid, np.fft.ifft(co) * f.grid.n, bandwidth=f.bandwidth)
-    g._coeffs = co
-    return g
+    return CircleFunction._from_fft(f.grid, co, f.bandwidth)
 
 
 def riesz_minus(f: CircleFunction) -> CircleFunction:
     """Complementary projection I - riesz_plus (strictly negative frequencies)."""
     co = f.coeffs.copy()
     co[f.grid.freqs >= 0] = 0.0
-    g = CircleFunction(f.grid, np.fft.ifft(co) * f.grid.n, bandwidth=f.bandwidth)
-    g._coeffs = co
-    return g
+    return CircleFunction._from_fft(f.grid, co, f.bandwidth)
 
 
 def multiply(f: CircleFunction, g: CircleFunction) -> CircleFunction:
@@ -323,24 +315,36 @@ class FourierPolynomial:
             grid, {k: complex(v) for k, v in self.coeffs.items()})
 
 
+def pow2_at_least(m) -> int:
+    """The smallest power of two that is at least m and at least 16."""
+    n = 16
+    while n < m:
+        n *= 2
+    return n
+
+
+def _relative_change(prev, cur) -> float:
+    cur = np.atleast_1d(cur)
+    change = float(np.max(np.abs(cur - np.atleast_1d(prev))))
+    return change / max(1.0, float(np.max(np.abs(cur))))
+
+
 def cauchy_refine(compute, start_n=DEFAULT_GRID, tol=1e-8, max_n=2 ** 17,
-                  norm=None):
+                  distance=_relative_change):
     """Grid-doubling Cauchy control.
 
-    ``compute(n)`` maps a grid size to a scalar or vector; doubling stops
-    once |v(2n) - v(n)| <= tol * max(1, |v(2n)|).  Returns
-    (value, achieved_residual, n_used).  Raises nothing: the caller decides
-    what a non-converged residual means.
+    ``compute(n)`` maps a grid size to a result; doubling stops once
+    distance(v(n), v(2n)) <= tol, by default |v(2n) - v(n)| / max(1, |v(2n)|)
+    in the max norm.  Returns (value, achieved_residual, n_used).  Raises
+    nothing: the caller decides what a non-converged residual means.
     """
-    if norm is None:
-        norm = lambda x: float(np.max(np.abs(np.atleast_1d(x))))
     n = start_n
     prev = compute(n)
     resid = float("inf")
     while 2 * n <= max_n:
         n *= 2
         cur = compute(n)
-        resid = norm(np.asarray(cur) - np.asarray(prev)) / max(1.0, norm(cur))
+        resid = distance(prev, cur)
         if resid <= tol:
             return cur, resid, n
         prev = cur

@@ -7,30 +7,29 @@ experiment, and writes deterministic JSON or CSV: floats are formatted
 the config hash and library version.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
-4 domain errors (missing angular derivative, degenerate recovery point,
-and similar).
+4 every other library error (missing angular derivative, degenerate
+recovery point, support or bandwidth overflow, and the rest of the
+TTOLabError family).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .circle import FourierPolynomial
-from .errors import (AtomAtPoint, BoundaryPointNotNormalizable, DegenerateMu,
-                     DegenerateSchmidtPair, DivisibilityViolated,
-                     InconsistentOracle, NoAngularDerivative, NoConvergence,
-                     SymbolsDiffer, UndefinedBoundaryValue,
-                     UnsupportedVariant)
-from .inner import BoundaryPoint, cohn_sum, from_json
+from .errors import NoConvergence, TTOLabError
+from .inner import BoundaryPoint, Monomial, cohn_sum, from_json
 from .modelspace import ModelSpace
 from .operators import (BoundarySymbol, MeasureSymbol, TTOperator, build,
-                        measure_operator, operator_norm)
+                        measure_operator, operator_norm, rank_one_operator)
 from .recovery import KernelActionOracle, rank_one_symbol, recover
 from .boundedsym import (assemble_bounded_symbol, blaschke_transport,
                          fejer_split, minimal_analytic_extension)
@@ -38,28 +37,7 @@ from .counterex import (cls_ratio_scan, counterex_theorem_check,
                         gen_blaschke_counterexample,
                         gen_singular_counterexample, rkt_failure_scan)
 
-DOMAIN_ERRORS = (AtomAtPoint, BoundaryPointNotNormalizable, DegenerateMu,
-                 DegenerateSchmidtPair, DivisibilityViolated,
-                 InconsistentOracle, NoAngularDerivative, SymbolsDiffer,
-                 UndefinedBoundaryValue, UnsupportedVariant)
-
-GLOBAL_KEYS = {"tol", "budget"}
-
-ALLOWED_KEYS = {
-    "kernels": {"inner", "lambda", "normalized", "grid"},
-    "build": {"inner", "symbol", "grid"},
-    "recover": {"inner", "table", "mu", "grid"},
-    "rank-one": {"inner", "lambda", "zeta", "grid"},
-    "fejer-split": {"N", "symbol"},
-    "cf-extend": {"coeffs"},
-    "assemble": {"matrix", "batch", "grid"},
-    "transport": {"matrix", "alpha"},
-    "cohn-growth": {"inner", "zeta", "p", "terms"},
-    "cls-scan": {"inner", "radii", "angles", "tol"},
-    "rkt-scan": {"inner", "s", "lambda", "grid"},
-    "counterex": {"kind", "p", "count", "degrees"},
-    "carleson": {"inner", "atoms", "density", "grid"},
-}
+GLOBAL_KEYS = ("tol", "budget")
 
 
 class ValidationError(Exception):
@@ -83,34 +61,33 @@ def _cplx(text) -> complex:
     raise ValidationError(f"cannot parse complex number from {text!r}")
 
 
-def _c2pair(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _vec2pairs(v):
-    return [_c2pair(z) for z in np.asarray(v, dtype=complex)]
-
-
-def _mat2pairs(M):
-    return [_vec2pairs(row) for row in np.asarray(M, dtype=complex)]
+def _pairs(a):
+    """[re, im] pairs of a complex scalar or array, nested like the array."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _pairs2vec(rows):
-    return np.array([complex(a, b) for a, b in rows], dtype=complex)
+    try:
+        return np.array([complex(a, b) for a, b in rows], dtype=complex)
+    except TypeError as exc:
+        raise ValidationError(f"expected a list of [re, im] pairs: {exc}") from exc
 
 
 def _pairs2mat(rows):
-    return np.array([[complex(a, b) for a, b in row] for row in rows],
-                    dtype=complex)
+    try:
+        return np.array([_pairs2vec(row) for row in rows], dtype=complex)
+    except TypeError as exc:
+        raise ValidationError(f"expected rows of [re, im] pairs: {exc}") from exc
 
 
 def _load_json_arg(text):
-    """Accept inline JSON (starts with '[', '{' or a digit) or a file path."""
+    """Read an existing file path as JSON; otherwise parse the text as inline JSON."""
     s = str(text).strip()
-    if s and (s[0] in "[{" or s[0].isdigit() or s[0] in "+-."):
-        return json.loads(s)
-    with open(s, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    if os.path.isfile(s):
+        with open(s, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    return json.loads(s)
 
 
 def _fourier_from_json(obj) -> FourierPolynomial:
@@ -122,7 +99,7 @@ def _fourier_from_json(obj) -> FourierPolynomial:
 
 
 def _fourier_to_json(poly: FourierPolynomial):
-    return {str(k): _c2pair(complex(v)) for k, v in sorted(poly.coeffs.items())}
+    return {str(k): _pairs(complex(v)) for k, v in sorted(poly.coeffs.items())}
 
 
 def _fmt(x: float) -> str:
@@ -137,8 +114,8 @@ def _cmd_kernels(cfg):
     lam = _cplx(cfg["lambda"])
     k = space.normalized_kernel(lam) if cfg.get("normalized") else space.kernel(lam)
     if k.coeffs is not None:
-        return {"mode": "exact", "coefficients": _vec2pairs(k.coeffs)}
-    return {"mode": "truncated", "samples": _vec2pairs(k.samples())}
+        return {"mode": "exact", "coefficients": _pairs(k.coeffs)}
+    return {"mode": "truncated", "samples": _pairs(k.samples())}
 
 
 def _cmd_build(cfg):
@@ -147,7 +124,7 @@ def _cmd_build(cfg):
     op = build(space, BoundarySymbol(poly.to_circle(space.grid)))
     if op.matrix is None:
         raise ValidationError("build emits matrices only in exact mode")
-    return {"dimension": space.dim, "matrix": _mat2pairs(op.matrix),
+    return {"dimension": space.dim, "matrix": _pairs(op.matrix),
             "operator_norm": float(operator_norm(op))}
 
 
@@ -158,9 +135,9 @@ def _cmd_recover(cfg):
     oracle = KernelActionOracle.from_table(space, table)
     mu = _cplx(cfg["mu"]) if "mu" in cfg and cfg["mu"] is not None else None
     rec = recover(oracle, mu=mu)
-    return {"mu": _c2pair(rec.mu),
-            "phi_plus": _vec2pairs(rec.phi_plus.coeffs),
-            "phi_minus": _vec2pairs(rec.phi_minus.coeffs),
+    return {"mu": _pairs(rec.mu),
+            "phi_plus": _pairs(rec.phi_plus.coeffs),
+            "phi_minus": _pairs(rec.phi_minus.coeffs),
             "residual": rec.residual,
             "rho_ratio": rec.rho_ratio}
 
@@ -171,13 +148,12 @@ def _cmd_rank_one(cfg):
         else _cplx(cfg["lambda"])
     sym = rank_one_symbol(space, pt)
     op = build(space, sym)
-    from .operators import rank_one_operator
     direct = rank_one_operator(space, pt)
     resid = float(np.max(np.abs(op.matrix - direct.matrix)))
     return {"dimension": space.dim,
             "symbol_sup": float(np.max(np.abs(sym.f.samples))),
             "max_matrix_residual": resid,
-            "matrix": _mat2pairs(direct.matrix)}
+            "matrix": _pairs(direct.matrix)}
 
 
 def _cmd_fejer_split(cfg):
@@ -195,7 +171,7 @@ def _cmd_cf_extend(cfg):
               for v in data]
     ext = minimal_analytic_extension(coeffs)
     return {"norm": ext.norm,
-            "taylor": _vec2pairs(ext.taylor[:max(len(coeffs), 8)]),
+            "taylor": _pairs(ext.taylor[:max(len(coeffs), 8)]),
             "taylor_defect": ext.taylor_defect,
             "modulus_defect": (None if np.isnan(ext.modulus_defect)
                                else ext.modulus_defect),
@@ -203,7 +179,6 @@ def _cmd_cf_extend(cfg):
 
 
 def _one_assembly(M):
-    from .inner import Monomial
     space = ModelSpace(Monomial(M.shape[0]))
     return assemble_bounded_symbol(TTOperator(space, matrix=M))
 
@@ -241,10 +216,9 @@ def _cmd_assemble(cfg):
 
 def _cmd_transport(cfg):
     M = _pairs2mat(_load_json_arg(cfg["matrix"]))
-    from .inner import Monomial
     space = ModelSpace(Monomial(M.shape[0]))
     out = blaschke_transport(TTOperator(space, matrix=M), _cplx(cfg["alpha"]))
-    return {"matrix": _mat2pairs(out.matrix)}
+    return {"matrix": _pairs(out.matrix)}
 
 
 def _cmd_cohn_growth(cfg):
@@ -285,7 +259,7 @@ def _cmd_cls_scan(cfg):
         csv_rows.append((_fmt(lam.real), _fmt(lam.imag), _fmt(sup),
                          _fmt(two), _fmt(ratio)))
     return {"max_ratio": rep.max_ratio,
-            "rows": [[_c2pair(l), s, t, r] for l, s, t, r in rep.rows]}, csv_rows
+            "rows": [[_pairs(l), s, t, r] for l, s, t, r in rep.rows]}, csv_rows
 
 
 def _cmd_rkt_scan(cfg):
@@ -309,7 +283,7 @@ def _cmd_rkt_scan(cfg):
                          _fmt(r["isometry_ratio"])))
     return {"s": rep["s"], "grid": rep["grid"],
             "sup_bound": rep["sup_bound"], "all_sup_ok": rep["all_sup_ok"],
-            "rows": [{"lambda": _c2pair(r["lambda"]),
+            "rows": [{"lambda": _pairs(r["lambda"]),
                       "closed_form": r["closed_form"],
                       "identity_err": r["identity_err"],
                       "identity_err_doubled": r["identity_err_doubled"],
@@ -358,23 +332,53 @@ def _cmd_carleson(cfg):
             "dimension": space.dim}
 
 
+# name -> (implementation, (flag, argparse keywords) pairs).  A flag "--key" is
+# also the config key "key"; argparse defaults enter the config hash.
 COMMANDS = {
-    "kernels": _cmd_kernels,
-    "build": _cmd_build,
-    "recover": _cmd_recover,
-    "rank-one": _cmd_rank_one,
-    "fejer-split": _cmd_fejer_split,
-    "cf-extend": _cmd_cf_extend,
-    "assemble": _cmd_assemble,
-    "transport": _cmd_transport,
-    "cohn-growth": _cmd_cohn_growth,
-    "cls-scan": _cmd_cls_scan,
-    "rkt-scan": _cmd_rkt_scan,
-    "counterex": _cmd_counterex,
-    "carleson": _cmd_carleson,
+    "kernels": (_cmd_kernels, (
+        ("--inner", {"required": True}), ("--lambda", {"dest": "lam"}),
+        ("--normalized", {"action": "store_true"}), ("--grid", {"type": int}))),
+    "build": (_cmd_build, (
+        ("--inner", {"required": True}), ("--symbol", {"required": True}),
+        ("--grid", {"type": int}))),
+    "recover": (_cmd_recover, (
+        ("--inner", {"required": True}), ("--table", {"required": True}),
+        ("--mu", {}), ("--grid", {"type": int}))),
+    "rank-one": (_cmd_rank_one, (
+        ("--inner", {"required": True}), ("--lambda", {"dest": "lam"}),
+        ("--zeta", {"type": float}), ("--grid", {"type": int}))),
+    "fejer-split": (_cmd_fejer_split, (
+        ("--N", {"type": int, "required": True}), ("--symbol", {"required": True}))),
+    "cf-extend": (_cmd_cf_extend, (("--coeffs", {"required": True}),)),
+    "assemble": (_cmd_assemble, (
+        ("--matrix", {}), ("--batch", {}), ("--grid", {"type": int}))),
+    "transport": (_cmd_transport, (
+        ("--matrix", {"required": True}), ("--alpha", {"required": True}))),
+    "cohn-growth": (_cmd_cohn_growth, (
+        ("--inner", {"required": True}),
+        ("--zeta", {"type": float, "required": True}),
+        ("--p", {"type": float, "default": 2.0}),
+        ("--terms", {"type": int, "default": 32}))),
+    "cls-scan": (_cmd_cls_scan, (
+        ("--inner", {"required": True}),
+        ("--radii", {}), ("--angles", {"type": int, "default": 8}))),
+    "rkt-scan": (_cmd_rkt_scan, (
+        ("--inner", {"required": True}),
+        ("--s", {"type": float, "required": True}),
+        ("--lambda", {"dest": "lam"}), ("--grid", {"type": int, "default": 2 ** 13}))),
+    "counterex": (_cmd_counterex, (
+        ("gen", {"nargs": "?", "default": "gen"}),
+        ("--kind", {"choices": ("blaschke", "singular"), "default": "blaschke"}),
+        ("--p", {"type": float, "default": 3.0}),
+        ("--count", {"type": int, "default": 20}),
+        ("--degrees", {}))),
+    "carleson": (_cmd_carleson, (
+        ("--inner", {"required": True}), ("--atoms", {}),
+        ("--density", {}), ("--grid", {"type": int}))),
 }
 
 
+@functools.cache  # argparse parsers are not changed by parsing; build once
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file overriding flags")
@@ -385,59 +389,24 @@ def _build_parser():
     ap = argparse.ArgumentParser(prog="ttolab", parents=[common],
                                  description="truncated Toeplitz operator laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, *specs):
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        for flag, kw in specs:
+        for flag, kw in flags:
             p.add_argument(flag, **kw)
-        return p
-
-    add("kernels", ("--inner", {"required": True}), ("--lambda", {"dest": "lam"}),
-        ("--normalized", {"action": "store_true"}), ("--grid", {"type": int}))
-    add("build", ("--inner", {"required": True}), ("--symbol", {"required": True}),
-        ("--grid", {"type": int}))
-    add("recover", ("--inner", {"required": True}), ("--table", {"required": True}),
-        ("--mu", {}), ("--grid", {"type": int}))
-    add("rank-one", ("--inner", {"required": True}), ("--lambda", {"dest": "lam"}),
-        ("--zeta", {"type": float}), ("--grid", {"type": int}))
-    add("fejer-split", ("--N", {"type": int, "required": True}),
-        ("--symbol", {"required": True}))
-    add("cf-extend", ("--coeffs", {"required": True}))
-    add("assemble", ("--matrix", {}), ("--batch", {}), ("--grid", {"type": int}))
-    add("transport", ("--matrix", {"required": True}), ("--alpha", {"required": True}))
-    add("cohn-growth", ("--inner", {"required": True}),
-        ("--zeta", {"type": float, "required": True}),
-        ("--p", {"type": float, "default": 2.0}),
-        ("--terms", {"type": int, "default": 32}))
-    add("cls-scan", ("--inner", {"required": True}),
-        ("--radii", {}), ("--angles", {"type": int, "default": 8}))
-    add("rkt-scan", ("--inner", {"required": True}),
-        ("--s", {"type": float, "required": True}),
-        ("--lambda", {"dest": "lam"}), ("--grid", {"type": int, "default": 2 ** 13}))
-    add("counterex", ("gen", {"nargs": "?", "default": "gen"}),
-        ("--kind", {"choices": ("blaschke", "singular"), "default": "blaschke"}),
-        ("--p", {"type": float, "default": 3.0}),
-        ("--count", {"type": int, "default": 20}),
-        ("--degrees", {}))
-    add("carleson", ("--inner", {"required": True}), ("--atoms", {}),
-        ("--density", {}), ("--grid", {"type": int}))
     return ap
 
 
 def _effective_config(args) -> dict:
-    cfg = {}
-    mapping = {"lam": "lambda", "N": "N"}
-    skip = {"config", "output", "format", "command", "gen"}
-    for key, val in vars(args).items():
-        if key in skip or val is None:
-            continue
-        cfg[mapping.get(key, key)] = val
+    keys = {key: key for key in GLOBAL_KEYS}  # config key -> argparse dest
+    keys.update((flag[2:], kw.get("dest", flag[2:]))
+                for flag, kw in COMMANDS[args.command][1] if flag.startswith("--"))
+    cfg = {key: getattr(args, dest) for key, dest in keys.items()
+           if getattr(args, dest) is not None}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
         cfg.update(file_cfg)
-    allowed = ALLOWED_KEYS[args.command] | GLOBAL_KEYS
-    unknown = set(cfg) - allowed
+    unknown = set(cfg) - set(keys)
     if unknown:
         raise ValidationError(
             f"unknown keys for {args.command}: {sorted(unknown)}")
@@ -477,7 +446,7 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args)
         digest = _config_hash(args.command, cfg)
-        result = COMMANDS[args.command](cfg)
+        result = COMMANDS[args.command][0](cfg)
         payload, csv_rows = result if isinstance(result, tuple) else (result, None)
         _emit(payload, csv_rows, args, digest)
         return 0
@@ -487,7 +456,7 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return 3
-    except DOMAIN_ERRORS as exc:
+    except TTOLabError as exc:
         print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

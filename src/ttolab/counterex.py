@@ -13,10 +13,11 @@ import math
 
 import numpy as np
 
-from .circle import BoundaryGrid, CircleFunction, riesz_plus
+from .circle import BoundaryGrid, CircleFunction, cauchy_refine
 from .errors import NoConvergence
 from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction,
                     SingularAtomic, cohn_terms, power, square)
+from .modelspace import project_theta
 
 RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
                                   # sampled at this radius (atoms have no
@@ -64,19 +65,10 @@ def kernel_lp(theta: InnerFunction, lam: complex, p: float,
             return float(vals.max())
         return float(np.mean(vals ** p) ** (1.0 / p))
 
-    n = start_n
-    prev = compute(n)
-    resid = float("inf")
-    while 2 * n <= max_n:
-        n *= 2
-        cur = compute(n)
-        resid = abs(cur - prev) / max(1.0, abs(cur))
-        if resid <= tol:
-            return cur, resid, n
-        prev = cur
-    if strict:
+    value, resid, n = cauchy_refine(compute, start_n, tol, max_n)
+    if strict and not resid <= tol:  # a NaN residual is not convergence
         raise NoConvergence(f"kernel L^{p} quadrature not stable within n <= {max_n}")
-    return prev, resid, n
+    return value, resid, n
 
 
 def growth_ratio(theta: InnerFunction, lam: complex, p: float,
@@ -376,12 +368,6 @@ def counterex_theorem_check(family: CounterexampleFamily, p: float,
 # ---------------------------------------------------------------------------
 # RKT failure for fractional powers of a singular inner function
 
-def _project_theta(th_samples, f_samples, grid):
-    plus = riesz_plus(CircleFunction(grid, f_samples))
-    inner_part = riesz_plus(CircleFunction(grid, np.conj(th_samples) * f_samples))
-    return plus.samples - th_samples * inner_part.samples
-
-
 def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
                      grid_n: int = 2 ** 13) -> dict:
     """Numerical study of A = A^Theta_{conj(Theta^s)} on sampled kernels.
@@ -417,7 +403,7 @@ def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
             ths = th_s.boundary_samples(g)
             th1 = th_1ms.boundary_samples(g)
             k_lam = (1.0 - np.conj(tv) * th) / (1.0 - np.conj(lam) * g.points)
-            lhs = _project_theta(th, np.conj(ths) * k_lam, g)
+            lhs = project_theta(th, CircleFunction(g, np.conj(ths) * k_lam)).samples
             rhs = (np.conj(tv_s) * (1.0 - np.conj(tv_1ms) * th1)
                    / (1.0 - np.conj(lam) * g.points))
             err = (np.sqrt(np.mean(np.abs(lhs - rhs) ** 2))
@@ -427,7 +413,7 @@ def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
                 h_scale = (1.0 - abs(lam) ** 2) / (1.0 - y)
                 norm_sq = float(h_scale * np.mean(np.abs(lhs) ** 2))
                 f = ths * (1.0 - np.conj(tv_1ms) * th1) / (1.0 - np.conj(lam) * g.points)
-                af = _project_theta(th, np.conj(ths) * f, g)
+                af = project_theta(th, CircleFunction(g, np.conj(ths) * f)).samples
                 iso = math.sqrt(float(np.mean(np.abs(af) ** 2))
                                 / float(np.mean(np.abs(f) ** 2)))
         rows.append({

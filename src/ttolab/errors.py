@@ -41,10 +41,6 @@ class NoConvergence(TTOLabError):
     """Grid doubling / iteration budget exhausted before reaching tolerance."""
 
 
-class DegenerateSchmidtPair(TTOLabError):
-    """Top singular value is numerically multiple; extremal extension not unique."""
-
-
 class SupportOverflow(TTOLabError):
     """Fourier support exceeds the declared band."""
 

@@ -207,7 +207,7 @@ class BlaschkeProduct(InnerFunction):
 
     def to_json(self):
         out = {"type": "blaschke",
-               "zeros": [{"re": z.value.real, "im": z.value.imag, "mult": z.mult}
+               "zeros": [{"delta": z.delta, "angle": z.angle, "mult": z.mult}
                          for z in self._zeros]}
         if self.truncated:
             out["truncated"] = True

@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .circle import BoundaryGrid, CircleFunction, DEFAULT_GRID, riesz_plus
+from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID,
+                     cauchy_refine, pow2_at_least, riesz_plus)
 from .errors import (BoundaryPointNotNormalizable, NoAngularDerivative,
                      UnsupportedVariant)
 from .inner import (BoundaryPoint, InnerFunction, has_angular_derivative,
@@ -24,11 +25,15 @@ from .inner import (BoundaryPoint, InnerFunction, has_angular_derivative,
 EXACT_DEGREE_CAP = 512
 
 
-def _next_pow2(m: int) -> int:
-    n = 16
-    while n < m:
-        n *= 2
-    return n
+def project_theta(theta_samples, f: CircleFunction) -> CircleFunction:
+    """P_Theta f = P_+ f - Theta P_+(conj(Theta) f) on f's grid.
+
+    ``theta_samples`` are Theta's values on that grid; f's cached Fourier
+    coefficients, if any, are reused.
+    """
+    plus = riesz_plus(f)
+    inner_part = riesz_plus(CircleFunction(f.grid, np.conj(theta_samples) * f.samples))
+    return CircleFunction(f.grid, plus.samples - theta_samples * inner_part.samples)
 
 
 class ModelSpace:
@@ -48,8 +53,8 @@ class ModelSpace:
             if mode == "exact":
                 dmin = min(z.delta for z in theta.zeros())
                 if dmin < 0.05:
-                    n = min(2 ** 16, _next_pow2(int(96.0 / dmin)))
-                n = max(n, _next_pow2(8 * theta.degree()))
+                    n = min(2 ** 16, pow2_at_least(int(96.0 / dmin)))
+                n = max(n, pow2_at_least(8 * theta.degree()))
         self.grid = BoundaryGrid(n)
         self.theta_samples = theta.boundary_samples(self.grid)
         if mode == "exact":
@@ -121,11 +126,7 @@ class ModelSpace:
         if self.mode == "exact":
             c = self.basis_samples.conj().T @ f.samples / self.grid.n
             return ModelFunction(self, coeffs=c)
-        plus = riesz_plus(f)
-        inner_part = riesz_plus(CircleFunction(
-            self.grid, np.conj(self.theta_samples) * f.samples))
-        samples = plus.samples - self.theta_samples * inner_part.samples
-        return ModelFunction(self, circle=CircleFunction(self.grid, samples))
+        return ModelFunction(self, circle=project_theta(self.theta_samples, f))
 
     def theta_at(self, z):
         return self.theta.eval(z)
@@ -198,6 +199,12 @@ class ModelSpace:
         samples = (g.samples - value) * np.conj(self.grid.points)
         return ModelFunction(self, circle=CircleFunction(self.grid, samples))
 
+    def compress(self, w):
+        """Matrix of f -> P_Theta(w f) in the basis, B^H (w B) / n by the
+        uniform rule on the grid (exact mode; w holds samples on the grid)."""
+        B = self.basis_samples
+        return B.conj().T @ (w[:, None] * B) / self.grid.n
+
     def gram_residual(self) -> float:
         """Max deviation of the basis Gram matrix from the identity (exact mode)."""
         g = self.basis_samples.conj().T @ self.basis_samples / self.grid.n
@@ -213,20 +220,16 @@ def projection_residual(theta: InnerFunction, sampler, n: int = DEFAULT_GRID,
     consecutive results (compared on the coarse grid) drops below tol.
     Returns (ModelFunction on the final grid, achieved residual, n).
     """
-    space = ModelSpace(theta, n=n, mode="truncated")
-    cur = space.project(sampler(space.grid))
-    resid = float("inf")
-    while 2 * space.grid.n <= max_n:
-        bigger = ModelSpace(theta, n=2 * space.grid.n, mode="truncated")
-        nxt = bigger.project(sampler(bigger.grid))
-        down = nxt.as_circle().on_grid(space.grid)
-        diff = down.samples - cur.as_circle().samples
-        resid = float(np.sqrt(np.mean(np.abs(diff) ** 2))
-                      / max(1.0, cur.norm()))
-        space, cur = bigger, nxt
-        if resid <= tol:
-            break
-    return cur, resid, space.grid.n
+    def compute(m):
+        space = ModelSpace(theta, n=m, mode="truncated")
+        return space.project(sampler(space.grid))
+
+    def distance(prev, cur):
+        down = cur.as_circle().on_grid(prev.space.grid)
+        diff = down.samples - prev.as_circle().samples
+        return float(np.sqrt(np.mean(np.abs(diff) ** 2)) / max(1.0, prev.norm()))
+
+    return cauchy_refine(compute, n, tol, max_n, distance)
 
 
 def tm_basis(theta: InnerFunction, n: int | None = None) -> list[CircleFunction]:
@@ -303,14 +306,6 @@ class ModelFunction:
 
     def __neg__(self):
         return (-1.0) * self
-
-
-def kernel_norm2_boundary(theta: InnerFunction, zeta) -> float:
-    """||k_zeta||_2^2 = |Theta'(zeta)| from the Ahern-Clark certificate."""
-    cert = has_angular_derivative(theta, zeta)
-    if not cert:
-        raise NoAngularDerivative(f"verdict {cert.verdict}")
-    return cert.value
 
 
 def product_into(space_big: ModelSpace, f1: ModelFunction, f2: ModelFunction,

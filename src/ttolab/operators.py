@@ -14,11 +14,11 @@ import math
 
 import numpy as np
 
-from .circle import CircleFunction, inner_product, riesz_minus, riesz_plus
+from .circle import CircleFunction, inner_product, riesz_minus
 from .errors import (BandwidthOverflow, NoAngularDerivative, NoConvergence,
                      UnsupportedVariant)
 from .inner import BoundaryPoint, has_angular_derivative, one_minus_mod_sq
-from .modelspace import ModelFunction, ModelSpace
+from .modelspace import ModelFunction, ModelSpace, project_theta
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +115,7 @@ def build(space: ModelSpace, symbol) -> TTOperator:
         return measure_operator(space, symbol)
     phi = symbol.samples_on(space)
     if space.mode == "exact":
-        B = space.basis_samples
-        M = B.conj().T @ (phi[:, None] * B) / space.grid.n
-        return TTOperator(space, matrix=M, symbol=symbol)
+        return TTOperator(space, matrix=space.compress(phi), symbol=symbol)
 
     if (isinstance(symbol, BoundarySymbol) and symbol.f.bandwidth is not None
             and symbol.f.bandwidth >= space.grid.n // 4):
@@ -162,20 +160,12 @@ def q_theta(space: ModelSpace) -> CircleFunction:
     return (1.0 / nrm) * qraw
 
 
-def _project_circle(space: ModelSpace, f: CircleFunction) -> CircleFunction:
-    """P_Theta as a grid operation (any mode)."""
-    th = space.theta_samples
-    plus = riesz_plus(f)
-    inner_part = riesz_plus(CircleFunction(space.grid, np.conj(th) * f.samples))
-    return CircleFunction(space.grid, plus.samples - th * inner_part.samples)
-
-
 def _apply_q(space: ModelSpace, f: CircleFunction) -> CircleFunction:
     """Q = P_Theta + M_conj(Theta) P_Theta M_Theta, the projection onto
     K_Theta + conj(z K_Theta)."""
     th = space.theta_samples
-    first = _project_circle(space, f)
-    second = _project_circle(space, CircleFunction(space.grid, th * f.samples))
+    first = project_theta(th, f)
+    second = project_theta(th, CircleFunction(space.grid, th * f.samples))
     return CircleFunction(space.grid, first.samples + np.conj(th) * second.samples)
 
 
@@ -269,31 +259,27 @@ def _kernel_matrix(space: ModelSpace, points, normalized=True):
     return H
 
 
-def rho_r(op: TTOperator, samples: SampleSet) -> float:
-    """max over the sample set of ||A h_lambda||_2 (a lower bound for rho_r)."""
+def _kernel_norms(op: TTOperator, samples: SampleSet, quotient: bool):
+    """||A h_lambda||_2 at each sample point, or ||A h~_lambda||_2 when quotient."""
     space = op.space
     if space.mode == "exact":
         H = _kernel_matrix(space, samples.points)
-        return float(np.max(np.linalg.norm(op.matrix @ H, axis=0)))
-    best = 0.0
-    for lam in samples.points:
-        h = space.normalized_kernel(lam)
-        best = max(best, op.apply(h).norm())
-    return best
+        if quotient:
+            H = space.omega_matrix @ np.conj(H)
+        return np.linalg.norm(op.matrix @ H, axis=0)
+    kernel = ((lambda lam: space.difference_quotient(lam, normalized=True))
+              if quotient else space.normalized_kernel)
+    return np.array([op.apply(kernel(lam)).norm() for lam in samples.points])
+
+
+def rho_r(op: TTOperator, samples: SampleSet) -> float:
+    """max over the sample set of ||A h_lambda||_2 (a lower bound for rho_r)."""
+    return float(np.max(_kernel_norms(op, samples, quotient=False)))
 
 
 def rho_d(op: TTOperator, samples: SampleSet) -> float:
     """max over the sample set of ||A h~_lambda||_2."""
-    space = op.space
-    if space.mode == "exact":
-        H = _kernel_matrix(space, samples.points)
-        Ht = space.omega_matrix @ np.conj(H)
-        return float(np.max(np.linalg.norm(op.matrix @ Ht, axis=0)))
-    best = 0.0
-    for lam in samples.points:
-        h = space.difference_quotient(lam, normalized=True)
-        best = max(best, op.apply(h).norm())
-    return best
+    return float(np.max(_kernel_norms(op, samples, quotient=True)))
 
 
 def rho(op: TTOperator, samples: SampleSet) -> float:
@@ -302,17 +288,8 @@ def rho(op: TTOperator, samples: SampleSet) -> float:
 
 def rho_scan_rows(op: TTOperator, samples: SampleSet):
     """Rows (re lambda, im lambda, ||A h_lambda||_2, ||A h~_lambda||_2)."""
-    space = op.space
-    if space.mode == "exact":
-        H = _kernel_matrix(space, samples.points)
-        Hd = space.omega_matrix @ np.conj(H)
-        nr = np.linalg.norm(op.matrix @ H, axis=0)
-        nd = np.linalg.norm(op.matrix @ Hd, axis=0)
-    else:
-        nr, nd = [], []
-        for lam in samples.points:
-            nr.append(op.apply(space.normalized_kernel(lam)).norm())
-            nd.append(op.apply(space.difference_quotient(lam, normalized=True)).norm())
+    nr = _kernel_norms(op, samples, quotient=False)
+    nd = _kernel_norms(op, samples, quotient=True)
     return [(float(lam.real), float(lam.imag), float(a), float(b))
             for lam, a, b in zip(samples.points, nr, nd)]
 
@@ -342,7 +319,6 @@ def operator_norm(op: TTOperator, tol: float = 1e-8, budget: int = 500) -> float
     if nrm == 0:
         return 0.0
     f = (1.0 / nrm) * f
-    sym = op.symbol
     adj = adjoint(op)
     prev = 0.0
     for _ in range(budget):
@@ -379,9 +355,7 @@ def measure_operator(space: ModelSpace, measure: MeasureSymbol,
         v = space._tm_eval([pt.value])[0]
         M += mass * np.outer(np.conj(v), v)
     if measure.density is not None:
-        dens = measure.density.on_grid(space.grid).samples
-        B = space.basis_samples
-        M += B.conj().T @ (dens[:, None] * B) / space.grid.n
+        M += space.compress(measure.density.on_grid(space.grid).samples)
     return TTOperator(space, matrix=M, symbol=measure)
 
 

@@ -102,9 +102,7 @@ def shift_resolvent(f: CircleFunction, lam: complex) -> CircleFunction:
         g[k - 1] = acc
     out = np.zeros(n, dtype=complex)
     out[:half] = g
-    res = CircleFunction(f.grid, np.fft.ifft(out) * n)
-    res._coeffs = out
-    return res
+    return CircleFunction._from_fft(f.grid, out)
 
 
 def _resolvent_kernel_action(space: ModelSpace, af: ModelFunction, lam) -> ModelFunction:
@@ -236,9 +234,7 @@ def recover_via_k0(oracle: KernelActionOracle,
     a = ak0.coeffs
     b = space.omega(akt0).coeffs
     W = space.omega_matrix
-    # ZP: coefficients of P_Theta(z e_j)
-    pts = space.grid.points
-    ZP = space.basis_samples.conj().T @ (pts[:, None] * space.basis_samples) / space.grid.n
+    ZP = space.compress(space.grid.points)  # coefficients of P_Theta(z e_j)
     G = np.conj(theta0) * (ZP @ W)
     E0 = space._tm_eval([0.0])[0]
     Mk = np.outer(k0.coeffs, np.conj(E0))

@@ -189,3 +189,14 @@ def test_cauchy_refine():
     # budget exhaustion reports the last residual instead of raising
     val2, resid2, n2 = cauchy_refine(compute, start_n=16, tol=0.0, max_n=64)
     assert n2 == 64 and resid2 > 0.0
+    # a caller-supplied distance(prev, cur) replaces the default one
+    seen = []
+
+    def distance(prev, cur):
+        seen.append((prev, cur))
+        return abs(cur - prev)
+
+    val, resid, n = cauchy_refine(lambda n: 1.0 / n, start_n=16, tol=2e-2,
+                                  max_n=1024, distance=distance)
+    assert seen == [(1 / 16, 1 / 32), (1 / 32, 1 / 64)]
+    assert (val, resid, n) == (1 / 64, 1 / 32 - 1 / 64, 64)

@@ -103,6 +103,36 @@ def test_recover_cli(capsys, tmp_path):
     assert data["residual"] < 1e-7
 
 
+def test_recover_table_relative_path(capsys, tmp_path, monkeypatch):
+    # a path starting with '.' or a digit is read as a file, not inline JSON
+    import ttolab as t
+    space = t.ModelSpace(t.Monomial(3))
+    op = t.build(space, t.PairSymbol(space.from_coeffs([1.0, 0.5j, -0.25]),
+                                     space.from_coeffs([0.0, 0.3, 0.2 - 0.1j])))
+    rows = []
+    for j in range(12):
+        lam = (0.2 + 0.15 * (j % 4)) * np.exp(2j * np.pi * j / 12)
+        rows.append({"lambda": [lam.real, lam.imag],
+                     "coefficients": [[z.real, z.imag]
+                                      for z in op.apply(space.kernel(lam)).coeffs]})
+    monkeypatch.chdir(tmp_path)
+    for path in ("./table.json", "1.json"):
+        (tmp_path / path).write_text(json.dumps(rows))
+        code, out = run_cli(["recover", "--inner", '{"type":"monomial","degree":3}',
+                             "--table", path, "--mu", "0.2"], capsys)
+        assert code == 0
+        assert json.loads(out)["residual"] < 1e-7
+
+
+def test_counterex_output_feeds_back_as_inner(capsys):
+    code, out = run_cli(["counterex", "gen", "--kind", "blaschke", "--count", "20"],
+                        capsys)
+    assert code == 0
+    inner = json.dumps(json.loads(out)["theta"])
+    code, _ = run_cli(["kernels", "--inner", inner, "--lambda", "0.5"], capsys)
+    assert code == 0
+
+
 def test_counterex_cli(capsys):
     code, out = run_cli(["counterex", "gen", "--kind", "singular",
                          "--p", "3", "--count", "12"], capsys)
@@ -130,6 +160,12 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     # unknown config keys rejected
     assert main(["cf-extend", "--coeffs", "[1,1]", "--config", "/dev/null"]) == 2
+    capsys.readouterr()
+    # a matrix of scalars instead of [re, im] pairs is a validation error
+    assert main(["transport", "--matrix", "[[1,2],[3,1]]", "--alpha", "0.3"]) == 2
+    capsys.readouterr()
+    # every other library error exits 4 (here SupportOverflow)
+    assert main(["fejer-split", "--N", "4", "--symbol", '{"9":1}']) == 4
     capsys.readouterr()
 
 

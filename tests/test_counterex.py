@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttolab import (Atom, BlaschkeProduct, Monomial, SingularAtomic,
+from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, Monomial, SingularAtomic,
                     cls_ratio_scan, counterex_theorem_check,
                     gen_blaschke_counterexample, gen_singular_counterexample,
                     growth_ratio, rkt_failure_scan)
@@ -163,3 +163,14 @@ def test_tangential_family_generator():
     assert len(fam.theta.zeros()) == 10
     with pytest.raises(ValueError):
         gen_tangential_family(0.6, 2.0)  # p must exceed 1/(1-gamma)
+
+
+def test_kernel_lp_strict_rejects_nan_residual():
+    # radial zeros at zeta = 1: the boundary kernel there has an
+    # inconclusive certificate, so its samples (and residuals) are NaN
+    radial = BlaschkeProduct([BlaschkeZero(8.0 ** -k, 0.0) for k in range(1, 12)],
+                             truncated=True)
+    value, resid, n = kernel_lp(radial, 1.0, 2.0, strict=False)
+    assert np.isnan(value) and np.isnan(resid) and n == 2 ** 17
+    with pytest.raises(NoConvergence):
+        kernel_lp(radial, 1.0, 2.0)

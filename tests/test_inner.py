@@ -210,3 +210,12 @@ def test_cohn_termwise_p3_vs_p2():
     t2, _ = cohn_terms(th, 0.0, 2.0)
     t3, _ = cohn_terms(th, 0.0, 3.0)
     assert np.all(t3 >= 0.5 * t2)
+
+
+def test_json_round_trip_keeps_delta_bits():
+    from ttolab import gen_blaschke_counterexample
+    theta = gen_blaschke_counterexample().theta
+    again = from_json(theta.to_json())
+    assert again.truncated
+    assert [(z.delta, z.angle, z.mult) for z in again.zeros()] == \
+        [(z.delta, z.angle, z.mult) for z in theta.zeros()]

@@ -304,3 +304,14 @@ def test_projection_residual_reporting():
     f2, resid2, n2 = projection_residual(BlaschkeProduct([0.4]), sampler,
                                          n=4096, tol=1e-8, max_n=2 ** 14)
     assert resid2 <= 1e-8
+    # the triple: the projection on the last grid, and its L^2 distance on
+    # the grid before to the projection there, relative to max(1, norm)
+    for th, fn, r, last in ((theta, f, resid, n), (BlaschkeProduct([0.4]), f2, resid2, n2)):
+        space = ModelSpace(th, n=last, mode="truncated")
+        assert np.array_equal(fn.samples(), space.project(sampler(space.grid)).samples())
+        coarse = ModelSpace(th, n=last // 2, mode="truncated")
+        prev = coarse.project(sampler(coarse.grid))
+        diff = fn.as_circle().on_grid(coarse.grid).samples - prev.samples()
+        assert r == float(np.sqrt(np.mean(np.abs(diff) ** 2)) / max(1.0, prev.norm()))
+    assert n2 == 2 ** 13
+    assert abs(resid - 0.09257485783218919) <= 1e-9 * resid

@@ -4,7 +4,8 @@ import pytest
 from ttolab import (BlaschkeProduct, BoundaryPoint, CircleFunction,
                     MeasureSymbol, ModelSpace, Monomial, SampleSet, adjoint,
                     build, decompose, measure_operator, operator_norm,
-                    rank_one_operator, rho, rho_d, rho_r, standard_symbol)
+                    rank_one_operator, rho, rho_d, rho_r, rho_scan_rows,
+                    standard_symbol)
 from ttolab.operators import (BoundarySymbol, TTOperator,
                               hankel_factor_residual, q_theta,
                               toeplitz_defect)
@@ -328,3 +329,15 @@ def test_rho_scan_csv(tmp_path, rng):
     lines = path.read_text().splitlines()
     assert lines[0] == "re_lambda,im_lambda,norm_Ah,norm_Ahd"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+def test_rho_scan_rows_maxima_are_rho_r_and_rho_d(rng, mode):
+    theta = BlaschkeProduct([0.3, -0.2 + 0.4j, 0.5j])
+    space = ModelSpace(theta, n=1024 if mode == "truncated" else None, mode=mode)
+    op = build(space, BoundarySymbol(random_trig_poly_samples(rng, space.grid, 3)))
+    samples = SampleSet([0.0, 0.3, 0.5j, -0.6 + 0.2j, 0.8])
+    rows = rho_scan_rows(op, samples)
+    assert [complex(r[0], r[1]) for r in rows] == list(samples.points)
+    assert max(r[2] for r in rows) == rho_r(op, samples)
+    assert max(r[3] for r in rows) == rho_d(op, samples)
