@@ -190,14 +190,26 @@ class CFExtension:
         return CircleFunction(grid, vals)
 
 
+def _toeplitz(diag):
+    """The N x N Toeplitz matrix whose entry (i, j) is diag[i - j + N - 1]."""
+    N = (len(diag) + 1) // 2
+    i = np.arange(N)
+    return diag[i[:, None] - i[None, :] + N - 1]
+
+
 def _series_division(num, den, length):
+    """First ``length`` Taylor coefficients of num/den (den[0] != 0).
+
+    out[k] = (num[k] - sum_{j=1}^{min(k, m)} den[j] out[k-j]) / den[0], one
+    dot product per coefficient, with m = len(den) - 1.
+    """
     out = np.zeros(length, dtype=complex)
+    rev = np.asarray(den[:0:-1])  # den[m], ..., den[1]
+    m = len(rev)
     for k in range(length):
+        top = min(k, m)
         acc = num[k] if k < len(num) else 0.0
-        top = min(k, len(den) - 1)
-        for j in range(1, top + 1):
-            acc -= den[j] * out[k - j]
-        out[k] = acc / den[0]
+        out[k] = (acc - np.dot(rev[m - top:], out[k - top:k])) / den[0]
     return out
 
 
@@ -224,9 +236,7 @@ def minimal_analytic_extension(coeffs, degenerate_gap: float = 1e-8) -> CFExtens
         taylor[0] = c[0]
         return CFExtension(c, float(abs(c[0])), taylor,
                            np.array([c[0]]), None, False, 0.0, 0.0)
-    T = np.zeros((N, N), dtype=complex)
-    for d in range(N):
-        T += np.diag(np.full(N - d, c[d]), -d)
+    T = _toeplitz(np.concatenate([np.zeros(N - 1, dtype=complex), c]))
     U, s, Vh = np.linalg.svd(T)
     sigma = float(s[0])
     degenerate = N > 1 and (s[0] - s[1]) <= degenerate_gap * s[0]
@@ -351,8 +361,7 @@ def _toeplitz_from_taylor(plus_taylor, minus_taylor, central, N):
     for k, v in central.coeffs.items():
         if -(N - 1) <= k <= N - 1:
             diag[k + N - 1] += complex(v)
-    i = np.arange(N)
-    return diag[i[:, None] - i[None, :] + N - 1]
+    return _toeplitz(diag)
 
 
 def assemble_bounded_symbol(op: TTOperator,

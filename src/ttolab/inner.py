@@ -352,16 +352,29 @@ def one_minus_mod_sq(theta: InnerFunction, lam) -> float:
         return 0.0
     one_minus_lam2 = (1.0 - mod) * (1.0 + mod)
     log_mod_sq = 0.0
-    for zero in theta.zeros():
-        a = zero.value
-        u = one_minus_lam2 * zero.one_minus_mod2() / abs(1.0 - np.conj(a) * lam) ** 2
+    zeros, atoms = _factor_data(theta)
+    for abar, one_minus_a2, mult in zeros:
+        u = one_minus_lam2 * one_minus_a2 / abs(1.0 - abar * lam) ** 2
         if u >= 1.0:
             return 1.0  # lam sits on a zero
-        log_mod_sq += zero.mult * math.log1p(-u)
-    for atom in theta.atoms():
-        zeta = cmath.exp(1j * atom.angle)
-        log_mod_sq += 2.0 * atom.mass * ((lam + zeta) / (lam - zeta)).real
+        log_mod_sq += mult * math.log1p(-u)
+    for zeta, twice_mass in atoms:
+        log_mod_sq += twice_mass * ((lam + zeta) / (lam - zeta)).real
     return -math.expm1(log_mod_sq)
+
+
+def _factor_data(theta: InnerFunction):
+    """Per-factor constants of ``one_minus_mod_sq``, computed once per instance.
+
+    Zeros give (conj(a), 1 - |a|^2, mult) and atoms (zeta, 2 mass), as
+    Python scalars; kept beside ``_sample_cache`` since specs are immutable.
+    """
+    data = theta.__dict__.get("_factor_data")
+    if data is None:
+        data = ([(z.value.conjugate(), z.one_minus_mod2(), z.mult) for z in theta.zeros()],
+                [(cmath.exp(1j * a.angle), 2.0 * a.mass) for a in theta.atoms()])
+        theta.__dict__["_factor_data"] = data
+    return data
 
 
 def _boundary_angle(zeta) -> float:

@@ -17,7 +17,8 @@ import numpy as np
 from .circle import CircleFunction, inner_product, riesz_minus
 from .errors import (BandwidthOverflow, NoAngularDerivative, NoConvergence,
                      UnsupportedVariant)
-from .inner import BoundaryPoint, has_angular_derivative, one_minus_mod_sq
+from .inner import (BoundaryPoint, Monomial, has_angular_derivative,
+                    one_minus_mod_sq)
 from .modelspace import ModelFunction, ModelSpace, project_theta
 
 
@@ -211,6 +212,7 @@ class SampleSet:
         if np.any(np.abs(pts) >= 1.0):
             raise ValueError("sample points must lie strictly inside the disk")
         self.points = pts
+        self.tensor = None  # (radii, angles) of a rotation-closed tensor grid
 
     @classmethod
     def default(cls, space: ModelSpace | None = None, radii_count: int = 24,
@@ -229,12 +231,19 @@ class SampleSet:
 
     @classmethod
     def rotation_closed(cls, angles: int, radii=None) -> "SampleSet":
-        """Tensor grid closed under rotation by 2 pi / angles."""
+        """Tensor grid r e^{2 pi i m / angles}, closed under rotation by 2 pi / angles.
+
+        Points run radius-major (m fastest) over ``radii`` (default
+        1 - 2^-k, k = 1..12).  The set keeps ``tensor = (radii, angles)``,
+        which lets the rho columns on K_{z^N} be taken by FFT along m.
+        """
         if radii is None:
             radii = 1.0 - 0.5 ** np.arange(1, 13)
-        radii = np.asarray(radii, dtype=float)
+        radii = np.asarray(radii, dtype=float).ravel()
         th = np.exp(2j * np.pi * np.arange(angles) / angles)
-        return cls((radii[:, None] * th[None, :]).ravel())
+        out = cls((radii[:, None] * th[None, :]).ravel())
+        out.tensor = (radii, int(angles))
+        return out
 
     def refine(self) -> "SampleSet":
         """A strict superset: doubled angle count plus radial midpoints."""
@@ -247,29 +256,42 @@ class SampleSet:
         return SampleSet(np.unique(np.concatenate([pts, newpts])))
 
 
-def _kernel_matrix(space: ModelSpace, points, normalized=True):
-    """Columns are coefficient vectors of (normalized) kernels at the points."""
-    E = space._tm_eval(points)  # (L, N)
-    H = np.conj(E).T
-    if normalized:
-        pts = np.asarray(points, dtype=complex)
-        denom = np.array([one_minus_mod_sq(space.theta, w) for w in pts])
-        scale = np.sqrt((1.0 - np.abs(pts)) * (1.0 + np.abs(pts)) / denom)
-        H = H * scale[None, :]
-    return H
-
-
 def _kernel_norms(op: TTOperator, samples: SampleSet, quotient: bool):
-    """||A h_lambda||_2 at each sample point, or ||A h~_lambda||_2 when quotient."""
+    """||A h_lambda||_2 at each sample point, or ||A h~_lambda||_2 when quotient.
+
+    Exact mode: h_lambda has coefficients s conj(e(lambda)) and h~_lambda =
+    omega h_lambda has W s e(lambda), where e(lambda) is the TM basis at
+    lambda, s = sqrt((1-|lambda|^2)/(1-|Theta(lambda)|^2)) the kernel
+    scale (one ``one_minus_mod_sq`` call per point) and W the conjugation
+    matrix; the columns are M conj(e) or (M W) e, scaled by s.  On K_{z^N}
+    (e_j = z^j) with a rotation-closed set of J >= N angles these columns
+    are, radius by radius, a length-J DFT (quotient: J times an inverse
+    DFT) of M diag(r^j): an exact identity, taken by FFT.  Every other
+    exact case forms the dense product.
+    """
     space = op.space
-    if space.mode == "exact":
-        H = _kernel_matrix(space, samples.points)
-        if quotient:
-            H = space.omega_matrix @ np.conj(H)
-        return np.linalg.norm(op.matrix @ H, axis=0)
-    kernel = ((lambda lam: space.difference_quotient(lam, normalized=True))
-              if quotient else space.normalized_kernel)
-    return np.array([op.apply(kernel(lam)).norm() for lam in samples.points])
+    if space.mode != "exact":
+        kernel = ((lambda lam: space.difference_quotient(lam, normalized=True))
+                  if quotient else space.normalized_kernel)
+        return np.array([op.apply(kernel(lam)).norm() for lam in samples.points])
+    pts = samples.points
+    denom = np.array([one_minus_mod_sq(space.theta, w) for w in pts])
+    scale = np.sqrt((1.0 - np.abs(pts)) * (1.0 + np.abs(pts)) / denom)
+    A = op.matrix @ space.omega_matrix if quotient else op.matrix
+    N = space.dim
+    if (isinstance(space.theta, Monomial) and samples.tensor is not None
+            and samples.tensor[1] >= N):  # fft(n=J < N) would truncate
+        radii, J = samples.tensor
+        powers = np.arange(N)
+        norms = []
+        for r in radii:
+            Ar = A * r ** powers
+            cols = (J * np.fft.ifft(Ar, n=J, axis=1) if quotient
+                    else np.fft.fft(Ar, n=J, axis=1))
+            norms.append(np.linalg.norm(cols, axis=0))
+        return np.concatenate(norms) * scale
+    E = space._tm_eval(pts)  # (L, N)
+    return np.linalg.norm(A @ (E.T if quotient else E.conj().T), axis=0) * scale
 
 
 def rho_r(op: TTOperator, samples: SampleSet) -> float:

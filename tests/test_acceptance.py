@@ -254,13 +254,13 @@ def test_criterion_5_fejer_machinery():
     overall = np.mean(list(constants.values()))
     stable = all(abs(c - overall) <= 0.20 * overall for c in constants.values())
     elapsed = time.time() - start
-    ok = worst_build <= 1e-8 and stable and elapsed < 300.0
+    ok = worst_build <= 1e-8 and stable and elapsed < 120.0
     _report(5, ok, f"build residual {worst_build:.2e}, mean constants "
                    f"{ {k: round(v, 3) for k, v in constants.items()} }, "
                    f"{elapsed:.1f}s; " + "; ".join(notes))
     assert worst_build <= 1e-8
     assert stable
-    assert elapsed < 300.0
+    assert elapsed < 120.0
 
 
 def test_criterion_6_cf_extension():

@@ -8,7 +8,8 @@ from ttolab import (CircleFunction, FejerWindowSet, FourierPolynomial,
                     assemble_bounded_symbol, blaschke_transport, build,
                     central_bound_check, fejer_kernel, fejer_split,
                     minimal_analytic_extension, operator_norm, rho)
-from ttolab.boundedsym import (rotation_covariance_residual, symbol_from_matrix,
+from ttolab.boundedsym import (_series_division, _toeplitz,
+                               rotation_covariance_residual, symbol_from_matrix,
                                transport_function)
 from ttolab.circle import BoundaryGrid, lp_norm
 from ttolab.errors import DivisibilityViolated, SupportOverflow
@@ -172,6 +173,43 @@ def test_cf_degenerate_falls_back():
     # a genuinely degenerate non-constant case: isometric shift data [0,0,1]
     ext = minimal_analytic_extension([0.0, 0.0, 1.0])
     assert abs(ext.norm - 1.0) < 1e-12
+
+
+def _series_division_loop(num, den, length):
+    # the scalar recursion, kept as the reference
+    out = np.zeros(length, dtype=complex)
+    for k in range(length):
+        acc = num[k] if k < len(num) else 0.0
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out[k] = acc / den[0]
+    return out
+
+
+@pytest.mark.parametrize("N", [2, 3, 16, 64, 256])
+def test_cf_series_division_reproduces_numerator(rng, N):
+    ext = minimal_analytic_extension(rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    assert not ext.suboptimal
+    length = max(4 * N, 64)
+    out = _series_division(ext.num, ext.den, length)
+    num = np.zeros(length, dtype=complex)
+    num[:N] = ext.num
+    scale = np.max(np.abs(ext.num))
+    assert np.max(np.abs(np.convolve(out, ext.den)[:length] - num)) <= 1e-13 * scale
+    ref = _series_division_loop(ext.num, ext.den, length)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(out, ext.taylor)
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 64])
+def test_cf_toeplitz_gather_matches_diagonal_sum(rng, N):
+    c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    c[N // 2] = 0.0
+    ref = np.zeros((N, N), dtype=complex)
+    for d in range(N):
+        ref += np.diag(np.full(N - d, c[d]), -d)
+    got = _toeplitz(np.concatenate([np.zeros(N - 1, dtype=complex), c]))
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_central_bound_monomial_pair(rng):

@@ -1,13 +1,15 @@
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint,
                     Monomial, ProductInner, SingularAtomic, cohn_sum, divides,
                     from_json, has_angular_derivative, power)
 from ttolab.errors import AtomAtPoint, UndefinedBoundaryValue, UnsupportedVariant
-from ttolab.inner import cohn_terms, square
+from ttolab.inner import cohn_terms, one_minus_mod_sq, square
 
 
 def family_zeros(count):
@@ -219,3 +221,57 @@ def test_json_round_trip_keeps_delta_bits():
     assert again.truncated
     assert [(z.delta, z.angle, z.mult) for z in again.zeros()] == \
         [(z.delta, z.angle, z.mult) for z in theta.zeros()]
+
+
+# -- 1 - |Theta(lam)|^2 against a 50-digit oracle ---------------------------
+
+def _oracle_one_minus_mod_sq(theta, lam):
+    """1 - |Theta(lam)|^2 in 50-digit arithmetic, from the same binary lam and
+    the same stored (delta, angle) zeros and (angle, mass) atoms."""
+    with mpmath.workdps(50):
+        w = mpmath.mpc(lam.real, lam.imag)
+        mod_sq = mpmath.mpf(1)
+        for z in theta.zeros():
+            a = (1 - mpmath.mpf(z.delta)) * mpmath.expj(mpmath.mpf(z.angle))
+            mod_sq *= abs((a - w) / (1 - mpmath.conj(a) * w)) ** (2 * z.mult)
+        for at in theta.atoms():
+            zeta = mpmath.expj(mpmath.mpf(at.angle))
+            mod_sq *= mpmath.exp(2 * mpmath.mpf(at.mass) * mpmath.re((w + zeta) / (w - zeta)))
+        return 1 - mod_sq
+
+
+_angles = st.floats(0.0, 2.0 * np.pi)
+_gap = st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)  # 1 - |lam|
+_points = st.builds(lambda g, t: (1.0 - g) * cmath.exp(1j * t), _gap, _angles)
+_zeros = st.builds(lambda e, t, m: BlaschkeZero(10.0 ** e, t, m),
+                   st.floats(-6.0, np.log10(0.9)), _angles, st.integers(1, 3))
+_blaschke = st.lists(_zeros, min_size=1, max_size=6).map(BlaschkeProduct)
+_atom = st.builds(lambda t, m: SingularAtomic([Atom(t, m)]), _angles, st.floats(0.01, 3.0))
+_thetas = st.one_of(
+    st.integers(1, 300).map(Monomial), _blaschke, _atom,
+    st.builds(lambda n, b, a: ProductInner([Monomial(n), b, a]),
+              st.integers(1, 8), _blaschke, _atom))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_thetas, _points)
+def test_one_minus_mod_sq_matches_mpmath(theta, lam):
+    got = one_minus_mod_sq(theta, lam)
+    ref = _oracle_one_minus_mod_sq(theta, lam)
+    assert abs(got - ref) <= 1e-9 * ref
+
+
+def test_one_minus_mod_sq_factor_data_is_per_instance():
+    near = BlaschkeProduct([BlaschkeZero(1e-3, 1.0)])
+    far = BlaschkeProduct([BlaschkeZero(0.5, 1.0)])
+    lam = 0.99 * cmath.exp(1j)
+    thetas = [near, far, Monomial(3), Monomial(5), ProductInner([near, far]),
+              from_json(near.to_json())]
+    for _ in range(2):  # the second pass reads what the first stored
+        for theta in thetas:
+            got = one_minus_mod_sq(theta, lam)
+            ref = _oracle_one_minus_mod_sq(theta, lam)
+            assert abs(got - ref) <= 1e-12 * ref
+    data = [vars(theta)["_factor_data"] for theta in thetas]
+    assert len({id(d) for d in data}) == len(thetas)
+    assert len({id(z) for d in data for z in (d[0], d[1])}) == 2 * len(thetas)

@@ -341,3 +341,24 @@ def test_rho_scan_rows_maxima_are_rho_r_and_rho_d(rng, mode):
     assert [complex(r[0], r[1]) for r in rows] == list(samples.points)
     assert max(r[2] for r in rows) == rho_r(op, samples)
     assert max(r[3] for r in rows) == rho_d(op, samples)
+
+
+@pytest.mark.parametrize("N", [1, 2, 16, 64])
+def test_rotation_closed_fft_columns_match_dense(rng, N):
+    # a plain copy of the points has no tensor record, so it takes the dense path
+    space = ModelSpace(Monomial(N))
+    op = TTOperator(space, matrix=rng.standard_normal((N, N))
+                    + 1j * rng.standard_normal((N, N)))
+    radii = [0.0, 0.25, 0.9, 1.0 - 2.0 ** -20]
+    for J in (N // 2, N, 4 * N):  # J < N must fall back: fft(n=J) would truncate
+        if J < 1:
+            continue
+        fast = SampleSet.rotation_closed(J, radii=radii)
+        dense = SampleSet(fast.points)
+        assert fast.tensor is not None and dense.tensor is None
+        got = np.array(rho_scan_rows(op, fast))
+        ref = np.array(rho_scan_rows(op, dense))
+        assert np.array_equal(got[:, :2], ref[:, :2])
+        assert np.all(np.abs(got[:, 2:] - ref[:, 2:]) <= 1e-12 * np.abs(ref[:, 2:]))
+        assert got[:, 2].max() == rho_r(op, fast)
+        assert got[:, 3].max() == rho_d(op, fast)
