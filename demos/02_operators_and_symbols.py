@@ -3,6 +3,9 @@
 Run:  python demos/02_operators_and_symbols.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from ttolab import (BlaschkeProduct, BoundaryPoint, CircleFunction,
@@ -48,10 +51,11 @@ rr, rd, nrm = rho_r(op, samples), rho_d(op, samples), operator_norm(op)
 print(f"rho_r = {rr:.6f}, rho_d = {rd:.6f}, ||A|| = {nrm:.6f}")
 print("refinement can only increase the sampled suprema:",
       rho_r(op, samples.refine()) >= rr)
-write_rho_scan_csv(op, SampleSet(np.array([0.0, 0.3, 0.5j, -0.4])),
-                   "/tmp/rho_scan_demo.csv")
-print("wrote /tmp/rho_scan_demo.csv:")
-print(open("/tmp/rho_scan_demo.csv").read().strip())
+csv_path = os.path.join(tempfile.gettempdir(), "rho_scan_demo.csv")
+write_rho_scan_csv(op, SampleSet(np.array([0.0, 0.3, 0.5j, -0.4])), csv_path)
+print(f"wrote {csv_path}:")
+with open(csv_path) as fh:
+    print(fh.read().strip())
 
 print()
 print("== measures give positive operators; the top eigenvalue is the")

@@ -84,18 +84,19 @@ class ModelSpace:
         """Takenaka-Malmquist basis functions evaluated at points w (vectorized).
 
         e_j(w) = sqrt(1-|a_j|^2)/(1 - conj(a_j) w) * prod_{i<j} (w-a_i)/(1-conj(a_i) w)
+
+        Returns an (L, N) array for L points: the transpose of the (N, L)
+        array whose row j holds e_j.
         """
         w = np.asarray(w, dtype=complex).ravel()
-        N = self.dim if hasattr(self, "dim") else len(self.zeros)
-        a = self.zeros
-        out = np.empty((len(w), N), dtype=complex)
-        prefix = np.ones(len(w), dtype=complex)
-        for j in range(N):
-            aj = a[j]
-            out[:, j] = (math.sqrt(1.0 - abs(aj) ** 2)
-                         / (1.0 - np.conj(aj) * w)) * prefix
-            prefix = prefix * (w - aj) / (1.0 - np.conj(aj) * w)
-        return out
+        a = self.zeros[:, None]
+        out = 1.0 / (1.0 - np.conj(a) * w)  # each 1/(1 - conj(a_j) w) once
+        prefix = (w - a[:-1]) * out[:-1]  # row j: the j-th Blaschke factor
+        for j in range(1, len(prefix)):
+            prefix[j] *= prefix[j - 1]  # row j: prod_{i<=j} of the factors
+        out[1:] *= prefix
+        out *= np.sqrt(1.0 - np.abs(a) ** 2)
+        return out.T
 
     # -- constructors of elements ----------------------------------------
 

@@ -120,6 +120,31 @@ def f_lambda_mu(oracle: KernelActionOracle, lam, mu) -> ModelFunction:
     return a - b
 
 
+def _compressed_shift(space: ModelSpace):
+    """Matrix of S_Theta = P_Theta M_z on K_Theta, the adjoint of S* there."""
+    return space.sstar_matrix.conj().T
+
+
+def _minus_values(oracle: KernelActionOracle, mu, theta_mu, psi_base: ModelFunction,
+                  lams):
+    """phi_minus(lam) at each lam, for the pair normalized by phi_minus(mu) = 0.
+
+    phi_minus(lam) = <(z - mu) x, k_mu> / denom with x = (I - mu S*)^{-1} F_lam
+    and F_lam = (I - lam S*) omega(A k_lam) - psi_base.  The inner product is
+    k_mu^H (S_Theta - mu I) x in K_Theta coefficients, so one row vector
+    applied to the stacked F_lam gives every value.
+    """
+    space = oracle.space
+    theta0 = complex(space.theta.eval(0.0))
+    denom = theta_mu * (np.conj(theta0) * theta_mu - 1.0)
+    I = np.eye(space.dim)
+    row = (np.conj(space.kernel(mu).coeffs) @ (_compressed_shift(space) - mu * I)
+           @ np.linalg.inv(I - mu * space.sstar_matrix)) / denom
+    F = np.array([_resolvent_kernel_action(space, oracle.act(lam), lam).coeffs
+                  for lam in lams])
+    return (F - psi_base.coeffs) @ row
+
+
 def default_mu(space: ModelSpace) -> complex:
     """Coarse-grid maximizer of |Theta(mu)| * dist(mu, zeros of Theta)."""
     radii = np.array([0.0, 0.15, 0.3, 0.45, 0.6, 0.75])
@@ -135,13 +160,20 @@ def default_mu(space: ModelSpace) -> complex:
 
 
 def _lambda_grid(space: ModelSpace, factor: int = 4):
-    """factor*N interior points spread over four dyadic rings."""
+    """factor*N interior points: dyadic rings moved to the zeros of Theta.
+
+    Point j of ring k, r_k e^{2 pi i (j + k/factor)/N} with r_k = 1 - 2^-(k+1),
+    is moved next to the zero a_j by z -> (a_j + z)/(1 + conj(a_j) z).  On
+    K_{z^N} this is the ring grid itself; near a cluster of zeros it samples
+    at the cluster's hyperbolic scale, where fixed rings leave the fit to the
+    basis ill-conditioned (cond ~1e11 for 12 zeros within 0.05 of a point).
+    """
     N = space.dim
-    rings = 1.0 - 0.5 ** np.arange(1, factor + 1)
+    a = space.zeros
     pts = []
-    for j, r in enumerate(rings):
-        ang = 2.0 * np.pi * (np.arange(N) + j / float(factor)) / N
-        pts.append(r * np.exp(1j * ang))
+    for k, r in enumerate(1.0 - 0.5 ** np.arange(1, factor + 1)):
+        z = r * np.exp(2j * np.pi * (np.arange(N) + k / float(factor)) / N)
+        pts.append((a + z) / (1.0 + np.conj(a) * z))
     return np.concatenate(pts)
 
 
@@ -153,8 +185,11 @@ def recover(oracle: KernelActionOracle, mu: complex | None = None,
     """Recover the pair with phi_minus(mu) = 0 from kernel actions alone.
 
     phi_minus is evaluated pointwise on a lambda grid of grid_factor*N
-    spread points, least-squares fitted to the basis, and phi_plus is then
-    produced through the conjugation.  The rebuild residual against the
+    spread points (or the oracle's own sample points), least-squares fitted
+    to the basis, and phi_plus is then produced through the conjugation.
+    Every value is computed in K_Theta coefficients from the kernel actions
+    and the compressed shift S_Theta (see ``_minus_values``); no grid
+    quadrature is involved.  The rebuild residual against the
     oracle is reported; an oracle inconsistent with every truncated
     Toeplitz operator is rejected.
     """
@@ -166,25 +201,11 @@ def recover(oracle: KernelActionOracle, mu: complex | None = None,
     theta_mu = complex(space.theta.eval(mu))
     if abs(theta_mu) < 1e-8:
         raise DegenerateMu(f"|Theta(mu)| = {abs(theta_mu):.2e} at mu = {mu}")
-    theta0 = complex(space.theta.eval(0.0))
-    denom = theta_mu * (np.conj(theta0) * theta_mu - 1.0)
-
     psi_base = _resolvent_kernel_action(space, oracle.act(mu), mu)
-    k_mu = space.kernel(mu)
-
     lams = oracle.sample_points if oracle.sample_points is not None \
         else _lambda_grid(space, grid_factor)
     lams = np.asarray(lams, dtype=complex)
-    I = np.eye(space.dim)
-    vals = np.empty(len(lams), dtype=complex)
-    resolvent_mu = np.linalg.inv(I - mu * space.sstar_matrix)
-    for i, lam in enumerate(lams):
-        F = _resolvent_kernel_action(space, oracle.act(lam), lam) - psi_base
-        x = ModelFunction(space, coeffs=resolvent_mu @ F.coeffs)
-        xs = x.as_circle().samples
-        g = (space.grid.points - mu) * xs
-        val = np.vdot(k_mu.as_circle().samples, g) / space.grid.n
-        vals[i] = val / denom
+    vals = _minus_values(oracle, mu, theta_mu, psi_base, lams)
     E = space._tm_eval(lams)
     minus_coeffs, *_ = np.linalg.lstsq(E, vals, rcond=None)
     phi_minus = ModelFunction(space, coeffs=minus_coeffs)
@@ -234,8 +255,7 @@ def recover_via_k0(oracle: KernelActionOracle,
     a = ak0.coeffs
     b = space.omega(akt0).coeffs
     W = space.omega_matrix
-    ZP = space.compress(space.grid.points)  # coefficients of P_Theta(z e_j)
-    G = np.conj(theta0) * (ZP @ W)
+    G = np.conj(theta0) * (_compressed_shift(space) @ W)
     E0 = space._tm_eval([0.0])[0]
     Mk = np.outer(k0.coeffs, np.conj(E0))
 

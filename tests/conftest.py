@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from ttolab import BlaschkeProduct, ModelSpace
+from ttolab import BlaschkeProduct, BlaschkeZero, ModelSpace
+
+# (delta, angle) lists of 2..12 zeros with 1 - |a| in [0.05, 0.9], for
+# property tests; ``space_from_zeros`` turns one into an exact space
+zero_lists = st.integers(2, 12).flatmap(lambda degree: st.lists(
+    st.tuples(st.floats(0.05, 0.9), st.floats(0.0, 2.0 * np.pi, exclude_max=True)),
+    min_size=degree, max_size=degree))
+
+
+def space_from_zeros(zeros):
+    return ModelSpace(BlaschkeProduct([BlaschkeZero(d, t) for d, t in zeros]))
 
 
 @pytest.fixture

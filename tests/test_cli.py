@@ -103,25 +103,45 @@ def test_recover_cli(capsys, tmp_path):
     assert data["residual"] < 1e-7
 
 
-def test_recover_table_relative_path(capsys, tmp_path, monkeypatch):
-    # a path starting with '.' or a digit is read as a file, not inline JSON
+MONO3_PAIR = (np.array([1.0, 0.5j, -0.25]), np.array([0.0, 0.3, 0.2 - 0.1j]))
+
+
+def _mono3_table():
+    """Kernel-action rows of the pair-symbol operator MONO3_PAIR on K_{z^3}."""
     import ttolab as t
     space = t.ModelSpace(t.Monomial(3))
-    op = t.build(space, t.PairSymbol(space.from_coeffs([1.0, 0.5j, -0.25]),
-                                     space.from_coeffs([0.0, 0.3, 0.2 - 0.1j])))
+    op = t.build(space, t.PairSymbol(*(space.from_coeffs(c) for c in MONO3_PAIR)))
     rows = []
     for j in range(12):
         lam = (0.2 + 0.15 * (j % 4)) * np.exp(2j * np.pi * j / 12)
         rows.append({"lambda": [lam.real, lam.imag],
                      "coefficients": [[z.real, z.imag]
                                       for z in op.apply(space.kernel(lam)).coeffs]})
+    return json.dumps(rows)
+
+
+def test_recover_table_relative_path(capsys, tmp_path, monkeypatch):
+    # a path starting with '.' or a digit is read as a file, not inline JSON
+    table = _mono3_table()
     monkeypatch.chdir(tmp_path)
     for path in ("./table.json", "1.json"):
-        (tmp_path / path).write_text(json.dumps(rows))
+        (tmp_path / path).write_text(table)
         code, out = run_cli(["recover", "--inner", '{"type":"monomial","degree":3}',
                              "--table", path, "--mu", "0.2"], capsys)
         assert code == 0
         assert json.loads(out)["residual"] < 1e-7
+
+
+def test_recover_cli_accuracy(capsys):
+    # on K_{z^3}, k_0 = 1, so the gauge phi_minus(mu) = 0 moves only coefficient 0
+    code, out = run_cli(["recover", "--inner", '{"type":"monomial","degree":3}',
+                         "--table", _mono3_table(), "--mu", "0.2"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    minus = MONO3_PAIR[1]
+    want = minus - np.polyval(minus[::-1], complex(*data["mu"])) * np.eye(3)[0]
+    got = np.array([complex(a, b) for a, b in data["phi_minus"]])
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
 
 def test_counterex_output_feeds_back_as_inner(capsys):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttolab import (BlaschkeProduct, BoundaryPoint, CircleFunction,
                     ModelSpace, Monomial, ProductInner, tm_basis)
@@ -8,7 +11,7 @@ from ttolab.errors import BoundaryPointNotNormalizable, NoAngularDerivative
 from ttolab.inner import square
 from ttolab.modelspace import product_into
 
-from conftest import random_blaschke_space
+from conftest import random_blaschke_space, space_from_zeros, zero_lists
 
 
 def test_tm_basis_monomials():
@@ -16,6 +19,33 @@ def test_tm_basis_monomials():
     for j, e in enumerate(basis):
         assert abs(e.coeff(j) - 1.0) < 1e-13
         assert sum(abs(e.coeff(k)) for k in range(8) if k != j) < 1e-12
+
+
+def _tm_scalar(zeros, w):
+    """e_j(w) from the docstring formula, one point and one zero at a time."""
+    row, prefix = [], 1.0 + 0.0j
+    for a in zeros:
+        d = 1.0 - a.conjugate() * w
+        row.append(math.sqrt(1.0 - abs(a) ** 2) / d * prefix)
+        prefix *= (w - a) / d
+    return row
+
+
+@pytest.mark.parametrize("N", [1, 2, 48])
+@pytest.mark.parametrize("L", [1, 7, 4096])
+def test_tm_eval_matches_scalar_formula(rng, N, L):
+    fixed = [0.0, 0.5 - 0.2j, 0.5 - 0.2j]  # the origin and a repeated zero
+    spread = list(0.8 * np.sqrt(rng.uniform(0.0, 1.0, N))
+                  * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, N)))
+    space = ModelSpace(BlaschkeProduct((fixed + spread)[:N]))
+    if L == 4096:  # a boundary grid, as in basis construction
+        w = np.exp(2j * np.pi * np.arange(L) / L)
+    else:
+        w = 0.9 * rng.uniform(0.0, 1.0, L) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, L))
+    got = space._tm_eval(w)
+    assert got.shape == (L, N)
+    ref = np.array([_tm_scalar([complex(a) for a in space.zeros], complex(z)) for z in w])
+    assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 def test_tm_basis_gram_identity(rng):
@@ -143,9 +173,12 @@ def test_kernel_norm_lower_bound(rng):
         assert space.kernel(lam).norm() >= floor - 1e-12
 
 
-def test_omega_involution(rng):
-    space = random_blaschke_space(rng, 6)
-    f = space.from_coeffs(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+@settings(max_examples=40, deadline=None)
+@given(zero_lists, st.integers(0, 2 ** 32 - 1))
+def test_omega_involution(zeros, seed):
+    space = space_from_zeros(zeros)
+    rng = np.random.default_rng(seed)
+    f = space.from_coeffs(rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim))
     back = space.omega(space.omega(f))
     assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
