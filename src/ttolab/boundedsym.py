@@ -18,7 +18,8 @@ import numpy as np
 from .circle import (BoundaryGrid, CircleFunction, FourierPolynomial,
                      lp_norm, pow2_at_least)
 from .errors import DivisibilityViolated, SupportOverflow
-from .inner import BlaschkeProduct, InnerFunction, Monomial, divides
+from .inner import (BlaschkeProduct, InnerFunction, Monomial, ProductInner,
+                    divides)
 from .modelspace import ModelSpace
 from .operators import (BoundarySymbol, SampleSet, TTOperator, build, rho,
                         rho_r)
@@ -279,10 +280,9 @@ def central_bound_check(space: ModelSpace, small: InnerFunction,
     the sampling slack.
     """
     big = space.theta
-    ztheta = _times_z(big)
-    if not divides(_cube(small), ztheta):
+    if not divides(ProductInner([small] * 3), ProductInner([Monomial(1), big])):
         raise DivisibilityViolated("theta^3 does not divide z Theta")
-    if not divides(big, _fourth(small)):
+    if not divides(big, ProductInner([small] * 4)):
         raise DivisibilityViolated("Theta does not divide theta^4")
     if samples is None:
         samples = SampleSet.default(space)
@@ -290,21 +290,6 @@ def central_bound_check(space: ModelSpace, small: InnerFunction,
     fine = BoundaryGrid(max(space.grid.n, 2 ** 14))
     sup = lp_norm(phi.on_grid(fine), np.inf)
     return sup, 2.0 * rho_r(op, samples)
-
-
-def _times_z(theta: InnerFunction) -> InnerFunction:
-    from .inner import ProductInner
-    return ProductInner([Monomial(1), theta])
-
-
-def _cube(theta: InnerFunction) -> InnerFunction:
-    from .inner import ProductInner
-    return ProductInner([theta, theta, theta])
-
-
-def _fourth(theta: InnerFunction) -> InnerFunction:
-    from .inner import ProductInner
-    return ProductInner([theta, theta, theta, theta])
 
 
 # ---------------------------------------------------------------------------

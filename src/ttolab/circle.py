@@ -86,10 +86,6 @@ class CircleFunction:
         return f
 
     @classmethod
-    def from_callable(cls, grid, fn, bandwidth=None):
-        return cls(grid, fn(grid.points), bandwidth=bandwidth)
-
-    @classmethod
     def from_coeffs(cls, grid, coeffs: dict, bandwidth=None):
         """Build from a sparse {index: coefficient} map (indices in [-n/2, n/2))."""
         vec = np.zeros(grid.n, dtype=complex)
@@ -100,10 +96,6 @@ class CircleFunction:
         if bandwidth is None and coeffs:
             bandwidth = max(abs(int(k)) for k in coeffs)
         return cls._from_fft(grid, vec, bandwidth)
-
-    @classmethod
-    def constant(cls, grid, value):
-        return cls.from_coeffs(grid, {0: value})
 
     # -- coefficient access -------------------------------------------
 
@@ -297,11 +289,6 @@ class FourierPolynomial:
         return FourierPolynomial({k: scalar * v for k, v in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    def window(self, phi: "FourierPolynomial") -> "FourierPolynomial":
-        """Coefficientwise product hat(self)(k) * hat(phi)(k) (convolution by self)."""
-        return FourierPolynomial(
-            {k: self.coeffs[k] * v for k, v in phi.coeffs.items() if k in self.coeffs})
 
     def evaluate(self, z):
         z = np.asarray(z, dtype=complex)

@@ -6,10 +6,10 @@ experiment, and writes deterministic JSON or CSV: floats are formatted
 %.12e in CSV, rows are emitted in a fixed order, and each output embeds
 the config hash and library version.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
-4 every other library error (missing angular derivative, degenerate
-recovery point, support or bandwidth overflow, and the rest of the
-TTOLabError family).
+Exit codes: 0 success, 2 validation error, 3 numerical failure
+(non-convergence, a failed factorization or overflow), 4 every other
+library error (missing angular derivative, degenerate recovery point,
+support or bandwidth overflow, and the rest of the TTOLabError family).
 """
 
 from __future__ import annotations
@@ -118,12 +118,17 @@ def _cmd_kernels(cfg):
     return {"mode": "truncated", "samples": _pairs(k.samples())}
 
 
-def _cmd_build(cfg):
+def _exact_space(cfg) -> ModelSpace:
     space = ModelSpace(from_json(cfg["inner"]), n=cfg.get("grid"))
+    if space.mode != "exact":
+        raise ValidationError("build emits matrices only in exact mode")
+    return space
+
+
+def _cmd_build(cfg):
+    space = _exact_space(cfg)
     poly = _fourier_from_json(_load_json_arg(cfg["symbol"]))
     op = build(space, BoundarySymbol(poly.to_circle(space.grid)))
-    if op.matrix is None:
-        raise ValidationError("build emits matrices only in exact mode")
     return {"dimension": space.dim, "matrix": _pairs(op.matrix),
             "operator_norm": float(operator_norm(op))}
 
@@ -143,7 +148,7 @@ def _cmd_recover(cfg):
 
 
 def _cmd_rank_one(cfg):
-    space = ModelSpace(from_json(cfg["inner"]), n=cfg.get("grid"))
+    space = _exact_space(cfg)
     pt = BoundaryPoint(float(cfg["zeta"])) if "zeta" in cfg and cfg["zeta"] is not None \
         else _cplx(cfg["lambda"])
     sym = rank_one_symbol(space, pt)
@@ -450,6 +455,10 @@ def main(argv=None) -> int:
         payload, csv_rows = result if isinstance(result, tuple) else (result, None)
         _emit(payload, csv_rows, args, digest)
         return 0
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        # before ValueError, which LinAlgError subclasses
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     except (ValidationError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -202,7 +202,9 @@ class BlaschkeProduct(InnerFunction):
         out = np.ones_like(z)
         for zero in self._zeros:
             a = zero.value
-            out = out * (((a - z) / (1.0 - np.conj(a) * z)) ** zero.mult)
+            factor = a - z  # divided in place: one grid-sized temporary fewer
+            factor /= 1.0 - np.conj(a) * z
+            out *= factor if zero.mult == 1 else factor ** zero.mult  # ** 1 is slow
         return out
 
     def to_json(self):
@@ -226,9 +228,6 @@ class SingularAtomic(InnerFunction):
 
     def atoms(self):
         return list(self._atoms)
-
-    def total_mass(self) -> float:
-        return sum(a.mass for a in self._atoms)
 
     def _eval_impl(self, z):
         expo = np.zeros_like(z)
@@ -342,25 +341,29 @@ def from_json(obj: dict) -> InnerFunction:
 def one_minus_mod_sq(theta: InnerFunction, lam) -> float:
     """1 - |Theta(lam)|^2 without cancellation, for lam inside the disk.
 
-    Uses the exact Blaschke-factor identity
-    1 - |b_a(lam)|^2 = (1-|lam|^2)(1-|a|^2)/|1 - conj(a) lam|^2
-    in log space, plus the explicit exponent of singular factors.
+    Each zero a contributes u = 1 - |b_a(lam)|^2 =
+    (1-|lam|^2)(1-|a|^2)/|1 - conj(a) lam|^2 (raised to its multiplicity
+    through log1p/expm1), and q = 1 - prod(1 - u) accumulates as
+    q += u (1 - q), a sum of nonnegative terms.  Singular factors add
+    their explicit exponent L, joined as 1 - (1 - q) e^L = q - (1 - q) expm1(L).
     """
     lam = complex(lam)
     mod = abs(lam)
     if mod >= 1.0:
         return 0.0
     one_minus_lam2 = (1.0 - mod) * (1.0 + mod)
-    log_mod_sq = 0.0
+    q = 0.0
     zeros, atoms = _factor_data(theta)
     for abar, one_minus_a2, mult in zeros:
-        u = one_minus_lam2 * one_minus_a2 / abs(1.0 - abar * lam) ** 2
-        if u >= 1.0:
-            return 1.0  # lam sits on a zero
-        log_mod_sq += mult * math.log1p(-u)
+        d = abs(1.0 - abar * lam)
+        u = one_minus_lam2 * one_minus_a2 / (d * d)  # d * d: float ** 2 is slower
+        if mult > 1:
+            u = -math.expm1(mult * math.log1p(-u)) if u < 1.0 else 1.0
+        q += u * (1.0 - q)
+    exponent = 0.0
     for zeta, twice_mass in atoms:
-        log_mod_sq += twice_mass * ((lam + zeta) / (lam - zeta)).real
-    return -math.expm1(log_mod_sq)
+        exponent += twice_mass * ((lam + zeta) / (lam - zeta)).real
+    return min(q - (1.0 - q) * math.expm1(exponent), 1.0)  # q >= 1: lam on a zero
 
 
 def _factor_data(theta: InnerFunction):

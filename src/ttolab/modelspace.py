@@ -23,6 +23,7 @@ from .inner import (BoundaryPoint, InnerFunction, has_angular_derivative,
                     one_minus_mod_sq)
 
 EXACT_DEGREE_CAP = 512
+TM_BLOCK = 4096  # points per block of ModelSpace._tm_eval
 
 
 def project_theta(theta_samples, f: CircleFunction) -> CircleFunction:
@@ -70,15 +71,27 @@ class ModelSpace:
         self.dim = len(zeros)
         pts = self.grid.points
         self.basis_samples = self._tm_eval(pts)  # (n, N)
-        n = self.grid.n
-        # omega in basis coordinates: omega(sum c_j e_j) = W conj(c)
-        omega_samples = (np.conj(pts[:, None] * self.basis_samples)
-                         * self.theta_samples[:, None])
-        self.omega_matrix = self.basis_samples.conj().T @ omega_samples / n
-        # backward shift S* restricted to K_Theta
-        e0 = self._tm_eval(np.zeros(1))[0]  # e_j(0)
-        sstar = (self.basis_samples - e0[None, :]) * np.conj(pts)[:, None]
-        self.sstar_matrix = self.basis_samples.conj().T @ sstar / n
+        # omega in basis coordinates: omega(sum c_j e_j) = W conj(c), with
+        # W = conj(B^T diag(conj(Theta) z) B) / n by the uniform rule
+        B = self.basis_samples
+        weighted = B * (np.conj(self.theta_samples) * pts)[:, None]
+        self.omega_matrix = np.conj(B.T @ weighted) / self.grid.n
+        self.shift_matrix = self._compressed_shift()
+        self.sstar_matrix = self.shift_matrix.conj().T  # S* restricted to K_Theta
+
+    def _compressed_shift(self):
+        """Matrix of S_Theta = P_Theta M_z in the basis, in closed form.
+
+        It is lower triangular: a_i on the diagonal and, below it, entry
+        (i, j) = s_i s_j prod_{j<k<i} (-conj(a_k)) with s = sqrt(1-|a|^2).
+        """
+        a = self.zeros
+        s = np.sqrt(1.0 - np.abs(a) ** 2)
+        prods = np.zeros((self.dim, self.dim), dtype=complex)
+        for i in range(1, self.dim):  # row i from row i-1: one more factor
+            prods[i, :i - 1] = prods[i - 1, :i - 1] * -np.conj(a[i - 1])
+            prods[i, i - 1] = 1.0
+        return np.diag(a) + s[:, None] * s[None, :] * prods
 
     def _tm_eval(self, w):
         """Takenaka-Malmquist basis functions evaluated at points w (vectorized).
@@ -86,16 +99,27 @@ class ModelSpace:
         e_j(w) = sqrt(1-|a_j|^2)/(1 - conj(a_j) w) * prod_{i<j} (w-a_i)/(1-conj(a_i) w)
 
         Returns an (L, N) array for L points: the transpose of the (N, L)
-        array whose row j holds e_j.
+        array whose row j holds e_j.  Points go in blocks of TM_BLOCK, so
+        each pass over an N x block temporary stays in cache.
         """
         w = np.asarray(w, dtype=complex).ravel()
         a = self.zeros[:, None]
-        out = 1.0 / (1.0 - np.conj(a) * w)  # each 1/(1 - conj(a_j) w) once
-        prefix = (w - a[:-1]) * out[:-1]  # row j: the j-th Blaschke factor
-        for j in range(1, len(prefix)):
-            prefix[j] *= prefix[j - 1]  # row j: prod_{i<=j} of the factors
-        out[1:] *= prefix
-        out *= np.sqrt(1.0 - np.abs(a) ** 2)
+        scale = np.sqrt(1.0 - np.abs(a) ** 2)
+        out = np.empty((self.dim, w.size), dtype=complex)
+        for k in range(0, w.size, TM_BLOCK):
+            wk = w[k:k + TM_BLOCK]
+            block = out[:, k:k + TM_BLOCK]
+            np.divide(1.0, 1.0 - np.conj(a) * wk, out=block)  # 1/(1 - conj(a_j) w)
+            prefix = (wk - a[:-1]) * block[:-1]  # row j: the j-th Blaschke factor
+            # row j becomes prod_{i<=j} of the factors: row by row, or for the
+            # few points of a kernel in one accumulate instead of N - 1 calls
+            if wk.size > 64:
+                for j in range(1, len(prefix)):
+                    prefix[j] *= prefix[j - 1]
+            else:
+                np.multiply.accumulate(prefix, axis=0, out=prefix)
+            block[1:] *= prefix
+            block *= scale
         return out.T
 
     # -- constructors of elements ----------------------------------------
@@ -104,9 +128,6 @@ class ModelSpace:
         if self.mode != "exact":
             raise UnsupportedVariant("coefficient vectors need exact mode")
         return ModelFunction(self, coeffs=np.asarray(c, dtype=complex))
-
-    def from_circle(self, f: CircleFunction) -> "ModelFunction":
-        return self.project(f)
 
     def zero(self) -> "ModelFunction":
         if self.mode == "exact":
@@ -129,9 +150,6 @@ class ModelSpace:
             return ModelFunction(self, coeffs=c)
         return ModelFunction(self, circle=project_theta(self.theta_samples, f))
 
-    def theta_at(self, z):
-        return self.theta.eval(z)
-
     def _point(self, pt):
         """Normalize a kernel point; returns (value, is_boundary)."""
         if isinstance(pt, BoundaryPoint):
@@ -153,13 +171,10 @@ class ModelSpace:
                     f"no angular-derivative certificate at {w} ({cert.verdict})")
         if self.mode == "exact":
             return ModelFunction(self, coeffs=np.conj(self._tm_eval([w])[0]))
-        tv = self.theta.eval(w) if not boundary else self._boundary_theta(w)
+        tv = self.theta.eval(w)
         samples = ((1.0 - np.conj(tv) * self.theta_samples)
                    / (1.0 - np.conj(w) * self.grid.points))
         return ModelFunction(self, circle=CircleFunction(self.grid, samples))
-
-    def _boundary_theta(self, w):
-        return complex(self.theta.eval(np.asarray([w]))[0])
 
     def normalized_kernel(self, pt) -> "ModelFunction":
         """h_pt = sqrt((1-|pt|^2)/(1-|Theta(pt)|^2)) k_pt; unit norm at interior points."""
@@ -203,8 +218,9 @@ class ModelSpace:
     def compress(self, w):
         """Matrix of f -> P_Theta(w f) in the basis, B^H (w B) / n by the
         uniform rule on the grid (exact mode; w holds samples on the grid)."""
-        B = self.basis_samples
-        return B.conj().T @ (w[:, None] * B) / self.grid.n
+        weighted = self.basis_samples.conj()  # one n x N temporary
+        weighted *= w[:, None]
+        return weighted.T @ self.basis_samples / self.grid.n
 
     def gram_residual(self) -> float:
         """Max deviation of the basis Gram matrix from the identity (exact mode)."""

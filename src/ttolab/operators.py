@@ -275,7 +275,7 @@ def _kernel_norms(op: TTOperator, samples: SampleSet, quotient: bool):
                   if quotient else space.normalized_kernel)
         return np.array([op.apply(kernel(lam)).norm() for lam in samples.points])
     pts = samples.points
-    denom = np.array([one_minus_mod_sq(space.theta, w) for w in pts])
+    denom = np.array([one_minus_mod_sq(space.theta, w) for w in pts.tolist()])
     scale = np.sqrt((1.0 - np.abs(pts)) * (1.0 + np.abs(pts)) / denom)
     A = op.matrix @ space.omega_matrix if quotient else op.matrix
     N = space.dim
@@ -291,7 +291,8 @@ def _kernel_norms(op: TTOperator, samples: SampleSet, quotient: bool):
             norms.append(np.linalg.norm(cols, axis=0))
         return np.concatenate(norms) * scale
     E = space._tm_eval(pts)  # (L, N)
-    return np.linalg.norm(A @ (E.T if quotient else E.conj().T), axis=0) * scale
+    # ||M conj(e)|| = ||conj(M) e||: conjugate the N x N matrix, not the L x N one
+    return np.linalg.norm((A if quotient else np.conj(A)) @ E.T, axis=0) * scale
 
 
 def rho_r(op: TTOperator, samples: SampleSet) -> float:

@@ -64,19 +64,32 @@ class KernelActionOracle:
 
 
 class RecoveredSymbol:
-    """Result of a recovery: the pair, its gauge point, and diagnostics."""
+    """Result of a recovery: the pair, its gauge point, and diagnostics.
 
-    __slots__ = ("phi_plus", "phi_minus", "mu", "residual", "rho_ratio")
+    ``operator`` is the operator rebuilt from the pair, against which the
+    oracle was checked (``residual``).  ``rho_ratio`` is measured on
+    demand: each read runs one rho_r scan over ``SampleSet.default``.
+    """
 
-    def __init__(self, phi_plus, phi_minus, mu, residual, rho_ratio):
+    __slots__ = ("phi_plus", "phi_minus", "mu", "residual", "operator")
+
+    def __init__(self, phi_plus, phi_minus, mu, residual, operator):
         self.phi_plus = phi_plus
         self.phi_minus = phi_minus
         self.mu = mu
         self.residual = residual
-        self.rho_ratio = rho_ratio
+        self.operator = operator
 
     def pair(self) -> PairSymbol:
         return PairSymbol(self.phi_plus, self.phi_minus)
+
+    @property
+    def rho_ratio(self) -> float:
+        """Measured constant of the norm bound max(||phi+-||_2) <= C rho_r."""
+        rr = rho_r(self.operator, SampleSet.default(self.operator.space))
+        if rr == 0.0:
+            return 0.0
+        return max(self.phi_plus.norm(), self.phi_minus.norm()) / rr
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +133,6 @@ def f_lambda_mu(oracle: KernelActionOracle, lam, mu) -> ModelFunction:
     return a - b
 
 
-def _compressed_shift(space: ModelSpace):
-    """Matrix of S_Theta = P_Theta M_z on K_Theta, the adjoint of S* there."""
-    return space.sstar_matrix.conj().T
-
-
 def _minus_values(oracle: KernelActionOracle, mu, theta_mu, psi_base: ModelFunction,
                   lams):
     """phi_minus(lam) at each lam, for the pair normalized by phi_minus(mu) = 0.
@@ -138,7 +146,7 @@ def _minus_values(oracle: KernelActionOracle, mu, theta_mu, psi_base: ModelFunct
     theta0 = complex(space.theta.eval(0.0))
     denom = theta_mu * (np.conj(theta0) * theta_mu - 1.0)
     I = np.eye(space.dim)
-    row = (np.conj(space.kernel(mu).coeffs) @ (_compressed_shift(space) - mu * I)
+    row = (np.conj(space.kernel(mu).coeffs) @ (space.shift_matrix - mu * I)
            @ np.linalg.inv(I - mu * space.sstar_matrix)) / denom
     F = np.array([_resolvent_kernel_action(space, oracle.act(lam), lam).coeffs
                   for lam in lams])
@@ -213,12 +221,7 @@ def recover(oracle: KernelActionOracle, mu: complex | None = None,
     psi_plus = psi_base + theta_mu * space.backward_shift(phi_minus)
     phi_plus = space.omega(psi_plus)
 
-    rebuilt = build(space, PairSymbol(phi_plus, phi_minus))
-    resid = _oracle_residual(oracle, rebuilt)
-    if resid > residual_tol:
-        raise InconsistentOracle(f"rebuild residual {resid:.2e} > {residual_tol:.0e}")
-    ratio = _rho_ratio(space, phi_plus, phi_minus, rebuilt)
-    return RecoveredSymbol(phi_plus, phi_minus, mu, resid, ratio)
+    return _certify(oracle, phi_plus, phi_minus, mu, residual_tol)
 
 
 def _antilinear_block(M):
@@ -255,7 +258,7 @@ def recover_via_k0(oracle: KernelActionOracle,
     a = ak0.coeffs
     b = space.omega(akt0).coeffs
     W = space.omega_matrix
-    G = np.conj(theta0) * (_compressed_shift(space) @ W)
+    G = np.conj(theta0) * (space.shift_matrix @ W)
     E0 = space._tm_eval([0.0])[0]
     Mk = np.outer(k0.coeffs, np.conj(E0))
 
@@ -273,32 +276,28 @@ def recover_via_k0(oracle: KernelActionOracle,
     phi_plus = phi_plus + np.conj(cbar) * k0
     phi_minus = phi_minus - cbar * k0
 
-    rebuilt = build(space, PairSymbol(phi_plus, phi_minus))
-    resid = _oracle_residual(oracle, rebuilt)
-    if resid > residual_tol:
-        raise InconsistentOracle(f"rebuild residual {resid:.2e} > {residual_tol:.0e}")
-    ratio = _rho_ratio(space, phi_plus, phi_minus, rebuilt)
-    return RecoveredSymbol(phi_plus, phi_minus, 0.0, resid, ratio)
+    return _certify(oracle, phi_plus, phi_minus, 0.0, residual_tol)
 
 
-def _oracle_residual(oracle: KernelActionOracle, rebuilt: TTOperator) -> float:
+def _certify(oracle: KernelActionOracle, phi_plus, phi_minus, mu,
+             residual_tol) -> RecoveredSymbol:
+    """Rebuild the operator from the pair and check it against the oracle.
+
+    Raises InconsistentOracle when the worst relative difference of the
+    kernel actions at the probe points exceeds residual_tol.
+    """
     space = oracle.space
+    rebuilt = build(space, PairSymbol(phi_plus, phi_minus))
     probes = (oracle.sample_points[:8] if oracle.sample_points is not None
               else np.array([0.0, 0.31, -0.52 + 0.2j, 0.11 - 0.6j, 0.77j]))
-    worst = 0.0
+    resid = 0.0
     for lam in probes:
         k = space.kernel(lam)
         diff = oracle.act(lam) - rebuilt.apply(k)
-        worst = max(worst, diff.norm() / max(k.norm(), 1.0))
-    return worst
-
-
-def _rho_ratio(space, phi_plus, phi_minus, op) -> float:
-    """Measured constant of the norm bound max(||phi+-||_2) <= C rho_r."""
-    rr = rho_r(op, SampleSet.default(space))
-    if rr == 0.0:
-        return 0.0
-    return max(phi_plus.norm(), phi_minus.norm()) / rr
+        resid = max(resid, diff.norm() / max(k.norm(), 1.0))
+    if resid > residual_tol:
+        raise InconsistentOracle(f"rebuild residual {resid:.2e} > {residual_tol:.0e}")
+    return RecoveredSymbol(phi_plus, phi_minus, mu, resid, rebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +305,9 @@ def _rho_ratio(space, phi_plus, phi_minus, op) -> float:
 
 def rank_one_symbol(space: ModelSpace, pt) -> BoundarySymbol:
     """The explicit symbol Theta conj(z k_pt^{Theta^2}) of k~_pt (x) k_pt."""
-    w, boundary = space._point(pt)
+    w, _ = space._point(pt)
     th = space.theta_samples
-    if boundary:
-        tv = space._boundary_theta(w)
-    else:
-        tv = complex(space.theta.eval(w))
+    tv = space.theta.eval(w)
     k2 = (1.0 - np.conj(tv * tv) * th * th) / (1.0 - np.conj(w) * space.grid.points)
     phi = th * np.conj(space.grid.points * k2)
     return BoundarySymbol(CircleFunction(space.grid, phi))

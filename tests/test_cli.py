@@ -187,6 +187,24 @@ def test_exit_codes(capsys):
     # every other library error exits 4 (here SupportOverflow)
     assert main(["fejer-split", "--N", "4", "--symbol", '{"9":1}']) == 4
     capsys.readouterr()
+    # numerical failures exit 3: a failed SVD (numpy's LinAlgError is a
+    # ValueError) and an overflow in the diagonal means of a matrix
+    assert main(["build", "--inner", '{"type":"monomial","degree":3}',
+                 "--symbol", '{"0":1e307,"1":1e307}']) == 3
+    capsys.readouterr()
+    assert main(["assemble", "--matrix",
+                 "[[[1e308,0],[1e308,0]],[[1e308,0],[1e308,0]]]"]) == 3
+    capsys.readouterr()
+    # matrices need an exact space
+    assert main(["rank-one", "--inner",
+                 '{"type":"singular","atoms":[{"angle":0,"mass":1}]}',
+                 "--lambda", "0.2"]) == 2
+    assert "build emits matrices only in exact mode" in capsys.readouterr().err
+    # argument checks stay validation errors
+    assert main(["rank-one", "--inner", '{"type":"monomial","degree":3}',
+                 "--lambda", "1.5"]) == 2
+    assert main(["cf-extend", "--coeffs", "[]"]) == 2
+    capsys.readouterr()
 
 
 def test_unknown_config_keys(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the in-tree package."""
+"""Every demo script runs to completion against the in-tree package, with
+warnings turned into errors and nothing written to stderr."""
 
 import os
 import subprocess
@@ -14,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -261,6 +261,16 @@ def test_one_minus_mod_sq_matches_mpmath(theta, lam):
     assert abs(got - ref) <= 1e-9 * ref
 
 
+def test_one_minus_mod_sq_is_one_on_a_zero():
+    # at lam = a the simple zero's 1 - |b_a(lam)|^2 rounds to 1 + 1.3e-15
+    simple = BlaschkeZero(0.046466436303213274, 0.10379355111916272)
+    double = BlaschkeZero(0.6, 2.0, 2)
+    theta = ProductInner([BlaschkeProduct([BlaschkeZero(0.5, 0.5), simple, double]),
+                          SingularAtomic([Atom(3.0, 0.5)])])
+    for zero in (simple, double):
+        assert one_minus_mod_sq(theta, zero.value) == 1.0
+
+
 def test_one_minus_mod_sq_factor_data_is_per_instance():
     near = BlaschkeProduct([BlaschkeZero(1e-3, 1.0)])
     far = BlaschkeProduct([BlaschkeZero(0.5, 1.0)])

@@ -32,7 +32,7 @@ def _tm_scalar(zeros, w):
 
 
 @pytest.mark.parametrize("N", [1, 2, 48])
-@pytest.mark.parametrize("L", [1, 7, 4096])
+@pytest.mark.parametrize("L", [1, 7, 4096, 4103])  # 4103: a full block and a short one
 def test_tm_eval_matches_scalar_formula(rng, N, L):
     fixed = [0.0, 0.5 - 0.2j, 0.5 - 0.2j]  # the origin and a repeated zero
     spread = list(0.8 * np.sqrt(rng.uniform(0.0, 1.0, N))
@@ -181,6 +181,16 @@ def test_omega_involution(zeros, seed):
     f = space.from_coeffs(rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim))
     back = space.omega(space.omega(f))
     assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_lists)
+def test_omega_conjugates_compressed_shift(zeros):
+    # omega S_Theta omega = S_Theta^*: ties the closed-form S_Theta to the
+    # quadrature W; omega(c) = W conj(c), so omega S omega = W conj(S) conj(W)
+    space = space_from_zeros(zeros)
+    W, S = space.omega_matrix, space.shift_matrix
+    assert np.max(np.abs(W @ np.conj(S) @ np.conj(W) - S.conj().T)) < 1e-12
 
 
 def test_omega_commutes_with_projection(rng):

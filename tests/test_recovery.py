@@ -12,7 +12,8 @@ from ttolab.errors import DegenerateMu, InconsistentOracle, SymbolsDiffer
 from ttolab.inner import BoundaryPoint
 from ttolab.operators import BoundarySymbol, TTOperator
 from ttolab.modelspace import ModelFunction
-from ttolab.recovery import (_compressed_shift, _lambda_grid, _minus_values,
+import ttolab.recovery
+from ttolab.recovery import (_lambda_grid, _minus_values,
                              _resolvent_kernel_action, default_mu, f_lambda_mu)
 
 from conftest import random_blaschke_space, space_from_zeros, zero_lists
@@ -127,11 +128,23 @@ def test_minus_values_match_grid_quadrature(rng, degree):
 
 @pytest.mark.parametrize("degree", [4, 12, 28])
 def test_compressed_shift_matches_quadrature(rng, degree):
-    # S_Theta = (S*)^H against the quadrature B^H (z B) / n it replaced
+    # the closed-form S_Theta against quadrature-free identities; near the
+    # circle the 2^16-point rule B^H (z B) / n is off by its Gram residual
     space = _space_with_near_zero(rng, degree)
     assert space.gram_residual() <= 1e-12
-    quad = space.compress(space.grid.points)
-    assert np.max(np.abs(_compressed_shift(space) - quad)) <= 1e-13
+    # (S* e_j)(w) = (e_j(w) - e_j(0))/w at interior points
+    w = 0.6 * np.exp(2j * np.pi * np.arange(7) / 7) * np.linspace(0.3, 1.0, 7)
+    E = space._tm_eval(w)
+    quotient = (E - space._tm_eval([0.0])[0]) / w[:, None]
+    assert np.max(np.abs(E @ space.sstar_matrix - quotient)) <= 1e-13
+    # against the quadrature where the grid resolves every zero
+    far = space_from_zeros(zip(rng.uniform(0.1, 0.7, degree),
+                               rng.uniform(0.0, 2.0 * np.pi, degree)))
+    quad = far.compress(far.grid.points)
+    assert np.max(np.abs(far.shift_matrix - quad)) <= 1e-13
+    # on K_{z^N} it is the plain shift
+    assert np.array_equal(ModelSpace(Monomial(degree)).shift_matrix,
+                          np.eye(degree, k=-1))
 
 
 def test_recover_constant_symbol(rng):
@@ -170,6 +183,23 @@ def test_recover_norm_bound_ratio(rng):
     rr = rho_r(op, SampleSet.default(space))
     direct = max(rec.phi_plus.norm(), rec.phi_minus.norm()) / rr
     assert abs(direct - rec.rho_ratio) < 1e-9
+
+
+def test_recovery_runs_no_rho_scan_until_read(rng, monkeypatch):
+    space = random_blaschke_space(rng, 6)
+    oracle = KernelActionOracle.from_operator(
+        build(space, PairSymbol(*random_pair(space, rng))))
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("rho_r called")
+
+    with monkeypatch.context() as m:
+        m.setattr(ttolab.recovery, "rho_r", no_scan)
+        recs = [recover(oracle), recover_via_k0(oracle)]
+    for rec in recs:
+        rr = rho_r(build(space, rec.pair()), SampleSet.default(space))
+        direct = max(rec.phi_plus.norm(), rec.phi_minus.norm()) / rr
+        assert abs(rec.rho_ratio - direct) <= 1e-12
 
 
 def test_recover_via_k0_routes_agree(rng):
