@@ -21,8 +21,8 @@ from .errors import DivisibilityViolated, SupportOverflow
 from .inner import (BlaschkeProduct, InnerFunction, Monomial, ProductInner,
                     divides)
 from .modelspace import ModelSpace
-from .operators import (BoundarySymbol, SampleSet, TTOperator, build, rho,
-                        rho_r)
+from .operators import (BoundarySymbol, SampleSet, TTOperator, _diagonals,
+                        build, rho, rho_r)
 
 
 class QComplex:
@@ -127,7 +127,7 @@ class FejerWindowSet:
         if J is None:
             J = self.closure_angles()
         t = np.exp(2j * np.pi * np.arange(J) / J)
-        return tuple(float(np.mean(np.abs(eta.evaluate(t))))
+        return tuple(lp_norm(eta.evaluate(t), 1)
                      for eta in (self.eta1, self.eta2, self.eta3))
 
     def closure_angles(self) -> int:
@@ -241,31 +241,28 @@ def minimal_analytic_extension(coeffs, degenerate_gap: float = 1e-8) -> CFExtens
     U, s, Vh = np.linalg.svd(T)
     sigma = float(s[0])
     degenerate = N > 1 and (s[0] - s[1]) <= degenerate_gap * s[0]
-    grid = BoundaryGrid(max(4096, pow2_at_least(16 * N)))
-    if not degenerate:
-        w = np.conj(Vh[0])
+    grid = _check_grid(N)
+    w = np.conj(Vh[0])
+    if not (degenerate or abs(w[0]) < 1e-13):
         u = U[:, 0]
-        if abs(w[0]) < 1e-13:
-            degenerate = True
-        else:
-            length = max(4 * N, 64)
-            taylor = _series_division(sigma * u, w, length)
-            taylor_defect = float(np.max(np.abs(taylor[:N] - c)))
-            vals = (np.polyval((sigma * u)[::-1], grid.points)
-                    / np.polyval(w[::-1], grid.points))
-            modulus_defect = float(np.max(np.abs(np.abs(vals) - sigma)))
-            ok = (taylor_defect <= 1e-8 * max(1.0, scale)
-                  and modulus_defect <= 1e-6 * max(1.0, sigma))
-            if ok:
-                return CFExtension(c, sigma, taylor, sigma * u, w, False,
-                                   taylor_defect, modulus_defect)
-            degenerate = True
+        taylor = _series_division(sigma * u, w, max(4 * N, 64))
+        ext = CFExtension(c, sigma, taylor, sigma * u, w, False,
+                          float(np.max(np.abs(taylor[:N] - c))), 0.0)
+        vals = ext.boundary(grid).samples
+        ext.modulus_defect = float(np.max(np.abs(np.abs(vals) - sigma)))
+        if (ext.taylor_defect <= 1e-8 * max(1.0, scale)
+                and ext.modulus_defect <= 1e-6 * max(1.0, sigma)):
+            return ext
     # fallback: ship the polynomial itself; norm is its sup, compression exact
-    vals = np.polyval(c[::-1], grid.points)
     taylor = np.zeros(max(4 * N, 64), dtype=complex)
     taylor[:N] = c
-    return CFExtension(c, float(np.max(np.abs(vals))), taylor, c.copy(), None,
-                       True, 0.0, float("nan"))
+    ext = CFExtension(c, 0.0, taylor, c.copy(), None, True, 0.0, float("nan"))
+    ext.norm = lp_norm(ext.boundary(grid), np.inf)
+    return ext
+
+
+def _check_grid(N: int) -> BoundaryGrid:  # checks an extension of N coefficients
+    return BoundaryGrid(max(4096, pow2_at_least(16 * N)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +318,8 @@ class BoundedSymbolResult:
 
 def symbol_from_matrix(M) -> FourierPolynomial:
     """Read the canonical symbol of a Toeplitz matrix off its diagonals."""
-    M = np.asarray(M, dtype=complex)
-    N = M.shape[0]
     coeffs = {}
-    for d in range(-(N - 1), N):
-        diag = np.diagonal(M, offset=-d)
+    for d, diag in _diagonals(np.asarray(M, dtype=complex)):
         val = complex(diag.mean())
         if val != 0:
             coeffs[d] = val
@@ -375,11 +369,10 @@ def assemble_bounded_symbol(op: TTOperator,
     scale = max(1.0, float(np.linalg.norm(op.matrix)))
     build_residual = float(np.linalg.norm(rebuilt - op.matrix)) / scale
 
-    grid = BoundaryGrid(pow2_at_least(max(4096, 16 * N)))
+    grid = _check_grid(N)
     result = BoundedSymbolResult(central, cf2, cf3, 0.0, 0.0, 0.0,
                                  build_residual, cf2.suboptimal or cf3.suboptimal)
-    f = result.boundary(grid)
-    sup = float(np.max(np.abs(f.samples)))
+    sup = lp_norm(result.boundary(grid), np.inf)
     if samples is None:
         ws = FejerWindowSet(N)
         samples = SampleSet.rotation_closed(min(ws.closure_angles(), 512))

@@ -216,9 +216,10 @@ def inner_product(f: CircleFunction, g: CircleFunction) -> complex:
     return complex(np.vdot(g.samples, f.samples) / f.grid.n)
 
 
-def lp_norm(f: CircleFunction, p) -> float:
-    """L^p norm by uniform quadrature; p = inf gives the sample maximum."""
-    a = np.abs(f.samples)
+def lp_norm(f, p) -> float:
+    """L^p norm by uniform quadrature of a CircleFunction or of its samples;
+    p = inf gives the sample maximum."""
+    a = np.abs(f.samples if isinstance(f, CircleFunction) else f)
     if p == np.inf or p == float("inf"):
         return float(a.max())
     if p < 1:

@@ -36,8 +36,7 @@ from .boundedsym import (assemble_bounded_symbol, blaschke_transport,
 from .counterex import (cls_ratio_scan, counterex_theorem_check,
                         gen_blaschke_counterexample,
                         gen_singular_counterexample, rkt_failure_scan)
-
-GLOBAL_KEYS = ("tol", "budget")
+from .operators import _polar_grid
 
 
 class ValidationError(Exception):
@@ -47,18 +46,36 @@ class ValidationError(Exception):
 # ---------------------------------------------------------------------------
 # small codecs
 
-def _cplx(text) -> complex:
-    """Parse 're' or 're,im' into a complex number."""
-    if isinstance(text, (int, float)):
-        return complex(text)
-    if isinstance(text, (list, tuple)):
-        return complex(text[0], text[1])
-    parts = str(text).split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValidationError(f"cannot parse complex number from {text!r}")
+def _complex(obj, shape: str = "value"):
+    """Decode complex data from a flag or JSON, by its expected shape.
+
+    A "value" is a real number, an [re, im] pair or a string 're' or
+    're,im'.  A "list" holds values, a "dict" maps integer indices to
+    values (the Fourier coefficients of a symbol), and a "matrix" is a
+    square list of rows of [re, im] pairs: pairs only, so that it is never
+    read as a list of pairs.  Anything else raises ValidationError.
+    """
+    if shape == "value":
+        if isinstance(obj, str) and obj.count(",") <= 1:
+            return complex(*map(float, obj.split(",")))  # ValueError if not numbers
+        if isinstance(obj, (int, float)):
+            return complex(obj)
+        if _is_pair(obj):
+            return complex(obj[0], obj[1])
+    elif shape == "list" and isinstance(obj, list):
+        return np.array([_complex(v) for v in obj], dtype=complex)
+    elif shape == "dict" and isinstance(obj, dict):
+        return {int(k): _complex(v) for k, v in obj.items()}
+    elif shape == "matrix" and isinstance(obj, list) and obj and all(
+            isinstance(row, list) and len(row) == len(obj) and all(map(_is_pair, row))
+            for row in obj):
+        return np.array([[complex(a, b) for a, b in row] for row in obj], dtype=complex)
+    raise ValidationError(f"expected a complex {shape}, got {obj!r}")
+
+
+def _is_pair(obj) -> bool:
+    return (isinstance(obj, (list, tuple)) and len(obj) == 2
+            and all(isinstance(x, (int, float)) for x in obj))
 
 
 def _pairs(a):
@@ -67,35 +84,18 @@ def _pairs(a):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _pairs2vec(rows):
+def _read_json(path):
     try:
-        return np.array([complex(a, b) for a, b in rows], dtype=complex)
-    except TypeError as exc:
-        raise ValidationError(f"expected a list of [re, im] pairs: {exc}") from exc
-
-
-def _pairs2mat(rows):
-    try:
-        return np.array([_pairs2vec(row) for row in rows], dtype=complex)
-    except TypeError as exc:
-        raise ValidationError(f"expected rows of [re, im] pairs: {exc}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_json_arg(text):
     """Read an existing file path as JSON; otherwise parse the text as inline JSON."""
     s = str(text).strip()
-    if os.path.isfile(s):
-        with open(s, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(s)
-
-
-def _fourier_from_json(obj) -> FourierPolynomial:
-    coeffs = {}
-    for k, v in obj.items():
-        coeffs[int(k)] = complex(v[0], v[1]) if isinstance(v, (list, tuple)) \
-            else complex(v)
-    return FourierPolynomial(coeffs)
+    return _read_json(s) if os.path.isfile(s) else json.loads(s)
 
 
 def _fourier_to_json(poly: FourierPolynomial):
@@ -111,7 +111,7 @@ def _fmt(x: float) -> str:
 
 def _cmd_kernels(cfg):
     space = ModelSpace(from_json(cfg["inner"]), n=cfg.get("grid"))
-    lam = _cplx(cfg["lambda"])
+    lam = _complex(cfg["lambda"])
     k = space.normalized_kernel(lam) if cfg.get("normalized") else space.kernel(lam)
     if k.coeffs is not None:
         return {"mode": "exact", "coefficients": _pairs(k.coeffs)}
@@ -127,7 +127,7 @@ def _exact_space(cfg) -> ModelSpace:
 
 def _cmd_build(cfg):
     space = _exact_space(cfg)
-    poly = _fourier_from_json(_load_json_arg(cfg["symbol"]))
+    poly = FourierPolynomial(_complex(_load_json_arg(cfg["symbol"]), "dict"))
     op = build(space, BoundarySymbol(poly.to_circle(space.grid)))
     return {"dimension": space.dim, "matrix": _pairs(op.matrix),
             "operator_norm": float(operator_norm(op))}
@@ -136,9 +136,11 @@ def _cmd_build(cfg):
 def _cmd_recover(cfg):
     space = ModelSpace(from_json(cfg["inner"]), n=cfg.get("grid"))
     rows = _load_json_arg(cfg["table"])
-    table = [(_cplx(r["lambda"]), _pairs2vec(r["coefficients"])) for r in rows]
+    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
+        raise ValidationError("a kernel-action table is a list of objects")
+    table = [(_complex(r["lambda"]), _complex(r["coefficients"], "list")) for r in rows]
     oracle = KernelActionOracle.from_table(space, table)
-    mu = _cplx(cfg["mu"]) if "mu" in cfg and cfg["mu"] is not None else None
+    mu = _complex(cfg["mu"]) if "mu" in cfg and cfg["mu"] is not None else None
     rec = recover(oracle, mu=mu)
     return {"mu": _pairs(rec.mu),
             "phi_plus": _pairs(rec.phi_plus.coeffs),
@@ -150,7 +152,7 @@ def _cmd_recover(cfg):
 def _cmd_rank_one(cfg):
     space = _exact_space(cfg)
     pt = BoundaryPoint(float(cfg["zeta"])) if "zeta" in cfg and cfg["zeta"] is not None \
-        else _cplx(cfg["lambda"])
+        else _complex(cfg["lambda"])
     sym = rank_one_symbol(space, pt)
     op = build(space, sym)
     direct = rank_one_operator(space, pt)
@@ -162,7 +164,7 @@ def _cmd_rank_one(cfg):
 
 
 def _cmd_fejer_split(cfg):
-    poly = _fourier_from_json(_load_json_arg(cfg["symbol"]))
+    poly = FourierPolynomial(_complex(_load_json_arg(cfg["symbol"]), "dict"))
     p1, p2, p3 = fejer_split(poly, int(cfg["N"]))
     return {"N": int(cfg["N"]),
             "phi1": _fourier_to_json(p1),
@@ -171,9 +173,7 @@ def _cmd_fejer_split(cfg):
 
 
 def _cmd_cf_extend(cfg):
-    data = _load_json_arg(cfg["coeffs"])
-    coeffs = [complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-              for v in data]
+    coeffs = _complex(_load_json_arg(cfg["coeffs"]), "list")
     ext = minimal_analytic_extension(coeffs)
     return {"norm": ext.norm,
             "taylor": _pairs(ext.taylor[:max(len(coeffs), 8)]),
@@ -190,7 +190,10 @@ def _one_assembly(M):
 
 def _cmd_assemble(cfg):
     if cfg.get("batch"):
-        mats = [_pairs2mat(m) for m in _load_json_arg(cfg["batch"])]
+        batch = _load_json_arg(cfg["batch"])
+        if not isinstance(batch, list):
+            raise ValidationError("a batch is a list of matrices")
+        mats = [_complex(m, "matrix") for m in batch]
         rows = [("index", "N", "sup_norm", "rho_hat", "measured_constant",
                  "build_residual", "suboptimal")]
         payload_rows = []
@@ -207,7 +210,7 @@ def _cmd_assemble(cfg):
         return {"batch": payload_rows}, rows
     if "matrix" not in cfg:
         raise ValidationError("assemble needs --matrix or --batch")
-    M = _pairs2mat(_load_json_arg(cfg["matrix"]))
+    M = _complex(_load_json_arg(cfg["matrix"]), "matrix")
     res = _one_assembly(M)
     return {"sup_norm": res.sup_norm,
             "rho_hat": res.rho_hat,
@@ -220,9 +223,9 @@ def _cmd_assemble(cfg):
 
 
 def _cmd_transport(cfg):
-    M = _pairs2mat(_load_json_arg(cfg["matrix"]))
+    M = _complex(_load_json_arg(cfg["matrix"]), "matrix")
     space = ModelSpace(Monomial(M.shape[0]))
-    out = blaschke_transport(TTOperator(space, matrix=M), _cplx(cfg["alpha"]))
+    out = blaschke_transport(TTOperator(space, matrix=M), _complex(cfg["alpha"]))
     return {"matrix": _pairs(out.matrix)}
 
 
@@ -244,20 +247,20 @@ def _cmd_cohn_growth(cfg):
 def _listify(val, cast=float):
     if val is None:
         return None
-    if isinstance(val, str):
-        return [cast(x) for x in val.split(",") if x.strip()]
-    return [cast(x) for x in val]
+    items = [x for x in val.split(",") if x.strip()] if isinstance(val, str) else val
+    if not (isinstance(items, list)
+            and all(isinstance(x, (str, int, float)) for x in items)):
+        raise ValidationError(f"expected a list of numbers, got {val!r}")
+    return [cast(x) for x in items]
 
 
 def _cmd_cls_scan(cfg):
     theta = from_json(cfg["inner"])
     radii = _listify(cfg.get("radii")) or [0.0, 0.5, 0.75, 0.9]
     angles = int(cfg.get("angles", 8))
-    tol = float(cfg.get("tol") or 1e-8)
-    max_n = int(cfg.get("budget") or 2 ** 17)
-    pts = [r * np.exp(2j * np.pi * j / angles)
-           for r in radii for j in range(angles)]
-    rep = cls_ratio_scan(theta, pts, tol=tol, max_n=max_n)
+    tol = 1e-8 if cfg.get("tol") is None else float(cfg["tol"])
+    max_n = 2 ** 17 if cfg.get("budget") is None else int(cfg["budget"])
+    rep = cls_ratio_scan(theta, _polar_grid(radii, angles), tol=tol, max_n=max_n)
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} tol={tol!r}",
                 ("re_lambda", "im_lambda", "sup_norm", "l2_norm_sq", "ratio")]
     for lam, sup, two, ratio in rep.rows:
@@ -273,7 +276,7 @@ def _cmd_rkt_scan(cfg):
     lams = cfg.get("lambda", [0.0])
     if not isinstance(lams, list):
         lams = [lams]
-    lams = [_cplx(x) for x in lams]
+    lams = [_complex(x) for x in lams]
     rep = rkt_failure_scan(theta, s, lams, grid_n=int(cfg.get("grid", 2 ** 13)))
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} "
                 f"s={s!r} grid={rep['grid']}",
@@ -325,11 +328,14 @@ def _cmd_counterex(cfg):
 
 def _cmd_carleson(cfg):
     space = ModelSpace(from_json(cfg["inner"]), n=cfg.get("grid"))
-    atoms = [(float(a["angle"]), float(a["mass"]))
-             for a in cfg.get("atoms", [])]
+    atoms = cfg.get("atoms", [])
+    if not (isinstance(atoms, list) and all(isinstance(a, dict) for a in atoms)):
+        raise ValidationError("atoms are a list of {angle, mass} objects")
+    atoms = [(float(a["angle"]), float(a["mass"])) for a in atoms]
     density = None
     if cfg.get("density") is not None:
-        density = _fourier_from_json(_load_json_arg(cfg["density"])).to_circle(space.grid)
+        density = FourierPolynomial(_complex(_load_json_arg(cfg["density"]), "dict")
+                                    ).to_circle(space.grid)
     op = measure_operator(space, MeasureSymbol(atoms=atoms, density=density))
     evals = np.linalg.eigvalsh(op.matrix)
     return {"carleson_constant": float(evals[-1]),
@@ -355,8 +361,7 @@ COMMANDS = {
     "fejer-split": (_cmd_fejer_split, (
         ("--N", {"type": int, "required": True}), ("--symbol", {"required": True}))),
     "cf-extend": (_cmd_cf_extend, (("--coeffs", {"required": True}),)),
-    "assemble": (_cmd_assemble, (
-        ("--matrix", {}), ("--batch", {}), ("--grid", {"type": int}))),
+    "assemble": (_cmd_assemble, (("--matrix", {}), ("--batch", {}))),
     "transport": (_cmd_transport, (
         ("--matrix", {"required": True}), ("--alpha", {"required": True}))),
     "cohn-growth": (_cmd_cohn_growth, (
@@ -366,7 +371,8 @@ COMMANDS = {
         ("--terms", {"type": int, "default": 32}))),
     "cls-scan": (_cmd_cls_scan, (
         ("--inner", {"required": True}),
-        ("--radii", {}), ("--angles", {"type": int, "default": 8}))),
+        ("--radii", {}), ("--angles", {"type": int, "default": 8}),
+        ("--tol", {"type": float}), ("--budget", {"type": int}))),
     "rkt-scan": (_cmd_rkt_scan, (
         ("--inner", {"required": True}),
         ("--s", {"type": float, "required": True}),
@@ -389,8 +395,6 @@ def _build_parser():
     common.add_argument("--config", help="JSON config file overriding flags")
     common.add_argument("--output", help="output path (default: stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--tol", type=float, help="numerical tolerance override")
-    common.add_argument("--budget", type=int, help="grid/iteration budget override")
     ap = argparse.ArgumentParser(prog="ttolab", parents=[common],
                                  description="truncated Toeplitz operator laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -402,14 +406,14 @@ def _build_parser():
 
 
 def _effective_config(args) -> dict:
-    keys = {key: key for key in GLOBAL_KEYS}  # config key -> argparse dest
-    keys.update((flag[2:], kw.get("dest", flag[2:]))
-                for flag, kw in COMMANDS[args.command][1] if flag.startswith("--"))
+    keys = {flag[2:]: kw.get("dest", flag[2:])  # config key -> argparse dest
+            for flag, kw in COMMANDS[args.command][1] if flag.startswith("--")}
     cfg = {key: getattr(args, dest) for key, dest in keys.items()
            if getattr(args, dest) is not None}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        file_cfg = _read_json(args.config)
+        if not isinstance(file_cfg, dict):
+            raise ValidationError("a config file holds a JSON object")
         cfg.update(file_cfg)
     unknown = set(cfg) - set(keys)
     if unknown:
@@ -440,8 +444,11 @@ def _emit(payload, csv_rows, args, digest: str):
         payload = {"config_hash": digest, "version": __version__, **payload}
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

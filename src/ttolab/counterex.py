@@ -13,11 +13,11 @@ import math
 
 import numpy as np
 
-from .circle import BoundaryGrid, CircleFunction, cauchy_refine
+from .circle import BoundaryGrid, CircleFunction, cauchy_refine, lp_norm
 from .errors import NoConvergence
 from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction,
                     SingularAtomic, cohn_terms, power, square)
-from .modelspace import project_theta
+from .modelspace import _kernel_samples, _kernel_scale, _point, project_theta
 
 RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
                                   # sampled at this radius (atoms have no
@@ -26,25 +26,6 @@ RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
 
 # ---------------------------------------------------------------------------
 # kernel norms by quadrature
-
-def _kernel_samples(theta: InnerFunction, lam: complex, grid: BoundaryGrid,
-                    radius: float = 1.0):
-    z = grid.points if radius == 1.0 else radius * grid.points
-    tv = complex(theta.eval(complex(lam)))
-    th = theta.samples_at(grid, radius)
-    den = 1.0 - np.conj(lam) * z
-    hit = np.abs(den) < 1e-13
-    if np.any(hit):
-        # boundary kernel evaluated at its own point: the limit is
-        # ||k_zeta||_2^2 = |Theta'(zeta)|, from the Ahern-Clark certificate
-        from .inner import has_angular_derivative
-        cert = has_angular_derivative(theta, complex(lam))
-        den = np.where(hit, 1.0, den)
-        vals = (1.0 - np.conj(tv) * th) / den
-        vals[hit] = cert.value if cert else np.nan
-        return vals
-    return (1.0 - np.conj(tv) * th) / den
-
 
 def kernel_lp(theta: InnerFunction, lam: complex, p: float,
               start_n: int = 4096, tol: float = 1e-6, max_n: int = 2 ** 17,
@@ -56,14 +37,11 @@ def kernel_lp(theta: InnerFunction, lam: complex, p: float,
     stalls above the tolerance (otherwise the last value is returned with
     its achieved residual, which scan reports carry per row).
     """
+    lam, _ = _point(lam)
     radius = RADIAL_OFFSET if theta.has_singular_part() else 1.0
 
     def compute(n):
-        g = BoundaryGrid(n)
-        vals = np.abs(_kernel_samples(theta, lam, g, radius))
-        if p == np.inf:
-            return float(vals.max())
-        return float(np.mean(vals ** p) ** (1.0 / p))
+        return lp_norm(_kernel_samples(theta, lam, BoundaryGrid(n), radius), p)
 
     value, resid, n = cauchy_refine(compute, start_n, tol, max_n)
     if strict and not resid <= tol:  # a NaN residual is not convergence
@@ -77,9 +55,13 @@ def growth_ratio(theta: InnerFunction, lam: complex, p: float,
     bounded-symbol theorem forces for every p > 2."""
     if not 2 < p:
         raise ValueError("p must exceed 2")
-    num, _, _ = kernel_lp(theta, lam, p, tol=tol, max_n=max_n)
-    den, _, _ = kernel_lp(theta, lam, 2.0, tol=tol, max_n=max_n)
+    (num, _, _), (den, _, _) = _lp_and_l2(theta, lam, p, tol=tol, max_n=max_n)
     return num / den ** 2
+
+
+def _lp_and_l2(theta: InnerFunction, lam: complex, p: float, **kw):
+    """kernel_lp at p and at 2, each (value, residual, n), for ||k||_p / ||k||_2^2."""
+    return kernel_lp(theta, lam, p, **kw), kernel_lp(theta, lam, 2.0, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +241,7 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = 1e-8,
     rows = []
     best = 0.0
     for lam in np.asarray(points, dtype=complex):
-        sup, _, _ = kernel_lp(theta, lam, np.inf, tol=tol, max_n=max_n)
-        two, _, _ = kernel_lp(theta, lam, 2.0, tol=tol, max_n=max_n)
+        (sup, _, _), (two, _, _) = _lp_and_l2(theta, lam, np.inf, tol=tol, max_n=max_n)
         ratio = sup / two ** 2
         best = max(best, ratio)
         rows.append((complex(lam), sup, two ** 2, ratio))
@@ -286,10 +267,8 @@ def growth_scan(family: CounterexampleFamily, degrees, radii, p: float,
         start = 4096
         while start * (1.0 - r) < 16 and start < max_n:
             start *= 2  # resolve the kernel peak of width 1-r
-        num, res_p, n_used = kernel_lp(theta_d, r, p, start_n=start, tol=tol,
-                                       max_n=max_n, strict=False)
-        den, res_2, _ = kernel_lp(theta_d, r, 2.0, start_n=start, tol=tol,
-                                  max_n=max_n, strict=False)
+        (num, res_p, n_used), (den, res_2, _) = _lp_and_l2(
+            theta_d, r, p, start_n=start, tol=tol, max_n=max_n, strict=False)
         ratio = num / den ** 2
         best = max(best, ratio)
         rows.append({"degree": d, "radius": float(r), "growth_ratio": ratio,
@@ -332,16 +311,15 @@ def counterex_theorem_check(family: CounterexampleFamily, p: float,
         sums_p.append(float(bl_p.sum() + at_p.sum()))
         sums_2.append(float(bl_2.sum() + at_2.sum()))
         sums_sq.append(2.0 * sums_p[-1])  # zeros of Theta^2 are doubled
-        kp, _, _ = kernel_lp(th, 1.0, p, tol=tol, max_n=max_n, strict=False)
-        k2, _, _ = kernel_lp(th, 1.0, 2.0, tol=tol, max_n=max_n, strict=False)
+        (kp, _, _), (k2, _, _) = _lp_and_l2(th, 1.0, p, tol=tol, max_n=max_n,
+                                            strict=False)
         quad_p.append(kp)
         quad_2.append(k2)
         # the pointwise bound |k^{Theta^2}| <= 2 |k^Theta| survives any common
         # quadrature exactly, so compare the two on one shared grid
-        a = np.abs(_kernel_samples(th, 1.0, common))
-        b = np.abs(_kernel_samples(th2, 1.0, common))
-        if (np.mean(b ** p)) ** (1.0 / p) > 2.0 * (np.mean(a ** p)) ** (1.0 / p) * (1 + 1e-12):
-            bound_ok = False
+        a = lp_norm(_kernel_samples(th, 1.0, common), p)
+        b = lp_norm(_kernel_samples(th2, 1.0, common), p)
+        bound_ok = bound_ok and not b > 2.0 * a * (1 + 1e-12)
 
     def verdict(seq):
         rel = [abs(b - a) / abs(b) for a, b in zip(seq, seq[1:])]
@@ -390,32 +368,24 @@ def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
     th_1ms = power(theta, 1.0 - s)
     rows = []
     for lam in np.asarray(lams, dtype=complex):
-        tv = complex(theta.eval(complex(lam)))
+        y = abs(complex(theta.eval(complex(lam)))) ** 2
         tv_s = complex(th_s.eval(complex(lam)))
-        tv_1ms = complex(th_1ms.eval(complex(lam)))
-        y = abs(tv) ** 2
         closed = (y ** s - y) / (1.0 - y)
         ident = []
-        norm_sq = None
         for n in (grid_n, 2 * grid_n):
             g = BoundaryGrid(n)
             th = theta.boundary_samples(g)
             ths = th_s.boundary_samples(g)
-            th1 = th_1ms.boundary_samples(g)
-            k_lam = (1.0 - np.conj(tv) * th) / (1.0 - np.conj(lam) * g.points)
+            k_1ms = _kernel_samples(th_1ms, lam, g)  # k_lam^{Theta^{1-s}}
+            k_lam = _kernel_samples(theta, lam, g)
             lhs = project_theta(th, CircleFunction(g, np.conj(ths) * k_lam)).samples
-            rhs = (np.conj(tv_s) * (1.0 - np.conj(tv_1ms) * th1)
-                   / (1.0 - np.conj(lam) * g.points))
-            err = (np.sqrt(np.mean(np.abs(lhs - rhs) ** 2))
-                   / np.sqrt(np.mean(np.abs(rhs) ** 2)))
-            ident.append(float(err))
+            rhs = np.conj(tv_s) * k_1ms
+            ident.append(lp_norm(lhs - rhs, 2) / lp_norm(rhs, 2))
             if n == grid_n:
-                h_scale = (1.0 - abs(lam) ** 2) / (1.0 - y)
-                norm_sq = float(h_scale * np.mean(np.abs(lhs) ** 2))
-                f = ths * (1.0 - np.conj(tv_1ms) * th1) / (1.0 - np.conj(lam) * g.points)
+                norm_sq = (_kernel_scale(theta, lam) * lp_norm(lhs, 2)) ** 2
+                f = ths * k_1ms
                 af = project_theta(th, CircleFunction(g, np.conj(ths) * f)).samples
-                iso = math.sqrt(float(np.mean(np.abs(af) ** 2))
-                                / float(np.mean(np.abs(f) ** 2)))
+                iso = lp_norm(af, 2) / lp_norm(f, 2)
         rows.append({
             "lambda": complex(lam),
             "y": y,

@@ -311,6 +311,8 @@ def square(theta: InnerFunction) -> InnerFunction:
 # -- JSON -----------------------------------------------------------------
 
 def from_json(obj: dict) -> InnerFunction:
+    if not isinstance(obj, dict):
+        raise ValueError(f"an inner-function spec is a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "monomial":
         return Monomial(int(obj["degree"]))

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID,
-                     cauchy_refine, pow2_at_least, riesz_plus)
+                     cauchy_refine, lp_norm, pow2_at_least, riesz_plus)
 from .errors import (BoundaryPointNotNormalizable, NoAngularDerivative,
                      UnsupportedVariant)
 from .inner import (BoundaryPoint, InnerFunction, has_angular_derivative,
@@ -24,6 +24,44 @@ from .inner import (BoundaryPoint, InnerFunction, has_angular_derivative,
 
 EXACT_DEGREE_CAP = 512
 TM_BLOCK = 4096  # points per block of ModelSpace._tm_eval
+
+
+def _point(pt):
+    """(value, is_boundary) of a kernel point: |z| < 1, |z| = 1 to 1e-12 or a
+    BoundaryPoint.  Any other point, NaN included, raises ValueError."""
+    z = pt.value if isinstance(pt, BoundaryPoint) else complex(pt)
+    if not abs(z) <= 1.0 + 1e-12:  # False for NaN too
+        raise ValueError(f"kernel points must satisfy |z| < 1 or |z| = 1, got {z}")
+    if isinstance(pt, BoundaryPoint):
+        return z, True
+    if abs(z) > 1.0 - 1e-12:
+        return z / abs(z), True
+    return z, False
+
+
+def _kernel_samples(theta: InnerFunction, lam: complex, grid: BoundaryGrid,
+                    radius: float = 1.0):
+    """k_lam(z) = (1 - conj(Theta(lam)) Theta(z))/(1 - conj(lam) z), z = radius * grid."""
+    z = grid.points if radius == 1.0 else radius * grid.points
+    tv = complex(theta.eval(complex(lam)))
+    th = theta.samples_at(grid, radius)
+    den = 1.0 - np.conj(lam) * z
+    hit = np.abs(den) < 1e-13
+    if np.any(hit):
+        # boundary kernel evaluated at its own point: the limit is
+        # ||k_zeta||_2^2 = |Theta'(zeta)|, from the Ahern-Clark certificate
+        cert = has_angular_derivative(theta, complex(lam))
+        den = np.where(hit, 1.0, den)
+        vals = (1.0 - np.conj(tv) * th) / den
+        vals[hit] = cert.value if cert else np.nan
+        return vals
+    return (1.0 - np.conj(tv) * th) / den
+
+
+def _kernel_scale(theta: InnerFunction, lam: complex) -> float:
+    """sqrt((1-|lam|^2)/(1-|Theta(lam)|^2)): k_lam times it is a unit vector."""
+    return math.sqrt((1.0 - abs(lam)) * (1.0 + abs(lam))
+                     / one_minus_mod_sq(theta, lam))
 
 
 def project_theta(theta_samples, f: CircleFunction) -> CircleFunction:
@@ -150,20 +188,9 @@ class ModelSpace:
             return ModelFunction(self, coeffs=c)
         return ModelFunction(self, circle=project_theta(self.theta_samples, f))
 
-    def _point(self, pt):
-        """Normalize a kernel point; returns (value, is_boundary)."""
-        if isinstance(pt, BoundaryPoint):
-            return pt.value, True
-        z = complex(pt)
-        if abs(z) > 1.0 - 1e-12:
-            if abs(abs(z) - 1.0) > 1e-12:
-                raise ValueError("kernel points must satisfy |z| < 1 or |z| = 1")
-            return z / abs(z), True
-        return z, False
-
     def kernel(self, pt) -> "ModelFunction":
         """Reproducing kernel k_pt(z) = (1 - conj(Theta(pt)) Theta(z))/(1 - conj(pt) z)."""
-        w, boundary = self._point(pt)
+        w, boundary = _point(pt)
         if boundary:
             cert = has_angular_derivative(self.theta, w)
             if not cert:
@@ -171,19 +198,15 @@ class ModelSpace:
                     f"no angular-derivative certificate at {w} ({cert.verdict})")
         if self.mode == "exact":
             return ModelFunction(self, coeffs=np.conj(self._tm_eval([w])[0]))
-        tv = self.theta.eval(w)
-        samples = ((1.0 - np.conj(tv) * self.theta_samples)
-                   / (1.0 - np.conj(w) * self.grid.points))
-        return ModelFunction(self, circle=CircleFunction(self.grid, samples))
+        return ModelFunction(self, circle=CircleFunction(
+            self.grid, _kernel_samples(self.theta, w, self.grid)))
 
     def normalized_kernel(self, pt) -> "ModelFunction":
         """h_pt = sqrt((1-|pt|^2)/(1-|Theta(pt)|^2)) k_pt; unit norm at interior points."""
-        w, boundary = self._point(pt)
+        w, boundary = _point(pt)
         if boundary:
             raise BoundaryPointNotNormalizable("|Theta| = 1 on the boundary")
-        scale = math.sqrt((1.0 - abs(w)) * (1.0 + abs(w))
-                          / one_minus_mod_sq(self.theta, w))
-        return scale * self.kernel(w)
+        return _kernel_scale(self.theta, w) * self.kernel(w)
 
     def omega(self, f):
         """Conjugation (omega f)(zeta) = conj(zeta f(zeta)) Theta(zeta); same kind out."""
@@ -197,13 +220,12 @@ class ModelSpace:
 
     def difference_quotient(self, pt, normalized: bool = False) -> "ModelFunction":
         """k~_pt(z) = (Theta(z) - Theta(pt))/(z - pt) = omega(k_pt)."""
-        w, boundary = self._point(pt)
+        w, boundary = _point(pt)
         out = self.omega(self.kernel(pt))
         if normalized:
             if boundary:
                 raise BoundaryPointNotNormalizable("|Theta| = 1 on the boundary")
-            out = math.sqrt((1.0 - abs(w)) * (1.0 + abs(w))
-                            / one_minus_mod_sq(self.theta, w)) * out
+            out = _kernel_scale(self.theta, w) * out
         return out
 
     def backward_shift(self, f: "ModelFunction") -> "ModelFunction":
@@ -244,7 +266,7 @@ def projection_residual(theta: InnerFunction, sampler, n: int = DEFAULT_GRID,
     def distance(prev, cur):
         down = cur.as_circle().on_grid(prev.space.grid)
         diff = down.samples - prev.as_circle().samples
-        return float(np.sqrt(np.mean(np.abs(diff) ** 2)) / max(1.0, prev.norm()))
+        return lp_norm(diff, 2) / max(1.0, prev.norm())
 
     return cauchy_refine(compute, n, tol, max_n, distance)
 
@@ -300,7 +322,7 @@ class ModelFunction:
     def norm(self) -> float:
         if self.coeffs is not None:
             return float(np.linalg.norm(self.coeffs))
-        return float(np.sqrt(np.mean(np.abs(self.samples()) ** 2)))
+        return lp_norm(self.samples(), 2)
 
     def __add__(self, other):
         if self.coeffs is not None and other.coeffs is not None:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .circle import CircleFunction, inner_product, riesz_minus
+from .circle import CircleFunction, inner_product, lp_norm, riesz_minus
 from .errors import (BandwidthOverflow, NoAngularDerivative, NoConvergence,
                      UnsupportedVariant)
 from .inner import (BoundaryPoint, Monomial, has_angular_derivative,
@@ -157,8 +157,7 @@ def q_theta(space: ModelSpace) -> CircleFunction:
     grid = space.grid
     th = space.theta_samples
     qraw = _apply_q(space, CircleFunction(grid, np.conj(th)))
-    nrm = math.sqrt(float(np.mean(np.abs(qraw.samples) ** 2)))
-    return (1.0 / nrm) * qraw
+    return (1.0 / lp_norm(qraw, 2)) * qraw
 
 
 def _apply_q(space: ModelSpace, f: CircleFunction) -> CircleFunction:
@@ -202,6 +201,12 @@ def decompose(space: ModelSpace, phi: CircleFunction, mu: complex) -> PairSymbol
 # ---------------------------------------------------------------------------
 # rho quantities
 
+def _polar_grid(radii, angles: int):
+    """The points r e^{2 pi i m / angles}, radius-major (m fastest)."""
+    th = np.exp(2j * np.pi * np.arange(angles) / angles)
+    return (np.asarray(radii, dtype=float)[:, None] * th[None, :]).ravel()
+
+
 class SampleSet:
     """A finite set of interior points standing in for the supremum over D."""
 
@@ -219,8 +224,7 @@ class SampleSet:
                 angles: int = 64) -> "SampleSet":
         radii = 1.0 - 0.5 ** np.arange(1, radii_count + 1)
         radii = np.concatenate([[0.0], radii])
-        th = np.exp(2j * np.pi * np.arange(angles) / angles)
-        pts = np.concatenate([(radii[:, None] * th[None, :]).ravel()])
+        pts = _polar_grid(radii, angles)
         if space is not None:
             extra = [z.value for z in space.theta.zeros() if abs(z.value) < 1 - 1e-12]
             for a in extra:
@@ -240,8 +244,7 @@ class SampleSet:
         if radii is None:
             radii = 1.0 - 0.5 ** np.arange(1, 13)
         radii = np.asarray(radii, dtype=float).ravel()
-        th = np.exp(2j * np.pi * np.arange(angles) / angles)
-        out = cls((radii[:, None] * th[None, :]).ravel())
+        out = cls(_polar_grid(radii, angles))
         out.tensor = (radii, int(angles))
         return out
 
@@ -251,8 +254,7 @@ class SampleSet:
         radii = np.unique(np.abs(pts))
         mid = (radii[:-1] + radii[1:]) / 2.0
         angles = max(len(np.unique(np.round(np.angle(pts), 12))) * 2, 8)
-        th = np.exp(2j * np.pi * np.arange(angles) / angles)
-        newpts = (np.concatenate([radii, mid])[:, None] * th[None, :]).ravel()
+        newpts = _polar_grid(np.concatenate([radii, mid]), angles)
         return SampleSet(np.unique(np.concatenate([pts, newpts])))
 
 
@@ -400,16 +402,19 @@ def hankel_factor_residual(op: TTOperator, f: ModelFunction) -> float:
     hank = riesz_minus(CircleFunction(space.grid,
                                       np.conj(space.theta_samples) * phi * fs))
     rhs = space.theta_samples * hank.samples
-    return float(np.sqrt(np.mean(np.abs(lhs - rhs) ** 2)))
+    return lp_norm(lhs - rhs, 2)
+
+
+def _diagonals(M):
+    """Pairs (d, the entries M[i, j] with i - j = d) for d = -(N-1)..N-1."""
+    N = M.shape[0]
+    return [(d, np.diagonal(M, offset=-d)) for d in range(-(N - 1), N)]
 
 
 def toeplitz_defect(op: TTOperator) -> float:
     """Max deviation of the matrix from constant diagonals (z^N sanity check)."""
-    M = op.matrix
-    N = M.shape[0]
     worst = 0.0
-    for d in range(-(N - 1), N):
-        diag = np.diagonal(M, offset=-d)
+    for _, diag in _diagonals(op.matrix):
         if diag.size > 1:
             worst = max(worst, float(np.max(np.abs(diag - diag.mean()))))
     return worst

@@ -16,9 +16,9 @@ import numpy as np
 from .circle import CircleFunction, lp_norm
 from .errors import (DegenerateMu, InconsistentOracle, SymbolsDiffer,
                      UnsupportedVariant)
-from .modelspace import ModelFunction, ModelSpace
+from .modelspace import ModelFunction, ModelSpace, _kernel_samples, _point
 from .operators import (BoundarySymbol, PairSymbol, SampleSet, TTOperator,
-                        build, rho_r)
+                        _polar_grid, build, rho_r)
 
 
 class KernelActionOracle:
@@ -155,9 +155,7 @@ def _minus_values(oracle: KernelActionOracle, mu, theta_mu, psi_base: ModelFunct
 
 def default_mu(space: ModelSpace) -> complex:
     """Coarse-grid maximizer of |Theta(mu)| * dist(mu, zeros of Theta)."""
-    radii = np.array([0.0, 0.15, 0.3, 0.45, 0.6, 0.75])
-    th = np.exp(2j * np.pi * np.arange(16) / 16)
-    cand = np.unique((radii[:, None] * th[None, :]).ravel())
+    cand = np.unique(_polar_grid([0.0, 0.15, 0.3, 0.45, 0.6, 0.75], 16))
     zs = np.array([z.value for z in space.theta.zeros()]) if space.theta.zeros() else None
     tv = np.abs(space.theta.eval(cand))
     if zs is not None and len(zs):
@@ -305,10 +303,10 @@ def _certify(oracle: KernelActionOracle, phi_plus, phi_minus, mu,
 
 def rank_one_symbol(space: ModelSpace, pt) -> BoundarySymbol:
     """The explicit symbol Theta conj(z k_pt^{Theta^2}) of k~_pt (x) k_pt."""
-    w, _ = space._point(pt)
+    w, _ = _point(pt)
     th = space.theta_samples
-    tv = space.theta.eval(w)
-    k2 = (1.0 - np.conj(tv * tv) * th * th) / (1.0 - np.conj(w) * space.grid.points)
+    # k^{Theta^2} = (1 + conj(Theta(pt)) Theta) k^Theta, from Theta's cached samples
+    k2 = (1.0 + np.conj(space.theta.eval(w)) * th) * _kernel_samples(space.theta, w, space.grid)
     phi = th * np.conj(space.grid.points * k2)
     return BoundarySymbol(CircleFunction(space.grid, phi))
 

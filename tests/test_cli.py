@@ -144,6 +144,16 @@ def test_recover_cli_accuracy(capsys):
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
 
+def test_rank_one_at_a_grid_point(capsys):
+    # zeta = 1 is a grid point of the symbol's quadrature
+    code, out = run_cli(["rank-one", "--inner", '{"type":"monomial","degree":3}',
+                         "--zeta", "0"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert np.all(np.isfinite(data["matrix"])) and np.isfinite(data["symbol_sup"])
+    assert data["max_matrix_residual"] <= 1e-7
+
+
 def test_counterex_output_feeds_back_as_inner(capsys):
     code, out = run_cli(["counterex", "gen", "--kind", "blaschke", "--count", "20"],
                         capsys)
@@ -169,7 +179,7 @@ def test_carleson_cli(capsys):
     assert abs(data["carleson_constant"] - 1.0) < 1e-10
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     # validation error
     assert main(["kernels", "--inner", "{bad", "--lambda", "0"]) == 2
     capsys.readouterr()
@@ -205,6 +215,33 @@ def test_exit_codes(capsys):
                  "--lambda", "1.5"]) == 2
     assert main(["cf-extend", "--coeffs", "[]"]) == 2
     capsys.readouterr()
+    # malformed shapes and files are validation errors, not tracebacks
+    mono3 = '{"type":"monomial","degree":3}'
+    malformed = [
+        ["kernels", "--inner", "[1]", "--lambda", "0"],
+        ["build", "--inner", mono3, "--symbol", "[1]"],
+        ["fejer-split", "--N", "4", "--symbol", "[1]"],
+        ["carleson", "--inner", mono3, "--density", "[1]"],
+        ["cf-extend", "--coeffs", "5"],
+        ["cf-extend", "--coeffs", "[[1]]"],
+        ["kernels", "--inner", mono3, "--lambda", "[0.3]"],
+        ["cls-scan", "--inner", mono3, "--radii", "[[1]]"],
+        ["recover", "--inner", mono3, "--table", "[1]"],
+        ["carleson", "--inner", mono3, "--atoms", "[1]"],
+        ["assemble", "--batch", "5"],
+        ["cf-extend", "--coeffs", "[1]", "--config", "/nonexistent/cfg.json"],
+        ["cf-extend", "--coeffs", "[1]", "--output", "/nonexistent/dir/out.json"],
+        # points that are not finite or lie outside the closed disk
+        ["kernels", "--inner", mono3, "--lambda", "nan"],
+        ["cls-scan", "--inner", mono3, "--radii", "1.5"],
+    ]
+    for i, text in enumerate(("[1,2]", "3")):  # a config file must hold an object
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(text)
+        malformed.append(["cf-extend", "--coeffs", "[1]", "--config", str(cfg)])
+    for args in malformed:
+        assert main(args) == 2, args
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unknown_config_keys(tmp_path, capsys):

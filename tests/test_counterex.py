@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, Monomial, SingularAtomic,
-                    cls_ratio_scan, counterex_theorem_check,
+from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, ModelSpace, Monomial,
+                    SingularAtomic, cls_ratio_scan, counterex_theorem_check,
                     gen_blaschke_counterexample, gen_singular_counterexample,
                     growth_ratio, rkt_failure_scan)
 from ttolab.counterex import blaschke_truncation, growth_scan, kernel_lp
@@ -174,3 +174,13 @@ def test_kernel_lp_strict_rejects_nan_residual():
     assert np.isnan(value) and np.isnan(resid) and n == 2 ** 17
     with pytest.raises(NoConvergence):
         kernel_lp(radial, 1.0, 2.0)
+
+
+def test_kernel_points_outside_the_closed_disk_are_rejected():
+    # the circle itself stays a valid kernel point: ||k_1||_2^2 = N on K_{z^N}
+    assert abs(kernel_lp(Monomial(3), 1.0, 2.0)[0] ** 2 - 3.0) < 1e-12
+    for lam in (1.5, np.nan, complex(0.2, np.inf)):
+        with pytest.raises(ValueError):
+            kernel_lp(Monomial(3), lam, 2.0)
+        with pytest.raises(ValueError):
+            ModelSpace(Monomial(3)).kernel(lam)

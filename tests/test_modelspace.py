@@ -127,11 +127,13 @@ def test_kernel_reproduces(rng):
 
 
 def test_boundary_kernel_norm_monomial():
+    # t = 0.0 is a grid point: there the truncated-mode sample is k_zeta(zeta) = N
     N = 6
-    sp = ModelSpace(Monomial(N))
-    for t in (0.0, 1.1, 3.7):
-        k = sp.kernel(BoundaryPoint(t))
-        assert abs(k.norm() ** 2 - N) < 1e-10
+    for mode in (None, "truncated"):
+        sp = ModelSpace(Monomial(N), mode=mode)
+        for t in (0.0, 1.1, 3.7):
+            k = sp.kernel(BoundaryPoint(t))
+            assert abs(k.norm() ** 2 - N) < 1e-10, (mode, t)
 
 
 def test_boundary_kernel_requires_certificate():

@@ -301,14 +301,16 @@ def test_rank_one_symbol_random_points(rng):
 
 
 def test_rank_one_symbol_boundary(rng):
+    # angle 0.0 puts zeta on a grid point, where k_zeta^{Theta^2} takes its limit
     space = random_blaschke_space(rng, 6)
-    zeta = BoundaryPoint(2.2)
-    sym = rank_one_symbol(space, zeta)
-    got = build(space, sym).matrix
-    k = space.kernel(zeta)
-    tv = complex(space.theta.eval(zeta.value))
-    expect = tv * np.conj(zeta.value) * np.outer(k.coeffs, np.conj(k.coeffs))
-    assert np.max(np.abs(got - expect)) < 1e-7
+    for angle in (2.2, 0.0):
+        zeta = BoundaryPoint(angle)
+        sym = rank_one_symbol(space, zeta)
+        got = build(space, sym).matrix
+        k = space.kernel(zeta)
+        tv = complex(space.theta.eval(zeta.value))
+        expect = tv * np.conj(zeta.value) * np.outer(k.coeffs, np.conj(k.coeffs))
+        assert np.max(np.abs(got - expect)) < 1e-7, angle
 
 
 def test_rank_one_symbol_lives_in_q_space(rng):
