@@ -5,11 +5,14 @@ rationals, so the partition of unity is checked in exact arithmetic.  The
 commutant-lifting step is realized by the Carathéodory-Fejér solution:
 the minimal sup-norm analytic extension of prescribed Taylor data equals
 the top singular value of the lower-triangular Toeplitz matrix, and the
-extremal function is the quotient of the corresponding Schmidt pair.
+extremal function is the quotient of the corresponding Schmidt pair.  That
+pair comes from Lanczos on T^H T when a Krylov space smaller than C^N
+certifies it (Ritz residual and gap), and from the dense SVD otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -31,8 +34,8 @@ class QComplex:
     __slots__ = ("re", "im")
 
     def __init__(self, re, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     @classmethod
     def of(cls, z):
@@ -53,7 +56,8 @@ class QComplex:
 
     def __mul__(self, q):
         # rational scalar only; that is all the windows need
-        q = Fraction(q)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
         return QComplex(self.re * q, self.im * q)
 
     __rmul__ = __mul__
@@ -143,17 +147,20 @@ def fejer_split(phi: FourierPolynomial, N: int):
     """
     if phi.degree() > N:
         raise SupportOverflow(f"symbol support {phi.degree()} exceeds N = {N}")
-    ws = FejerWindowSet(N)
     exact = FourierPolynomial({k: QComplex.of(v) for k, v in phi.coeffs.items()})
-    parts = []
-    for eta in ws.windows():
-        coeffs = {}
-        for k, v in exact.coeffs.items():
-            w = eta.coeff(k)
-            if w:
-                coeffs[k] = v * Fraction(w)
-        parts.append(FourierPolynomial(coeffs))
-    return tuple(parts)
+    return tuple(FourierPolynomial({k: v * window[k] for k, v in exact.coeffs.items()
+                                    if k in window})
+                 for window in _window_coeffs(N))
+
+
+@functools.lru_cache(maxsize=8)
+def _window_coeffs(N: int):
+    """The three windows' exact coefficients {k: Fraction} on K_{z^N}.
+
+    Built once per N (one entry per distinct N, at most 8 kept); callers
+    only read the dicts.
+    """
+    return tuple(eta.coeffs for eta in FejerWindowSet(N).windows())
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +221,81 @@ def _series_division(num, den, length):
     return out
 
 
+LANCZOS_STEPS = 64  # Krylov dimension budget of the CF top pair
+LANCZOS_TOL = 1e-13  # Ritz residual ||T^H T v - theta v|| / theta accepted
+
+
+def _lanczos_top_pair(T, degenerate_gap: float):
+    """(sigma, v, T v) for the top right singular vector v of T, or None.
+
+    Lanczos on T^H T with dense matvecs, full reorthogonalisation and a
+    fixed pseudo-random start vector (so reruns are bitwise identical).
+    The pair is certified when its Ritz residual is below LANCZOS_TOL
+    relative to the Ritz value theta_0, the second Ritz value is separated
+    from it by more than ``degenerate_gap`` in sigma = sqrt(theta), and
+    J conj(T v) lies on v's line.  T is persymmetric (J T^T J = T, J the
+    exchange), so J conj(T v) is a top right singular vector too: off v's
+    line it exposes a multiple sigma that one Krylov sequence cannot see.
+    None when the Krylov space would span C^N within the step budget, stops
+    growing (an invariant subspace hides the rest of the spectrum, so the
+    gap is unknown), or a test fails or is not met within LANCZOS_STEPS
+    steps.
+    """
+    N = T.shape[1]
+    if LANCZOS_STEPS >= N:
+        return None
+
+    def gram(x):  # T^H T x, with no conjugated copy of T
+        return np.conj(T.T @ np.conj(T @ x))
+
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    Q = np.zeros((LANCZOS_STEPS + 1, N), dtype=complex)
+    Q[0] = q / np.linalg.norm(q)
+    alpha = np.zeros(LANCZOS_STEPS)
+    beta = np.zeros(LANCZOS_STEPS)
+    for k in range(LANCZOS_STEPS):
+        w = gram(Q[k])
+        alpha[k] = np.vdot(Q[k], w).real
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= Q[:k + 1].T @ np.conj(Q[:k + 1] @ np.conj(w))
+        beta[k] = np.linalg.norm(w)
+        if beta[k] <= 1e-12 * alpha[:k + 1].max():
+            return None
+        Q[k + 1] = w / beta[k]
+        if (k + 1) % 4:  # the eigensolve costs more than a step
+            continue
+        tri = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+        theta, Y = np.linalg.eigh(tri)
+        if beta[k] * abs(Y[-1, -1]) > LANCZOS_TOL * theta[-1]:
+            continue
+        s0, s1 = np.sqrt(np.maximum(theta[-2:][::-1], 0.0))
+        if s0 - s1 <= degenerate_gap * s0:
+            return None
+        v = Q[:k + 1].T @ Y[:, -1]
+        num = T @ v
+        sigma = float(np.linalg.norm(num))
+        # the explicit residual at the Rayleigh quotient sigma^2, and the symmetry
+        if (np.linalg.norm(gram(v) - sigma ** 2 * v) > LANCZOS_TOL * sigma ** 2
+                or abs(np.vdot(v, np.conj(num[::-1]))) < (1.0 - 1e-8) * sigma):
+            return None
+        return sigma, v, num
+    return None
+
+
 def minimal_analytic_extension(coeffs, degenerate_gap: float = 1e-8) -> CFExtension:
     """Solve the Carathéodory-Fejér problem for the given Taylor data.
 
     The minimal sup norm equals the largest singular value sigma of the
-    lower-triangular Toeplitz matrix of the data; in the generic case of a
-    simple sigma the extremal function sigma u(z)/w(z) built from the top
-    Schmidt pair has constant modulus sigma and matches the data.  A
-    numerically multiple sigma falls back to the raw polynomial, flagged
-    suboptimal (the compression is then still reproduced exactly).
+    lower-triangular Toeplitz matrix T of the data; in the generic case of
+    a simple sigma the extremal function sigma u(z)/w(z) built from the top
+    Schmidt pair has constant modulus sigma and matches the data.  The pair
+    comes from ``_lanczos_top_pair``, with numerator T w: (T w)(z) =
+    c(z) w(z) mod z^N, so the quotient reproduces the data up to division
+    rounding.  Where Lanczos does not certify the pair the dense SVD gives
+    it, and a numerically multiple sigma there falls back to the raw
+    polynomial, flagged suboptimal (the compression is then still
+    reproduced exactly).
     """
     c = np.asarray(coeffs, dtype=complex).ravel()
     N = len(c)
@@ -238,15 +311,20 @@ def minimal_analytic_extension(coeffs, degenerate_gap: float = 1e-8) -> CFExtens
         return CFExtension(c, float(abs(c[0])), taylor,
                            np.array([c[0]]), None, False, 0.0, 0.0)
     T = _toeplitz(np.concatenate([np.zeros(N - 1, dtype=complex), c]))
-    U, s, Vh = np.linalg.svd(T)
-    sigma = float(s[0])
-    degenerate = N > 1 and (s[0] - s[1]) <= degenerate_gap * s[0]
+    pair = _lanczos_top_pair(T, degenerate_gap)
+    if pair is None:
+        U, s, Vh = np.linalg.svd(T)
+        sigma = float(s[0])
+        degenerate = N > 1 and (s[0] - s[1]) <= degenerate_gap * s[0]
+        w = np.conj(Vh[0])
+        num = sigma * U[:, 0]
+    else:
+        sigma, w, num = pair
+        degenerate = False
     grid = _check_grid(N)
-    w = np.conj(Vh[0])
     if not (degenerate or abs(w[0]) < 1e-13):
-        u = U[:, 0]
-        taylor = _series_division(sigma * u, w, max(4 * N, 64))
-        ext = CFExtension(c, sigma, taylor, sigma * u, w, False,
+        taylor = _series_division(num, w, max(4 * N, 64))
+        ext = CFExtension(c, sigma, taylor, num, w, False,
                           float(np.max(np.abs(taylor[:N] - c))), 0.0)
         vals = ext.boundary(grid).samples
         ext.modulus_defect = float(np.max(np.abs(np.abs(vals) - sigma)))

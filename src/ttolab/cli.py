@@ -258,6 +258,8 @@ def _cmd_cls_scan(cfg):
     theta = from_json(cfg["inner"])
     radii = _listify(cfg.get("radii")) or [0.0, 0.5, 0.75, 0.9]
     angles = int(cfg.get("angles", 8))
+    if angles < 1:
+        raise ValidationError(f"--angles must be at least 1, got {angles}")
     tol = 1e-8 if cfg.get("tol") is None else float(cfg["tol"])
     max_n = 2 ** 17 if cfg.get("budget") is None else int(cfg["budget"])
     rep = cls_ratio_scan(theta, _polar_grid(radii, angles), tol=tol, max_n=max_n)
@@ -273,10 +275,13 @@ def _cmd_cls_scan(cfg):
 def _cmd_rkt_scan(cfg):
     theta = from_json(cfg["inner"])
     s = float(cfg["s"])
-    lams = cfg.get("lambda", [0.0])
-    if not isinstance(lams, list):
-        lams = [lams]
-    lams = [_complex(x) for x in lams]
+    lam = cfg.get("lambda", 0.0)
+    # one point is any codec value, an [re, im] pair included; a list of
+    # such values is several points
+    lams = [_complex(x) for x in
+            (lam if isinstance(lam, list) and not _is_pair(lam) else [lam])]
+    if not lams:
+        raise ValidationError("--lambda needs at least one point")
     rep = rkt_failure_scan(theta, s, lams, grid_n=int(cfg.get("grid", 2 ** 13)))
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} "
                 f"s={s!r} grid={rep['grid']}",

@@ -239,7 +239,7 @@ class SampleSet:
 
         Points run radius-major (m fastest) over ``radii`` (default
         1 - 2^-k, k = 1..12).  The set keeps ``tensor = (radii, angles)``,
-        which lets the rho columns on K_{z^N} be taken by FFT along m.
+        which lets the rho columns on K_{z^N} be taken by one DFT per radius.
         """
         if radii is None:
             radii = 1.0 - 0.5 ** np.arange(1, 13)
@@ -266,10 +266,10 @@ def _kernel_norms(op: TTOperator, samples: SampleSet, quotient: bool):
     lambda, s = sqrt((1-|lambda|^2)/(1-|Theta(lambda)|^2)) the kernel
     scale (one ``one_minus_mod_sq`` call per point) and W the conjugation
     matrix; the columns are M conj(e) or (M W) e, scaled by s.  On K_{z^N}
-    (e_j = z^j) with a rotation-closed set of J >= N angles these columns
-    are, radius by radius, a length-J DFT (quotient: J times an inverse
-    DFT) of M diag(r^j): an exact identity, taken by FFT.  Every other
-    exact case forms the dense product.
+    (e_j = z^j) with a rotation-closed set the squared norms come from the
+    Gram matrix M^H M by one length-J DFT per radius
+    (``_rotation_closed_norms``).  Every other exact case forms the dense
+    product.
     """
     space = op.space
     if space.mode != "exact":
@@ -279,22 +279,54 @@ def _kernel_norms(op: TTOperator, samples: SampleSet, quotient: bool):
     pts = samples.points
     denom = np.array([one_minus_mod_sq(space.theta, w) for w in pts.tolist()])
     scale = np.sqrt((1.0 - np.abs(pts)) * (1.0 + np.abs(pts)) / denom)
+    if isinstance(space.theta, Monomial) and samples.tensor is not None:
+        return _rotation_closed_norms(op.matrix, *samples.tensor, quotient) * scale
     A = op.matrix @ space.omega_matrix if quotient else op.matrix
-    N = space.dim
-    if (isinstance(space.theta, Monomial) and samples.tensor is not None
-            and samples.tensor[1] >= N):  # fft(n=J < N) would truncate
-        radii, J = samples.tensor
-        powers = np.arange(N)
-        norms = []
-        for r in radii:
-            Ar = A * r ** powers
-            cols = (J * np.fft.ifft(Ar, n=J, axis=1) if quotient
-                    else np.fft.fft(Ar, n=J, axis=1))
-            norms.append(np.linalg.norm(cols, axis=0))
-        return np.concatenate(norms) * scale
     E = space._tm_eval(pts)  # (L, N)
     # ||M conj(e)|| = ||conj(M) e||: conjugate the N x N matrix, not the L x N one
     return np.linalg.norm((A if quotient else np.conj(A)) @ E.T, axis=0) * scale
+
+
+def _upper_diagonals(G):
+    """U with U[j, e] = G[j, j + e], zero where j + e >= N.
+
+    G is written into the right half of an N x 2N zero block; read with row
+    length 2N + 1, row j is shifted left by j, so diagonal e becomes column
+    N + e.
+    """
+    N = G.shape[0]
+    flat = np.zeros(N * (2 * N + 1), dtype=complex)
+    flat[:2 * N * N].reshape(N, 2 * N)[:, N:] = G
+    return flat.reshape(N, 2 * N + 1)[:, N:2 * N]
+
+
+def _rotation_closed_norms(M, radii, J: int, quotient: bool):
+    """||M conj(e(lambda))||, or ||M W e(lambda)|| when quotient, on K_{z^N}
+    over lambda = r w^m, w = e^{2 pi i/J}, radius-major (m fastest).
+
+    With G = M^H M, ||M conj(e)||^2 = sum_{j,k} r^{j+k} G_jk w^{(j-k)m}.
+    G is Hermitian, so with x_e(r) = r^e sum_j G[j, j+e] r^{2j} (all radii
+    in one product) this is 2 Re sum_e x_e w^{-em} - x_0: one length-J DFT
+    per radius of x folded mod J, which is exact since w^J = 1, so any J
+    works.  W is the exchange matrix on K_{z^N}, so the quotient Gram is G
+    reversed and its sum runs with the opposite sign (J times an inverse
+    DFT).  The squares carry rounding of about eps ||M||^2, so a column far
+    below ||M|| keeps only that absolute accuracy; negative rounding is
+    clamped to 0 before the square root.
+    """
+    N = M.shape[0]
+    G = M.conj().T @ M
+    if quotient:
+        G = G[::-1, ::-1]
+    j = np.arange(N)
+    x = (_upper_diagonals(G).T @ (radii[None, :] ** (2 * j)[:, None])
+         * radii[None, :] ** j[:, None])  # (N, radii)
+    folded = np.zeros((J, len(radii)), dtype=complex)
+    for start in range(0, N, J):
+        folded[:min(J, N - start)] += x[start:start + J]
+    sums = J * np.fft.ifft(folded, axis=0) if quotient else np.fft.fft(folded, axis=0)
+    sq = 2.0 * sums.real - x[0].real
+    return np.sqrt(np.maximum(sq, 0.0)).T.ravel()
 
 
 def rho_r(op: TTOperator, samples: SampleSet) -> float:

@@ -8,9 +8,10 @@ from ttolab import (CircleFunction, FejerWindowSet, FourierPolynomial,
                     assemble_bounded_symbol, blaschke_transport, build,
                     central_bound_check, fejer_kernel, fejer_split,
                     minimal_analytic_extension, operator_norm, rho)
-from ttolab.boundedsym import (_series_division, _toeplitz,
-                               rotation_covariance_residual, symbol_from_matrix,
-                               transport_function)
+from ttolab.boundedsym import (LANCZOS_STEPS, QComplex, _lanczos_top_pair,
+                               _series_division, _toeplitz,
+                               rotation_covariance_residual,
+                               symbol_from_matrix, transport_function)
 from ttolab.circle import BoundaryGrid, lp_norm
 from ttolab.errors import DivisibilityViolated, SupportOverflow
 from ttolab.operators import BoundarySymbol
@@ -87,6 +88,21 @@ def test_fejer_split_reconstruction_exact(rng):
             assert complex(total) == coeffs[k]
     with pytest.raises(SupportOverflow):
         fejer_split(FourierPolynomial({10: 1.0}), 8)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 16, 64])
+def test_fejer_split_matches_fresh_windows(rng, N):
+    # reference: a fresh window set and an exact product per coefficient
+    phi = FourierPolynomial({k: complex(rng.standard_normal(), rng.standard_normal())
+                             for k in range(-(N - 1), N)})
+    windows = FejerWindowSet(N).windows()
+    for _ in range(2):  # the second call reads the cached windows
+        for part, eta in zip(fejer_split(phi, N), windows):
+            ref = {k: QComplex.of(v) * Fraction(eta.coeff(k))
+                   for k, v in phi.coeffs.items() if eta.coeff(k)}
+            assert part.coeffs == ref
+            assert all(isinstance(x, Fraction) for v in part.coeffs.values()
+                       for x in (v.re, v.im))
 
 
 def test_fejer_split_supports():
@@ -173,6 +189,46 @@ def test_cf_degenerate_falls_back():
     # a genuinely degenerate non-constant case: isometric shift data [0,0,1]
     ext = minimal_analytic_extension([0.0, 0.0, 1.0])
     assert abs(ext.norm - 1.0) < 1e-12
+
+
+def _cf_matrix(c):
+    N = len(c)
+    return _toeplitz(np.concatenate([np.zeros(N - 1, dtype=complex), c]))
+
+
+@pytest.mark.parametrize("N", [64, 256])
+def test_cf_top_pair_matches_dense_svd(rng, N):
+    # N = 64 is within the Lanczos step budget and takes the SVD; 256 takes Lanczos
+    c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    T = _cf_matrix(c)
+    assert (_lanczos_top_pair(T, 1e-8) is None) == (N <= LANCZOS_STEPS)
+    ext = minimal_analytic_extension(c)
+    s = np.linalg.svd(T, compute_uv=False)
+    assert not ext.suboptimal
+    assert abs(ext.norm - s[0]) <= 1e-13 * s[0]
+    assert ext.taylor_defect <= 1e-12 * np.max(np.abs(c))
+
+
+def test_cf_falls_back_to_the_svd_where_lanczos_cannot_certify(rng):
+    # small N: a Krylov space within the budget would span C^N
+    assert _lanczos_top_pair(_cf_matrix(np.array([1.0, 1.0])), 1e-8) is None
+    N = 128
+    # a double top sigma that one Krylov sequence cannot see: data in z^2
+    # make T two interleaved copies of one Toeplitz matrix
+    double = np.zeros(N, dtype=complex)
+    double[::2] = rng.standard_normal(N // 2) + 1j * rng.standard_normal(N // 2)
+    # a near-double top sigma, split by about 1e-10: its residual is not met
+    near = np.zeros(N, dtype=complex)
+    near[[0, 1, 2]] = 1.0, 1e-10, 1.0
+    for c in (double, near):
+        T = _cf_matrix(c)
+        s = np.linalg.svd(T, compute_uv=False)
+        assert s[0] - s[1] <= 1e-8 * s[0]
+        assert _lanczos_top_pair(T, 1e-8) is None
+        # the SVD's degenerate branch: the raw polynomial, flagged suboptimal
+        ext = minimal_analytic_extension(c)
+        assert ext.suboptimal and ext.den is None
+        assert np.array_equal(ext.taylor[:N], c) and not np.any(ext.taylor[N:])
 
 
 def _series_division_loop(num, den, length):

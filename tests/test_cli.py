@@ -38,6 +38,24 @@ def test_rkt_scan_closed_form_field(capsys):
     assert abs(data["rows"][0]["closed_form"] - 0.2689414) < 1e-7
 
 
+def test_rkt_scan_lambda_reads_points_like_every_command(capsys):
+    # an [re, im] pair is one point, as in `kernels`; a list of values is several
+    inner = '{"type":"singular","atoms":[{"angle":0,"mass":1}]}'
+    points = {"[0.3,0.1]": [[0.3, 0.1]], "0.3,0.1": [[0.3, 0.1]], "0.3": [[0.3, 0.0]],
+              "[0.3]": [[0.3, 0.0]], "[[0.3,0.1],0.5]": [[0.3, 0.1], [0.5, 0.0]],
+              "[0.3,0.1,0.5]": [[0.3, 0.0], [0.1, 0.0], [0.5, 0.0]]}
+    for text, want in points.items():
+        code, out = run_cli(["rkt-scan", "--inner", inner, "--s", "0.5",
+                             "--lambda", text, "--grid", "1024"], capsys)
+        assert code == 0, text
+        assert [r["lambda"] for r in json.loads(out)["rows"]] == want, text
+    code, out = run_cli(["kernels", "--inner", '{"type":"monomial","degree":2}',
+                         "--lambda", "[0.3,0.1]"], capsys)
+    assert code == 0
+    co = [complex(a, b) for a, b in json.loads(out)["coefficients"]]
+    assert abs(co[1] - complex(0.3, -0.1)) < 1e-12  # k_lambda = 1 + conj(lambda) z
+
+
 def test_build_and_transport(capsys, tmp_path):
     code, out = run_cli(["build", "--inner", '{"type":"monomial","degree":2}',
                          "--symbol", '{"1": [1, 0]}'], capsys)
@@ -234,6 +252,11 @@ def test_exit_codes(capsys, tmp_path):
         # points that are not finite or lie outside the closed disk
         ["kernels", "--inner", mono3, "--lambda", "nan"],
         ["cls-scan", "--inner", mono3, "--radii", "1.5"],
+        # an empty scan is not a result
+        ["cls-scan", "--inner", mono3, "--angles", "0"],
+        ["cls-scan", "--inner", mono3, "--angles", "-3"],
+        ["rkt-scan", "--inner", '{"type":"singular","atoms":[{"angle":0,"mass":1}]}',
+         "--s", "0.5", "--lambda", "[]"],
     ]
     for i, text in enumerate(("[1,2]", "3")):  # a config file must hold an object
         cfg = tmp_path / f"cfg{i}.json"

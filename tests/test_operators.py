@@ -343,14 +343,14 @@ def test_rho_scan_rows_maxima_are_rho_r_and_rho_d(rng, mode):
     assert max(r[3] for r in rows) == rho_d(op, samples)
 
 
-@pytest.mark.parametrize("N", [1, 2, 16, 64])
+@pytest.mark.parametrize("N", [1, 2, 16, 64, 256])
 def test_rotation_closed_fft_columns_match_dense(rng, N):
     # a plain copy of the points has no tensor record, so it takes the dense path
     space = ModelSpace(Monomial(N))
     op = TTOperator(space, matrix=rng.standard_normal((N, N))
                     + 1j * rng.standard_normal((N, N)))
     radii = [0.0, 0.25, 0.9, 1.0 - 2.0 ** -20]
-    for J in (N // 2, N, 4 * N):  # J < N must fall back: fft(n=J) would truncate
+    for J in (N // 2, N, 4 * N):  # J < N folds the Gram sums mod J
         if J < 1:
             continue
         fast = SampleSet.rotation_closed(J, radii=radii)
