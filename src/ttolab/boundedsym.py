@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import (BoundaryGrid, CircleFunction, FourierPolynomial,
-                     lp_norm, pow2_at_least)
+                     lp_norm, polynomial_values, pow2_at_least)
 from .errors import DivisibilityViolated, SupportOverflow
 from .inner import (BlaschkeProduct, InnerFunction, Monomial, ProductInner,
                     divides)
@@ -190,11 +190,9 @@ class CFExtension:
         self.modulus_defect = modulus_defect
 
     def boundary(self, grid: BoundaryGrid) -> CircleFunction:
-        z = grid.points
-        if self.den is None:
-            vals = np.polyval(self.num[::-1], z)
-        else:
-            vals = np.polyval(self.num[::-1], z) / np.polyval(self.den[::-1], z)
+        vals = polynomial_values(self.num, grid)
+        if self.den is not None:
+            vals /= polynomial_values(self.den, grid)
         return CircleFunction(grid, vals)
 
 

@@ -229,6 +229,22 @@ def lp_norm(f, p) -> float:
     return float(np.mean(a ** p) ** (1.0 / p))
 
 
+def fold(x, n: int):
+    """x summed mod n along axis 0: on the n-th roots of unity z^n = 1, so
+    sum_k x_k z^k has the n coefficients fold(x, n), exactly, for any n."""
+    x = np.asarray(x, dtype=complex)
+    out = np.zeros((n,) + x.shape[1:], dtype=complex)
+    for start in range(0, len(x), n):
+        out[:min(n, len(x) - start)] += x[start:start + n]
+    return out
+
+
+def polynomial_values(coeffs, grid: BoundaryGrid):
+    """sum_k coeffs[k] zeta^k at the grid points: one inverse FFT of the
+    coefficients folded mod n."""
+    return np.fft.ifft(fold(coeffs, grid.n)) * grid.n
+
+
 def h2_eval(f: CircleFunction, z) -> complex:
     """Evaluate the analytic part of f at an interior point via its Taylor series."""
     co = f.coeffs

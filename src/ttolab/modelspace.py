@@ -1,16 +1,20 @@
 """Model spaces K_Theta and their elements.
 
 Finite Blaschke products (no singular part, degree <= 512, not a family
-truncation) get an exact orthonormal Takenaka-Malmquist basis; everything
-else is represented by truncated Fourier data on a boundary grid.  In
-exact mode all kernel and conjugation operations reduce to closed-form
-evaluations and small dense matrices, so they are spectrally accurate for
-any interior point, including points far closer to the circle than the
-grid resolves.
+truncation) get an exact orthonormal Takenaka-Malmquist (TM) basis;
+everything else is represented by truncated Fourier data on a boundary
+grid.  In exact mode the kernels, the compressed shift S_Theta, the
+conjugation matrix W and every operator phi(S_Theta) with phi in K_Theta
+are closed forms in the zeros, so they are accurate for any interior
+point, including points far closer to the circle than a grid resolves.
+The boundary grid of an exact space serves only grid consumers
+(projections of sampled functions, ``compress`` of sampled symbols,
+boundary samples of elements); its arrays are computed on first read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,6 +68,30 @@ def _kernel_scale(theta: InnerFunction, lam: complex) -> float:
                      / one_minus_mod_sq(theta, lam))
 
 
+def _one_minus_abs2(a):
+    """1 - |a|^2 to a few ulps relative, even for |a| near 1.
+
+    Dekker's split makes each square exact as p + e, and 1 - p of the
+    larger one is kept exact as a pair (Fast2Sum); the difference with the
+    smaller square then cancels exactly (Sterbenz) wherever the result is
+    small, so only the final sums round.
+    """
+    x, y = np.abs(a.real), np.abs(a.imag)
+
+    def square(v):
+        c = 134217729.0 * v  # 2^27 + 1
+        hi = c - (c - v)
+        lo = v - hi
+        p = v * v
+        return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+
+    big, big_err = square(np.maximum(x, y))
+    small, small_err = square(np.minimum(x, y))
+    rest = 1.0 - big
+    rest_err = (1.0 - rest) - big
+    return ((rest - small) + rest_err) - (big_err + small_err)
+
+
 def project_theta(theta_samples, f: CircleFunction) -> CircleFunction:
     """P_Theta f = P_+ f - Theta P_+(conj(Theta) f) on f's grid.
 
@@ -95,9 +123,18 @@ class ModelSpace:
                     n = min(2 ** 16, pow2_at_least(int(96.0 / dmin)))
                 n = max(n, pow2_at_least(8 * theta.degree()))
         self.grid = BoundaryGrid(n)
-        self.theta_samples = theta.boundary_samples(self.grid)
         if mode == "exact":
             self._init_exact()
+
+    @functools.cached_property
+    def theta_samples(self):
+        """Theta on the grid, computed on first read."""
+        return self.theta.boundary_samples(self.grid)
+
+    @functools.cached_property
+    def basis_samples(self):
+        """(n, N) TM basis on the grid (exact mode), computed on first read."""
+        return self._tm_eval(self.grid.points)
 
     # -- exact-mode internals -------------------------------------------
 
@@ -107,15 +144,10 @@ class ModelSpace:
             zeros.extend([z.value] * z.mult)
         self.zeros = np.asarray(zeros, dtype=complex)
         self.dim = len(zeros)
-        pts = self.grid.points
-        self.basis_samples = self._tm_eval(pts)  # (n, N)
-        # omega in basis coordinates: omega(sum c_j e_j) = W conj(c), with
-        # W = conj(B^T diag(conj(Theta) z) B) / n by the uniform rule
-        B = self.basis_samples
-        weighted = B * (np.conj(self.theta_samples) * pts)[:, None]
-        self.omega_matrix = np.conj(B.T @ weighted) / self.grid.n
+        self.scales = np.sqrt(_one_minus_abs2(self.zeros))  # s_j of the TM basis
         self.shift_matrix = self._compressed_shift()
         self.sstar_matrix = self.shift_matrix.conj().T  # S* restricted to K_Theta
+        self.omega_matrix = self._conjugation_matrix()
 
     def _compressed_shift(self):
         """Matrix of S_Theta = P_Theta M_z in the basis, in closed form.
@@ -123,13 +155,108 @@ class ModelSpace:
         It is lower triangular: a_i on the diagonal and, below it, entry
         (i, j) = s_i s_j prod_{j<k<i} (-conj(a_k)) with s = sqrt(1-|a|^2).
         """
-        a = self.zeros
-        s = np.sqrt(1.0 - np.abs(a) ** 2)
+        a, s = self.zeros, self.scales
         prods = np.zeros((self.dim, self.dim), dtype=complex)
         for i in range(1, self.dim):  # row i from row i-1: one more factor
             prods[i, :i - 1] = prods[i - 1, :i - 1] * -np.conj(a[i - 1])
             prods[i, i - 1] = 1.0
         return np.diag(a) + s[:, None] * s[None, :] * prods
+
+    def _conjugation_matrix(self):
+        """W with omega(sum c_j e_j) = W conj(c), in closed form.
+
+        With Theta = u prod_a (a - z)/(1 - conj(a) z), |u| = 1, omega e_j =
+        u (-1)^N e~_{N-1-j}, where e~ is the TM basis of the zeros in reverse
+        order.  Swapping two adjacent zeros (a, c) changes only their two
+        basis functions, by the unitary
+        U = [[s_a s_c, a - c], [conj(c) - conj(a), s_a s_c]] / (1 - conj(c) a),
+        so the reversal is N rounds of disjoint swaps (odd-even
+        transposition), each round one vectorised update of the rows of
+        ``basis``.  A swap of equal zeros is the identity: it is skipped,
+        and a round of only such swaps (all of K_{z^N}) costs nothing.
+        """
+        a, s, N = self.zeros, self.scales, self.dim
+        basis = np.eye(N, dtype=complex)  # row k: the function at position k, in e
+        order = np.arange(N)  # order[k]: index of the zero at position k
+        for r in range(N):
+            k = r % 2
+            m = (N - k) // 2  # swaps (k, k+1), (k+2, k+3), ...
+            p, q = order[k:k + 2 * m:2], order[k + 1:k + 2 * m:2]
+            za, zc = a[p], a[q]
+            order[k:k + 2 * m] = order[k:k + 2 * m].reshape(m, 2)[:, ::-1].ravel()
+            same = za == zc
+            if same.all():
+                continue
+            den = 1.0 - np.conj(zc) * za
+            diag = np.where(same, 1.0, s[p] * s[q] / den)[:, None]
+            lower = ((np.conj(zc) - np.conj(za)) / den)[:, None]
+            upper = ((za - zc) / den)[:, None]
+            pair = basis[k:k + 2 * m].reshape(m, 2, N)
+            first = pair[:, 0] * diag
+            first += pair[:, 1] * lower
+            pair[:, 1] *= diag
+            pair[:, 1] += pair[:, 0] * upper
+            pair[:, 0] = first
+        # u = Theta / prod_a b_a at a boundary point in the widest gap of the
+        # zeros' angles, where every factor is far from 0/0
+        t = np.sort(np.angle(a))
+        gaps = np.diff(t, append=t[0] + 2.0 * math.pi)
+        z0 = np.exp(1j * (t[np.argmax(gaps)] + 0.5 * np.max(gaps)))
+        u = complex(self.theta.eval(z0)) / np.prod((a - z0) / (1.0 - np.conj(a) * z0))
+        return (-1) ** N * u * basis[::-1].T
+
+    def analytic_operators(self, coeffs):
+        """phi(S_Theta), the matrix of A_phi, for phi = sum_j c_j e_j: one
+        N x N matrix per column c of ``coeffs`` (an (N,) or (N, K) array).
+
+        Column j of phi(S_Theta) is phi(S_Theta) e_j = e_j(S_Theta) c, and
+        the TM recurrence gives e_0(S) c = s_0 (I - conj(a_0) S)^{-1} c and
+        e_j(S) c = r_j (S - a_{j-1}) (I - conj(a_j) S)^{-1} e_{j-1}(S) c,
+        r_j = s_j/s_{j-1}.  Below its diagonal S has the entries
+        s_i s_k prod_{k<l<i} (-conj(a_l)), so S y and the solve of
+        (I - conj(b) S) x = z are forward substitutions, each with one
+        carried sum v_{i+1} = -conj(a_i) v_i + s_i y_i.  Step j merges its
+        two sums into one, g = r_j v(y) + conj(a_j) v(x) (r_0 v(y) left
+        out), and entry i is x_i = (r_j (a_i - a_{j-1}) y_i + s_i g_i) /
+        (1 - conj(a_j) a_i), with a_i - a_{-1} read as 1.  Entry i of
+        column j needs only entries <= i of column j - 1, so all columns
+        advance together along the anti-diagonals i + j = d: 2N - 1
+        vectorised steps and O(N^2) work per column of ``coeffs``, with no
+        inverse, quadrature or grid.
+        """
+        a, s, N = self.zeros, self.scales, self.dim
+        c = np.asarray(coeffs, dtype=complex).reshape(N, -1)
+        K = c.shape[1]
+        ab = np.conj(a)
+        ratio = np.concatenate([s[:1], s[1:] / s[:-1]])[:, None]
+        den = 1.0 - ab[:, None] * a[None, :]  # [j, i], as every array below
+        den[np.diag_indices(N)] = s * s  # 1 - |a_i|^2 as the basis has it
+        diff = np.ones((N, N), dtype=complex)
+        diff[1:] = a[None, :] - a[:-1, None]
+        carry_y = ratio * s[None, :]
+        carry_y[0] = 0.0
+        P, G, H, A = (x.reshape(N * N, 1) for x in (
+            ratio * diff / den, s[None, :] / den, carry_y, ab[:, None] * s[None, :]))
+        decay = np.broadcast_to(-ab[None, :], (N, N)).reshape(N * N, 1)
+        # table row 0 is c, row j + 1 column j of the result; with rows of
+        # length N, entry (j, i = d - j) sits at j (N - 1) + d, so an
+        # anti-diagonal is a slice of stride N - 1, and so is its output
+        table = np.empty((N + 1, N, K), dtype=complex)
+        table[0] = c
+        flat = table.reshape(-1, K)
+        g = np.zeros((N, K), dtype=complex)
+        step = max(N - 1, 1)
+        for d in range(2 * N - 1):
+            j0, j1 = max(0, d - N + 1), min(d, N - 1)
+            at = slice(j0 * (N - 1) + d, j1 * (N - 1) + d + 1, step)
+            y, gj = flat[at], g[j0:j1 + 1]
+            x = P[at] * y
+            x += G[at] * gj
+            flat[at.start + N:at.stop + N:step] = x
+            gj *= decay[at]
+            gj += H[at] * y
+            gj += A[at] * x
+        return table[1:].transpose(2, 1, 0)
 
     def _tm_eval(self, w):
         """Takenaka-Malmquist basis functions evaluated at points w (vectorized).
@@ -141,8 +268,7 @@ class ModelSpace:
         each pass over an N x block temporary stays in cache.
         """
         w = np.asarray(w, dtype=complex).ravel()
-        a = self.zeros[:, None]
-        scale = np.sqrt(1.0 - np.abs(a) ** 2)
+        a, scale = self.zeros[:, None], self.scales[:, None]
         out = np.empty((self.dim, w.size), dtype=complex)
         for k in range(0, w.size, TM_BLOCK):
             wk = w[k:k + TM_BLOCK]
@@ -239,7 +365,12 @@ class ModelSpace:
 
     def compress(self, w):
         """Matrix of f -> P_Theta(w f) in the basis, B^H (w B) / n by the
-        uniform rule on the grid (exact mode; w holds samples on the grid)."""
+        uniform rule on the grid (exact mode; w holds samples on the grid).
+
+        Only for symbols known by their samples and for measure densities;
+        a symbol phi_plus + conj(phi_minus) with phi_+- in K_Theta has the
+        closed form of ``analytic_operators``.
+        """
         weighted = self.basis_samples.conj()  # one n x N temporary
         weighted *= w[:, None]
         return weighted.T @ self.basis_samples / self.grid.n

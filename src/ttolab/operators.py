@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .circle import CircleFunction, inner_product, lp_norm, riesz_minus
+from .circle import CircleFunction, fold, inner_product, lp_norm, riesz_minus
 from .errors import (BandwidthOverflow, NoAngularDerivative, NoConvergence,
                      UnsupportedVariant)
 from .inner import (BoundaryPoint, Monomial, has_angular_derivative,
@@ -107,13 +107,21 @@ class TTOperator:
 def build(space: ModelSpace, symbol) -> TTOperator:
     """Construct A_phi on the given space.
 
-    Exact mode assembles the matrix M[i, j] = <phi e_j, e_i> by boundary
-    quadrature; truncated mode returns a multiply-then-project closure.
+    Exact mode: a ``PairSymbol`` phi_plus + conj(phi_minus) gives the
+    matrix phi_plus(S_Theta) + phi_minus(S_Theta)^H in closed form (Sarason's
+    functional calculus, ``ModelSpace.analytic_operators``); a symbol known
+    by its samples gives M[i, j] = <phi e_j, e_i> by boundary quadrature
+    (``ModelSpace.compress``).  Truncated mode returns a
+    multiply-then-project closure.
     """
     if isinstance(symbol, CircleFunction):
         symbol = BoundarySymbol(symbol)
     if isinstance(symbol, MeasureSymbol):
         return measure_operator(space, symbol)
+    if space.mode == "exact" and isinstance(symbol, PairSymbol):
+        plus, minus = space.analytic_operators(np.stack(
+            [_coeffs_in(space, symbol.phi_plus), _coeffs_in(space, symbol.phi_minus)], axis=1))
+        return TTOperator(space, matrix=plus + minus.conj().T, symbol=symbol)
     phi = symbol.samples_on(space)
     if space.mode == "exact":
         return TTOperator(space, matrix=space.compress(phi), symbol=symbol)
@@ -128,6 +136,17 @@ def build(space: ModelSpace, symbol) -> TTOperator:
         return space.project(g)
 
     return TTOperator(space, apply_fn=apply_fn, symbol=symbol)
+
+
+def _coeffs_in(space: ModelSpace, f: ModelFunction):
+    """TM coefficients of f's projection onto K_Theta (f's own when it lives there).
+
+    For analytic phi, A_phi = A_{P_Theta phi}: phi - P_Theta phi lies in
+    Theta H^2, which A annihilates.
+    """
+    if f.space is space and f.coeffs is not None:
+        return f.coeffs
+    return space.project(f).coeffs
 
 
 def adjoint(op: TTOperator) -> TTOperator:
@@ -321,9 +340,7 @@ def _rotation_closed_norms(M, radii, J: int, quotient: bool):
     j = np.arange(N)
     x = (_upper_diagonals(G).T @ (radii[None, :] ** (2 * j)[:, None])
          * radii[None, :] ** j[:, None])  # (N, radii)
-    folded = np.zeros((J, len(radii)), dtype=complex)
-    for start in range(0, N, J):
-        folded[:min(J, N - start)] += x[start:start + J]
+    folded = fold(x, J)
     sums = J * np.fft.ifft(folded, axis=0) if quotient else np.fft.fft(folded, axis=0)
     sq = 2.0 * sums.real - x[0].real
     return np.sqrt(np.maximum(sq, 0.0)).T.ravel()

@@ -1,17 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ttolab import (BlaschkeProduct, BoundaryPoint, CircleFunction,
                     ModelSpace, Monomial, ProductInner, tm_basis)
 from ttolab.circle import inner_product, lp_norm
 from ttolab.errors import BoundaryPointNotNormalizable, NoAngularDerivative
 from ttolab.inner import square
-from ttolab.modelspace import product_into
+from ttolab.modelspace import _one_minus_abs2, product_into
 
-from conftest import random_blaschke_space, space_from_zeros, zero_lists
+from conftest import (near_zero_lists, random_blaschke_space, space_from_zeros,
+                      zero_lists)
 
 
 def test_tm_basis_monomials():
@@ -46,6 +48,16 @@ def test_tm_eval_matches_scalar_formula(rng, N, L):
     assert got.shape == (L, N)
     ref = np.array([_tm_scalar([complex(a) for a in space.zeros], complex(z)) for z in w])
     assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+def test_one_minus_abs2_keeps_relative_accuracy(rng):
+    # against exact rational arithmetic on the same floats, as |a| -> 1
+    for delta in 10.0 ** -np.arange(1, 16):
+        a = (1.0 - delta) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 40))
+        a[0] = (1.0 - delta) * np.exp(0.25j * np.pi)  # both squares just under 1/2
+        for z, got in zip(a, _one_minus_abs2(a)):
+            exact = 1 - Fraction(z.real) ** 2 - Fraction(z.imag) ** 2
+            assert abs(Fraction(float(got)) - exact) <= 2.0 ** -50 * exact
 
 
 def test_tm_basis_gram_identity(rng):
@@ -188,11 +200,37 @@ def test_omega_involution(zeros, seed):
 @settings(max_examples=40, deadline=None)
 @given(zero_lists)
 def test_omega_conjugates_compressed_shift(zeros):
-    # omega S_Theta omega = S_Theta^*: ties the closed-form S_Theta to the
-    # quadrature W; omega(c) = W conj(c), so omega S omega = W conj(S) conj(W)
+    # omega S_Theta omega = S_Theta^*: ties S_Theta's closed-form entries to
+    # W, a product of zero swaps; omega(c) = W conj(c), so omega S omega =
+    # W conj(S) conj(W)
     space = space_from_zeros(zeros)
     W, S = space.omega_matrix, space.shift_matrix
     assert np.max(np.abs(W @ np.conj(S) @ np.conj(W) - S.conj().T)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_zero_lists)
+def test_omega_identities_near_the_circle(zeros):
+    # W needs no grid, so omega^2 = I and omega S omega = S^* keep to
+    # rounding with zeros as near as 1 - |a| = 1e-12
+    space = space_from_zeros(zeros)
+    W, S = space.omega_matrix, space.shift_matrix
+    assert np.max(np.abs(W @ np.conj(W) - np.eye(space.dim))) < 1e-13
+    assert np.max(np.abs(W @ np.conj(S) @ np.conj(W) - S.conj().T)) < 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_lists)
+@example([(1.0, 0.0)] * 5)  # K_{z^5}: W is the exchange matrix
+@example([(0.4, 1.0), (0.4, 1.0), (0.7, 2.5), (0.4, 1.0)])  # a repeated zero
+def test_omega_matches_grid_quadrature(zeros):
+    # independent of the swaps: W = conj(B^T diag(conj(Theta) z) B) / n by
+    # the uniform rule, wherever the grid resolves the basis
+    space = space_from_zeros(zeros)
+    assume(space.gram_residual() <= 1e-13)
+    B, z = space.basis_samples, space.grid.points
+    quad = np.conj(B.T @ (B * (np.conj(space.theta_samples) * z)[:, None])) / space.grid.n
+    assert np.max(np.abs(space.omega_matrix - quad)) <= 1e-12
 
 
 def test_omega_commutes_with_projection(rng):

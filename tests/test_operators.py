@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ttolab import (BlaschkeProduct, BoundaryPoint, CircleFunction,
-                    MeasureSymbol, ModelSpace, Monomial, SampleSet, adjoint,
+                    MeasureSymbol, ModelSpace, Monomial, PairSymbol, SampleSet, adjoint,
                     build, decompose, measure_operator, operator_norm,
                     rank_one_operator, rho, rho_d, rho_r, rho_scan_rows,
                     standard_symbol)
@@ -10,7 +11,8 @@ from ttolab.operators import (BoundarySymbol, TTOperator,
                               hankel_factor_residual, q_theta,
                               toeplitz_defect)
 
-from conftest import random_blaschke_space, random_trig_poly_samples
+from conftest import (near_zero_lists, random_blaschke_space, random_trig_poly_samples,
+                      space_from_zeros, zero_lists)
 
 
 def sym_from_coeffs(space, coeffs):
@@ -46,6 +48,57 @@ def test_build_linearity(rng):
     rhs = a * build(space, BoundarySymbol(f)).matrix \
         + b * build(space, BoundarySymbol(g)).matrix
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def _random_coeffs(rng, space):
+    return rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_lists, st.integers(0, 2 ** 32 - 1))
+@example([(1.0, 0.0)] * 6, 0)  # K_{z^6}
+@example([(0.4, 1.0), (0.4, 1.0), (1.0, 0.0), (0.7, 2.5), (0.4, 1.0)], 0)  # repeats, a = 0
+def test_pair_build_matches_quadrature(zeros, seed):
+    # phi_plus(S) + phi_minus(S)^H against B^H (phi B) / n on the pair's
+    # samples, wherever the grid resolves the basis
+    space = space_from_zeros(zeros)
+    assume(space.gram_residual() <= 1e-13)
+    rng = np.random.default_rng(seed)
+    pair = PairSymbol(space.from_coeffs(_random_coeffs(rng, space)),
+                      space.from_coeffs(_random_coeffs(rng, space)))
+    quad = space.compress(pair.samples_on(space))
+    closed = build(space, pair).matrix
+    assert np.linalg.norm(closed - quad) <= 1e-12 * np.linalg.norm(quad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_zero_lists, st.integers(0, 2 ** 32 - 1))
+def test_analytic_build_is_a_function_of_the_shift(zeros, seed):
+    # A_phi k_0 = P_Theta(phi (1 - conj(Theta(0)) Theta)) = phi for phi in
+    # K_Theta, and A_phi = phi(S_Theta) commutes with S_Theta; zeros reach
+    # 1 - |a| = 1e-12, where no grid would resolve the basis
+    space = space_from_zeros(zeros)
+    rng = np.random.default_rng(seed)
+    phi = space.from_coeffs(_random_coeffs(rng, space))
+    A = build(space, PairSymbol(phi, space.zero())).matrix
+    S = space.shift_matrix
+    scale = np.linalg.norm(A)
+    assert np.max(np.abs(A @ space.kernel(0.0).coeffs - phi.coeffs)) <= 1e-13 * scale
+    assert np.max(np.abs(A @ S - S @ A)) <= 1e-13 * scale
+
+
+def test_pair_build_of_foreign_components(rng):
+    # components from another space enter through their projection:
+    # A_phi = A_{P_Theta phi} for analytic phi
+    space = random_blaschke_space(rng, 5)
+    big = ModelSpace(BlaschkeProduct(list(space.zeros) + [0.3 - 0.4j, -0.5j]))
+    pp = big.from_coeffs(rng.standard_normal(7) + 1j * rng.standard_normal(7))
+    pm = big.from_coeffs(rng.standard_normal(7) + 1j * rng.standard_normal(7))
+    got = build(space, PairSymbol(pp, pm)).matrix
+    ref = build(space, PairSymbol(space.project(pp), space.project(pm))).matrix
+    quad = space.compress(PairSymbol(pp, pm).samples_on(space))
+    assert np.max(np.abs(got - ref)) == 0.0
+    assert np.max(np.abs(got - quad)) <= 1e-12 * np.linalg.norm(quad)
 
 
 def test_adjoint_shift():

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ttolab import (BlaschkeProduct, CircleFunction, KernelActionOracle,
                     ModelSpace, Monomial, PairSymbol, SampleSet, build,
-                    rank_one_operator, rank_one_symbol, recover,
+                    rank_one_operator, rank_one_symbol, recover, rho,
                     recover_via_k0, rho_r, shift_resolvent,
                     symbol_lp_bound_check)
 from ttolab.circle import BoundaryGrid, lp_norm
@@ -270,6 +270,38 @@ def test_recover_after_build_is_identity(zeros, seed):
     pp0, pm0 = align_gauge(space, pp, pm, 0.0)
     assert np.max(np.abs(rec0.phi_plus.coeffs - pp0.coeffs)) <= 1e-7
     assert np.max(np.abs(rec0.phi_minus.coeffs - pm0.coeffs)) <= 1e-7
+
+
+@pytest.mark.parametrize("route", [recover, recover_via_k0])
+def test_roundtrip_with_a_zero_at_1e_4(rng, route):
+    # degree 24 with one zero at 1 - |a| = 1e-4 at a dyadic angle, as in the
+    # benchmark: the 2^16-point grid's Gram residual there is ~3e-3, and a
+    # build or W by quadrature made both routes reject their own rebuild
+    deltas = rng.uniform(0.3, 0.9, 24)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 24)
+    deltas[0], angles[0] = 1e-4, 2.0 * np.pi * rng.integers(1024) / 1024
+    space = space_from_zeros(zip(deltas, angles))
+    pp, pm = random_pair(space, rng)
+    rec = route(KernelActionOracle.from_operator(build(space, PairSymbol(pp, pm))))
+    pp, pm = align_gauge(space, pp, pm, rec.mu)
+    assert np.max(np.abs(rec.phi_plus.coeffs - pp.coeffs)) <= 1e-9
+    assert np.max(np.abs(rec.phi_minus.coeffs - pm.coeffs)) <= 1e-9
+
+
+def test_exact_space_reads_its_grid_arrays_only_on_demand(rng):
+    # build, the oracle, both recovery routes and rho work in K_Theta
+    # coordinates: the (n, N) basis array (n = 2^16 here) is never formed
+    deltas = rng.uniform(0.3, 0.9, 12)
+    deltas[0] = 1e-4
+    space = space_from_zeros(zip(deltas, rng.uniform(0.0, 2.0 * np.pi, 12)))
+    op = build(space, PairSymbol(*random_pair(space, rng)))
+    oracle = KernelActionOracle.from_operator(op)
+    recover(oracle)
+    recover_via_k0(oracle)
+    rho(op, SampleSet.default(space))
+    assert "basis_samples" not in vars(space)
+    assert "theta_samples" not in vars(space)
+    assert np.array_equal(space.basis_samples, space._tm_eval(space.grid.points))
 
 
 def test_recover_inconsistent_oracle(rng):
