@@ -221,16 +221,17 @@ def _series_division(num, den, length):
 
 LANCZOS_STEPS = 64  # Krylov dimension budget of the CF top pair
 LANCZOS_TOL = 1e-13  # Ritz residual ||T^H T v - theta v|| / theta accepted
+DEGENERATE_GAP = 1e-8  # relative gap sigma_0 - sigma_1 at or below which sigma is multiple
 
 
-def _lanczos_top_pair(T, degenerate_gap: float):
+def _lanczos_top_pair(T):
     """(sigma, v, T v) for the top right singular vector v of T, or None.
 
     Lanczos on T^H T with dense matvecs, full reorthogonalisation and a
     fixed pseudo-random start vector (so reruns are bitwise identical).
     The pair is certified when its Ritz residual is below LANCZOS_TOL
     relative to the Ritz value theta_0, the second Ritz value is separated
-    from it by more than ``degenerate_gap`` in sigma = sqrt(theta), and
+    from it by more than DEGENERATE_GAP sigma_0 in sigma = sqrt(theta), and
     J conj(T v) lies on v's line.  T is persymmetric (J T^T J = T, J the
     exchange), so J conj(T v) is a top right singular vector too: off v's
     line it exposes a multiple sigma that one Krylov sequence cannot see.
@@ -268,7 +269,7 @@ def _lanczos_top_pair(T, degenerate_gap: float):
         if beta[k] * abs(Y[-1, -1]) > LANCZOS_TOL * theta[-1]:
             continue
         s0, s1 = np.sqrt(np.maximum(theta[-2:][::-1], 0.0))
-        if s0 - s1 <= degenerate_gap * s0:
+        if s0 - s1 <= DEGENERATE_GAP * s0:
             return None
         v = Q[:k + 1].T @ Y[:, -1]
         num = T @ v
@@ -281,7 +282,7 @@ def _lanczos_top_pair(T, degenerate_gap: float):
     return None
 
 
-def minimal_analytic_extension(coeffs, degenerate_gap: float = 1e-8) -> CFExtension:
+def minimal_analytic_extension(coeffs) -> CFExtension:
     """Solve the Carathéodory-Fejér problem for the given Taylor data.
 
     The minimal sup norm equals the largest singular value sigma of the
@@ -309,11 +310,11 @@ def minimal_analytic_extension(coeffs, degenerate_gap: float = 1e-8) -> CFExtens
         return CFExtension(c, float(abs(c[0])), taylor,
                            np.array([c[0]]), None, False, 0.0, 0.0)
     T = _toeplitz(np.concatenate([np.zeros(N - 1, dtype=complex), c]))
-    pair = _lanczos_top_pair(T, degenerate_gap)
+    pair = _lanczos_top_pair(T)
     if pair is None:
         U, s, Vh = np.linalg.svd(T)
         sigma = float(s[0])
-        degenerate = N > 1 and (s[0] - s[1]) <= degenerate_gap * s[0]
+        degenerate = N > 1 and (s[0] - s[1]) <= DEGENERATE_GAP * s[0]
         w = np.conj(Vh[0])
         num = sigma * U[:, 0]
     else:

@@ -102,8 +102,9 @@ def _fourier_to_json(poly: FourierPolynomial):
     return {str(k): _pairs(complex(v)) for k, v in sorted(poly.coeffs.items())}
 
 
-def _fmt(x: float) -> str:
-    return "%.12e" % float(x)
+def _fmt(x) -> str:
+    """A CSV cell: a flag as 0 or 1, a number as %.12e."""
+    return str(int(x)) if isinstance(x, bool) else "%.12e" % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +119,16 @@ def _cmd_kernels(cfg):
     return {"mode": "truncated", "samples": _pairs(k.samples())}
 
 
-def _exact_space(cfg) -> ModelSpace:
+def _exact_space(cfg, command: str) -> ModelSpace:
     space = ModelSpace(from_json(cfg["inner"]), n=cfg.get("grid"))
     if space.mode != "exact":
-        raise ValidationError("build emits matrices only in exact mode")
+        raise ValidationError(f"{command} needs an exact model space "
+                              "(a finite Blaschke product)")
     return space
 
 
 def _cmd_build(cfg):
-    space = _exact_space(cfg)
+    space = _exact_space(cfg, "build")
     poly = FourierPolynomial(_complex(_load_json_arg(cfg["symbol"]), "dict"))
     op = build(space, BoundarySymbol(poly.to_circle(space.grid)))
     return {"dimension": space.dim, "matrix": _pairs(op.matrix),
@@ -134,7 +136,7 @@ def _cmd_build(cfg):
 
 
 def _cmd_recover(cfg):
-    space = ModelSpace(from_json(cfg["inner"]), n=cfg.get("grid"))
+    space = _exact_space(cfg, "recover")
     rows = _load_json_arg(cfg["table"])
     if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
         raise ValidationError("a kernel-action table is a list of objects")
@@ -150,7 +152,7 @@ def _cmd_recover(cfg):
 
 
 def _cmd_rank_one(cfg):
-    space = _exact_space(cfg)
+    space = _exact_space(cfg, "rank-one")
     pt = BoundaryPoint(float(cfg["zeta"])) if "zeta" in cfg and cfg["zeta"] is not None \
         else _complex(cfg["lambda"])
     sym = rank_one_symbol(space, pt)
@@ -183,9 +185,15 @@ def _cmd_cf_extend(cfg):
             "suboptimal": ext.suboptimal}
 
 
+ASSEMBLY_COLUMNS = ("sup_norm", "rho_hat", "measured_constant", "build_residual",
+                    "suboptimal")
+
+
 def _one_assembly(M):
+    """The bounded-symbol assembly of M and its ASSEMBLY_COLUMNS, by name."""
     space = ModelSpace(Monomial(M.shape[0]))
-    return assemble_bounded_symbol(TTOperator(space, matrix=M))
+    res = assemble_bounded_symbol(TTOperator(space, matrix=M))
+    return res, {c: getattr(res, c) for c in ASSEMBLY_COLUMNS}
 
 
 def _cmd_assemble(cfg):
@@ -194,29 +202,17 @@ def _cmd_assemble(cfg):
         if not isinstance(batch, list):
             raise ValidationError("a batch is a list of matrices")
         mats = [_complex(m, "matrix") for m in batch]
-        rows = [("index", "N", "sup_norm", "rho_hat", "measured_constant",
-                 "build_residual", "suboptimal")]
+        rows = [("index", "N") + ASSEMBLY_COLUMNS]
         payload_rows = []
         for i, M in enumerate(mats):
-            res = _one_assembly(M)
-            rows.append((str(i), str(M.shape[0]), _fmt(res.sup_norm),
-                         _fmt(res.rho_hat), _fmt(res.measured_constant),
-                         _fmt(res.build_residual), str(int(res.suboptimal))))
-            payload_rows.append({"index": i, "sup_norm": res.sup_norm,
-                                 "rho_hat": res.rho_hat,
-                                 "measured_constant": res.measured_constant,
-                                 "build_residual": res.build_residual,
-                                 "suboptimal": res.suboptimal})
+            _, fields = _one_assembly(M)
+            rows.append((str(i), str(M.shape[0])) + tuple(map(_fmt, fields.values())))
+            payload_rows.append({"index": i, **fields})
         return {"batch": payload_rows}, rows
     if "matrix" not in cfg:
         raise ValidationError("assemble needs --matrix or --batch")
-    M = _complex(_load_json_arg(cfg["matrix"]), "matrix")
-    res = _one_assembly(M)
-    return {"sup_norm": res.sup_norm,
-            "rho_hat": res.rho_hat,
-            "measured_constant": res.measured_constant,
-            "build_residual": res.build_residual,
-            "suboptimal": res.suboptimal,
+    res, fields = _one_assembly(_complex(_load_json_arg(cfg["matrix"]), "matrix"))
+    return {**fields,
             "phi1": _fourier_to_json(res.phi1),
             "cf2_norm": res.cf2.norm,
             "cf3_norm": res.cf3.norm}
@@ -234,14 +230,13 @@ def _cmd_cohn_growth(cfg):
     zeta = float(cfg["zeta"])
     p = float(cfg.get("p", 2.0))
     terms = int(cfg.get("terms", 32))
-    rows = []
-    for k in range(1, terms + 1):
-        rows.append((k, cohn_sum(theta, zeta, p, k)))
+    if terms < 1:
+        raise ValidationError(f"--terms must be at least 1, got {terms}")
+    sums = [cohn_sum(theta, zeta, p, k) for k in range(1, terms + 1)]
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} "
                 f"zeta={zeta!r} p={p!r} terms={terms}",
-                ("k", "partial_sum")] + [(str(k), _fmt(s)) for k, s in rows]
-    return {"p": p, "zeta": zeta,
-            "partial_sums": [s for _, s in rows]}, csv_rows
+                ("k", "partial_sum")] + [(str(k), _fmt(s)) for k, s in enumerate(sums, 1)]
+    return {"p": p, "zeta": zeta, "partial_sums": sums}, csv_rows
 
 
 def _listify(val, cast=float):
@@ -272,6 +267,10 @@ def _cmd_cls_scan(cfg):
             "rows": [[_pairs(l), s, t, r] for l, s, t, r in rep.rows]}, csv_rows
 
 
+RKT_COLUMNS = ("closed_form", "identity_err", "identity_err_doubled", "norm_sq_grid",
+               "norm_sq_err", "isometry_ratio")
+
+
 def _cmd_rkt_scan(cfg):
     theta = from_json(cfg["inner"])
     s = float(cfg["s"])
@@ -285,24 +284,13 @@ def _cmd_rkt_scan(cfg):
     rep = rkt_failure_scan(theta, s, lams, grid_n=int(cfg.get("grid", 2 ** 13)))
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} "
                 f"s={s!r} grid={rep['grid']}",
-                ("re_lambda", "im_lambda", "closed_form", "identity_err",
-                 "identity_err_doubled", "norm_sq_grid", "norm_sq_err",
-                 "isometry_ratio")]
+                ("re_lambda", "im_lambda") + RKT_COLUMNS]
     for r in rep["rows"]:
-        csv_rows.append((_fmt(r["lambda"].real), _fmt(r["lambda"].imag),
-                         _fmt(r["closed_form"]), _fmt(r["identity_err"]),
-                         _fmt(r["identity_err_doubled"]),
-                         _fmt(r["norm_sq_grid"]), _fmt(r["norm_sq_err"]),
-                         _fmt(r["isometry_ratio"])))
+        csv_rows.append(tuple(_fmt(v) for v in (r["lambda"].real, r["lambda"].imag,
+                                                *(r[c] for c in RKT_COLUMNS))))
     return {"s": rep["s"], "grid": rep["grid"],
             "sup_bound": rep["sup_bound"], "all_sup_ok": rep["all_sup_ok"],
-            "rows": [{"lambda": _pairs(r["lambda"]),
-                      "closed_form": r["closed_form"],
-                      "identity_err": r["identity_err"],
-                      "identity_err_doubled": r["identity_err_doubled"],
-                      "norm_sq_grid": r["norm_sq_grid"],
-                      "norm_sq_err": r["norm_sq_err"],
-                      "isometry_ratio": r["isometry_ratio"]}
+            "rows": [{"lambda": _pairs(r["lambda"]), **{c: r[c] for c in RKT_COLUMNS}}
                      for r in rep["rows"]]}, csv_rows
 
 
@@ -321,8 +309,7 @@ def _cmd_counterex(cfg):
     csv_rows = [f"# kind={kind} p={p!r} truncation={count}",
                 ("certificate", "value", "threshold", "passed")]
     for name, c in sorted(fam.certificates.items()):
-        csv_rows.append((name, _fmt(c.value), _fmt(c.threshold),
-                         str(int(c.passed))))
+        csv_rows.append((name, _fmt(c.value), _fmt(c.threshold), _fmt(c.passed)))
     if cfg.get("degrees"):
         chk = counterex_theorem_check(fam, p,
                                       degrees=tuple(_listify(cfg["degrees"], int)))
@@ -332,7 +319,7 @@ def _cmd_counterex(cfg):
 
 
 def _cmd_carleson(cfg):
-    space = ModelSpace(from_json(cfg["inner"]), n=cfg.get("grid"))
+    space = _exact_space(cfg, "carleson")
     atoms = cfg.get("atoms", [])
     if not (isinstance(atoms, list) and all(isinstance(a, dict) for a in atoms)):
         raise ValidationError("atoms are a list of {angle, mass} objects")

@@ -49,13 +49,15 @@ def kernel_lp(theta: InnerFunction, lam: complex, p: float,
     return value, resid, n
 
 
-def growth_ratio(theta: InnerFunction, lam: complex, p: float,
-                 tol: float = 1e-6, max_n: int = 2 ** 17) -> float:
+RATIO_TOL = 1e-6  # Cauchy tolerance of growth_ratio's two kernel norms
+
+
+def growth_ratio(theta: InnerFunction, lam: complex, p: float, max_n: int = 2 ** 17) -> float:
     """||k_lam||_p / ||k_lam||_2^2, the quantity whose boundedness a
     bounded-symbol theorem forces for every p > 2."""
     if not 2 < p:
         raise ValueError("p must exceed 2")
-    (num, _, _), (den, _, _) = _lp_and_l2(theta, lam, p, tol=tol, max_n=max_n)
+    (num, _, _), (den, _, _) = _lp_and_l2(theta, lam, p, tol=RATIO_TOL, max_n=max_n)
     return num / den ** 2
 
 
@@ -124,25 +126,26 @@ def gen_blaschke_counterexample(p: float = 3.0, count: int = 20) -> Counterexamp
         Certificate("p_divergence_floor", float(np.min(blp)), 0.5,
                     bool(np.min(blp) >= 0.5)),
     ]
+    data = {"p2_terms": bl2, "p_terms": blp}
     if p == 3.0:
         df3 = (8.0 ** -ks) ** (1.0 - 1.0 / p) / np.sqrt(
             np.array([z.dist2_to_boundary_angle(0.0) for z in zeros]))
         certs.append(Certificate("df3_decay", float(df3[-1] / df3[0]), 1.0,
                                  bool(np.all(np.diff(df3) < 0))))
-        data = {"p2_terms": bl2, "p_terms": blp, "df3": df3}
-    else:
-        data = {"p2_terms": bl2, "p_terms": blp}
+        data["df3"] = df3
     return CounterexampleFamily("blaschke_tangential", theta, p, certs, data)
 
 
-def gen_tangential_family(gamma: float, p: float, count: int = 12,
-                          dominance: float = 0.9) -> CounterexampleFamily:
+DOMINANCE = 0.9  # least share of the exponent-2 sum a selected zero carries at its point
+
+
+def gen_tangential_family(gamma: float, p: float, count: int = 12) -> CounterexampleFamily:
     """Greedy tangential-zero family for a given approach exponent gamma.
 
     Candidates w_k approach 1 with (1-|w_k|)^gamma / |w_k - 1| -> 0; a
     subsequence is selected so that at each test point (the radial
     projection of the selected zero) the nearest zero contributes at least
-    the ``dominance`` fraction of the exponent-2 Ahern-Clark sum, which is
+    the DOMINANCE fraction of the exponent-2 Ahern-Clark sum, which is
     the operational form of the single-zero-dominance condition.
     """
     if not 0 < gamma < 1:
@@ -166,7 +169,7 @@ def gen_tangential_family(gamma: float, p: float, count: int = 12,
         terms = np.array([z.one_minus_mod2() / z.dist2_to_boundary_angle(t)
                           for z in trial])
         share = terms[-1] / terms.sum()
-        if share >= dominance:
+        if share >= DOMINANCE:
             selected.append(cand)
             dominances.append(float(share))
             k += 1
@@ -180,8 +183,8 @@ def gen_tangential_family(gamma: float, p: float, count: int = 12,
     df3 = np.array([z.delta ** (1 - 1 / p) / math.sqrt(z.dist2_to_boundary_angle(0.0))
                     for z in selected])
     certs = [
-        Certificate("dominance_floor", float(min(dominances)), dominance,
-                    min(dominances) >= dominance),
+        Certificate("dominance_floor", float(min(dominances)), DOMINANCE,
+                    min(dominances) >= DOMINANCE),
         Certificate("tangential_ratio_decay", float(tang[-1] / tang[0]), 1.0,
                     bool(np.all(np.diff(tang) < 0))),
         Certificate("df3_decay", float(df3[-1] / df3[0]), 1.0,
@@ -217,9 +220,18 @@ def gen_singular_counterexample(p: float = 3.0, count: int = 20) -> Counterexamp
 
 def blaschke_truncation(family: CounterexampleFamily, degree: int) -> BlaschkeProduct:
     """The first ``degree`` zeros of a Blaschke family, as an exact finite
-    product (per-degree reports treat each truncation as its own object)."""
-    zeros = family.theta.zeros()[:degree]
-    return BlaschkeProduct(zeros, truncated=False)
+    product (per-degree reports treat each truncation as its own object).
+    Raises ValueError unless 1 <= degree <= the family's zero count."""
+    _check_degrees(family, (degree,))
+    return BlaschkeProduct(family.theta.zeros()[:degree], truncated=False)
+
+
+def _check_degrees(family: CounterexampleFamily, degrees):
+    count = len(family.theta.zeros())
+    bad = [d for d in degrees if not 1 <= d <= count]
+    if bad:
+        raise ValueError(f"truncation degrees {bad} are not in 1..{count} "
+                         f"(the {family.kind} family has {count} zeros)")
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +260,16 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = 1e-8,
     return ScanReport(("lambda", "sup_norm", "l2_norm_sq", "ratio"), rows, best)
 
 
-def growth_scan(family: CounterexampleFamily, degrees, radii, p: float,
-                tol: float = 5e-3, max_n: int = 2 ** 21) -> ScanReport:
+QUADRATURE_TOL = 5e-3  # best-effort Cauchy tolerance of the growth reports' quadrature
+SCAN_MAX_N = 2 ** 21  # largest grid of a growth_scan row
+
+
+def growth_scan(family: CounterexampleFamily, degrees, radii, p: float) -> ScanReport:
     """Kernel growth along a joint (degree, radius) refinement diagonal.
 
     degrees and radii are zipped: each row refines both the truncation and
     the approach to the family's base point.  Quadrature is best-effort at
-    the stated tolerance with per-row achieved residuals: zeros at distance
+    QUADRATURE_TOL with per-row achieved residuals: zeros at distance
     8^{-k} from the circle put phase features of width 8^{-k} on the
     integrand that no affordable uniform grid resolves, while the scan only
     tracks growth by factors.  The starting grid is chosen to resolve the
@@ -265,10 +280,10 @@ def growth_scan(family: CounterexampleFamily, degrees, radii, p: float,
     for d, r in zip(degrees, radii):
         theta_d = blaschke_truncation(family, d)
         start = 4096
-        while start * (1.0 - r) < 16 and start < max_n:
+        while start * (1.0 - r) < 16 and start < SCAN_MAX_N:
             start *= 2  # resolve the kernel peak of width 1-r
         (num, res_p, n_used), (den, res_2, _) = _lp_and_l2(
-            theta_d, r, p, start_n=start, tol=tol, max_n=max_n, strict=False)
+            theta_d, r, p, start_n=start, tol=QUADRATURE_TOL, max_n=SCAN_MAX_N, strict=False)
         ratio = num / den ** 2
         best = max(best, ratio)
         rows.append({"degree": d, "radius": float(r), "growth_ratio": ratio,
@@ -279,10 +294,13 @@ def growth_scan(family: CounterexampleFamily, degrees, radii, p: float,
                       rows, best)
 
 
+GROW_TOL = 0.10  # least relative growth per degree step of a "diverging" signature
+STABLE_TOL = 0.05  # largest relative move in the last step of a "stable" one
+CHECK_MAX_N = 2 ** 17  # largest grid of the theorem check's quadrature columns
+
+
 def counterex_theorem_check(family: CounterexampleFamily, p: float,
-                            degrees=(8, 16, 32), stable_tol: float = 0.05,
-                            grow_tol: float = 0.10, tol: float = 5e-3,
-                            max_n: int = 2 ** 17) -> dict:
+                            degrees=(8, 16, 32)) -> dict:
     """Certify, per truncation degree, that the boundary kernel stays in L^2
     while leaving L^p, together with the matching rank-one symbol growth.
 
@@ -295,10 +313,16 @@ def counterex_theorem_check(family: CounterexampleFamily, p: float,
     8^{-k}, which no affordable uniform grid resolves, so the quadrature
     columns saturate at the resolution wall and are labeled best-effort.
 
-    Verdicts: 'diverging' when every degree doubling grows the signature
-    by at least grow_tol relative, 'stable' when the last doubling moves
-    it by at most stable_tol.
+    Verdicts: 'diverging' when every step to the next degree grows the
+    signature by at least GROW_TOL relative, 'stable' when the last step
+    moves it by at most STABLE_TOL.  ValueError unless the degrees are at
+    least two, strictly increasing and within the family's zero count.
     """
+    degrees = tuple(degrees)
+    if len(degrees) < 2 or any(a >= b for a, b in zip(degrees, degrees[1:])):
+        raise ValueError(f"the theorem check needs at least two strictly "
+                         f"increasing degrees, got {list(degrees)}")
+    _check_degrees(family, degrees)
     sums_p, sums_2, sums_sq = [], [], []
     quad_p, quad_2 = [], []
     bound_ok = True
@@ -311,8 +335,8 @@ def counterex_theorem_check(family: CounterexampleFamily, p: float,
         sums_p.append(float(bl_p.sum() + at_p.sum()))
         sums_2.append(float(bl_2.sum() + at_2.sum()))
         sums_sq.append(2.0 * sums_p[-1])  # zeros of Theta^2 are doubled
-        (kp, _, _), (k2, _, _) = _lp_and_l2(th, 1.0, p, tol=tol, max_n=max_n,
-                                            strict=False)
+        (kp, _, _), (k2, _, _) = _lp_and_l2(th, 1.0, p, tol=QUADRATURE_TOL,
+                                            max_n=CHECK_MAX_N, strict=False)
         quad_p.append(kp)
         quad_2.append(k2)
         # the pointwise bound |k^{Theta^2}| <= 2 |k^Theta| survives any common
@@ -323,14 +347,14 @@ def counterex_theorem_check(family: CounterexampleFamily, p: float,
 
     def verdict(seq):
         rel = [abs(b - a) / abs(b) for a, b in zip(seq, seq[1:])]
-        if all(b > a and r >= grow_tol for a, b, r in zip(seq, seq[1:], rel)):
+        if all(b > a and r >= GROW_TOL for a, b, r in zip(seq, seq[1:], rel)):
             return "diverging"
-        if rel[-1] <= stable_tol:
+        if rel[-1] <= STABLE_TOL:
             return "stable"
         return "inconclusive"
 
     return {
-        "degrees": tuple(degrees),
+        "degrees": degrees,
         "p": p,
         "cohn_p_sums": sums_p,
         "cohn_2_sums": sums_2,

@@ -442,16 +442,19 @@ class AngularDerivative:
         return f"AngularDerivative({self.verdict})"
 
 
-def has_angular_derivative(theta: InnerFunction, zeta, budget: int = 4096,
-                           cauchy_tol: float = 1e-10) -> AngularDerivative:
+ANGULAR_BUDGET = 4096  # most terms a truncated spec's verdict reads, largest first
+ANGULAR_CAUCHY_TOL = 1e-10  # tail sum at or below which that verdict is "yes"
+
+
+def has_angular_derivative(theta: InnerFunction, zeta) -> AngularDerivative:
     """Carathéodory angular-derivative test at a boundary point.
 
     For exact finite data the answer is yes, with |Theta'(zeta)| equal to
     the Blaschke p=2 sum plus twice the atomic p=2 sum.  For specs flagged
     ``truncated`` (stand-ins for infinite families) the verdict comes from
-    sequence diagnostics: a Cauchy criterion on partial sums says yes, a
-    positive termwise floor on the tail says no, anything else is
-    inconclusive.
+    sequence diagnostics on the ANGULAR_BUDGET largest terms: a Cauchy
+    criterion on partial sums (ANGULAR_CAUCHY_TOL) says yes, a positive
+    termwise floor on the tail says no, anything else is inconclusive.
     """
     t = _boundary_angle(zeta)
     try:
@@ -463,13 +466,13 @@ def has_angular_derivative(theta: InnerFunction, zeta, budget: int = 4096,
         return AngularDerivative("yes", value)
 
     seq = np.concatenate([bl, at]) if at.size else bl
-    seq = np.sort(seq)[::-1][:budget]  # positive terms; order-free sum
+    seq = np.sort(seq)[::-1][:ANGULAR_BUDGET]  # positive terms; order-free sum
     k = len(seq)
     if k == 0:
         return AngularDerivative("yes", value)
     tail = seq[max(1, (3 * k) // 4):]
-    if tail.sum() <= cauchy_tol:
-        return AngularDerivative("yes", float(bl[:budget].sum() + 2.0 * at[:budget].sum()))
+    if tail.sum() <= ANGULAR_CAUCHY_TOL:
+        return AngularDerivative("yes", float(bl[:k].sum() + 2.0 * at[:k].sum()))
     if k >= 8 and tail.min() >= 1e-8:
         return AngularDerivative("no")
     return AngularDerivative("inconclusive")

@@ -381,14 +381,17 @@ class ModelSpace:
         return float(np.max(np.abs(g - np.eye(self.dim))))
 
 
-def projection_residual(theta: InnerFunction, sampler, n: int = DEFAULT_GRID,
-                        tol: float = 1e-8, max_n: int = 2 ** 16):
+PROJECTION_TOL = 1e-8  # relative L^2 change that ends projection_residual's doubling
+
+
+def projection_residual(theta: InnerFunction, sampler, max_n: int = 2 ** 16):
     """Grid-doubling Cauchy residual of a truncated-mode projection.
 
     ``sampler(grid)`` produces the boundary data on any grid; the
-    projection is computed on n and doublings until the L^2 difference of
-    consecutive results (compared on the coarse grid) drops below tol.
-    Returns (ModelFunction on the final grid, achieved residual, n).
+    projection is computed on DEFAULT_GRID and doublings until the L^2
+    difference of consecutive results (compared on the coarse grid) drops
+    below PROJECTION_TOL.  Returns (ModelFunction on the final grid,
+    achieved residual, final grid size).
     """
     def compute(m):
         space = ModelSpace(theta, n=m, mode="truncated")
@@ -399,7 +402,7 @@ def projection_residual(theta: InnerFunction, sampler, n: int = DEFAULT_GRID,
         diff = down.samples - prev.as_circle().samples
         return lp_norm(diff, 2) / max(1.0, prev.norm())
 
-    return cauchy_refine(compute, n, tol, max_n, distance)
+    return cauchy_refine(compute, DEFAULT_GRID, PROJECTION_TOL, max_n, distance)
 
 
 def tm_basis(theta: InnerFunction, n: int | None = None) -> list[CircleFunction]:

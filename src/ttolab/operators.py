@@ -83,26 +83,6 @@ class TTOperator:
             return ModelFunction(self.space, coeffs=self.matrix @ f.coeffs)
         return self.apply_fn(f)
 
-    def __matmul__(self, f):
-        return self.apply(f)
-
-    def __add__(self, other):
-        if self.matrix is not None and other.matrix is not None:
-            return TTOperator(self.space, matrix=self.matrix + other.matrix)
-        return TTOperator(self.space, apply_fn=lambda f: self.apply(f) + other.apply(f))
-
-    def __sub__(self, other):
-        if self.matrix is not None and other.matrix is not None:
-            return TTOperator(self.space, matrix=self.matrix - other.matrix)
-        return TTOperator(self.space, apply_fn=lambda f: self.apply(f) - other.apply(f))
-
-    def __mul__(self, c):
-        if self.matrix is not None:
-            return TTOperator(self.space, matrix=c * self.matrix)
-        return TTOperator(self.space, apply_fn=lambda f: c * self.apply(f))
-
-    __rmul__ = __mul__
-
 
 def build(space: ModelSpace, symbol) -> TTOperator:
     """Construct A_phi on the given space.
@@ -226,6 +206,10 @@ def _polar_grid(radii, angles: int):
     return (np.asarray(radii, dtype=float)[:, None] * th[None, :]).ravel()
 
 
+DEFAULT_RADII = 24  # radii 1 - 2^-k, k = 1..24, besides 0, of SampleSet.default
+DEFAULT_ANGLES = 64  # equispaced angles per radius of SampleSet.default
+
+
 class SampleSet:
     """A finite set of interior points standing in for the supremum over D."""
 
@@ -239,11 +223,9 @@ class SampleSet:
         self.tensor = None  # (radii, angles) of a rotation-closed tensor grid
 
     @classmethod
-    def default(cls, space: ModelSpace | None = None, radii_count: int = 24,
-                angles: int = 64) -> "SampleSet":
-        radii = 1.0 - 0.5 ** np.arange(1, radii_count + 1)
-        radii = np.concatenate([[0.0], radii])
-        pts = _polar_grid(radii, angles)
+    def default(cls, space: ModelSpace | None = None) -> "SampleSet":
+        radii = np.concatenate([[0.0], 1.0 - 0.5 ** np.arange(1, DEFAULT_RADII + 1)])
+        pts = _polar_grid(radii, DEFAULT_ANGLES)
         if space is not None:
             extra = [z.value for z in space.theta.zeros() if abs(z.value) < 1 - 1e-12]
             for a in extra:
@@ -377,7 +359,11 @@ def write_rho_scan_csv(op: TTOperator, samples: SampleSet, path) -> None:
             fh.write(",".join("%.12e" % v for v in row) + "\n")
 
 
-def operator_norm(op: TTOperator, tol: float = 1e-8, budget: int = 500) -> float:
+POWER_TOL = 1e-8  # relative change of the estimate that ends power iteration
+POWER_STEPS = 500  # power-iteration steps before NoConvergence
+
+
+def operator_norm(op: TTOperator) -> float:
     """Spectral norm: largest singular value, or power iteration on closures."""
     if op.matrix is not None:
         if op.matrix.size == 1:
@@ -395,23 +381,22 @@ def operator_norm(op: TTOperator, tol: float = 1e-8, budget: int = 500) -> float
     f = (1.0 / nrm) * f
     adj = adjoint(op)
     prev = 0.0
-    for _ in range(budget):
+    for _ in range(POWER_STEPS):
         g = adj.apply(op.apply(f))
         val = math.sqrt(max(g.norm(), 0.0))
         if g.norm() == 0:
             return 0.0
         f = (1.0 / g.norm()) * g
-        if abs(val - prev) <= tol * max(1.0, val):
+        if abs(val - prev) <= POWER_TOL * max(1.0, val):
             return val
         prev = val
-    raise NoConvergence(f"power iteration did not stabilize within {budget} steps")
+    raise NoConvergence(f"power iteration did not stabilize within {POWER_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------
 # measures
 
-def measure_operator(space: ModelSpace, measure: MeasureSymbol,
-                     budget: int = 4096) -> TTOperator:
+def measure_operator(space: ModelSpace, measure: MeasureSymbol) -> TTOperator:
     """A_mu with <A_mu f, g> = int f conj(g) d mu.
 
     Point masses must sit at points with an angular-derivative certificate;
@@ -422,7 +407,7 @@ def measure_operator(space: ModelSpace, measure: MeasureSymbol,
     N = space.dim
     M = np.zeros((N, N), dtype=complex)
     for pt, mass in measure.atoms:
-        cert = has_angular_derivative(space.theta, pt, budget=budget)
+        cert = has_angular_derivative(space.theta, pt)
         if not cert:
             raise NoAngularDerivative(
                 f"atom at angle {pt.angle}: certificate is '{cert.verdict}'")

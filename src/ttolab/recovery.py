@@ -34,11 +34,8 @@ class KernelActionOracle:
     @classmethod
     def from_operator(cls, op: TTOperator) -> "KernelActionOracle":
         space = op.space
-
-        def act(lam):
-            return op.apply(space.kernel(lam))
-
-        return cls(space, act, dq0_action=op.apply(space.difference_quotient(0.0)))
+        return cls(space, lambda lam: op.apply(space.kernel(lam)),
+                   dq0_action=op.apply(space.difference_quotient(0.0)))
 
     @classmethod
     def from_table(cls, space: ModelSpace, rows) -> "KernelActionOracle":
@@ -154,15 +151,10 @@ def _minus_values(oracle: KernelActionOracle, mu, theta_mu, psi_base: ModelFunct
 
 
 def default_mu(space: ModelSpace) -> complex:
-    """Coarse-grid maximizer of |Theta(mu)| * dist(mu, zeros of Theta)."""
+    """Coarse-grid maximizer of |Theta(mu)| * dist(mu, zeros of Theta) (exact mode)."""
     cand = np.unique(_polar_grid([0.0, 0.15, 0.3, 0.45, 0.6, 0.75], 16))
-    zs = np.array([z.value for z in space.theta.zeros()]) if space.theta.zeros() else None
-    tv = np.abs(space.theta.eval(cand))
-    if zs is not None and len(zs):
-        dist = np.min(np.abs(cand[:, None] - zs[None, :]), axis=1)
-    else:
-        dist = np.ones_like(tv)
-    return complex(cand[int(np.argmax(tv * dist))])
+    dist = np.min(np.abs(cand[:, None] - space.zeros[None, :]), axis=1)
+    return complex(cand[int(np.argmax(np.abs(space.theta.eval(cand)) * dist))])
 
 
 def _lambda_grid(space: ModelSpace, factor: int = 4):
@@ -186,8 +178,11 @@ def _lambda_grid(space: ModelSpace, factor: int = 4):
 # ---------------------------------------------------------------------------
 # recovery routes
 
+RESIDUAL_TOL = 1e-6  # worst relative kernel-action residual a recovered pair may leave
+
+
 def recover(oracle: KernelActionOracle, mu: complex | None = None,
-            grid_factor: int = 4, residual_tol: float = 1e-6) -> RecoveredSymbol:
+            grid_factor: int = 4) -> RecoveredSymbol:
     """Recover the pair with phi_minus(mu) = 0 from kernel actions alone.
 
     phi_minus is evaluated pointwise on a lambda grid of grid_factor*N
@@ -219,7 +214,7 @@ def recover(oracle: KernelActionOracle, mu: complex | None = None,
     psi_plus = psi_base + theta_mu * space.backward_shift(phi_minus)
     phi_plus = space.omega(psi_plus)
 
-    return _certify(oracle, phi_plus, phi_minus, mu, residual_tol)
+    return _certify(oracle, phi_plus, phi_minus, mu)
 
 
 def _antilinear_block(M):
@@ -227,8 +222,7 @@ def _antilinear_block(M):
     return np.block([[M.real, M.imag], [M.imag, -M.real]])
 
 
-def recover_via_k0(oracle: KernelActionOracle,
-                   residual_tol: float = 1e-6) -> RecoveredSymbol:
+def recover_via_k0(oracle: KernelActionOracle) -> RecoveredSymbol:
     """Recovery from the actions on k_0 and k~_0 alone.
 
     The two kernel-action identities at the origin read, for the pair
@@ -274,15 +268,14 @@ def recover_via_k0(oracle: KernelActionOracle,
     phi_plus = phi_plus + np.conj(cbar) * k0
     phi_minus = phi_minus - cbar * k0
 
-    return _certify(oracle, phi_plus, phi_minus, 0.0, residual_tol)
+    return _certify(oracle, phi_plus, phi_minus, 0.0)
 
 
-def _certify(oracle: KernelActionOracle, phi_plus, phi_minus, mu,
-             residual_tol) -> RecoveredSymbol:
+def _certify(oracle: KernelActionOracle, phi_plus, phi_minus, mu) -> RecoveredSymbol:
     """Rebuild the operator from the pair and check it against the oracle.
 
     Raises InconsistentOracle when the worst relative difference of the
-    kernel actions at the probe points exceeds residual_tol.
+    kernel actions at the probe points exceeds RESIDUAL_TOL.
     """
     space = oracle.space
     rebuilt = build(space, PairSymbol(phi_plus, phi_minus))
@@ -293,8 +286,8 @@ def _certify(oracle: KernelActionOracle, phi_plus, phi_minus, mu,
         k = space.kernel(lam)
         diff = oracle.act(lam) - rebuilt.apply(k)
         resid = max(resid, diff.norm() / max(k.norm(), 1.0))
-    if resid > residual_tol:
-        raise InconsistentOracle(f"rebuild residual {resid:.2e} > {residual_tol:.0e}")
+    if resid > RESIDUAL_TOL:
+        raise InconsistentOracle(f"rebuild residual {resid:.2e} > {RESIDUAL_TOL:.0e}")
     return RecoveredSymbol(phi_plus, phi_minus, mu, resid, rebuilt)
 
 
@@ -311,18 +304,20 @@ def rank_one_symbol(space: ModelSpace, pt) -> BoundarySymbol:
     return BoundarySymbol(CircleFunction(space.grid, phi))
 
 
+SAME_OPERATOR_TOL = 1e-8  # relative matrix difference below which two builds agree
+
+
 def symbol_lp_bound_check(space: ModelSpace, phi: CircleFunction,
-                          psi: CircleFunction, p: float,
-                          same_tol: float = 1e-8):
+                          psi: CircleFunction, p: float):
     """Return (||phi||_p, ||psi||_p + ||phi||_2) for two symbols of one operator.
 
-    Raises SymbolsDiffer when the two builds disagree beyond tolerance.
+    Raises SymbolsDiffer when the two builds disagree beyond SAME_OPERATOR_TOL.
     The ratio lhs/rhs is the empirical constant of the comparison bound.
     """
     a = build(space, BoundarySymbol(phi))
     b = build(space, BoundarySymbol(psi))
     scale = max(1.0, float(np.linalg.norm(a.matrix)))
-    if float(np.linalg.norm(a.matrix - b.matrix)) > same_tol * scale:
+    if float(np.linalg.norm(a.matrix - b.matrix)) > SAME_OPERATOR_TOL * scale:
         raise SymbolsDiffer("the two symbols build different operators")
     lhs = lp_norm(phi.on_grid(space.grid), p)
     rhs = lp_norm(psi.on_grid(space.grid), p) + lp_norm(phi.on_grid(space.grid), 2)

@@ -201,7 +201,7 @@ def test_cf_top_pair_matches_dense_svd(rng, N):
     # N = 64 is within the Lanczos step budget and takes the SVD; 256 takes Lanczos
     c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     T = _cf_matrix(c)
-    assert (_lanczos_top_pair(T, 1e-8) is None) == (N <= LANCZOS_STEPS)
+    assert (_lanczos_top_pair(T) is None) == (N <= LANCZOS_STEPS)
     ext = minimal_analytic_extension(c)
     s = np.linalg.svd(T, compute_uv=False)
     assert not ext.suboptimal
@@ -211,7 +211,7 @@ def test_cf_top_pair_matches_dense_svd(rng, N):
 
 def test_cf_falls_back_to_the_svd_where_lanczos_cannot_certify(rng):
     # small N: a Krylov space within the budget would span C^N
-    assert _lanczos_top_pair(_cf_matrix(np.array([1.0, 1.0])), 1e-8) is None
+    assert _lanczos_top_pair(_cf_matrix(np.array([1.0, 1.0]))) is None
     N = 128
     # a double top sigma that one Krylov sequence cannot see: data in z^2
     # make T two interleaved copies of one Toeplitz matrix
@@ -224,7 +224,7 @@ def test_cf_falls_back_to_the_svd_where_lanczos_cannot_certify(rng):
         T = _cf_matrix(c)
         s = np.linalg.svd(T, compute_uv=False)
         assert s[0] - s[1] <= 1e-8 * s[0]
-        assert _lanczos_top_pair(T, 1e-8) is None
+        assert _lanczos_top_pair(T) is None
         # the SVD's degenerate branch: the raw polynomial, flagged suboptimal
         ext = minimal_analytic_extension(c)
         assert ext.suboptimal and ext.den is None

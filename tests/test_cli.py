@@ -189,6 +189,16 @@ def test_counterex_cli(capsys):
     assert data["all_pass"]
 
 
+def test_counterex_theorem_check_cli(capsys):
+    code, out = run_cli(["counterex", "gen", "--count", "20", "--degrees", "4,8"], capsys)
+    assert code == 0
+    chk = json.loads(out)["theorem_check"]
+    assert chk["degrees"] == [4, 8] and chk["p_verdict"] == "diverging"
+    # degrees beyond the 20 zeros are named, not silently capped
+    assert main(["counterex", "gen", "--count", "20", "--degrees", "24,32"]) == 2
+    assert "[24, 32]" in capsys.readouterr().err
+
+
 def test_carleson_cli(capsys):
     code, out = run_cli(["carleson", "--inner", '{"type":"monomial","degree":3}',
                          "--density", '{"0": [1, 0]}'], capsys)
@@ -223,11 +233,14 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["assemble", "--matrix",
                  "[[[1e308,0],[1e308,0]],[[1e308,0],[1e308,0]]]"]) == 3
     capsys.readouterr()
-    # matrices need an exact space
-    assert main(["rank-one", "--inner",
-                 '{"type":"singular","atoms":[{"angle":0,"mass":1}]}',
-                 "--lambda", "0.2"]) == 2
-    assert "build emits matrices only in exact mode" in capsys.readouterr().err
+    # commands that need an exact space say so, by name
+    singular = '{"type":"singular","atoms":[{"angle":0,"mass":1}]}'
+    for args in (["rank-one", "--inner", singular, "--lambda", "0.2"],
+                 ["build", "--inner", singular, "--symbol", '{"0":1}'],
+                 ["recover", "--inner", singular, "--table", "[]"],
+                 ["carleson", "--inner", singular]):
+        assert main(args) == 2, args
+        assert f"{args[0]} needs an exact model space" in capsys.readouterr().err
     # argument checks stay validation errors
     assert main(["rank-one", "--inner", '{"type":"monomial","degree":3}',
                  "--lambda", "1.5"]) == 2
@@ -255,6 +268,7 @@ def test_exit_codes(capsys, tmp_path):
         # an empty scan is not a result
         ["cls-scan", "--inner", mono3, "--angles", "0"],
         ["cls-scan", "--inner", mono3, "--angles", "-3"],
+        ["cohn-growth", "--inner", mono3, "--zeta", "0.5", "--terms", "0"],
         ["rkt-scan", "--inner", '{"type":"singular","atoms":[{"angle":0,"mass":1}]}',
          "--s", "0.5", "--lambda", "[]"],
     ]

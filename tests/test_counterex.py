@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,20 @@ def test_truncation_is_exact_object():
     assert th.degree() == 8
 
 
+def test_truncation_degrees_are_checked():
+    fam = gen_blaschke_counterexample(3.0, 20)
+    for d in (0, 21):
+        with pytest.raises(ValueError, match=re.escape(f"[{d}]")):
+            blaschke_truncation(fam, d)
+    # one degree, degrees that do not increase, and degrees past the zero count
+    for degrees, named in (((8,), "[8]"), ((16, 8), "[16, 8]"), ((8, 8), "[8, 8]"),
+                           ((8, 16, 32), "[32]"), ((24, 32), "[24, 32]")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            counterex_theorem_check(fam, 3.0, degrees=degrees)
+    with pytest.raises(ValueError, match="0 zeros"):  # a singular family has none
+        counterex_theorem_check(gen_singular_counterexample(3.0, 20), 3.0)
+
+
 def test_theorem_check_verdicts():
     fam = gen_blaschke_counterexample(3.0, 32)
     chk = counterex_theorem_check(fam, 3.0, degrees=(8, 16, 32))
@@ -97,7 +113,7 @@ def test_growth_ratio_strict_raises_on_unresolvable():
     fam = gen_blaschke_counterexample(3.0, 16)
     th = blaschke_truncation(fam, 16)
     with pytest.raises(NoConvergence):
-        growth_ratio(th, 0.99, 3.0, tol=1e-6, max_n=2 ** 14)
+        growth_ratio(th, 0.99, 3.0, max_n=2 ** 14)
 
 
 def test_cls_scan_monomial_capped_at_two():

@@ -379,13 +379,12 @@ def test_projection_residual_reporting():
     def sampler(grid):
         return CircleFunction(grid, 1.0 / (1.0 - 0.3 * grid.points))
 
-    f, resid, n = projection_residual(theta, sampler, n=4096, tol=1e-8,
-                                      max_n=2 ** 14)
+    f, resid, n = projection_residual(theta, sampler, max_n=2 ** 14)
     assert np.isfinite(resid)
     assert n == 2 ** 14  # slow singular tails: budget exhausted, residual reported
     # smooth case converges immediately
     f2, resid2, n2 = projection_residual(BlaschkeProduct([0.4]), sampler,
-                                         n=4096, tol=1e-8, max_n=2 ** 14)
+                                         max_n=2 ** 14)
     assert resid2 <= 1e-8
     # the triple: the projection on the last grid, and its L^2 distance on
     # the grid before to the projection there, relative to max(1, norm)

@@ -345,6 +345,29 @@ def test_toeplitz_matrix_for_monomial(rng):
             assert abs(op.matrix[i, j] - phi.coeff(i - j)) < 1e-10
 
 
+def test_truncated_mode_matches_exact_mode():
+    # every truncated-mode path on samples against the exact TM-basis twin
+    theta = BlaschkeProduct([0.5, -0.3 + 0.4j, 0.7j, -0.6])
+    ex, tr = ModelSpace(theta), ModelSpace(theta, mode="truncated")
+    assert tr.mode == "truncated" and tr.grid.n == ex.grid.n
+
+    def gap(t, e):  # a truncated-mode element against its exact twin on the grid
+        return float(np.max(np.abs(t.samples() - e.as_circle().samples)))
+
+    lam, mu = 0.3 - 0.2j, -0.4 + 0.1j
+    f_t, g_t, f_e, g_e = tr.kernel(lam), tr.kernel(mu), ex.kernel(lam), ex.kernel(mu)
+    phi = CircleFunction.from_coeffs(ex.grid, {0: 0.3, 1: 1.0, -2: 0.5j})
+    density = CircleFunction.from_coeffs(ex.grid, {0: 2.0, 1: 0.5, -1: 0.5})
+    measure_e = build(ex, MeasureSymbol(density=density))  # A_mu = A_density
+    assert abs(f_t.inner(g_t) - f_e.inner(g_e)) <= 1e-12
+    assert abs(f_t.eval(mu) - f_e.eval(mu)) <= 1e-12
+    assert max(gap(f_t + g_t, f_e + g_e), gap(-f_t, -f_e), gap(tr.zero(), ex.zero()),
+               gap(tr.backward_shift(f_t), ex.backward_shift(f_e)),
+               gap(rank_one_operator(tr, mu).apply(f_t), rank_one_operator(ex, mu).apply(f_e)),
+               gap(build(tr, phi).apply(f_t), build(ex, phi).apply(f_e)),
+               gap(build(tr, density).apply(f_t), measure_e.apply(f_e))) <= 1e-12
+
+
 def test_truncated_build_matches_exact(rng):
     zeros = [0.4, -0.3 + 0.2j, 0.1j]
     sp_e = ModelSpace(BlaschkeProduct(zeros))
