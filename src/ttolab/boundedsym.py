@@ -6,8 +6,9 @@ commutant-lifting step is realized by the Carathéodory-Fejér solution:
 the minimal sup-norm analytic extension of prescribed Taylor data equals
 the top singular value of the lower-triangular Toeplitz matrix, and the
 extremal function is the quotient of the corresponding Schmidt pair.  That
-pair comes from Lanczos on T^H T when a Krylov space smaller than C^N
-certifies it (Ritz residual and gap), and from the dense SVD otherwise.
+pair comes from Lanczos on T^H T (``operators._lanczos_top_pair``, which
+``operator_norm`` shares) when a Krylov space smaller than C^N certifies
+it (Ritz residual and gap), and from the dense SVD otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .errors import DivisibilityViolated, SupportOverflow
 from .inner import (BlaschkeProduct, InnerFunction, Monomial, ProductInner,
                     divides)
 from .modelspace import ModelSpace
-from .operators import (BoundarySymbol, SampleSet, TTOperator, _diagonals,
+from .operators import (DEGENERATE_GAP, LANCZOS_STEPS, BoundarySymbol,  # noqa: F401
+                        SampleSet, TTOperator, _diagonals, _lanczos_top_pair,
                         build, rho, rho_r)
 
 
@@ -217,69 +219,6 @@ def _series_division(num, den, length):
         acc = num[k] if k < len(num) else 0.0
         out[k] = (acc - np.dot(rev[m - top:], out[k - top:k])) / den[0]
     return out
-
-
-LANCZOS_STEPS = 64  # Krylov dimension budget of the CF top pair
-LANCZOS_TOL = 1e-13  # Ritz residual ||T^H T v - theta v|| / theta accepted
-DEGENERATE_GAP = 1e-8  # relative gap sigma_0 - sigma_1 at or below which sigma is multiple
-
-
-def _lanczos_top_pair(T):
-    """(sigma, v, T v) for the top right singular vector v of T, or None.
-
-    Lanczos on T^H T with dense matvecs, full reorthogonalisation and a
-    fixed pseudo-random start vector (so reruns are bitwise identical).
-    The pair is certified when its Ritz residual is below LANCZOS_TOL
-    relative to the Ritz value theta_0, the second Ritz value is separated
-    from it by more than DEGENERATE_GAP sigma_0 in sigma = sqrt(theta), and
-    J conj(T v) lies on v's line.  T is persymmetric (J T^T J = T, J the
-    exchange), so J conj(T v) is a top right singular vector too: off v's
-    line it exposes a multiple sigma that one Krylov sequence cannot see.
-    None when the Krylov space would span C^N within the step budget, stops
-    growing (an invariant subspace hides the rest of the spectrum, so the
-    gap is unknown), or a test fails or is not met within LANCZOS_STEPS
-    steps.
-    """
-    N = T.shape[1]
-    if LANCZOS_STEPS >= N:
-        return None
-
-    def gram(x):  # T^H T x, with no conjugated copy of T
-        return np.conj(T.T @ np.conj(T @ x))
-
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    Q = np.zeros((LANCZOS_STEPS + 1, N), dtype=complex)
-    Q[0] = q / np.linalg.norm(q)
-    alpha = np.zeros(LANCZOS_STEPS)
-    beta = np.zeros(LANCZOS_STEPS)
-    for k in range(LANCZOS_STEPS):
-        w = gram(Q[k])
-        alpha[k] = np.vdot(Q[k], w).real
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            w -= Q[:k + 1].T @ np.conj(Q[:k + 1] @ np.conj(w))
-        beta[k] = np.linalg.norm(w)
-        if beta[k] <= 1e-12 * alpha[:k + 1].max():
-            return None
-        Q[k + 1] = w / beta[k]
-        if (k + 1) % 4:  # the eigensolve costs more than a step
-            continue
-        tri = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
-        theta, Y = np.linalg.eigh(tri)
-        if beta[k] * abs(Y[-1, -1]) > LANCZOS_TOL * theta[-1]:
-            continue
-        s0, s1 = np.sqrt(np.maximum(theta[-2:][::-1], 0.0))
-        if s0 - s1 <= DEGENERATE_GAP * s0:
-            return None
-        v = Q[:k + 1].T @ Y[:, -1]
-        num = T @ v
-        sigma = float(np.linalg.norm(num))
-        # the explicit residual at the Rayleigh quotient sigma^2, and the symmetry
-        if (np.linalg.norm(gram(v) - sigma ** 2 * v) > LANCZOS_TOL * sigma ** 2
-                or abs(np.vdot(v, np.conj(num[::-1]))) < (1.0 - 1e-8) * sigma):
-            return None
-        return sigma, v, num
-    return None
 
 
 def minimal_analytic_extension(coeffs) -> CFExtension:

@@ -348,12 +348,18 @@ def one_minus_mod_sq(theta: InnerFunction, lam) -> float:
     through log1p/expm1), and q = 1 - prod(1 - u) accumulates as
     q += u (1 - q), a sum of nonnegative terms.  Singular factors add
     their explicit exponent L, joined as 1 - (1 - q) e^L = q - (1 - q) expm1(L).
+    On z^N this is 1 - |lam|^{2N}, with the same operations as the loop.
     """
     lam = complex(lam)
     mod = abs(lam)
     if mod >= 1.0:
         return 0.0
     one_minus_lam2 = (1.0 - mod) * (1.0 + mod)
+    if isinstance(theta, Monomial):
+        u = one_minus_lam2
+        if theta.n > 1 and u < 1.0:  # u = 1 at lam = 0, where log1p(-u) raises
+            u = -math.expm1(theta.n * math.log1p(-u))
+        return min(u, 1.0)
     q = 0.0
     zeros, atoms = _factor_data(theta)
     for abar, one_minus_a2, mult in zeros:
@@ -362,6 +368,8 @@ def one_minus_mod_sq(theta: InnerFunction, lam) -> float:
         if mult > 1:
             u = -math.expm1(mult * math.log1p(-u)) if u < 1.0 else 1.0
         q += u * (1.0 - q)
+    if not atoms:
+        return min(q, 1.0)  # q >= 1: lam on a zero
     exponent = 0.0
     for zeta, twice_mass in atoms:
         exponent += twice_mass * ((lam + zeta) / (lam - zeta)).real

@@ -10,6 +10,9 @@ point, including points far closer to the circle than a grid resolves.
 The boundary grid of an exact space serves only grid consumers
 (projections of sampled functions, ``compress`` of sampled symbols,
 boundary samples of elements); its arrays are computed on first read.
+On K_{z^N}, where the basis is e_j = z^j, a projection is the first N
+Fourier coefficients and a compression the Toeplitz matrix of the
+symbol's coefficients, both from one FFT, with no basis array.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID,
                      cauchy_refine, lp_norm, pow2_at_least, riesz_plus)
 from .errors import (BoundaryPointNotNormalizable, NoAngularDerivative,
                      UnsupportedVariant)
-from .inner import (BoundaryPoint, InnerFunction, has_angular_derivative,
-                    one_minus_mod_sq)
+from .inner import (BoundaryPoint, InnerFunction, Monomial,
+                    has_angular_derivative, one_minus_mod_sq)
 
 EXACT_DEGREE_CAP = 512
 TM_BLOCK = 4096  # points per block of ModelSpace._tm_eval
@@ -310,7 +313,10 @@ class ModelSpace:
         if f.grid is not self.grid:
             f = f.on_grid(self.grid)
         if self.mode == "exact":
-            c = self.basis_samples.conj().T @ f.samples / self.grid.n
+            if isinstance(self.theta, Monomial):  # e_j = z^j: c_j = hat f(j mod n)
+                c = f.coeffs[np.arange(self.dim) % self.grid.n]
+            else:
+                c = self.basis_samples.conj().T @ f.samples / self.grid.n
             return ModelFunction(self, coeffs=c)
         return ModelFunction(self, circle=project_theta(self.theta_samples, f))
 
@@ -367,13 +373,26 @@ class ModelSpace:
         """Matrix of f -> P_Theta(w f) in the basis, B^H (w B) / n by the
         uniform rule on the grid (exact mode; w holds samples on the grid).
 
+        On K_{z^N} (e_j = z^j) the same rule is the Toeplitz matrix
+        c[(i - j) mod n] with c = fft(w) / n, and no n x N array is formed.
         Only for symbols known by their samples and for measure densities;
         a symbol phi_plus + conj(phi_minus) with phi_+- in K_Theta has the
-        closed form of ``analytic_operators``.
+        closed form of ``analytic_operators``.  Raises OverflowError when
+        the matrix is not finite.
         """
-        weighted = self.basis_samples.conj()  # one n x N temporary
-        weighted *= w[:, None]
-        return weighted.T @ self.basis_samples / self.grid.n
+        n = self.grid.n
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+            if isinstance(self.theta, Monomial):
+                c = np.fft.fft(w) / n
+                i = np.arange(self.dim)
+                out = c[(i[:, None] - i[None, :]) % n]
+            else:
+                weighted = self.basis_samples.conj()  # one n x N temporary
+                weighted *= w[:, None]
+                out = weighted.T @ self.basis_samples / n
+        if not np.isfinite(out).all():
+            raise OverflowError("compressed symbol is not finite")
+        return out
 
     def gram_residual(self) -> float:
         """Max deviation of the basis Gram matrix from the identity (exact mode)."""

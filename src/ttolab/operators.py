@@ -359,16 +359,91 @@ def write_rho_scan_csv(op: TTOperator, samples: SampleSet, path) -> None:
             fh.write(",".join("%.12e" % v for v in row) + "\n")
 
 
+LANCZOS_STEPS = 64  # Krylov dimension budget of the top singular pair
+LANCZOS_TOL = 1e-13  # Ritz residual ||T^H T v - theta v|| / theta accepted
+DEGENERATE_GAP = 1e-8  # relative gap sigma_0 - sigma_1 at or below which sigma is multiple
+
+
+def _lanczos_top_pair(T):
+    """(sigma, v, T v) for the top right singular vector v of T, or None.
+
+    Lanczos on T^H T with dense matvecs, full reorthogonalisation and a
+    fixed pseudo-random start vector (so reruns are bitwise identical).
+    The pair is certified when its Ritz residual is below LANCZOS_TOL
+    relative to the Ritz value theta_0, the second Ritz value is separated
+    from it by more than DEGENERATE_GAP sigma_0 in sigma = sqrt(theta), and
+    J conj(T v) lies on v's line.  Where T is persymmetric (J T^T J = T, J
+    the exchange), as every Toeplitz matrix is, J conj(T v) is a top right
+    singular vector too: off v's line it exposes a multiple sigma that one
+    Krylov sequence cannot see.  Other matrices generally fail this test.
+    None when the Krylov space would span C^N within the step budget, stops
+    growing (an invariant subspace hides the rest of the spectrum, so the
+    gap is unknown), or a test fails or is not met within LANCZOS_STEPS
+    steps.
+    """
+    N = T.shape[1]
+    if LANCZOS_STEPS >= N:
+        return None
+
+    def gram(x):  # T^H T x, with no conjugated copy of T
+        return np.conj(T.T @ np.conj(T @ x))
+
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    Q = np.zeros((LANCZOS_STEPS + 1, N), dtype=complex)
+    Q[0] = q / np.linalg.norm(q)
+    alpha = np.zeros(LANCZOS_STEPS)
+    beta = np.zeros(LANCZOS_STEPS)
+    for k in range(LANCZOS_STEPS):
+        w = gram(Q[k])
+        alpha[k] = np.vdot(Q[k], w).real
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= Q[:k + 1].T @ np.conj(Q[:k + 1] @ np.conj(w))
+        beta[k] = np.linalg.norm(w)
+        if beta[k] <= 1e-12 * alpha[:k + 1].max():
+            return None
+        Q[k + 1] = w / beta[k]
+        if (k + 1) % 4:  # the eigensolve costs more than a step
+            continue
+        tri = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+        theta, Y = np.linalg.eigh(tri)
+        if beta[k] * abs(Y[-1, -1]) > LANCZOS_TOL * theta[-1]:
+            continue
+        s0, s1 = np.sqrt(np.maximum(theta[-2:][::-1], 0.0))
+        if s0 - s1 <= DEGENERATE_GAP * s0:
+            return None
+        v = Q[:k + 1].T @ Y[:, -1]
+        num = T @ v
+        sigma = float(np.linalg.norm(num))
+        # the explicit residual at the Rayleigh quotient sigma^2, and the symmetry
+        if (np.linalg.norm(gram(v) - sigma ** 2 * v) > LANCZOS_TOL * sigma ** 2
+                or abs(np.vdot(v, np.conj(num[::-1]))) < (1.0 - 1e-8) * sigma):
+            return None
+        return sigma, v, num
+    return None
+
+
 POWER_TOL = 1e-8  # relative change of the estimate that ends power iteration
 POWER_STEPS = 500  # power-iteration steps before NoConvergence
 
 
 def operator_norm(op: TTOperator) -> float:
-    """Spectral norm: largest singular value, or power iteration on closures."""
-    if op.matrix is not None:
-        if op.matrix.size == 1:
-            return float(abs(op.matrix[0, 0]))
-        return float(np.linalg.svd(op.matrix, compute_uv=False)[0])
+    """Spectral norm: largest singular value, or power iteration on closures.
+
+    A finite matrix on K_{z^N} (Toeplitz, for a truncated Toeplitz
+    operator) takes sigma from the certified Lanczos pair
+    (``_lanczos_top_pair``, for N > LANCZOS_STEPS); every other matrix,
+    and one whose pair is not certified, from the dense SVD.
+    """
+    M = op.matrix
+    if M is not None:
+        if M.size == 1:
+            return float(abs(M[0, 0]))
+        if isinstance(op.space.theta, Monomial) and np.isfinite(M).all():
+            pair = _lanczos_top_pair(M)
+            if pair is not None:
+                return pair[0]
+        return float(np.linalg.svd(M, compute_uv=False)[0])
     space = op.space
     rng = np.random.default_rng(7)
     f = ModelFunction(space, circle=CircleFunction(
@@ -383,10 +458,11 @@ def operator_norm(op: TTOperator) -> float:
     prev = 0.0
     for _ in range(POWER_STEPS):
         g = adj.apply(op.apply(f))
-        val = math.sqrt(max(g.norm(), 0.0))
-        if g.norm() == 0:
+        gn = g.norm()
+        val = math.sqrt(gn)
+        if gn == 0:
             return 0.0
-        f = (1.0 / g.norm()) * g
+        f = (1.0 / gn) * g
         if abs(val - prev) <= POWER_TOL * max(1.0, val):
             return val
         prev = val

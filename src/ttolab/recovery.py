@@ -197,6 +197,7 @@ def recover(oracle: KernelActionOracle, mu: complex | None = None,
     space = oracle.space
     if space.mode != "exact":
         raise UnsupportedVariant("recovery operates on exact model spaces")
+    _check_table(oracle)
     if mu is None:
         mu = default_mu(space)
     theta_mu = complex(space.theta.eval(mu))
@@ -241,6 +242,7 @@ def recover_via_k0(oracle: KernelActionOracle) -> RecoveredSymbol:
     space = oracle.space
     if space.mode != "exact":
         raise UnsupportedVariant("recovery operates on exact model spaces")
+    _check_table(oracle)
     ak0 = oracle.act(0.0)
     akt0 = oracle.dq0_action
     k0 = space.kernel(0.0)
@@ -269,6 +271,25 @@ def recover_via_k0(oracle: KernelActionOracle) -> RecoveredSymbol:
     phi_minus = phi_minus - cbar * k0
 
     return _certify(oracle, phi_plus, phi_minus, 0.0)
+
+
+def _check_table(oracle: KernelActionOracle) -> None:
+    """Raise ValueError unless the oracle's own sample points, if it has
+    any, determine a pair: at least N distinct points whose kernels span
+    K_Theta (N = dim).  With fewer, the fit and the certification read
+    only those points, and any pair matching them there passes.
+    """
+    if oracle.sample_points is None:
+        return
+    space = oracle.space
+    pts = np.unique(np.asarray(oracle.sample_points, dtype=complex))
+    if pts.size < space.dim:
+        raise ValueError(f"the kernel-action table has {pts.size} distinct lambda, "
+                         f"fewer than dim K_Theta = {space.dim}")
+    rank = int(np.linalg.matrix_rank(space._tm_eval(pts)))
+    if rank < space.dim:
+        raise ValueError(f"the kernels at the table's {pts.size} distinct lambda "
+                         f"span {rank} of dim K_Theta = {space.dim}")
 
 
 def _certify(oracle: KernelActionOracle, phi_plus, phi_minus, mu) -> RecoveredSymbol:

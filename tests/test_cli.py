@@ -162,6 +162,15 @@ def test_recover_cli_accuracy(capsys):
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
 
+def test_recover_rejects_an_underdetermined_table(capsys):
+    # one row cannot fix three coefficients per component; it used to exit 0
+    # with "residual": 0.0
+    code = main(["recover", "--inner", '{"type":"monomial","degree":3}', "--mu", "0.2",
+                 "--table", '[{"lambda":[0.2,0],"coefficients":[[1,0],[0.5,0],[0,0.3]]}]'])
+    assert code == 2
+    assert "1 distinct lambda" in capsys.readouterr().err
+
+
 def test_rank_one_at_a_grid_point(capsys):
     # zeta = 1 is a grid point of the symbol's quadrature
     code, out = run_cli(["rank-one", "--inner", '{"type":"monomial","degree":3}',

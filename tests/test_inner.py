@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import mpmath
 import numpy as np
@@ -271,6 +272,40 @@ def test_one_minus_mod_sq_is_one_on_a_zero():
         assert one_minus_mod_sq(theta, zero.value) == 1.0
 
 
+def _per_zero_formula(theta, lam):
+    """1 - |Theta(lam)|^2 by the general per-zero loop and the singular join."""
+    mod = abs(lam)
+    one_minus_lam2 = (1.0 - mod) * (1.0 + mod)
+    q = 0.0
+    for z in theta.zeros():
+        d = abs(1.0 - z.value.conjugate() * lam)
+        u = one_minus_lam2 * z.one_minus_mod2() / (d * d)
+        if z.mult > 1:
+            u = -math.expm1(z.mult * math.log1p(-u)) if u < 1.0 else 1.0
+        q += u * (1.0 - q)
+    exponent = sum(2.0 * a.mass * ((lam + cmath.exp(1j * a.angle))
+                                   / (lam - cmath.exp(1j * a.angle))).real
+                   for a in theta.atoms())
+    return min(q - (1.0 - q) * math.expm1(exponent), 1.0)
+
+
+def test_monomial_closed_form_is_the_per_zero_formula():
+    # real and imaginary points keep |lam| exact, so the oracle sees the same gap
+    lams = [0.0, 1e-9, 0.5, -0.3, 0.6j, 0.3 + 0.4j, 0.99 * cmath.exp(2j),
+            1.0 - 1e-12, -(1.0 - 1e-12) * 1j]
+    for n in (1, 2, 3, 16, 256):
+        theta = Monomial(n)
+        for lam in lams:
+            got = one_minus_mod_sq(theta, lam)
+            assert got == _per_zero_formula(theta, complex(lam))
+            ref = _oracle_one_minus_mod_sq(theta, complex(lam))
+            assert abs(got - ref) <= 1e-12 * ref
+    # the atom-free shortcut is the same arithmetic on any Blaschke product
+    theta = BlaschkeProduct([BlaschkeZero(1e-3, 1.0), BlaschkeZero(0.5, 2.0, 3)])
+    for lam in lams:
+        assert one_minus_mod_sq(theta, lam) == _per_zero_formula(theta, complex(lam))
+
+
 def test_one_minus_mod_sq_factor_data_is_per_instance():
     near = BlaschkeProduct([BlaschkeZero(1e-3, 1.0)])
     far = BlaschkeProduct([BlaschkeZero(0.5, 1.0)])
@@ -282,6 +317,8 @@ def test_one_minus_mod_sq_factor_data_is_per_instance():
             got = one_minus_mod_sq(theta, lam)
             ref = _oracle_one_minus_mod_sq(theta, lam)
             assert abs(got - ref) <= 1e-12 * ref
-    data = [vars(theta)["_factor_data"] for theta in thetas]
-    assert len({id(d) for d in data}) == len(thetas)
-    assert len({id(z) for d in data for z in (d[0], d[1])}) == 2 * len(thetas)
+    # z^N has its closed form and stores no factor data
+    assert not any("_factor_data" in vars(theta) for theta in thetas[2:4])
+    data = [vars(theta)["_factor_data"] for theta in thetas[:2] + thetas[4:]]
+    assert len({id(d) for d in data}) == len(data)
+    assert len({id(z) for d in data for z in (d[0], d[1])}) == 2 * len(data)

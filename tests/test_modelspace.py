@@ -397,3 +397,27 @@ def test_projection_residual_reporting():
         assert r == float(np.sqrt(np.mean(np.abs(diff) ** 2)) / max(1.0, prev.norm()))
     assert n2 == 2 ** 13
     assert abs(resid - 0.09257485783218919) <= 1e-9 * resid
+
+
+@pytest.mark.parametrize("N", [1, 3, 16, 64])
+def test_kzn_compress_and_project_match_the_basis_quadrature(rng, N):
+    # grids 16 and 32 are shorter than 2N - 1 (or than N), so (i - j) mod n
+    # and j mod n alias; random samples have full bandwidth n/2
+    for n in (16, 32, ModelSpace(Monomial(N)).grid.n):
+        space = ModelSpace(Monomial(N), n=n)
+        B = space._tm_eval(space.grid.points)  # (n, N): z^j on the grid
+        w, f = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        ref = B.conj().T @ (w[:, None] * B) / n
+        got = space.compress(w)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref = B.conj().T @ f / n
+        got = space.project(CircleFunction(space.grid, f)).coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert "basis_samples" not in vars(space)
+
+
+def test_compress_rejects_a_symbol_it_cannot_represent():
+    for theta in (Monomial(3), BlaschkeProduct([0.3, -0.5j])):
+        space = ModelSpace(theta)
+        with pytest.raises(OverflowError):
+            space.compress(np.full(space.grid.n, 1e307) * (1.0 + space.grid.points))

@@ -7,7 +7,8 @@ from ttolab import (BlaschkeProduct, BoundaryPoint, CircleFunction,
                     build, decompose, measure_operator, operator_norm,
                     rank_one_operator, rho, rho_d, rho_r, rho_scan_rows,
                     standard_symbol)
-from ttolab.operators import (BoundarySymbol, TTOperator,
+from ttolab.boundedsym import _toeplitz
+from ttolab.operators import (BoundarySymbol, TTOperator, _lanczos_top_pair,
                               hankel_factor_residual, q_theta,
                               toeplitz_defect)
 
@@ -270,6 +271,28 @@ def test_operator_norm_cases(rng):
         sp = ModelSpace(Monomial(N))
         shift = build(sp, sym_from_coeffs(sp, {1: 1.0}))
         assert abs(operator_norm(shift) - 1.0) < 1e-12
+
+
+def test_operator_norm_on_kzn_matches_the_svd(rng):
+    for N in (65, 128, 256):
+        space = ModelSpace(Monomial(N))
+        for _ in range(3):
+            M = _toeplitz(rng.standard_normal(2 * N - 1) + 1j * rng.standard_normal(2 * N - 1))
+            ref = np.linalg.svd(M, compute_uv=False)[0]
+            assert abs(operator_norm(TTOperator(space, matrix=M)) - ref) <= 1e-12 * ref
+        if N > 65:  # the Lanczos pair, not the fallback, gave these
+            assert _lanczos_top_pair(M) is not None
+    # a matrix that is not Toeplitz, and a Toeplitz one with a double top
+    # singular value (P + P^T, P the cyclic shift: 2 at the constant and the
+    # alternating vector), both fall back to the dense SVD
+    N = 128
+    space = ModelSpace(Monomial(N))
+    P = np.roll(np.eye(N), 1, axis=0)
+    for M in (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)),
+              (P + P.T).astype(complex)):
+        assert _lanczos_top_pair(M) is None
+        assert operator_norm(TTOperator(space, matrix=M)) == np.linalg.svd(
+            M, compute_uv=False)[0]
 
 
 def test_measure_lebesgue_is_identity(rng):

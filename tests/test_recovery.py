@@ -202,6 +202,29 @@ def test_recovery_runs_no_rho_scan_until_read(rng, monkeypatch):
         assert abs(rec.rho_ratio - direct) <= 1e-12
 
 
+def test_recovery_rejects_tables_that_do_not_determine_the_pair(rng):
+    space = ModelSpace(Monomial(3))
+    op = build(space, PairSymbol(*random_pair(space, rng)))
+    dq0 = op.apply(space.difference_quotient(0.0))
+
+    def oracle(points):
+        return KernelActionOracle(space, lambda lam: op.apply(space.kernel(lam)),
+                                  dq0_action=dq0, sample_points=np.array(points))
+
+    # two distinct points (one repeated) for three coefficients
+    short = oracle([0.0, 0.2, 0.2])
+    # three distinct points whose kernels agree to rounding
+    clustered = oracle([0.2, 0.2 + 1e-15, 0.2 - 1e-15])
+    for route in (recover, recover_via_k0):
+        with pytest.raises(ValueError, match="2 distinct lambda"):
+            route(short)
+        with pytest.raises(ValueError, match=r"span [12] of dim K_Theta = 3"):
+            route(clustered)
+    # three well-spread points determine the pair
+    for route in (recover, recover_via_k0):
+        assert route(oracle([0.0, 0.3, -0.4j])).residual < 1e-9
+
+
 def test_recover_via_k0_routes_agree(rng):
     space = random_blaschke_space(rng, 6)
     pp, pm = random_pair(space, rng)
