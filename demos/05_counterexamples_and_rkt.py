@@ -27,9 +27,11 @@ print("  exponent-2 sums:", [round(v, 5) for v in chk["cohn_2_sums"]],
       "->", chk["two_verdict"])
 print("  rank-one symbol sums (doubled):",
       [round(v, 2) for v in chk["symbol_p_sums"]])
-print("  quadrature columns (best-effort; the divergent mass sits in")
-print("  windows of width 8^-k below grid resolution):",
+print("  ||k_1||_3 on graded Gauss-Legendre nodes:",
       [round(v, 3) for v in chk["kernel_p_quadrature"]])
+print("  ||k_1||_2^2 on the same nodes, against the exponent-2 sums:",
+      [round(v * v, 5) for v in chk["kernel_2_quadrature"]],
+      "(largest residual", f"{max(chk['kernel_2_residual']):.0e})")
 
 print()
 print("== the singular twin ==")

@@ -390,6 +390,64 @@ def _factor_data(theta: InnerFunction):
     return data
 
 
+def _phase_data(theta: InnerFunction):
+    """Zeros of ``theta`` as arrays (angle, delta, mult), equal zeros merged
+    into one multiplicity; cached per instance like ``_factor_data``."""
+    data = theta.__dict__.get("_phase_data")
+    if data is None:
+        mults: dict[tuple[float, float], int] = {}
+        for z in theta.zeros():
+            mults[z.angle, z.delta] = mults.get((z.angle, z.delta), 0) + z.mult
+        data = tuple(np.array(col, dtype=float) for col in
+                     zip(*((a, d, m) for (a, d), m in mults.items())))
+        theta.__dict__["_phase_data"] = data
+    return data
+
+
+def _wrap(x):
+    """x reduced to [-pi, pi)."""
+    return np.remainder(x + math.pi, 2.0 * math.pi) - math.pi
+
+
+def phase_increment(theta: InnerFunction, tau: float, anchors, offsets):
+    """Delta(t) = arg Theta(e^{it}) - arg Theta(e^{i tau}) at t = anchors + offsets,
+    for Theta without singular part, from the zeros' (delta, angle) alone.
+
+    Zero a = (1 - delta) e^{i angle} has the boundary phase
+    2 atan(c tan((t - angle)/2)), c = (2 - delta)/delta, and contributes
+    Delta_k = 2 atan2(sin(w/2), cos(u/2) cos(v/2)/c + c sin(u/2) sin(v/2))
+    with w = t - tau, u = t - angle and v = tau - angle: no difference of
+    two phases cancels, and for w in (-2 pi, 2 pi) the sum is the
+    continuous increment from tau (0 at w = 0, increasing, 2 pi per zero
+    over a turn).  u is taken as (anchor - angle) + offset, so an offset
+    from a zero's own angle keeps its full precision (Theta's samples would
+    round a zero with delta below 1e-16 onto the circle).  Returns
+    (Delta, w) at the nodes.
+    """
+    angle, delta, mult = _phase_data(theta)
+    offsets = np.asarray(offsets, dtype=float)
+    anchors, where = np.unique(np.broadcast_to(anchors, offsets.shape), return_inverse=True)
+    c = (2.0 - delta) / delta
+    v = _wrap(tau - angle)
+    a, b = np.cos(0.5 * v) / c, c * np.sin(0.5 * v)
+    w_anchor = _wrap(anchors - tau)
+    u_anchor = _wrap(anchors[:, None] - angle[None, :])  # (anchor, zero)
+    # u is v + w up to whole turns; an odd count flips the signs of cos(u/2), sin(u/2)
+    sign = 1.0 - 2.0 * np.remainder(np.rint((v + w_anchor[:, None] - u_anchor)
+                                            / (2.0 * math.pi)), 2.0)
+    cu, su = sign * np.cos(0.5 * u_anchor), sign * np.sin(0.5 * u_anchor)
+    cos_part, sin_part = (cu * a + su * b).T, (cu * b - su * a).T  # (zero, anchor)
+    cs, ss = np.cos(0.5 * offsets), np.sin(0.5 * offsets)
+    w = w_anchor[where] + offsets
+    y = np.sin(0.5 * w)
+    out = np.zeros(offsets.shape)
+    for k in range(len(angle)):  # den = cos(u/2) a + sin(u/2) b, by angle addition
+        den = cs * cos_part[k][where]
+        den += ss * sin_part[k][where]
+        out += mult[k] * np.arctan2(y, den)
+    return 2.0 * out, w
+
+
 def _boundary_angle(zeta) -> float:
     """Accept an angle (real), a BoundaryPoint, or a unimodular complex number."""
     if isinstance(zeta, BoundaryPoint):

@@ -17,6 +17,7 @@ symbol's coefficients, both from one FFT, with no basis array.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -27,7 +28,7 @@ from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID,
 from .errors import (BoundaryPointNotNormalizable, NoAngularDerivative,
                      UnsupportedVariant)
 from .inner import (BoundaryPoint, InnerFunction, Monomial,
-                    has_angular_derivative, one_minus_mod_sq)
+                    has_angular_derivative, one_minus_mod_sq, phase_increment)
 
 EXACT_DEGREE_CAP = 512
 TM_BLOCK = 4096  # points per block of ModelSpace._tm_eval
@@ -48,21 +49,31 @@ def _point(pt):
 
 def _kernel_samples(theta: InnerFunction, lam: complex, grid: BoundaryGrid,
                     radius: float = 1.0):
-    """k_lam(z) = (1 - conj(Theta(lam)) Theta(z))/(1 - conj(lam) z), z = radius * grid."""
-    z = grid.points if radius == 1.0 else radius * grid.points
-    tv = complex(theta.eval(complex(lam)))
-    th = theta.samples_at(grid, radius)
-    den = 1.0 - np.conj(lam) * z
+    """k_lam(z) = (1 - conj(Theta(lam)) Theta(z))/(1 - conj(lam) z), z = radius * grid.
+
+    For a boundary lam = e^{i tau} and Theta without singular part the
+    samples are e^{i(Delta - w)/2} sin(Delta/2)/sin(w/2), w = t - tau, with
+    Delta the phase increment of Theta from tau (``inner.phase_increment``),
+    so nothing cancels next to lam.
+    """
+    lam = complex(lam)
+    if radius == 1.0 and abs(lam) > 1.0 - 1e-12 and not theta.has_singular_part():
+        delta, w = phase_increment(theta, cmath.phase(lam), 0.0, grid.angles)
+        den = np.sin(0.5 * w)
+        num = np.exp(0.5j * (delta - w)) * np.sin(0.5 * delta)
+    else:
+        z = grid.points if radius == 1.0 else radius * grid.points
+        den = 1.0 - np.conj(lam) * z
+        num = 1.0 - np.conj(complex(theta.eval(lam))) * theta.samples_at(grid, radius)
     hit = np.abs(den) < 1e-13
     if np.any(hit):
         # boundary kernel evaluated at its own point: the limit is
         # ||k_zeta||_2^2 = |Theta'(zeta)|, from the Ahern-Clark certificate
-        cert = has_angular_derivative(theta, complex(lam))
-        den = np.where(hit, 1.0, den)
-        vals = (1.0 - np.conj(tv) * th) / den
+        cert = has_angular_derivative(theta, lam)
+        vals = num / np.where(hit, 1.0, den)
         vals[hit] = cert.value if cert else np.nan
         return vals
-    return (1.0 - np.conj(tv) * th) / den
+    return num / den
 
 
 def _kernel_scale(theta: InnerFunction, lam: complex) -> float:

@@ -394,21 +394,21 @@ def test_criterion_9_counterexample_families():
     radii = (1 - 2.0 ** -5.3, 1 - 2.0 ** -7.3, 1 - 2.0 ** -11.3)
     rep = growth_scan(fam32, (8, 16, 32), radii, 3.0)
     ratios = [row["growth_ratio"] for row in rep.rows]
-    quad_growing = ratios[1] > ratios[0]
+    quad_growing = all(b > a for a, b in zip(ratios, ratios[1:]))
     # CLS ratio for z^N capped at 2
     pts = [r * np.exp(2j * np.pi * j / 32)
            for r in np.linspace(0, 0.995, 40) for j in range(32)]
     cls = cls_ratio_scan(Monomial(8), pts)
     elapsed = time.time() - start
-    ok = cls.max_ratio <= 2.0 + 1e-9 and quad_growing and elapsed < 180.0
+    ok = cls.max_ratio <= 2.0 + 1e-9 and quad_growing and elapsed < 10.0
     _report(9, ok, f"p2 tail {tail.value:.2e} < 1e-5, p3 floor {floor.value:.2f}"
             f" >= 0.5, exact p3 sums {[round(v, 1) for v in chk['cohn_p_sums']]}"
-            f" diverging, p2 sums stable, quadrature diagonal ratios "
-            f"{[round(r, 3) for r in ratios]}, CLS max {cls.max_ratio:.6f} <= 2,"
+            f" diverging, p2 sums stable, certified diagonal ratios "
+            f"{[f'{r:.3f}' for r in ratios]}, CLS max {cls.max_ratio:.6f} <= 2,"
             f" {elapsed:.1f}s")
     assert cls.max_ratio <= 2.0 + 1e-9
     assert quad_growing
-    assert elapsed < 180.0
+    assert elapsed < 10.0
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -1,5 +1,6 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,7 +8,9 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, ModelSpace, Monomial,
                     SingularAtomic, cls_ratio_scan, counterex_theorem_check,
                     gen_blaschke_counterexample, gen_singular_counterexample,
                     growth_ratio, rkt_failure_scan)
-from ttolab.counterex import blaschke_truncation, growth_scan, kernel_lp
+from ttolab.inner import cohn_terms
+from ttolab.counterex import (QUADRATURE_TOL, KernelRule, blaschke_truncation,
+                              graded_norms, growth_scan, kernel_lp)
 from ttolab.errors import NoConvergence
 
 
@@ -29,6 +32,8 @@ def test_kernel_lp_closed_form_oracle():
     sup, _, _ = kernel_lp(th, r, np.inf, tol=1e-9)
     assert abs(two ** 2 - (1 - r ** (2 * N)) / (1 - r ** 2)) < 1e-8
     assert abs(sup - (1 - r ** N) / (1 - r)) < 1e-6
+    # on K_z every boundary kernel is the constant 1 (and vanishes nowhere)
+    assert abs(kernel_lp(Monomial(1), 1.0, 3.0)[0] - 1.0) < 1e-12
 
 
 def test_blaschke_family_certificates():
@@ -103,17 +108,22 @@ def test_growth_scan_diagonal():
     radii = (1 - 2.0 ** -5.3, 1 - 2.0 ** -7.3, 1 - 2.0 ** -11.3)
     rep = growth_scan(fam, (8, 16, 32), radii, 3.0)
     ratios = [row["growth_ratio"] for row in rep.rows]
-    assert all(b > a for a, b in zip(ratios[:2], ratios[1:2]))  # grows early
+    assert all(b > a for a, b in zip(ratios, ratios[1:]))  # grows along the diagonal
     assert rep.max_ratio == max(ratios)
+    # the certified diagonal ratios (the same panels at order 40 agree to 2e-12)
+    assert np.allclose(ratios, [1.18977, 1.27950, 1.47778], rtol=0, atol=5e-6)
     for row in rep.rows:
-        assert row["residual_p"] < 0.05  # best-effort documented accuracy
+        assert row["residual_p"] <= QUADRATURE_TOL and row["residual_2"] <= QUADRATURE_TOL
+        assert 0 < row["grid"] <= 2 ** 17  # nodes of the graded rule
 
 
 def test_growth_ratio_strict_raises_on_unresolvable():
     fam = gen_blaschke_counterexample(3.0, 16)
     th = blaschke_truncation(fam, 16)
+    # the graded rule needs about 5100 nodes here; a smaller budget is unresolvable
+    assert KernelRule(th, 0.99, 3.0).n > 2 ** 11
     with pytest.raises(NoConvergence):
-        growth_ratio(th, 0.99, 3.0, max_n=2 ** 14)
+        growth_ratio(th, 0.99, 3.0, max_n=2 ** 11)
 
 
 def test_cls_scan_monomial_capped_at_two():
@@ -187,7 +197,7 @@ def test_kernel_lp_strict_rejects_nan_residual():
     radial = BlaschkeProduct([BlaschkeZero(8.0 ** -k, 0.0) for k in range(1, 12)],
                              truncated=True)
     value, resid, n = kernel_lp(radial, 1.0, 2.0, strict=False)
-    assert np.isnan(value) and np.isnan(resid) and n == 2 ** 17
+    assert np.isnan(value) and np.isnan(resid) and n == KernelRule(radial, 1.0, 2.0).n
     with pytest.raises(NoConvergence):
         kernel_lp(radial, 1.0, 2.0)
 
@@ -200,3 +210,95 @@ def test_kernel_points_outside_the_closed_disk_are_rejected():
             kernel_lp(Monomial(3), lam, 2.0)
         with pytest.raises(ValueError):
             ModelSpace(Monomial(3)).kernel(lam)
+
+
+def _mp_blaschke(zeros):
+    """Theta as an mpmath function of the (delta, angle) zeros, at the working precision."""
+    data = [((1 - mpmath.mpf(z.delta)) * mpmath.expj(mpmath.mpf(z.angle)), z.mult)
+            for z in zeros]
+
+    def theta(x):
+        out = mpmath.mpc(1)
+        for a, mult in data:
+            out *= ((a - x) / (1 - mpmath.conj(a) * x)) ** mult
+        return out
+    return theta
+
+
+def test_graded_rule_matches_ahern_clark_at_one():
+    fam = gen_blaschke_counterexample(3.0, 32)
+    for d in (8, 16, 24, 32):
+        th = blaschke_truncation(fam, d)
+        (two, resid, n), _, _ = graded_norms(th, 1.0, 2.0)
+        exact = float(cohn_terms(th, 0.0, 2.0)[0].sum())
+        assert abs(two ** 2 / exact - 1.0) <= 1e-10, d
+        assert resid <= 1e-10 and n <= 2 ** 15
+        assert kernel_lp(th, 1.0, 2.0, tol=1e-10) == (two, resid, n)
+
+
+def test_graded_rule_matches_closed_form_at_growth_radii():
+    # ||k_r||_2^2 = (1 - |Theta(r)|^2)/(1 - r^2), Theta(r) in 60 digits
+    fam = gen_blaschke_counterexample(3.0, 32)
+    radii = (1 - 2.0 ** -5.3, 1 - 2.0 ** -7.3, 1 - 2.0 ** -11.3)
+    with mpmath.workdps(60):
+        for d, r in zip((8, 16, 32), radii):
+            th = blaschke_truncation(fam, d)
+            rr = mpmath.mpf(r)
+            exact = float((1 - abs(_mp_blaschke(th.zeros())(rr)) ** 2) / (1 - rr ** 2))
+            _, (two, resid, _), _ = graded_norms(th, r, 3.0)
+            assert abs(two ** 2 / exact - 1.0) <= 1e-10, d
+            assert resid <= 1e-10
+
+
+def test_graded_lp_matches_mpmath_quadrature():
+    # degree 4: mpmath's tanh-sinh quadrature, split at the zeros' windows,
+    # at lam's peak and at the zeros of k_1 on the circle (kinks of |k_1|^p)
+    th = blaschke_truncation(gen_blaschke_counterexample(3.0, 32), 4)
+    with mpmath.workdps(20):
+        theta = _mp_blaschke(th.zeros())
+        for lam, p in ((0.99, 3.0), (1.0, 3.0), (1.0, 2.5)):
+            conj_tl, lam_mp = mpmath.conj(theta(lam)), mpmath.mpf(lam)
+
+            def k_abs(t):
+                if lam == 1.0 and abs(t) < 1e-15:
+                    return mpmath.mpf(0)  # a breakpoint only: never sampled
+                z = mpmath.expj(t)
+                return abs(1 - conj_tl * theta(z)) / abs(1 - lam_mp * z)
+
+            pts = {-mpmath.pi, mpmath.pi, mpmath.mpf(0)}
+            for z in th.zeros():
+                pts |= {z.angle + s * j * z.delta for s in (-1, 1) for j in (0, 1, 4, 16)}
+            pts |= {s * (1 - lam) * j for s in (-1, 1) for j in (1, 4, 16)}
+            if lam == 1.0:  # where conj(Theta(1)) Theta(e^{it}) = 1, bracketed on a scan
+                ts = np.linspace(-np.pi, np.pi, 20001)[1:-1]
+                ts = np.sort(np.concatenate([ts, [z.angle + s * z.delta * 2.0 ** j
+                                                  for z in th.zeros() for s in (-1, 1)
+                                                  for j in range(-4, 8)]]))
+                g = np.conj(th.eval(1.0)) * th.eval(np.exp(1j * ts))
+                cross = np.flatnonzero((np.sign(g.imag[:-1]) != np.sign(g.imag[1:]))
+                                       & (g.real[:-1] > 0) & (ts[:-1] * ts[1:] > 0))
+                assert len(cross) == th.degree() - 1
+                pts |= {mpmath.findroot(lambda t: mpmath.im(conj_tl * theta(mpmath.expj(t))),
+                                        (ts[i], ts[i + 1]), solver="anderson")
+                        for i in cross}
+            pts = sorted(x for x in pts if -mpmath.pi <= x <= mpmath.pi)
+            ref = float((mpmath.quad(lambda t: k_abs(t) ** p, pts) / (2 * mpmath.pi))
+                        ** (1 / mpmath.mpf(p)))
+            (value, resid, _), _, _ = graded_norms(th, lam, p)
+            assert abs(value / ref - 1.0) <= 1e-11, (lam, p)
+            assert resid <= 1e-11
+
+
+def test_square_bound_on_shared_nodes():
+    # |k^{Theta^2}| <= 2 |k^Theta| node by node, so the L^p bound holds on the
+    # rule; at p = 2 the Theta^2 column is also the exact 2 x Ahern-Clark sum
+    fam = gen_blaschke_counterexample(3.0, 32)
+    for d in (8, 32):
+        th = blaschke_truncation(fam, d)
+        _, one, two = KernelRule(th, 1.0, 3.0).kernel_sq()
+        assert np.all(two <= 4.0 * one * (1 + 1e-12))
+        (kp, _, _), _, kp_square = graded_norms(th, 1.0, 3.0)
+        assert kp < kp_square <= 2.0 * kp
+        _, _, k2_square = graded_norms(th, 1.0, 2.0)
+        exact = 2.0 * float(cohn_terms(th, 0.0, 2.0)[0].sum())
+        assert abs(k2_square ** 2 / exact - 1.0) <= 1e-10

@@ -10,7 +10,7 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint,
                     Monomial, ProductInner, SingularAtomic, cohn_sum, divides,
                     from_json, has_angular_derivative, power)
 from ttolab.errors import AtomAtPoint, UndefinedBoundaryValue, UnsupportedVariant
-from ttolab.inner import cohn_terms, one_minus_mod_sq, square
+from ttolab.inner import cohn_terms, one_minus_mod_sq, phase_increment, square
 
 
 def family_zeros(count):
@@ -322,3 +322,32 @@ def test_one_minus_mod_sq_factor_data_is_per_instance():
     data = [vars(theta)["_factor_data"] for theta in thetas[:2] + thetas[4:]]
     assert len({id(d) for d in data}) == len(data)
     assert len({id(z) for d in data for z in (d[0], d[1])}) == 2 * len(data)
+
+
+def test_phase_increment_matches_samples(rng):
+    # e^{i Delta} = conj(Theta(zeta)) Theta(e^{it}) at nodes given as anchor +
+    # offset, with anchors on the zeros (offsets crossing a half turn), and
+    # Delta is the continuous increment from tau: 2 pi N after a full turn
+    zeros = [BlaschkeZero(0.3, 0.4), BlaschkeZero(0.05, 2.0, 2), BlaschkeZero(0.6, 4.0)]
+    theta = ProductInner([BlaschkeProduct(zeros), Monomial(2)])
+    tau = 5.5
+    anchors = rng.choice([0.4, 2.0, 4.0, 0.0], size=400)
+    offsets = rng.uniform(-3.0, 3.0, size=400)
+    delta, w = phase_increment(theta, tau, anchors, offsets)
+    t = anchors + offsets
+    want = np.conj(theta.eval(np.exp(1j * tau))) * theta.eval(np.exp(1j * t))
+    assert np.max(np.abs(np.exp(1j * delta) - want)) < 1e-13
+    assert np.max(np.abs(np.exp(1j * w) - np.exp(1j * (t - tau)))) < 1e-13
+    turn = tau + np.linspace(1e-9, 2.0 * np.pi - 1e-9, 2001)
+    delta, _ = phase_increment(theta, tau, tau, turn - tau)
+    assert np.all(np.diff(delta) > 0) and delta[0] > 0
+    assert abs(delta[-1] - 2.0 * np.pi * theta.degree()) < 1e-6
+
+
+def test_phase_increment_resolves_zeros_below_rounding():
+    # 1 - |a| = 1e-30 rounds a onto the circle in any sample of Theta, yet
+    # the phase crosses half a turn within +-delta of the zero's angle
+    delta, angle = 1e-30, 0.3
+    theta = BlaschkeProduct([BlaschkeZero(delta, angle)], truncated=True)
+    d, _ = phase_increment(theta, angle + 1.0, angle, np.array([-delta, delta]))
+    assert abs((d[1] - d[0]) - 4.0 * math.atan(1.0 - 0.5 * delta)) < 1e-12

@@ -391,6 +391,19 @@ def test_truncated_mode_matches_exact_mode():
                gap(build(tr, density).apply(f_t), measure_e.apply(f_e))) <= 1e-12
 
 
+
+def test_truncated_boundary_kernel_next_to_its_point():
+    # 2 f(zeta) k_zeta is the measure operator of the mass 2 at zeta; the
+    # truncated-mode k_zeta is sampled 5e-4 from zeta itself at n = 4096
+    theta = BlaschkeProduct([0.5, -0.3 + 0.4j, 0.7j, -0.6])
+    ex, tr = ModelSpace(theta), ModelSpace(theta, mode="truncated")
+    zeta, lam = BoundaryPoint(0.7), 0.3 - 0.2j
+    f_zeta = ((1 - np.conj(theta.eval(lam)) * theta.eval(zeta.value))
+              / (1 - np.conj(lam) * zeta.value))
+    want = build(ex, MeasureSymbol(atoms=[(zeta, 2.0)])).apply(ex.kernel(lam))
+    got = 2.0 * f_zeta * tr.kernel(zeta).samples()
+    assert np.max(np.abs(got - want.as_circle().samples)) <= 1e-13
+
 def test_truncated_build_matches_exact(rng):
     zeros = [0.4, -0.3 + 0.2j, 0.1j]
     sp_e = ModelSpace(BlaschkeProduct(zeros))
