@@ -1,18 +1,8 @@
 """Model spaces K_Theta and their elements.
 
-Finite Blaschke products (no singular part, degree <= 512, not a family
-truncation) get an exact orthonormal Takenaka-Malmquist (TM) basis;
-everything else is represented by truncated Fourier data on a boundary
-grid.  In exact mode the kernels, the compressed shift S_Theta, the
-conjugation matrix W and every operator phi(S_Theta) with phi in K_Theta
-are closed forms in the zeros, so they are accurate for any interior
-point, including points far closer to the circle than a grid resolves.
-The boundary grid of an exact space serves only grid consumers
-(projections of sampled functions, ``compress`` of sampled symbols,
-boundary samples of elements); its arrays are computed on first read.
-On K_{z^N}, where the basis is e_j = z^j, a projection is the first N
-Fourier coefficients and a compression the Toeplitz matrix of the
-symbol's coefficients, both from one FFT, with no basis array.
+``ModelSpace`` picks one representation per class of Theta (see the class
+docstrings); a ``ModelFunction`` is an element, by basis coefficients or
+grid samples.
 """
 
 from __future__ import annotations
@@ -23,10 +13,10 @@ import math
 
 import numpy as np
 
-from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID,
-                     cauchy_refine, lp_norm, pow2_at_least, riesz_plus)
-from .errors import (BoundaryPointNotNormalizable, NoAngularDerivative,
-                     UnsupportedVariant)
+from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID, cauchy_refine,
+                     fold, lp_norm, pow2_at_least, riesz_plus)
+from .errors import (BandwidthOverflow, BoundaryPointNotNormalizable,
+                     NoAngularDerivative, UnsupportedVariant)
 from .inner import (BoundaryPoint, InnerFunction, Monomial,
                     has_angular_derivative, one_minus_mod_sq, phase_increment)
 
@@ -118,50 +108,178 @@ def project_theta(theta_samples, f: CircleFunction) -> CircleFunction:
 
 
 class ModelSpace:
-    """K_Theta together with a computational representation."""
+    """K_Theta in a representation that ``ModelSpace(theta, n, mode)`` chooses
+    once, here: ``ToeplitzSpace`` for z^N and ``TMSpace`` for other finite
+    Blaschke products (mode "exact", the default up to degree
+    EXACT_DEGREE_CAP), ``GridSpace`` (mode "truncated") otherwise.  The
+    methods below run on every representation over its hooks: ``_setup(n)``
+    builds the grid and the rest, ``_multiplier``, ``_pair_multiplier`` and
+    ``_outer`` give the (matrix, apply_fn) of an operator, ``_kernel_norms``
+    the rho columns."""
 
-    def __init__(self, theta: InnerFunction, n: int | None = None,
-                 mode: str | None = None):
-        self.theta = theta
+    mode: str  # "exact" or "truncated", set by each representation
+
+    def __new__(cls, theta=None, n=None, mode=None):
+        if cls is not ModelSpace:  # a representation named directly
+            return super().__new__(cls)
+        if mode not in (None, "exact", "truncated"):
+            raise ValueError(f"mode must be None, 'exact' or 'truncated', got {mode!r}")
         if mode is None:
             mode = ("exact" if theta.is_finite_blaschke()
                     and theta.degree() <= EXACT_DEGREE_CAP else "truncated")
-        if mode == "exact" and not theta.is_finite_blaschke():
+        if mode == "truncated":
+            return super().__new__(GridSpace)
+        if not theta.is_finite_blaschke():
             raise UnsupportedVariant("exact mode needs a finite Blaschke product")
-        self.mode = mode
-        if n is None:
-            n = DEFAULT_GRID
-            if mode == "exact":
-                dmin = min(z.delta for z in theta.zeros())
-                if dmin < 0.05:
-                    n = min(2 ** 16, pow2_at_least(int(96.0 / dmin)))
-                n = max(n, pow2_at_least(8 * theta.degree()))
-        self.grid = BoundaryGrid(n)
-        if mode == "exact":
-            self._init_exact()
+        return super().__new__(ToeplitzSpace if isinstance(theta, Monomial) else TMSpace)
+
+    def __init__(self, theta: InnerFunction, n: int | None = None, mode: str | None = None):
+        self.theta = theta
+        self._setup(n)
 
     @functools.cached_property
     def theta_samples(self):
         """Theta on the grid, computed on first read."""
         return self.theta.boundary_samples(self.grid)
 
-    @functools.cached_property
-    def basis_samples(self):
-        """(n, N) TM basis on the grid (exact mode), computed on first read."""
-        return self._tm_eval(self.grid.points)
+    def require_basis(self, what: str) -> None:
+        """Raise UnsupportedVariant, naming ``what``, on a space without a basis."""
 
-    # -- exact-mode internals -------------------------------------------
+    def from_coeffs(self, c) -> "ModelFunction":
+        self.require_basis("coefficient vectors")
+        return ModelFunction(self, coeffs=np.asarray(c, dtype=complex))
 
-    def _init_exact(self):
-        zeros = []
-        for z in self.theta.zeros():
-            zeros.extend([z.value] * z.mult)
-        self.zeros = np.asarray(zeros, dtype=complex)
-        self.dim = len(zeros)
+    # -- core operations ---------------------------------------------------
+
+    def project(self, f) -> "ModelFunction":
+        """Orthogonal projection P_Theta = P_+ - Theta P_+ conj(Theta) applied to f."""
+        if isinstance(f, ModelFunction):
+            if f.space is self:
+                return f
+            f = f.as_circle()
+        if f.grid is not self.grid:
+            f = f.on_grid(self.grid)
+        return self._project_grid(f)
+
+    def kernel(self, pt) -> "ModelFunction":
+        """Reproducing kernel k_pt(z) = (1 - conj(Theta(pt)) Theta(z))/(1 - conj(pt) z)."""
+        w, boundary = _point(pt)
+        if boundary:
+            cert = has_angular_derivative(self.theta, w)
+            if not cert:
+                raise NoAngularDerivative(
+                    f"no angular-derivative certificate at {w} ({cert.verdict})")
+        return self._kernel_at(w)
+
+    def normalized_kernel(self, pt) -> "ModelFunction":
+        """h_pt = sqrt((1-|pt|^2)/(1-|Theta(pt)|^2)) k_pt; unit norm at interior points."""
+        w, boundary = _point(pt)
+        if boundary:
+            raise BoundaryPointNotNormalizable("|Theta| = 1 on the boundary")
+        return _kernel_scale(self.theta, w) * self.kernel(w)
+
+    def omega(self, f):
+        """Conjugation (omega f)(zeta) = conj(zeta f(zeta)) Theta(zeta); same kind out."""
+        if isinstance(f, ModelFunction):
+            return self._omega(f)
+        samples = np.conj(self.grid.points * f.samples) * self.theta_samples
+        return CircleFunction(self.grid, samples)
+
+    def difference_quotient(self, pt, normalized: bool = False) -> "ModelFunction":
+        """k~_pt(z) = (Theta(z) - Theta(pt))/(z - pt) = omega(k_pt)."""
+        w, boundary = _point(pt)
+        out = self.omega(self.kernel(pt))
+        if normalized:
+            if boundary:
+                raise BoundaryPointNotNormalizable("|Theta| = 1 on the boundary")
+            out = _kernel_scale(self.theta, w) * out
+        return out
+
+    def backward_shift(self, f: "ModelFunction") -> "ModelFunction":
+        """S* f = (f - f(0))/z, which leaves K_Theta invariant."""
+        return self._backward_shift(f)
+
+
+class GridSpace(ModelSpace):
+    """Any Theta, by samples on the boundary grid: P_Theta is ``project_theta``
+    and an operator a multiply-then-project closure.  There is no basis."""
+
+    mode = "truncated"
+
+    def _setup(self, n):
+        self.grid = BoundaryGrid(DEFAULT_GRID if n is None else n)
+
+    def require_basis(self, what: str) -> None:
+        raise UnsupportedVariant(f"{what} needs an exact model space (a finite Blaschke product)")
+
+    def zero(self) -> "ModelFunction":
+        return ModelFunction(self, circle=CircleFunction(self.grid, np.zeros(self.grid.n, complex)))
+
+    def _project_grid(self, f):
+        return ModelFunction(self, circle=project_theta(self.theta_samples, f))
+
+    def _kernel_at(self, w):
+        return ModelFunction(self, circle=CircleFunction(
+            self.grid, _kernel_samples(self.theta, w, self.grid)))
+
+    def _omega(self, f):
+        return ModelFunction(self, circle=self.omega(f.as_circle()))
+
+    def _backward_shift(self, f):
+        g = f.as_circle()
+        value = complex(np.mean(g.samples))  # zeroth Fourier coefficient
+        samples = (g.samples - value) * np.conj(self.grid.points)
+        return ModelFunction(self, circle=CircleFunction(self.grid, samples))
+
+    def _multiplier(self, phi, bandwidth):
+        """f -> P_Theta(phi f); a known bandwidth must stay below n/4."""
+        if bandwidth is not None and bandwidth >= self.grid.n // 4:
+            raise BandwidthOverflow(f"symbol bandwidth {bandwidth} >= grid/4; enlarge the grid")
+        return None, lambda f: self.project(CircleFunction(self.grid, phi * f.as_circle().samples))
+
+    def _pair_multiplier(self, plus, minus):
+        return self._multiplier(plus.samples() + np.conj(minus.samples()), None)
+
+    def _outer(self, x, y):
+        return None, lambda f: f.inner(y) * x
+
+    def _kernel_norms(self, op, samples, quotient: bool):
+        """||A h_lambda||_2, or ||A h~_lambda||_2 when quotient, point by point."""
+        kernel = ((lambda lam: self.difference_quotient(lam, normalized=True))
+                  if quotient else self.normalized_kernel)
+        return np.array([op.apply(kernel(lam)).norm() for lam in samples.points])
+
+
+class TMSpace(ModelSpace):
+    """A finite Blaschke product, in its orthonormal Takenaka-Malmquist basis.
+
+    The kernels, S_Theta, the conjugation matrix W and every phi(S_Theta),
+    phi in K_Theta, are closed forms in the zeros, accurate however close to
+    the circle.  Elements carry coefficients; the grid serves only sampled
+    data, its arrays computed on first read."""
+
+    mode = "exact"
+
+    def _setup(self, n):
+        if n is None:
+            n = DEFAULT_GRID
+            dmin = min(z.delta for z in self.theta.zeros())
+            if dmin < 0.05:
+                n = min(2 ** 16, pow2_at_least(int(96.0 / dmin)))
+            n = max(n, pow2_at_least(8 * self.theta.degree()))
+        self.grid = BoundaryGrid(n)
+        self.zeros = np.array([z.value for z in self.theta.zeros() for _ in range(z.mult)],
+                              dtype=complex)
+        self.dim = len(self.zeros)
         self.scales = np.sqrt(_one_minus_abs2(self.zeros))  # s_j of the TM basis
         self.shift_matrix = self._compressed_shift()
         self.sstar_matrix = self.shift_matrix.conj().T  # S* restricted to K_Theta
         self.omega_matrix = self._conjugation_matrix()
+
+    @functools.cached_property
+    def basis_samples(self):
+        """(n, N) TM basis on the grid, computed on first read."""
+        return self._tm_eval(self.grid.points)
 
     def _compressed_shift(self):
         """Matrix of S_Theta = P_Theta M_z in the basis, in closed form.
@@ -300,115 +418,107 @@ class ModelSpace:
             block *= scale
         return out.T
 
-    # -- constructors of elements ----------------------------------------
-
-    def from_coeffs(self, c) -> "ModelFunction":
-        if self.mode != "exact":
-            raise UnsupportedVariant("coefficient vectors need exact mode")
-        return ModelFunction(self, coeffs=np.asarray(c, dtype=complex))
-
     def zero(self) -> "ModelFunction":
-        if self.mode == "exact":
-            return ModelFunction(self, coeffs=np.zeros(self.dim, dtype=complex))
-        return ModelFunction(self, circle=CircleFunction(
-            self.grid, np.zeros(self.grid.n, dtype=complex)))
+        return ModelFunction(self, coeffs=np.zeros(self.dim, dtype=complex))
 
-    # -- core operations ---------------------------------------------------
+    def _project_grid(self, f):
+        return ModelFunction(self, coeffs=self.basis_samples.conj().T @ f.samples / self.grid.n)
 
-    def project(self, f) -> "ModelFunction":
-        """Orthogonal projection P_Theta = P_+ - Theta P_+ conj(Theta) applied to f."""
-        if isinstance(f, ModelFunction):
-            if f.space is self:
-                return f
-            f = f.as_circle()
-        if f.grid is not self.grid:
-            f = f.on_grid(self.grid)
-        if self.mode == "exact":
-            if isinstance(self.theta, Monomial):  # e_j = z^j: c_j = hat f(j mod n)
-                c = f.coeffs[np.arange(self.dim) % self.grid.n]
-            else:
-                c = self.basis_samples.conj().T @ f.samples / self.grid.n
-            return ModelFunction(self, coeffs=c)
-        return ModelFunction(self, circle=project_theta(self.theta_samples, f))
+    def _kernel_at(self, w):
+        return ModelFunction(self, coeffs=np.conj(self._tm_eval([w])[0]))
 
-    def kernel(self, pt) -> "ModelFunction":
-        """Reproducing kernel k_pt(z) = (1 - conj(Theta(pt)) Theta(z))/(1 - conj(pt) z)."""
-        w, boundary = _point(pt)
-        if boundary:
-            cert = has_angular_derivative(self.theta, w)
-            if not cert:
-                raise NoAngularDerivative(
-                    f"no angular-derivative certificate at {w} ({cert.verdict})")
-        if self.mode == "exact":
-            return ModelFunction(self, coeffs=np.conj(self._tm_eval([w])[0]))
-        return ModelFunction(self, circle=CircleFunction(
-            self.grid, _kernel_samples(self.theta, w, self.grid)))
+    def _omega(self, f):
+        return ModelFunction(self, coeffs=self.omega_matrix @ np.conj(f.coeffs))
 
-    def normalized_kernel(self, pt) -> "ModelFunction":
-        """h_pt = sqrt((1-|pt|^2)/(1-|Theta(pt)|^2)) k_pt; unit norm at interior points."""
-        w, boundary = _point(pt)
-        if boundary:
-            raise BoundaryPointNotNormalizable("|Theta| = 1 on the boundary")
-        return _kernel_scale(self.theta, w) * self.kernel(w)
+    def _backward_shift(self, f):
+        return ModelFunction(self, coeffs=self.sstar_matrix @ f.coeffs)
 
-    def omega(self, f):
-        """Conjugation (omega f)(zeta) = conj(zeta f(zeta)) Theta(zeta); same kind out."""
-        if isinstance(f, ModelFunction):
-            if self.mode == "exact" and f.coeffs is not None:
-                return ModelFunction(self, coeffs=self.omega_matrix @ np.conj(f.coeffs))
-            g = self.omega(f.as_circle())
-            return ModelFunction(self, circle=g)
-        samples = np.conj(self.grid.points * f.samples) * self.theta_samples
-        return CircleFunction(self.grid, samples)
+    def _multiplier(self, phi, bandwidth):
+        return self.compress(phi), None
 
-    def difference_quotient(self, pt, normalized: bool = False) -> "ModelFunction":
-        """k~_pt(z) = (Theta(z) - Theta(pt))/(z - pt) = omega(k_pt)."""
-        w, boundary = _point(pt)
-        out = self.omega(self.kernel(pt))
-        if normalized:
-            if boundary:
-                raise BoundaryPointNotNormalizable("|Theta| = 1 on the boundary")
-            out = _kernel_scale(self.theta, w) * out
-        return out
+    def _pair_multiplier(self, plus, minus):  # phi_plus(S) + phi_minus(S)^H
+        a, b = self.analytic_operators(np.stack([plus.coeffs, minus.coeffs], axis=1))
+        return a + b.conj().T, None
 
-    def backward_shift(self, f: "ModelFunction") -> "ModelFunction":
-        """S* f = (f - f(0))/z, which leaves K_Theta invariant."""
-        if self.mode == "exact" and f.coeffs is not None:
-            return ModelFunction(self, coeffs=self.sstar_matrix @ f.coeffs)
-        g = f.as_circle()
-        value = complex(np.mean(g.samples))  # zeroth Fourier coefficient
-        samples = (g.samples - value) * np.conj(self.grid.points)
-        return ModelFunction(self, circle=CircleFunction(self.grid, samples))
+    def _outer(self, x, y):
+        return np.outer(x.coeffs, np.conj(y.coeffs)), None
+
+    def _kernel_norms(self, op, samples, quotient: bool):
+        """||A h_lambda||_2 with h_lambda = s conj(e(lambda)), or ||A W s e(lambda)||
+        when quotient; s is the kernel scale, one ``one_minus_mod_sq`` per point."""
+        pts = samples.points
+        denom = np.array([one_minus_mod_sq(self.theta, w) for w in pts.tolist()])
+        scale = np.sqrt((1.0 - np.abs(pts)) * (1.0 + np.abs(pts)) / denom)
+        return self._unit_kernel_norms(op.matrix, samples, quotient) * scale
+
+    def _unit_kernel_norms(self, M, samples, quotient: bool):
+        """||M conj(e(lambda))||, or ||M W e(lambda)||, by one dense product."""
+        A = M @ self.omega_matrix if quotient else M
+        E = self._tm_eval(samples.points)  # (L, N)
+        # ||M conj(e)|| = ||conj(M) e||: conjugate the N x N matrix, not the L x N one
+        return np.linalg.norm((A if quotient else np.conj(A)) @ E.T, axis=0)
 
     def compress(self, w):
-        """Matrix of f -> P_Theta(w f) in the basis, B^H (w B) / n by the
-        uniform rule on the grid (exact mode; w holds samples on the grid).
-
-        On K_{z^N} (e_j = z^j) the same rule is the Toeplitz matrix
-        c[(i - j) mod n] with c = fft(w) / n, and no n x N array is formed.
-        Only for symbols known by their samples and for measure densities;
-        a symbol phi_plus + conj(phi_minus) with phi_+- in K_Theta has the
-        closed form of ``analytic_operators``.  Raises OverflowError when
-        the matrix is not finite.
-        """
-        n = self.grid.n
+        """Matrix of f -> P_Theta(w f) in the basis for w sampled on the grid (a
+        pair symbol has ``analytic_operators``); OverflowError if not finite."""
         with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
-            if isinstance(self.theta, Monomial):
-                c = np.fft.fft(w) / n
-                i = np.arange(self.dim)
-                out = c[(i[:, None] - i[None, :]) % n]
-            else:
-                weighted = self.basis_samples.conj()  # one n x N temporary
-                weighted *= w[:, None]
-                out = weighted.T @ self.basis_samples / n
+            out = self._compress(w)
         if not np.isfinite(out).all():
             raise OverflowError("compressed symbol is not finite")
         return out
 
+    def _compress(self, w):  # B^H (w B) / n, the uniform rule on the grid
+        weighted = self.basis_samples.conj()  # one n x N temporary
+        weighted *= w[:, None]
+        return weighted.T @ self.basis_samples / self.grid.n
+
     def gram_residual(self) -> float:
-        """Max deviation of the basis Gram matrix from the identity (exact mode)."""
+        """Max deviation of the basis Gram matrix from the identity."""
         g = self.basis_samples.conj().T @ self.basis_samples / self.grid.n
         return float(np.max(np.abs(g - np.eye(self.dim))))
+
+
+class ToeplitzSpace(TMSpace):
+    """K_{z^N}: e_j = z^j, so a projection is the first N Fourier coefficients
+    and a compression the Toeplitz matrix of the symbol's, both by one FFT
+    with no basis array.  W is the exchange matrix, 1 - |Theta(lambda)|^2 is
+    1 - |lambda|^{2N} (``inner.one_minus_mod_sq``), and rho on a
+    rotation-closed set takes one DFT per radius."""
+
+    def _project_grid(self, f):  # c_j = hat f(j mod n)
+        return ModelFunction(self, coeffs=f.coeffs[np.arange(self.dim) % self.grid.n])
+
+    def _compress(self, w):  # the same rule: c[(i - j) mod n], c = fft(w) / n
+        c = np.fft.fft(w) / self.grid.n
+        i = np.arange(self.dim)
+        return c[(i[:, None] - i[None, :]) % self.grid.n]
+
+    def _unit_kernel_norms(self, M, samples, quotient: bool):
+        """The dense product's columns over a rotation-closed set lambda = r w^m,
+        w = e^{2 pi i/J} (radius-major): with G = M^H M,
+        ||M conj(e)||^2 = sum_{j,k} r^{j+k} G_jk w^{(j-k)m}.
+        G is Hermitian, so with x_e(r) = r^e sum_j G[j, j+e] r^{2j} this is
+        2 Re sum_e x_e w^{-em} - x_0: one length-J DFT per radius of x
+        folded mod J, exact for any J since w^J = 1.  W is the exchange, so
+        the quotient Gram is G reversed and its sum runs with the opposite
+        sign (J times an inverse DFT).  The squares carry rounding of about
+        eps ||M||^2; negative rounding is clamped to 0.
+        """
+        if samples.tensor is None:
+            return super()._unit_kernel_norms(M, samples, quotient)
+        radii, J = samples.tensor
+        N = M.shape[0]
+        G = M.conj().T @ M
+        G = G[::-1, ::-1] if quotient else G
+        # U[j, e] = G[j, j + e] (0 past N): G in an N x 2N block read with row length 2N + 1
+        flat = np.zeros(N * (2 * N + 1), dtype=complex)
+        flat[:2 * N * N].reshape(N, 2 * N)[:, N:] = G
+        U = flat.reshape(N, 2 * N + 1)[:, N:2 * N]
+        j = np.arange(N)
+        x = U.T @ (radii[None, :] ** (2 * j)[:, None]) * radii[None, :] ** j[:, None]
+        folded = fold(x, J)
+        sums = J * np.fft.ifft(folded, axis=0) if quotient else np.fft.fft(folded, axis=0)
+        return np.sqrt(np.maximum(2.0 * sums.real - x[0].real, 0.0)).T.ravel()
 
 
 PROJECTION_TOL = 1e-8  # relative L^2 change that ends projection_residual's doubling

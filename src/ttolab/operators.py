@@ -1,9 +1,8 @@
 """Truncated Toeplitz operators A_phi f = P_Theta(phi f) on K_Theta.
 
-Exact-mode operators are dense matrices in the Takenaka-Malmquist basis;
-truncated-mode operators are multiply-then-project closures over the
-boundary grid.  Includes symbol normalization onto the canonical symbol
-space, the analytic/coanalytic pair decomposition, the rho quantities
+An operator is a matrix or a closure, whichever the space's representation
+builds (``modelspace``).  Includes symbol normalization onto the canonical
+symbol space, the analytic/coanalytic pair decomposition, the rho quantities
 (suprema over normalized kernels / difference quotients, sampled), and
 operators induced by boundary measures.
 """
@@ -14,11 +13,9 @@ import math
 
 import numpy as np
 
-from .circle import CircleFunction, fold, inner_product, lp_norm, riesz_minus
-from .errors import (BandwidthOverflow, NoAngularDerivative, NoConvergence,
-                     UnsupportedVariant)
-from .inner import (BoundaryPoint, Monomial, has_angular_derivative,
-                    one_minus_mod_sq)
+from .circle import CircleFunction, inner_product, lp_norm, riesz_minus
+from .errors import NoConvergence, UnsupportedVariant
+from .inner import BoundaryPoint
 from .modelspace import ModelFunction, ModelSpace, project_theta
 
 
@@ -85,48 +82,20 @@ class TTOperator:
 
 
 def build(space: ModelSpace, symbol) -> TTOperator:
-    """Construct A_phi on the given space.
-
-    Exact mode: a ``PairSymbol`` phi_plus + conj(phi_minus) gives the
-    matrix phi_plus(S_Theta) + phi_minus(S_Theta)^H in closed form (Sarason's
-    functional calculus, ``ModelSpace.analytic_operators``); a symbol known
-    by its samples gives M[i, j] = <phi e_j, e_i> by boundary quadrature
-    (``ModelSpace.compress``).  Truncated mode returns a
-    multiply-then-project closure.
-    """
+    """Construct A_phi on the given space, by the space's own construction for
+    a ``PairSymbol`` phi_plus + conj(phi_minus) (on an exact space Sarason's
+    phi_plus(S_Theta) + phi_minus(S_Theta)^H) and for a sampled symbol."""
     if isinstance(symbol, CircleFunction):
         symbol = BoundarySymbol(symbol)
     if isinstance(symbol, MeasureSymbol):
         return measure_operator(space, symbol)
-    if space.mode == "exact" and isinstance(symbol, PairSymbol):
-        plus, minus = space.analytic_operators(np.stack(
-            [_coeffs_in(space, symbol.phi_plus), _coeffs_in(space, symbol.phi_minus)], axis=1))
-        return TTOperator(space, matrix=plus + minus.conj().T, symbol=symbol)
-    phi = symbol.samples_on(space)
-    if space.mode == "exact":
-        return TTOperator(space, matrix=space.compress(phi), symbol=symbol)
-
-    if (isinstance(symbol, BoundarySymbol) and symbol.f.bandwidth is not None
-            and symbol.f.bandwidth >= space.grid.n // 4):
-        raise BandwidthOverflow(
-            f"symbol bandwidth {symbol.f.bandwidth} >= grid/4; enlarge the grid")
-
-    def apply_fn(f: ModelFunction) -> ModelFunction:
-        g = CircleFunction(space.grid, phi * f.as_circle().samples)
-        return space.project(g)
-
-    return TTOperator(space, apply_fn=apply_fn, symbol=symbol)
-
-
-def _coeffs_in(space: ModelSpace, f: ModelFunction):
-    """TM coefficients of f's projection onto K_Theta (f's own when it lives there).
-
-    For analytic phi, A_phi = A_{P_Theta phi}: phi - P_Theta phi lies in
-    Theta H^2, which A annihilates.
-    """
-    if f.space is space and f.coeffs is not None:
-        return f.coeffs
-    return space.project(f).coeffs
+    if isinstance(symbol, PairSymbol):
+        # A_phi = A_{P_Theta phi} for analytic phi: phi - P_Theta phi is in Theta H^2
+        action = space._pair_multiplier(space.project(symbol.phi_plus),
+                                        space.project(symbol.phi_minus))
+    else:
+        action = space._multiplier(symbol.samples_on(space), symbol.f.bandwidth)
+    return TTOperator(space, *action, symbol=symbol)
 
 
 def adjoint(op: TTOperator) -> TTOperator:
@@ -142,10 +111,7 @@ def adjoint(op: TTOperator) -> TTOperator:
 def rank_one_operator(space: ModelSpace, pt) -> TTOperator:
     """The rank-one truncated Toeplitz operator k~_pt (x) k_pt."""
     k = space.kernel(pt)
-    kt = space.omega(k)
-    if space.mode == "exact":
-        return TTOperator(space, matrix=np.outer(kt.coeffs, np.conj(k.coeffs)))
-    return TTOperator(space, apply_fn=lambda f: f.inner(k) * kt)
+    return TTOperator(space, *space._outer(space.omega(k), k))
 
 
 # ---------------------------------------------------------------------------
@@ -259,83 +225,14 @@ class SampleSet:
         return SampleSet(np.unique(np.concatenate([pts, newpts])))
 
 
-def _kernel_norms(op: TTOperator, samples: SampleSet, quotient: bool):
-    """||A h_lambda||_2 at each sample point, or ||A h~_lambda||_2 when quotient.
-
-    Exact mode: h_lambda has coefficients s conj(e(lambda)) and h~_lambda =
-    omega h_lambda has W s e(lambda), where e(lambda) is the TM basis at
-    lambda, s = sqrt((1-|lambda|^2)/(1-|Theta(lambda)|^2)) the kernel
-    scale (one ``one_minus_mod_sq`` call per point) and W the conjugation
-    matrix; the columns are M conj(e) or (M W) e, scaled by s.  On K_{z^N}
-    (e_j = z^j) with a rotation-closed set the squared norms come from the
-    Gram matrix M^H M by one length-J DFT per radius
-    (``_rotation_closed_norms``).  Every other exact case forms the dense
-    product.
-    """
-    space = op.space
-    if space.mode != "exact":
-        kernel = ((lambda lam: space.difference_quotient(lam, normalized=True))
-                  if quotient else space.normalized_kernel)
-        return np.array([op.apply(kernel(lam)).norm() for lam in samples.points])
-    pts = samples.points
-    denom = np.array([one_minus_mod_sq(space.theta, w) for w in pts.tolist()])
-    scale = np.sqrt((1.0 - np.abs(pts)) * (1.0 + np.abs(pts)) / denom)
-    if isinstance(space.theta, Monomial) and samples.tensor is not None:
-        return _rotation_closed_norms(op.matrix, *samples.tensor, quotient) * scale
-    A = op.matrix @ space.omega_matrix if quotient else op.matrix
-    E = space._tm_eval(pts)  # (L, N)
-    # ||M conj(e)|| = ||conj(M) e||: conjugate the N x N matrix, not the L x N one
-    return np.linalg.norm((A if quotient else np.conj(A)) @ E.T, axis=0) * scale
-
-
-def _upper_diagonals(G):
-    """U with U[j, e] = G[j, j + e], zero where j + e >= N.
-
-    G is written into the right half of an N x 2N zero block; read with row
-    length 2N + 1, row j is shifted left by j, so diagonal e becomes column
-    N + e.
-    """
-    N = G.shape[0]
-    flat = np.zeros(N * (2 * N + 1), dtype=complex)
-    flat[:2 * N * N].reshape(N, 2 * N)[:, N:] = G
-    return flat.reshape(N, 2 * N + 1)[:, N:2 * N]
-
-
-def _rotation_closed_norms(M, radii, J: int, quotient: bool):
-    """||M conj(e(lambda))||, or ||M W e(lambda)|| when quotient, on K_{z^N}
-    over lambda = r w^m, w = e^{2 pi i/J}, radius-major (m fastest).
-
-    With G = M^H M, ||M conj(e)||^2 = sum_{j,k} r^{j+k} G_jk w^{(j-k)m}.
-    G is Hermitian, so with x_e(r) = r^e sum_j G[j, j+e] r^{2j} (all radii
-    in one product) this is 2 Re sum_e x_e w^{-em} - x_0: one length-J DFT
-    per radius of x folded mod J, which is exact since w^J = 1, so any J
-    works.  W is the exchange matrix on K_{z^N}, so the quotient Gram is G
-    reversed and its sum runs with the opposite sign (J times an inverse
-    DFT).  The squares carry rounding of about eps ||M||^2, so a column far
-    below ||M|| keeps only that absolute accuracy; negative rounding is
-    clamped to 0 before the square root.
-    """
-    N = M.shape[0]
-    G = M.conj().T @ M
-    if quotient:
-        G = G[::-1, ::-1]
-    j = np.arange(N)
-    x = (_upper_diagonals(G).T @ (radii[None, :] ** (2 * j)[:, None])
-         * radii[None, :] ** j[:, None])  # (N, radii)
-    folded = fold(x, J)
-    sums = J * np.fft.ifft(folded, axis=0) if quotient else np.fft.fft(folded, axis=0)
-    sq = 2.0 * sums.real - x[0].real
-    return np.sqrt(np.maximum(sq, 0.0)).T.ravel()
-
-
 def rho_r(op: TTOperator, samples: SampleSet) -> float:
     """max over the sample set of ||A h_lambda||_2 (a lower bound for rho_r)."""
-    return float(np.max(_kernel_norms(op, samples, quotient=False)))
+    return float(np.max(op.space._kernel_norms(op, samples, quotient=False)))
 
 
 def rho_d(op: TTOperator, samples: SampleSet) -> float:
     """max over the sample set of ||A h~_lambda||_2."""
-    return float(np.max(_kernel_norms(op, samples, quotient=True)))
+    return float(np.max(op.space._kernel_norms(op, samples, quotient=True)))
 
 
 def rho(op: TTOperator, samples: SampleSet) -> float:
@@ -344,8 +241,8 @@ def rho(op: TTOperator, samples: SampleSet) -> float:
 
 def rho_scan_rows(op: TTOperator, samples: SampleSet):
     """Rows (re lambda, im lambda, ||A h_lambda||_2, ||A h~_lambda||_2)."""
-    nr = _kernel_norms(op, samples, quotient=False)
-    nd = _kernel_norms(op, samples, quotient=True)
+    nr = op.space._kernel_norms(op, samples, quotient=False)
+    nd = op.space._kernel_norms(op, samples, quotient=True)
     return [(float(lam.real), float(lam.imag), float(a), float(b))
             for lam, a, b in zip(samples.points, nr, nd)]
 
@@ -430,26 +327,25 @@ POWER_STEPS = 500  # power-iteration steps before NoConvergence
 def operator_norm(op: TTOperator) -> float:
     """Spectral norm: largest singular value, or power iteration on closures.
 
-    A finite matrix on K_{z^N} (Toeplitz, for a truncated Toeplitz
-    operator) takes sigma from the certified Lanczos pair
-    (``_lanczos_top_pair``, for N > LANCZOS_STEPS); every other matrix,
-    and one whose pair is not certified, from the dense SVD.
+    A matrix that is exactly persymmetric (M = J M^T J), as every Toeplitz
+    matrix and so every compression on K_{z^N} is, takes sigma from the
+    certified Lanczos pair (``_lanczos_top_pair``, N > LANCZOS_STEPS), whose
+    certificate relies on that symmetry; any other, or an uncertified pair,
+    from the dense SVD.
     """
     M = op.matrix
     if M is not None:
         if M.size == 1:
             return float(abs(M[0, 0]))
-        if isinstance(op.space.theta, Monomial) and np.isfinite(M).all():
+        if np.isfinite(M).all() and np.array_equal(M, M[::-1, ::-1].T):
             pair = _lanczos_top_pair(M)
             if pair is not None:
                 return pair[0]
         return float(np.linalg.svd(M, compute_uv=False)[0])
     space = op.space
     rng = np.random.default_rng(7)
-    f = ModelFunction(space, circle=CircleFunction(
-        space.grid, rng.standard_normal(space.grid.n)
-        + 1j * rng.standard_normal(space.grid.n)))
-    f = space.project(f.as_circle())
+    f = space.project(CircleFunction(space.grid, rng.standard_normal(space.grid.n)
+                                     + 1j * rng.standard_normal(space.grid.n)))
     nrm = f.norm()
     if nrm == 0:
         return 0.0
@@ -478,17 +374,11 @@ def measure_operator(space: ModelSpace, measure: MeasureSymbol) -> TTOperator:
     Point masses must sit at points with an angular-derivative certificate;
     an inconclusive certificate is rejected with a diagnostic.
     """
-    if space.mode != "exact":
-        raise UnsupportedVariant("measure operators are assembled in exact mode")
-    N = space.dim
-    M = np.zeros((N, N), dtype=complex)
+    space.require_basis("measure operators")
+    M = np.zeros((space.dim, space.dim), dtype=complex)
     for pt, mass in measure.atoms:
-        cert = has_angular_derivative(space.theta, pt)
-        if not cert:
-            raise NoAngularDerivative(
-                f"atom at angle {pt.angle}: certificate is '{cert.verdict}'")
-        v = space._tm_eval([pt.value])[0]
-        M += mass * np.outer(np.conj(v), v)
+        k = space.kernel(pt)  # NoAngularDerivative without a certificate at pt
+        M += mass * space._outer(k, k)[0]
     if measure.density is not None:
         M += space.compress(measure.density.on_grid(space.grid).samples)
     return TTOperator(space, matrix=M, symbol=measure)

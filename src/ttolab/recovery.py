@@ -195,8 +195,6 @@ def recover(oracle: KernelActionOracle, mu: complex | None = None,
     Toeplitz operator is rejected.
     """
     space = oracle.space
-    if space.mode != "exact":
-        raise UnsupportedVariant("recovery operates on exact model spaces")
     _check_table(oracle)
     if mu is None:
         mu = default_mu(space)
@@ -240,8 +238,6 @@ def recover_via_k0(oracle: KernelActionOracle) -> RecoveredSymbol:
     the scalar case.  For Theta(0) = 0 it collapses to phi_plus = A k_0.
     """
     space = oracle.space
-    if space.mode != "exact":
-        raise UnsupportedVariant("recovery operates on exact model spaces")
     _check_table(oracle)
     ak0 = oracle.act(0.0)
     akt0 = oracle.dq0_action
@@ -274,14 +270,15 @@ def recover_via_k0(oracle: KernelActionOracle) -> RecoveredSymbol:
 
 
 def _check_table(oracle: KernelActionOracle) -> None:
-    """Raise ValueError unless the oracle's own sample points, if it has
-    any, determine a pair: at least N distinct points whose kernels span
-    K_Theta (N = dim).  With fewer, the fit and the certification read
-    only those points, and any pair matching them there passes.
-    """
+    """Raise UnsupportedVariant on a space without a basis, and ValueError
+    unless the oracle's own sample points, if any, determine a pair: at
+    least N = dim distinct points whose kernels span K_Theta.  With fewer,
+    the fit and the certification read only those points, and any pair
+    matching them there passes."""
+    space = oracle.space
+    space.require_basis("recovery")
     if oracle.sample_points is None:
         return
-    space = oracle.space
     pts = np.unique(np.asarray(oracle.sample_points, dtype=complex))
     if pts.size < space.dim:
         raise ValueError(f"the kernel-action table has {pts.size} distinct lambda, "

@@ -370,6 +370,30 @@ def test_tm_basis_rejects_singular():
         tm_basis(SingularAtomic([Atom(0.0, 1.0)]))
 
 
+def test_representation_follows_the_class_of_theta():
+    from ttolab import Atom, SingularAtomic
+    from ttolab.modelspace import GridSpace, TMSpace, ToeplitzSpace
+    blaschke = BlaschkeProduct([0.3, -0.2j])
+    for space, kind, mode in (
+            (ModelSpace(Monomial(3)), ToeplitzSpace, "exact"),
+            (ModelSpace(blaschke), TMSpace, "exact"),
+            (ModelSpace(blaschke, mode="exact"), TMSpace, "exact"),
+            (ModelSpace(blaschke, mode="truncated"), GridSpace, "truncated"),
+            (ModelSpace(Monomial(3), mode="truncated"), GridSpace, "truncated"),
+            (ModelSpace(Monomial(600)), GridSpace, "truncated"),  # beyond the degree cap
+            (ModelSpace(SingularAtomic([Atom(0.0, 1.0)])), GridSpace, "truncated")):
+        assert type(space) is kind and isinstance(space, ModelSpace)
+        assert space.mode == mode
+    assert ModelSpace(Monomial(3)).dim == 3 and not hasattr(ModelSpace(blaschke, mode="truncated"), "dim")
+
+
+@pytest.mark.parametrize("mode", ["Exact", "grid", "truncate", "", 1])
+def test_misspelled_mode_is_rejected(mode):
+    # a typo must not fall through to a grid space
+    with pytest.raises(ValueError, match=repr(mode)):
+        ModelSpace(BlaschkeProduct([0.3, -0.2j]), mode=mode)
+
+
 def test_projection_residual_reporting():
     from ttolab.modelspace import projection_residual
     from ttolab import SingularAtomic, Atom
