@@ -25,9 +25,8 @@ from .errors import DivisibilityViolated, SupportOverflow
 from .inner import (BlaschkeProduct, InnerFunction, Monomial, ProductInner,
                     divides)
 from .modelspace import ModelSpace
-from .operators import (DEGENERATE_GAP, LANCZOS_STEPS, BoundarySymbol,  # noqa: F401
-                        SampleSet, TTOperator, _diagonals, _lanczos_top_pair,
-                        build, rho, rho_r)
+from .operators import (DEGENERATE_GAP, BoundarySymbol, SampleSet, TTOperator,
+                        _diagonals, _lanczos_top_pair, build, rho, rho_r)
 
 
 class QComplex:
@@ -111,10 +110,8 @@ class FejerWindowSet:
     def windows(self):
         return self.eta1, self.eta2, self.eta3
 
-    def partition_defect(self, upto: int | None = None):
+    def partition_defect(self, upto: int):
         """Indices |n| <= upto where the coefficient sum differs from one."""
-        if upto is None:
-            upto = self.partition_range
         bad = []
         for n in range(-upto, upto + 1):
             s = (Fraction(self.eta1.coeff(n)) + Fraction(self.eta2.coeff(n))
@@ -421,23 +418,21 @@ def blaschke_transport(op: TTOperator, alpha: complex) -> TTOperator:
     return TTOperator(target, matrix=D @ op.matrix @ D, symbol=None)
 
 
-def transport_function(f: CircleFunction, alpha: complex,
-                       target_grid: BoundaryGrid | None = None) -> CircleFunction:
+def transport_function(f: CircleFunction, alpha: complex) -> CircleFunction:
     """(U f)(z) = sqrt(1-|alpha|^2)/(1 - conj(alpha) z) f(b_alpha(z)).
 
     f must be analytic (given by its Taylor coefficients on the grid band).
     """
-    grid = target_grid or f.grid
-    z = grid.points
+    z = f.grid.points
     b = (alpha - z) / (1.0 - np.conj(alpha) * z)
     co = f.coeffs
     ks = f.grid.freqs
     pos = np.where(ks >= 0)[0]
-    vals = np.zeros(grid.n, dtype=complex)
+    vals = np.zeros(f.grid.n, dtype=complex)
     for i in pos[np.argsort(ks[pos])][::-1]:
         vals = vals * b + co[i]
     vals *= math.sqrt(1.0 - abs(alpha) ** 2) / (1.0 - np.conj(alpha) * z)
-    return CircleFunction(grid, vals)
+    return CircleFunction(f.grid, vals)
 
 
 def rotation_covariance_residual(space: ModelSpace, t: float, lam: complex) -> float:

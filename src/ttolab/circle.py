@@ -15,6 +15,7 @@ import numpy as np
 from .errors import BandwidthOverflow
 
 DEFAULT_GRID = 4096
+MAX_GRID = 2 ** 20  # largest grid size: 16 MB of points, and at most 17 cached grids
 
 _GRID_CACHE: dict[int, "BoundaryGrid"] = {}
 
@@ -26,8 +27,8 @@ def _is_pow2(n: int) -> bool:
 class BoundaryGrid:
     """Uniform grid zeta_j = exp(2*pi*i*j/n) on the unit circle.
 
-    n must be a power of two, at least 16.  Instances are cached and
-    immutable; ``points`` are exactly the n-th roots of unity.
+    n must be a power of two from 16 to MAX_GRID.  Instances are cached
+    and immutable; ``points`` are exactly the n-th roots of unity.
     """
 
     __slots__ = ("n", "points", "angles", "freqs")
@@ -35,8 +36,8 @@ class BoundaryGrid:
     def __new__(cls, n: int = DEFAULT_GRID):
         if n in _GRID_CACHE:
             return _GRID_CACHE[n]
-        if not _is_pow2(n) or n < 16:
-            raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+        if not _is_pow2(n) or not 16 <= n <= MAX_GRID:
+            raise ValueError(f"grid size must be a power of two from 16 to {MAX_GRID}, got {n}")
         self = object.__new__(cls)
         self.n = n
         self.angles = 2.0 * np.pi * np.arange(n) / n
@@ -333,8 +334,7 @@ def _relative_change(prev, cur) -> float:
     return change / max(1.0, float(np.max(np.abs(cur))))
 
 
-def cauchy_refine(compute, start_n=DEFAULT_GRID, tol=1e-8, max_n=2 ** 17,
-                  distance=_relative_change):
+def cauchy_refine(compute, start_n, tol, max_n, distance=_relative_change):
     """Grid-doubling Cauchy control.
 
     ``compute(n)`` maps a grid size to a result; doubling stops once

@@ -26,17 +26,16 @@ import numpy as np
 from . import __version__
 from .circle import FourierPolynomial
 from .errors import NoConvergence, TTOLabError
-from .inner import BoundaryPoint, Monomial, cohn_sum, from_json
+from .inner import BoundaryPoint, Monomial, atoms_from_json, cohn_sum, from_json
 from .modelspace import ModelSpace
-from .operators import (BoundarySymbol, MeasureSymbol, TTOperator, build,
+from .operators import (BoundarySymbol, MeasureSymbol, TTOperator, _polar_grid, build,
                         measure_operator, operator_norm, rank_one_operator)
 from .recovery import KernelActionOracle, rank_one_symbol, recover
 from .boundedsym import (assemble_bounded_symbol, blaschke_transport,
                          fejer_split, minimal_analytic_extension)
-from .counterex import (cls_ratio_scan, counterex_theorem_check,
-                        gen_blaschke_counterexample,
+from .counterex import (CLS_TOL, MAX_NODES, RKT_GRID, cls_ratio_scan,
+                        counterex_theorem_check, gen_blaschke_counterexample,
                         gen_singular_counterexample, rkt_failure_scan)
-from .operators import _polar_grid
 
 
 class ValidationError(Exception):
@@ -228,8 +227,8 @@ def _cmd_transport(cfg):
 def _cmd_cohn_growth(cfg):
     theta = from_json(cfg["inner"])
     zeta = float(cfg["zeta"])
-    p = float(cfg.get("p", 2.0))
-    terms = int(cfg.get("terms", 32))
+    p = float(cfg["p"])
+    terms = int(cfg["terms"])
     if terms < 1:
         raise ValidationError(f"--terms must be at least 1, got {terms}")
     sums = [cohn_sum(theta, zeta, p, k) for k in range(1, terms + 1)]
@@ -252,11 +251,11 @@ def _listify(val, cast=float):
 def _cmd_cls_scan(cfg):
     theta = from_json(cfg["inner"])
     radii = _listify(cfg.get("radii")) or [0.0, 0.5, 0.75, 0.9]
-    angles = int(cfg.get("angles", 8))
+    angles = int(cfg["angles"])
     if angles < 1:
         raise ValidationError(f"--angles must be at least 1, got {angles}")
-    tol = 1e-8 if cfg.get("tol") is None else float(cfg["tol"])
-    max_n = 2 ** 17 if cfg.get("budget") is None else int(cfg["budget"])
+    tol = CLS_TOL if cfg.get("tol") is None else float(cfg["tol"])
+    max_n = MAX_NODES if cfg.get("budget") is None else int(cfg["budget"])
     rep = cls_ratio_scan(theta, _polar_grid(radii, angles), tol=tol, max_n=max_n)
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} tol={tol!r}",
                 ("re_lambda", "im_lambda", "sup_norm", "l2_norm_sq", "ratio")]
@@ -281,7 +280,7 @@ def _cmd_rkt_scan(cfg):
             (lam if isinstance(lam, list) and not _is_pair(lam) else [lam])]
     if not lams:
         raise ValidationError("--lambda needs at least one point")
-    rep = rkt_failure_scan(theta, s, lams, grid_n=int(cfg.get("grid", 2 ** 13)))
+    rep = rkt_failure_scan(theta, s, lams, grid_n=int(cfg["grid"]))
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} "
                 f"s={s!r} grid={rep['grid']}",
                 ("re_lambda", "im_lambda") + RKT_COLUMNS]
@@ -295,9 +294,9 @@ def _cmd_rkt_scan(cfg):
 
 
 def _cmd_counterex(cfg):
-    kind = cfg.get("kind", "blaschke")
-    p = float(cfg.get("p", 3.0))
-    count = int(cfg.get("count", 20))
+    kind = cfg["kind"]
+    p = float(cfg["p"])
+    count = int(cfg["count"])
     fam = (gen_blaschke_counterexample(p, count) if kind == "blaschke"
            else gen_singular_counterexample(p, count))
     out = {"kind": fam.kind, "p": p, "count": count,
@@ -320,15 +319,11 @@ def _cmd_counterex(cfg):
 
 def _cmd_carleson(cfg):
     space = _exact_space(cfg, "carleson")
-    atoms = cfg.get("atoms", [])
-    if not (isinstance(atoms, list) and all(isinstance(a, dict) for a in atoms)):
-        raise ValidationError("atoms are a list of {angle, mass} objects")
-    atoms = [(float(a["angle"]), float(a["mass"])) for a in atoms]
     density = None
     if cfg.get("density") is not None:
         density = FourierPolynomial(_complex(_load_json_arg(cfg["density"]), "dict")
                                     ).to_circle(space.grid)
-    op = measure_operator(space, MeasureSymbol(atoms=atoms, density=density))
+    op = measure_operator(space, MeasureSymbol(atoms_from_json(cfg.get("atoms", [])), density))
     evals = np.linalg.eigvalsh(op.matrix)
     return {"carleson_constant": float(evals[-1]),
             "min_eigenvalue": float(evals[0]),
@@ -368,7 +363,7 @@ COMMANDS = {
     "rkt-scan": (_cmd_rkt_scan, (
         ("--inner", {"required": True}),
         ("--s", {"type": float, "required": True}),
-        ("--lambda", {"dest": "lam"}), ("--grid", {"type": int, "default": 2 ** 13}))),
+        ("--lambda", {"dest": "lam"}), ("--grid", {"type": int, "default": RKT_GRID}))),
     "counterex": (_cmd_counterex, (
         ("gen", {"nargs": "?", "default": "gen"}),
         ("--kind", {"choices": ("blaschke", "singular"), "default": "blaschke"}),
@@ -398,16 +393,19 @@ def _build_parser():
 
 
 def _effective_config(args) -> dict:
-    keys = {flag[2:]: kw.get("dest", flag[2:])  # config key -> argparse dest
-            for flag, kw in COMMANDS[args.command][1] if flag.startswith("--")}
-    cfg = {key: getattr(args, dest) for key, dest in keys.items()
-           if getattr(args, dest) is not None}
+    flags = {flag[2:]: kw  # config key -> argparse keywords
+             for flag, kw in COMMANDS[args.command][1] if flag.startswith("--")}
+    given = ((key, getattr(args, kw.get("dest", key))) for key, kw in flags.items())
+    cfg = {key: value for key, value in given if value is not None}
     if args.config:
         file_cfg = _read_json(args.config)
         if not isinstance(file_cfg, dict):
             raise ValidationError("a config file holds a JSON object")
+        bad = {k: v for k, v in file_cfg.items() if _impossible(v, flags.get(k, {}))}
+        if bad:
+            raise ValidationError(f"config values that no flag gives: {json.dumps(bad)}")
         cfg.update(file_cfg)
-    unknown = set(cfg) - set(keys)
+    unknown = set(cfg) - set(flags)
     if unknown:
         raise ValidationError(
             f"unknown keys for {args.command}: {sorted(unknown)}")
@@ -416,6 +414,14 @@ def _effective_config(args) -> dict:
         if key in cfg and isinstance(cfg[key], str) and cfg[key].strip()[:1] in "[{":
             cfg[key] = json.loads(cfg[key])
     return cfg
+
+
+def _impossible(value, kw: dict) -> bool:
+    """Whether no use of the flag gives this config-file value."""
+    if value is None:  # argparse fills a flag that has a default; a required one is given
+        return "default" in kw or bool(kw.get("required"))
+    return ("type" in kw and not isinstance(value, (int, float, str))
+            or value not in kw.get("choices", [value]))
 
 
 def _config_hash(command: str, cfg: dict) -> str:

@@ -15,10 +15,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from .circle import BoundaryGrid, CircleFunction, cauchy_refine, lp_norm
+from .circle import BoundaryGrid, CircleFunction, DEFAULT_GRID, cauchy_refine, lp_norm
 from .errors import NoConvergence, UnsupportedVariant
 from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction,
                     SingularAtomic, _phase_data, cohn_terms,
@@ -29,6 +30,9 @@ from .modelspace import _kernel_samples, _kernel_scale, _point, project_theta
 RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
                                   # sampled at this radius (atoms have no
                                   # boundary values)
+RKT_GRID = 2 ** 13  # default grid of rkt_failure_scan (and of the rkt-scan command)
+MAX_NODES = 2 ** 17  # default budget of a kernel norm: graded nodes or uniform grid points
+KERNEL_TOL = 1e-6  # default largest residual of kernel_lp; growth_ratio's for both norms
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +221,7 @@ def _rule_norm(weights, k_sq, p: float) -> float:
     return float((weights @ k_sq ** (0.5 * p) / (2.0 * math.pi)) ** (1.0 / p))
 
 
-def graded_norms(theta: InnerFunction, lam, p: float, max_n: int = 2 ** 17):
+def graded_norms(theta: InnerFunction, lam, p: float, max_n: int = MAX_NODES):
     """||k_lam||_p and ||k_lam||_2, each (value, residual, nodes), and
     ||k_lam^{Theta^2}||_p, all on one KernelRule.
 
@@ -244,70 +248,60 @@ def graded_norms(theta: InnerFunction, lam, p: float, max_n: int = 2 ** 17):
     return (norm_p, res_p, n), (norm_2, res_2, n), _rule_norm(weights, two, p)
 
 
-def _graded(theta: InnerFunction, p: float) -> bool:
-    return p != np.inf and not theta.has_singular_part()
-
-
 def _require(resid, tol, p, max_n):
     if not resid <= tol:  # a NaN residual is not convergence
         raise NoConvergence(f"kernel L^{p} quadrature residual {resid:.3g} not within "
                             f"{tol} at a budget of {max_n} nodes or grid points")
 
 
-def kernel_lp(theta: InnerFunction, lam: complex, p: float,
-              start_n: int = 4096, tol: float = 1e-6, max_n: int = 2 ** 17,
-              strict: bool = True):
+def kernel_lp(theta: InnerFunction, lam: complex, p: float, *,
+              tol: float = KERNEL_TOL, max_n: int = MAX_NODES, strict: bool = True):
     """||k_lam||_p, as (value, residual, n).
 
     For Theta without singular part and finite p the value comes from
     ``graded_norms`` (n nodes, at most max_n).  Otherwise it is uniform
-    quadrature with grid doubling from start_n to at most max_n points
+    quadrature with grid doubling from DEFAULT_GRID to at most max_n points
     (n the last grid, residual the last Cauchy change), singular factors
     sampled at a fixed radial offset.  When strict, raises NoConvergence
     unless the residual is at most tol; otherwise the value is returned
     with its residual, which scan reports carry per row.
     """
     lam, _ = _point(lam)
-    if _graded(theta, p):
-        value, resid, n = graded_norms(theta, lam, p, max_n)[0]
-    else:
+    if p == np.inf or theta.has_singular_part():
         radius = RADIAL_OFFSET if theta.has_singular_part() else 1.0
 
         def compute(m):
             return lp_norm(_kernel_samples(theta, lam, BoundaryGrid(m), radius), p)
 
-        value, resid, n = cauchy_refine(compute, start_n, tol, max_n)
+        value, resid, n = cauchy_refine(compute, DEFAULT_GRID, tol, max_n)
+    else:
+        value, resid, n = graded_norms(theta, lam, p, max_n)[0]
     if strict:
         _require(resid, tol, p, max_n)
     return value, resid, n
 
 
-RATIO_TOL = 1e-6  # largest residual of either kernel norm in growth_ratio
-
-
-def growth_ratio(theta: InnerFunction, lam: complex, p: float, max_n: int = 2 ** 17) -> float:
-    """||k_lam||_p / ||k_lam||_2^2, the quantity whose boundedness a
-    bounded-symbol theorem forces for every p > 2."""
-    if not 2 < p:
-        raise ValueError("p must exceed 2")
-    (num, _, _), (den, _, _) = _lp_and_l2(theta, lam, p, tol=RATIO_TOL, max_n=max_n)
-    return num / den ** 2
-
-
-def _checked(norms, p: float, tol: float, max_n: int):
-    """``graded_norms`` output, after NoConvergence unless both residuals
-    are at most tol."""
-    for (_, resid, _), q in zip(norms[:2], (p, 2.0)):
+def _norm_pair(theta: InnerFunction, lam, p: float, tol: float, max_n: int):
+    """||k_lam||_p and ||k_lam||_2, each (value, residual, n), and
+    ||k_lam^{Theta^2}||_p: one graded rule for Theta without singular part
+    and finite p, else two ``kernel_lp`` calls and NaN.  NoConvergence
+    unless both residuals are at most tol."""
+    if p == np.inf or theta.has_singular_part():
+        return (kernel_lp(theta, lam, p, tol=tol, max_n=max_n),
+                kernel_lp(theta, lam, 2.0, tol=tol, max_n=max_n), math.nan)
+    norms = graded_norms(theta, _point(lam)[0], p, max_n)
+    for (_, resid, _), q in zip(norms, (p, 2.0)):
         _require(resid, tol, q, max_n)
     return norms
 
 
-def _lp_and_l2(theta: InnerFunction, lam: complex, p: float, tol: float, max_n: int):
-    """Strict kernel_lp at p and at 2, each (value, residual, n), for
-    ||k||_p / ||k||_2^2; one graded rule serves both where it applies."""
-    if not _graded(theta, p):
-        return tuple(kernel_lp(theta, lam, q, tol=tol, max_n=max_n) for q in (p, 2.0))
-    return _checked(graded_norms(theta, _point(lam)[0], p, max_n), p, tol, max_n)[:2]
+def growth_ratio(theta: InnerFunction, lam: complex, p: float, max_n: int = MAX_NODES) -> float:
+    """||k_lam||_p / ||k_lam||_2^2 (both within KERNEL_TOL), the quantity
+    whose boundedness a bounded-symbol theorem forces for every p > 2."""
+    if not 2 < p:
+        raise ValueError("p must exceed 2")
+    (num, _, _), (den, _, _), _ = _norm_pair(theta, lam, p, KERNEL_TOL, max_n)
+    return num / den ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +346,8 @@ def gen_blaschke_counterexample(p: float = 3.0, count: int = 20) -> Counterexamp
     kernel at 1 exists but leaves L^p: the rank-one operator there is
     bounded with no bounded symbol.
     """
-    if p <= 2:
-        raise ValueError("p must exceed 2")
+    if not 2 < p < math.inf:
+        raise ValueError("p must be finite and exceed 2")
     if count < 4:
         raise ValueError("need at least 4 zeros")
     ks = np.arange(1, count + 1)
@@ -441,8 +435,8 @@ def gen_tangential_family(gamma: float, p: float, count: int = 12) -> Counterexa
 def gen_singular_counterexample(p: float = 3.0, count: int = 20) -> CounterexampleFamily:
     """Atoms of mass 8^{-k} at angles 2^{-k}: the singular twin of the
     Blaschke family, with masses playing the role of 1 - |a_k|^2."""
-    if p <= 2:
-        raise ValueError("p must exceed 2")
+    if not 2 < p < math.inf:
+        raise ValueError("p must be finite and exceed 2")
     ks = np.arange(1, count + 1)
     atoms = [Atom(2.0 ** -k, 8.0 ** -k) for k in ks]
     theta = SingularAtomic(atoms, truncated=True)
@@ -481,17 +475,14 @@ def _check_degrees(family: CounterexampleFamily, degrees):
 # ---------------------------------------------------------------------------
 # scans
 
-class ScanReport:
-    """Rows plus the running maximum of a scanned ratio."""
-
-    def __init__(self, columns, rows, max_ratio):
-        self.columns = columns
-        self.rows = rows
-        self.max_ratio = max_ratio
+ScanReport = namedtuple("ScanReport", "rows max_ratio")  # max_ratio: the rows' largest ratio
+CLS_TOL = 1e-8  # default residual bound of cls_ratio_scan (and of the cls-scan command)
+QUADRATURE_TOL = 1e-10  # largest residual a quadrature column of growth_scan or
+                        # counterex_theorem_check may carry; beyond it they raise
 
 
-def cls_ratio_scan(theta: InnerFunction, points, tol: float = 1e-8,
-                   max_n: int = 2 ** 17) -> ScanReport:
+def cls_ratio_scan(theta: InnerFunction, points, tol: float = CLS_TOL,
+                   max_n: int = MAX_NODES) -> ScanReport:
     """Rows (lambda, ||k||_inf, ||k||_2^2, ratio); the connected-level-set
     test: the supremum of the ratio is finite iff Theta is one-component.
 
@@ -505,7 +496,7 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = 1e-8,
     for lam in np.asarray(points, dtype=complex):
         lam = complex(lam)
         if _point(lam)[1]:
-            (sup, _, _), (two, _, _) = _lp_and_l2(theta, lam, np.inf, tol=tol, max_n=max_n)
+            (sup, _, _), (two, _, _), _ = _norm_pair(theta, lam, np.inf, tol, max_n)
             two_sq = two ** 2
         else:
             sup = kernel_lp(theta, lam, np.inf, tol=tol, max_n=max_n)[0]
@@ -513,43 +504,31 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = 1e-8,
         ratio = sup / two_sq
         best = max(best, ratio)
         rows.append((lam, sup, two_sq, ratio))
-    return ScanReport(("lambda", "sup_norm", "l2_norm_sq", "ratio"), rows, best)
-
-
-QUADRATURE_TOL = 1e-10  # largest residual a quadrature column of growth_scan or
-                        # counterex_theorem_check may carry; beyond it they raise
-SCAN_NODES = 2 ** 17  # node budget of those columns' graded rules
-
-
-def _certified(theta: InnerFunction, lam, p: float):
-    """graded_norms(theta, lam, p), raising NoConvergence unless both
-    residuals are at most QUADRATURE_TOL."""
-    return _checked(graded_norms(theta, lam, p, SCAN_NODES), p, QUADRATURE_TOL, SCAN_NODES)
+    return ScanReport(rows, best)
 
 
 def growth_scan(family: CounterexampleFamily, degrees, radii, p: float) -> ScanReport:
     """Kernel growth along a joint (degree, radius) refinement diagonal.
 
     degrees and radii are zipped: each row refines both the truncation and
-    the approach to the family's base point.  Both kernel norms come from
-    one graded rule (``graded_norms``): ``grid`` is its node count,
-    ``residual_2`` the relative distance of ||k_r||_2 to the closed form
-    and ``residual_p`` that of ||k_r||_p to the same panels at CHECK_ORDER.
-    Raises NoConvergence when either residual exceeds QUADRATURE_TOL.
+    the approach to the family's base point.  For finite p both kernel
+    norms come from one graded rule (``graded_norms``): ``grid`` is its
+    node count, ``residual_2`` the relative distance of ||k_r||_2 to the
+    closed form and ``residual_p`` that of ||k_r||_p to the same panels at
+    CHECK_ORDER (p = inf takes ``kernel_lp``'s uniform grids).  Raises
+    NoConvergence when either residual exceeds QUADRATURE_TOL.
     """
     rows = []
     best = 0.0
     for d, r in zip(degrees, radii):
-        (num, res_p, n_used), (den, res_2, _), _ = _certified(
-            blaschke_truncation(family, d), r, p)
+        (num, res_p, n_used), (den, res_2, _), _ = _norm_pair(
+            blaschke_truncation(family, d), r, p, QUADRATURE_TOL, MAX_NODES)
         ratio = num / den ** 2
         best = max(best, ratio)
         rows.append({"degree": d, "radius": float(r), "growth_ratio": ratio,
                      "kernel_p": num, "kernel_2_sq": den ** 2,
                      "residual_p": res_p, "residual_2": res_2, "grid": n_used})
-    return ScanReport(("degree", "radius", "growth_ratio", "kernel_p",
-                       "kernel_2_sq", "residual_p", "residual_2", "grid"),
-                      rows, best)
+    return ScanReport(rows, best)
 
 
 GROW_TOL = 0.10  # least relative growth per degree step of a "diverging" signature
@@ -593,7 +572,8 @@ def counterex_theorem_check(family: CounterexampleFamily, p: float,
         sums_p.append(float(bl_p.sum() + at_p.sum()))
         sums_2.append(float(bl_2.sum() + at_2.sum()))
         sums_sq.append(2.0 * sums_p[-1])  # zeros of Theta^2 are doubled
-        (kp, rp, _), (k2, r2, _), kp_square = _certified(th, 1.0, p)
+        (kp, rp, _), (k2, r2, _), kp_square = _norm_pair(th, 1.0, p, QUADRATURE_TOL,
+                                                          MAX_NODES)
         quad_p.append(kp)
         quad_2.append(k2)
         res_p.append(rp)
@@ -628,7 +608,7 @@ def counterex_theorem_check(family: CounterexampleFamily, p: float,
 # RKT failure for fractional powers of a singular inner function
 
 def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
-                     grid_n: int = 2 ** 13) -> dict:
+                     grid_n: int = RKT_GRID) -> dict:
     """Numerical study of A = A^Theta_{conj(Theta^s)} on sampled kernels.
 
     Per sample point: (i) the residual of the closed-form action
@@ -647,14 +627,14 @@ def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
         raise ValueError("the scan needs an atomic singular inner function")
     th_s = power(theta, s)
     th_1ms = power(theta, 1.0 - s)
+    grids = (BoundaryGrid(grid_n), BoundaryGrid(2 * grid_n))  # both sizes checked first
     rows = []
     for lam in np.asarray(lams, dtype=complex):
         y = abs(complex(theta.eval(complex(lam)))) ** 2
         tv_s = complex(th_s.eval(complex(lam)))
         closed = (y ** s - y) / (1.0 - y)
         ident = []
-        for n in (grid_n, 2 * grid_n):
-            g = BoundaryGrid(n)
+        for g in grids:
             th = theta.boundary_samples(g)
             ths = th_s.boundary_samples(g)
             k_1ms = _kernel_samples(th_1ms, lam, g)  # k_lam^{Theta^{1-s}}
@@ -662,7 +642,7 @@ def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
             lhs = project_theta(th, CircleFunction(g, np.conj(ths) * k_lam)).samples
             rhs = np.conj(tv_s) * k_1ms
             ident.append(lp_norm(lhs - rhs, 2) / lp_norm(rhs, 2))
-            if n == grid_n:
+            if g.n == grid_n:
                 norm_sq = (_kernel_scale(theta, lam) * lp_norm(lhs, 2)) ** 2
                 f = ths * k_1ms
                 af = project_theta(th, CircleFunction(g, np.conj(ths) * f)).samples

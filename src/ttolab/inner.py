@@ -311,31 +311,49 @@ def square(theta: InnerFunction) -> InnerFunction:
 # -- JSON -----------------------------------------------------------------
 
 def from_json(obj: dict) -> InnerFunction:
+    """The inner function of a JSON spec; ValueError on a malformed one."""
     if not isinstance(obj, dict):
         raise ValueError(f"an inner-function spec is a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "monomial":
-        return Monomial(int(obj["degree"]))
+        return Monomial(_number(obj, "degree", int))
     if kind == "blaschke":
         zeros = []
-        for z in obj["zeros"]:
-            mult = int(z.get("mult", 1))
+        for z in _objects(obj["zeros"], "zeros"):
+            mult = _number(z, "mult", int) if "mult" in z else 1
             if "delta" in z:
-                zeros.append(BlaschkeZero(float(z["delta"]), float(z["angle"]), mult))
+                zeros.append(BlaschkeZero(_number(z, "delta"), _number(z, "angle"), mult))
             else:
                 zeros.append(BlaschkeZero.from_complex(
-                    complex(float(z["re"]), float(z["im"])), mult))
+                    complex(_number(z, "re"), _number(z, "im")), mult))
         return BlaschkeProduct(zeros, truncated=bool(obj.get("truncated", False)))
     if kind == "singular":
-        return SingularAtomic([Atom(float(a["angle"]), float(a["mass"]))
-                               for a in obj["atoms"]],
+        return SingularAtomic(atoms_from_json(obj["atoms"]),
                               truncated=bool(obj.get("truncated", False)))
     if kind == "product":
-        return ProductInner([from_json(f) for f in obj["factors"]])
+        return ProductInner([from_json(f) for f in _objects(obj["factors"], "factors")])
     if kind == "power":
         base = from_json(obj["base"])
-        return PowerInner(base, float(obj["s"]))
+        return PowerInner(base, _number(obj, "s"))
     raise ValueError(f"unknown inner-function type: {kind!r}")
+
+
+def atoms_from_json(items) -> list[tuple[float, float]]:
+    """(angle, mass) of each {"angle", "mass"} object of a JSON list; ValueError else."""
+    return [(_number(a, "angle"), _number(a, "mass")) for a in _objects(items, "atoms")]
+
+
+def _objects(items, what: str) -> list:
+    if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
+        raise ValueError(f"{what} must be a list of JSON objects, got {items!r}")
+    return items
+
+
+def _number(obj: dict, key: str, cast=float):
+    value = obj[key]
+    if not isinstance(value, (int, float, str)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return cast(value)
 
 
 # -- Ahern-Clark / Cohn sums ----------------------------------------------

@@ -8,13 +8,12 @@ from ttolab import (CircleFunction, FejerWindowSet, FourierPolynomial,
                     assemble_bounded_symbol, blaschke_transport, build,
                     central_bound_check, fejer_kernel, fejer_split,
                     minimal_analytic_extension, operator_norm, rho)
-from ttolab.boundedsym import (LANCZOS_STEPS, QComplex, _lanczos_top_pair,
-                               _series_division, _toeplitz,
-                               rotation_covariance_residual,
+from ttolab.boundedsym import (QComplex, _lanczos_top_pair, _series_division,
+                               _toeplitz, rotation_covariance_residual,
                                symbol_from_matrix, transport_function)
 from ttolab.circle import BoundaryGrid, lp_norm
 from ttolab.errors import DivisibilityViolated, SupportOverflow
-from ttolab.operators import BoundarySymbol
+from ttolab.operators import LANCZOS_STEPS, BoundarySymbol
 
 
 def random_toeplitz(rng, N):

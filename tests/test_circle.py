@@ -21,6 +21,13 @@ def test_grid_validation():
     assert BoundaryGrid(16) is g  # cached
 
 
+def test_oversized_grid_is_refused_before_allocation():
+    from ttolab.circle import MAX_GRID
+    for n in (2 ** 40, 2 * MAX_GRID):  # 2^40 points would need 16 TB: MemoryError
+        with pytest.raises(ValueError, match="from 16 to 1048576"):
+            BoundaryGrid(n)
+
+
 def test_analyze_single_harmonic():
     g = BoundaryGrid(16)
     f = CircleFunction(g, g.points)

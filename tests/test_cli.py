@@ -280,14 +280,46 @@ def test_exit_codes(capsys, tmp_path):
         ["cohn-growth", "--inner", mono3, "--zeta", "0.5", "--terms", "0"],
         ["rkt-scan", "--inner", '{"type":"singular","atoms":[{"angle":0,"mass":1}]}',
          "--s", "0.5", "--lambda", "[]"],
+        # JSON values of the wrong type inside a spec or an atom list
+        ["kernels", "--inner", '{"type":"blaschke","zeros":5}', "--lambda", "0"],
+        ["kernels", "--inner", '{"type":"blaschke","zeros":[5]}', "--lambda", "0"],
+        ["kernels", "--inner", '{"type":"monomial","degree":[3]}', "--lambda", "0"],
+        ["kernels", "--inner", '{"type":"product","factors":null}', "--lambda", "0"],
+        ["carleson", "--inner", mono3, "--atoms", '[{"angle":0,"mass":null}]'],
+        # a grid past the largest size is refused before it is allocated
+        ["kernels", "--inner", mono3, "--lambda", "0", "--grid", str(2 ** 40)],
+        # the family exponent must be a finite number above 2
+        ["counterex", "--p", "inf", "--degrees", "4,8"],
+        ["counterex", "--p", "nan"],
     ]
-    for i, text in enumerate(("[1,2]", "3")):  # a config file must hold an object
+    # a config file must hold an object of values that the flags could give:
+    # no null for a flag with a default, a number for a numeric flag, a choice
+    for i, (command, text) in enumerate((("cf-extend", "[1,2]"), ("cf-extend", "3"),
+                                         ("counterex", '{"p": null}'),
+                                         ("rkt-scan", '{"grid": null}'),
+                                         ("counterex", '{"count": [20]}'),
+                                         ("counterex", '{"kind": "bogus"}'))):
         cfg = tmp_path / f"cfg{i}.json"
         cfg.write_text(text)
-        malformed.append(["cf-extend", "--coeffs", "[1]", "--config", str(cfg)])
+        flags = {"cf-extend": ["--coeffs", "[1]"], "counterex": [],
+                 "rkt-scan": ["--inner", '{"type":"singular","atoms":[{"angle":0,"mass":1}]}',
+                              "--s", "0.5"]}[command]
+        malformed.append([command, *flags, "--config", str(cfg)])
     for args in malformed:
         assert main(args) == 2, args
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_config_null_is_an_absent_flag(tmp_path, capsys):
+    # for a flag without a default, null in a config file means the flag is absent
+    cfg = tmp_path / "cfg.json"
+    outs = []
+    for text in ('{"grid": null}', "{}"):
+        cfg.write_text(text)
+        assert main(["kernels", "--inner", '{"type":"monomial","degree":2}',
+                     "--lambda", "0.1", "--config", str(cfg)]) == 0
+        outs.append(json.loads(capsys.readouterr().out)["coefficients"])
+    assert outs[0] == outs[1]
 
 
 def test_unknown_config_keys(tmp_path, capsys):

@@ -126,6 +126,22 @@ def test_growth_ratio_strict_raises_on_unresolvable():
         growth_ratio(th, 0.99, 3.0, max_n=2 ** 11)
 
 
+def test_cls_scan_boundary_point_takes_both_norms_from_kernel_lp():
+    # on K_{z^4}, k_1 = 1 + z + z^2 + z^3: sup 4, ||k_1||_2^2 = 4
+    (lam, sup, two_sq, ratio), = cls_ratio_scan(Monomial(4), [1.0]).rows
+    assert (lam, sup, two_sq, ratio) == (1.0, 4.0, 4.0, 1.0)
+
+
+def test_growth_ratio_of_a_singular_theta_is_the_kernel_lp_ratio():
+    th = SingularAtomic([Atom(0.0, 1.0)])
+    want = kernel_lp(th, 0.3, 3.0)[0] / kernel_lp(th, 0.3, 2.0)[0] ** 2
+    assert growth_ratio(th, 0.3, 3.0) == want  # the same two strict calls, bit for bit
+    # uniform doubling starts at 4096 points, so a 4096-point budget never doubles
+    with pytest.raises(NoConvergence, match="residual inf not within 1e-06 at a "
+                                            "budget of 4096"):
+        growth_ratio(th, 0.3, 3.0, max_n=4096)
+
+
 def test_cls_scan_monomial_capped_at_two():
     pts = [r * np.exp(2j * np.pi * j / 16)
            for r in (0.0, 0.3, 0.6, 0.9, 0.99) for j in range(16)]

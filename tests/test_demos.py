@@ -1,7 +1,10 @@
 """Every demo script runs to completion against the in-tree package, with
-warnings turned into errors and nothing written to stderr."""
+warnings turned into errors and nothing written to stderr; the README's
+table of fixed numerical policies names the constants as they are."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +22,14 @@ def test_demo_runs(demo, tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_policy_table_matches_the_constants():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Fixed numerical policies", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| ([^|]+?) \|", table, flags=re.M)
+    assert len(rows) >= 20
+    for module, name, shown in rows:
+        base, _, exponent = shown.partition("^")
+        value = float(base) ** int(exponent) if exponent else float(shown)
+        assert getattr(importlib.import_module(f"ttolab.{module}"), name) == value, name
