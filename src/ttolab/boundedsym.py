@@ -13,6 +13,7 @@ it (Ritz residual and gap), and from the dense SVD otherwise.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from fractions import Fraction
@@ -20,11 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import (BoundaryGrid, CircleFunction, FourierPolynomial,
-                     lp_norm, polynomial_values, pow2_at_least)
+                     lp_norm, polynomial_values, pow2_at_least, toeplitz)
 from .errors import DivisibilityViolated, SupportOverflow
 from .inner import (BlaschkeProduct, InnerFunction, Monomial, ProductInner,
                     divides)
-from .modelspace import ModelSpace
+from .modelspace import ModelSpace, ToeplitzSpace
 from .operators import (DEGENERATE_GAP, BoundarySymbol, SampleSet, TTOperator,
                         _diagonals, _lanczos_top_pair, build, rho, rho_r)
 
@@ -51,14 +52,7 @@ class QComplex:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = QComplex.of(other)
-        return QComplex(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, q):
-        # rational scalar only; that is all the windows need
-        if not isinstance(q, Fraction):
-            q = Fraction(q)
+    def __mul__(self, q: Fraction):  # a rational scalar: all the windows need
         return QComplex(self.re * q, self.im * q)
 
     __rmul__ = __mul__
@@ -165,10 +159,14 @@ def _window_coeffs(N: int):
 # ---------------------------------------------------------------------------
 # Carathéodory-Fejér minimal extension
 
+CF_TAYLOR_MIN = 8  # least count of Taylor coefficients a CF extension divides out
+
+
 class CFExtension:
     """Minimal-norm analytic extension of Taylor data c_0..c_{N-1}.
 
-    ``taylor`` holds the extension's Taylor coefficients (length >= N),
+    ``taylor`` holds the extension's first max(N, CF_TAYLOR_MIN) Taylor
+    coefficients (max(N, 2) for constant data), of which the assembly reads N,
     ``norm`` its sup norm (= top singular value of the Toeplitz matrix),
     and ``suboptimal`` flags the degenerate fallback that keeps the raw
     polynomial instead of the extremal all-pass quotient.
@@ -193,13 +191,6 @@ class CFExtension:
         if self.den is not None:
             vals /= polynomial_values(self.den, grid)
         return CircleFunction(grid, vals)
-
-
-def _toeplitz(diag):
-    """The N x N Toeplitz matrix whose entry (i, j) is diag[i - j + N - 1]."""
-    N = (len(diag) + 1) // 2
-    i = np.arange(N)
-    return diag[i[:, None] - i[None, :] + N - 1]
 
 
 def _series_division(num, den, length):
@@ -245,7 +236,7 @@ def minimal_analytic_extension(coeffs) -> CFExtension:
         taylor[0] = c[0]
         return CFExtension(c, float(abs(c[0])), taylor,
                            np.array([c[0]]), None, False, 0.0, 0.0)
-    T = _toeplitz(np.concatenate([np.zeros(N - 1, dtype=complex), c]))
+    T = toeplitz(np.concatenate([np.zeros(N - 1, dtype=complex), c]))
     pair = _lanczos_top_pair(T)
     if pair is None:
         U, s, Vh = np.linalg.svd(T)
@@ -258,7 +249,7 @@ def minimal_analytic_extension(coeffs) -> CFExtension:
         degenerate = False
     grid = _check_grid(N)
     if not (degenerate or abs(w[0]) < 1e-13):
-        taylor = _series_division(num, w, max(4 * N, 64))
+        taylor = _series_division(num, w, max(N, CF_TAYLOR_MIN))
         ext = CFExtension(c, sigma, taylor, num, w, False,
                           float(np.max(np.abs(taylor[:N] - c))), 0.0)
         vals = ext.boundary(grid).samples
@@ -267,7 +258,7 @@ def minimal_analytic_extension(coeffs) -> CFExtension:
                 and ext.modulus_defect <= 1e-6 * max(1.0, sigma)):
             return ext
     # fallback: ship the polynomial itself; norm is its sup, compression exact
-    taylor = np.zeros(max(4 * N, 64), dtype=complex)
+    taylor = np.zeros(max(N, CF_TAYLOR_MIN), dtype=complex)
     taylor[:N] = c
     ext = CFExtension(c, 0.0, taylor, c.copy(), None, True, 0.0, float("nan"))
     ext.norm = lp_norm(ext.boundary(grid), np.inf)
@@ -330,12 +321,16 @@ class BoundedSymbolResult:
 
 
 def symbol_from_matrix(M) -> FourierPolynomial:
-    """Read the canonical symbol of a Toeplitz matrix off its diagonals."""
+    """Read the canonical symbol of a Toeplitz matrix off its diagonals;
+    OverflowError where a diagonal's mean overflows."""
     coeffs = {}
-    for d, diag in _diagonals(np.asarray(M, dtype=complex)):
-        val = complex(diag.mean())
-        if val != 0:
-            coeffs[d] = val
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        for d, diag in _diagonals(np.asarray(M, dtype=complex)):
+            val = complex(diag.mean())
+            if cmath.isinf(val):
+                raise OverflowError(f"the mean of diagonal {d} is not finite")
+            if val != 0:
+                coeffs[d] = val
     return FourierPolynomial(coeffs)
 
 
@@ -347,13 +342,12 @@ def _toeplitz_from_taylor(plus_taylor, minus_taylor, central, N):
     frequency -d with conj(minus_taylor[d]).
     """
     diag = np.zeros(2 * N - 1, dtype=complex)  # index d+N-1 holds hat(phi)(d)
-    for d in range(N):
-        diag[d + N - 1] += plus_taylor[d]
-        diag[N - 1 - d] += np.conj(minus_taylor[d])
+    diag[N - 1:] += plus_taylor[:N]
+    diag[N - 1::-1] += np.conj(minus_taylor[:N])
     for k, v in central.coeffs.items():
         if -(N - 1) <= k <= N - 1:
             diag[k + N - 1] += complex(v)
-    return _toeplitz(diag)
+    return toeplitz(diag)
 
 
 def assemble_bounded_symbol(op: TTOperator,
@@ -366,10 +360,9 @@ def assemble_bounded_symbol(op: TTOperator,
     replaced by their minimal-norm extensions, which leaves the compression
     untouched because only Taylor data below N enters the matrix.
     """
-    space = op.space
-    if not isinstance(space.theta, Monomial):
+    if not isinstance(op.space, ToeplitzSpace):
         raise ValueError("assembly is defined on K_{z^N}")
-    N = space.theta.n
+    N = op.space.dim
     phi = symbol_from_matrix(op.matrix)
     phi1, phi2, phi3 = fejer_split(phi, N)
     plus_data = np.array([complex(phi2.coeff(k)) for k in range(N)])
@@ -406,13 +399,12 @@ def blaschke_transport(op: TTOperator, alpha: complex) -> TTOperator:
     diagonal, since U z^{j} is (-1)^j times the j-th basis function of the
     target space.
     """
-    space = op.space
-    if not isinstance(space.theta, Monomial):
+    if not isinstance(op.space, ToeplitzSpace):
         raise ValueError("transport starts from K_{z^N}")
     alpha = complex(alpha)
     if not abs(alpha) < 1:
         raise ValueError("|alpha| < 1 required")
-    N = space.theta.n
+    N = op.space.dim
     target = ModelSpace(BlaschkeProduct([(alpha, N)]))
     D = np.diag((-1.0) ** np.arange(N))
     return TTOperator(target, matrix=D @ op.matrix @ D, symbol=None)
@@ -437,9 +429,9 @@ def transport_function(f: CircleFunction, alpha: complex) -> CircleFunction:
 
 def rotation_covariance_residual(space: ModelSpace, t: float, lam: complex) -> float:
     """Residual of tau_t h_lam = h_{e^{-it} lam} and its difference-quotient twin."""
-    if not isinstance(space.theta, Monomial):
+    if not isinstance(space, ToeplitzSpace):
         raise ValueError("rotation covariance is a K_{z^N} identity")
-    N = space.theta.n
+    N = space.dim
     h = space.normalized_kernel(lam)
     ht = space.difference_quotient(lam, normalized=True)
     phases = np.exp(1j * t * np.arange(N))

@@ -122,27 +122,18 @@ class CircleFunction:
     def _like(self, samples, bandwidth=None):
         return CircleFunction(self.grid, samples, bandwidth=bandwidth)
 
-    def __add__(self, other):
-        if isinstance(other, CircleFunction):
-            bw = None
-            if self.bandwidth is not None and other.bandwidth is not None:
-                bw = max(self.bandwidth, other.bandwidth)
-            return self._like(self.samples + other.samples, bw)
-        return self._like(self.samples + other, None)
+    def _bandwidth(self, other):  # of a sum: the larger, when both are known
+        if self.bandwidth is None or other.bandwidth is None:
+            return None
+        return max(self.bandwidth, other.bandwidth)
 
-    __radd__ = __add__
+    def __add__(self, other: "CircleFunction"):
+        return self._like(self.samples + other.samples, self._bandwidth(other))
 
-    def __sub__(self, other):
-        if isinstance(other, CircleFunction):
-            bw = None
-            if self.bandwidth is not None and other.bandwidth is not None:
-                bw = max(self.bandwidth, other.bandwidth)
-            return self._like(self.samples - other.samples, bw)
-        return self._like(self.samples - other, None)
+    def __sub__(self, other: "CircleFunction"):
+        return self._like(self.samples - other.samples, self._bandwidth(other))
 
-    def __mul__(self, scalar):
-        if isinstance(scalar, CircleFunction):
-            return multiply(self, scalar)
+    def __mul__(self, scalar):  # a product of two functions is ``multiply``
         return self._like(self.samples * scalar, self.bandwidth)
 
     __rmul__ = __mul__
@@ -221,13 +212,20 @@ def lp_norm(f, p) -> float:
     """L^p norm by uniform quadrature of a CircleFunction or of its samples;
     p = inf gives the sample maximum."""
     a = np.abs(f.samples if isinstance(f, CircleFunction) else f)
-    if p == np.inf or p == float("inf"):
+    if p == np.inf:
         return float(a.max())
     if p < 1:
         raise ValueError("p must be >= 1 or inf")
     if p == 2:
         return float(np.sqrt(np.mean(a * a)))
     return float(np.mean(a ** p) ** (1.0 / p))
+
+
+def toeplitz(diag):
+    """The N x N Toeplitz matrix whose entry (i, j) is diag[i - j + N - 1]."""
+    N = (len(diag) + 1) // 2
+    i = np.arange(N)
+    return diag[i[:, None] - i[None, :] + N - 1]
 
 
 def fold(x, n: int):
@@ -268,9 +266,6 @@ class FourierPolynomial:
     def __init__(self, coeffs: dict):
         self.coeffs = {int(k): v for k, v in coeffs.items() if v != 0}
 
-    def __eq__(self, other):
-        return isinstance(other, FourierPolynomial) and self.coeffs == other.coeffs
-
     def coeff(self, k: int):
         return self.coeffs.get(int(k), 0)
 
@@ -289,12 +284,6 @@ class FourierPolynomial:
         out = {}
         for k, v in self.coeffs.items():
             out[-k] = v.conjugate() if isinstance(v, complex) else v
-        return FourierPolynomial(out)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
         return FourierPolynomial(out)
 
     def __sub__(self, other):

@@ -177,7 +177,7 @@ def _cmd_cf_extend(cfg):
     coeffs = _complex(_load_json_arg(cfg["coeffs"]), "list")
     ext = minimal_analytic_extension(coeffs)
     return {"norm": ext.norm,
-            "taylor": _pairs(ext.taylor[:max(len(coeffs), 8)]),
+            "taylor": _pairs(ext.taylor),
             "taylor_defect": ext.taylor_defect,
             "modulus_defect": (None if np.isnan(ext.modulus_defect)
                                else ext.modulus_defect),

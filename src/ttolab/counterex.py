@@ -22,9 +22,8 @@ import numpy as np
 from .circle import BoundaryGrid, CircleFunction, DEFAULT_GRID, cauchy_refine, lp_norm
 from .errors import NoConvergence, UnsupportedVariant
 from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction,
-                    SingularAtomic, _phase_data, cohn_terms,
-                    has_angular_derivative, one_minus_mod_sq, phase_increment,
-                    power)
+                    SingularAtomic, cohn_terms, has_angular_derivative,
+                    one_minus_mod_sq, phase_increment, power)
 from .modelspace import _kernel_samples, _kernel_scale, _point, project_theta
 
 RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
@@ -74,7 +73,7 @@ def _interior_phase(theta: InnerFunction, lam: complex) -> float:
     (delta - W)(V + delta E) / ((W + delta |lam| E)(delta - V)): no factor
     rounds 1 - |a| away.
     """
-    angle, delta, mult = _phase_data(theta)
+    angle, delta, mult = theta._phase_data
     r = abs(lam)
     v = cmath.phase(lam) - angle
     E = np.exp(1j * v)
@@ -112,7 +111,7 @@ class KernelRule:
         lam, boundary = _point(lam)
         self.theta = theta
         self.tau = cmath.phase(lam)
-        angle, delta, _ = _phase_data(theta)
+        angle, delta, _ = theta._phase_data
         if boundary:
             self.radius, self.q, self.beta = 1.0, 0.0, 0.0
             s = np.sin(0.5 * (self.tau - angle))
@@ -215,9 +214,7 @@ class KernelRule:
         return cert.value if cert else float("nan")
 
 
-def _rule_norm(weights, k_sq, p: float) -> float:
-    if p == np.inf:
-        return float(np.sqrt(k_sq.max()))
+def _rule_norm(weights, k_sq, p: float) -> float:  # finite p
     return float((weights @ k_sq ** (0.5 * p) / (2.0 * math.pi)) ** (1.0 / p))
 
 
@@ -229,8 +226,11 @@ def graded_norms(theta: InnerFunction, lam, p: float, max_n: int = MAX_NODES):
     to the exact norm (``KernelRule.exact_sq``); for p != 2 it is the
     relative distance to the same panels at CHECK_ORDER.  A rule of more
     than ``max_n`` nodes is not evaluated (values NaN, residuals inf), and
-    without an exact reference every value and residual is NaN.
+    without an exact reference every value and residual is NaN.  ValueError
+    unless p is finite (``kernel_lp`` takes p = inf on uniform grids).
     """
+    if not math.isfinite(p):
+        raise ValueError(f"graded kernel norms need a finite p, got {p}")
     rule = KernelRule(theta, lam, p)
     n = rule.n
     exact = rule.exact_sq()

@@ -11,6 +11,7 @@ the Ahern-Clark sums.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -86,12 +87,11 @@ class Atom:
 
 
 class InnerFunction:
-    """Base class.  Instances are immutable and evaluate via ``__call__``."""
+    """Base class.  Instances are immutable, so data derived from them is
+    computed once: grid samples (``samples_at``) and the per-factor
+    constants of ``one_minus_mod_sq`` and ``phase_increment``."""
 
     truncated = False  # True when the spec is a truncation of an infinite family
-
-    def __call__(self, z):
-        return self.eval(z)
 
     # combinatorial data -------------------------------------------------
 
@@ -153,6 +153,23 @@ class InnerFunction:
             z = grid.points if radius == 1.0 else radius * grid.points
             cache[key] = self._eval_impl(z)
         return cache[key]
+
+    @functools.cached_property
+    def _factor_data(self):
+        """Zeros as (conj(a), 1 - |a|^2, mult) and atoms as (zeta, 2 mass),
+        Python scalars, for ``one_minus_mod_sq``."""
+        return ([(z.value.conjugate(), z.one_minus_mod2(), z.mult) for z in self.zeros()],
+                [(cmath.exp(1j * a.angle), 2.0 * a.mass) for a in self.atoms()])
+
+    @functools.cached_property
+    def _phase_data(self):
+        """Zeros as arrays (angle, delta, mult), equal zeros merged into one
+        multiplicity, for ``phase_increment``."""
+        mults: dict[tuple[float, float], int] = {}
+        for z in self.zeros():
+            mults[z.angle, z.delta] = mults.get((z.angle, z.delta), 0) + z.mult
+        return tuple(np.array(col, dtype=float) for col in
+                     zip(*((a, d, m) for (a, d), m in mults.items())))
 
     # serialization --------------------------------------------------------
 
@@ -379,7 +396,7 @@ def one_minus_mod_sq(theta: InnerFunction, lam) -> float:
             u = -math.expm1(theta.n * math.log1p(-u))
         return min(u, 1.0)
     q = 0.0
-    zeros, atoms = _factor_data(theta)
+    zeros, atoms = theta._factor_data
     for abar, one_minus_a2, mult in zeros:
         d = abs(1.0 - abar * lam)
         u = one_minus_lam2 * one_minus_a2 / (d * d)  # d * d: float ** 2 is slower
@@ -392,34 +409,6 @@ def one_minus_mod_sq(theta: InnerFunction, lam) -> float:
     for zeta, twice_mass in atoms:
         exponent += twice_mass * ((lam + zeta) / (lam - zeta)).real
     return min(q - (1.0 - q) * math.expm1(exponent), 1.0)  # q >= 1: lam on a zero
-
-
-def _factor_data(theta: InnerFunction):
-    """Per-factor constants of ``one_minus_mod_sq``, computed once per instance.
-
-    Zeros give (conj(a), 1 - |a|^2, mult) and atoms (zeta, 2 mass), as
-    Python scalars; kept beside ``_sample_cache`` since specs are immutable.
-    """
-    data = theta.__dict__.get("_factor_data")
-    if data is None:
-        data = ([(z.value.conjugate(), z.one_minus_mod2(), z.mult) for z in theta.zeros()],
-                [(cmath.exp(1j * a.angle), 2.0 * a.mass) for a in theta.atoms()])
-        theta.__dict__["_factor_data"] = data
-    return data
-
-
-def _phase_data(theta: InnerFunction):
-    """Zeros of ``theta`` as arrays (angle, delta, mult), equal zeros merged
-    into one multiplicity; cached per instance like ``_factor_data``."""
-    data = theta.__dict__.get("_phase_data")
-    if data is None:
-        mults: dict[tuple[float, float], int] = {}
-        for z in theta.zeros():
-            mults[z.angle, z.delta] = mults.get((z.angle, z.delta), 0) + z.mult
-        data = tuple(np.array(col, dtype=float) for col in
-                     zip(*((a, d, m) for (a, d), m in mults.items())))
-        theta.__dict__["_phase_data"] = data
-    return data
 
 
 def _wrap(x):
@@ -442,7 +431,7 @@ def phase_increment(theta: InnerFunction, tau: float, anchors, offsets):
     round a zero with delta below 1e-16 onto the circle).  Returns
     (Delta, w) at the nodes.
     """
-    angle, delta, mult = _phase_data(theta)
+    angle, delta, mult = theta._phase_data
     offsets = np.asarray(offsets, dtype=float)
     anchors, where = np.unique(np.broadcast_to(anchors, offsets.shape), return_inverse=True)
     c = (2.0 - delta) / delta
@@ -482,9 +471,11 @@ def cohn_terms(theta: InnerFunction, zeta, p: float):
     """Termwise Ahern-Clark data at e^{it}: Blaschke terms then atom terms.
 
     Blaschke term k: (1-|a_k|^2)/|zeta-a_k|^p, computed from (delta, angle).
-    Atom term k: c_k/|zeta-zeta_k|^p.  Raises AtomAtPoint when zeta sits on
-    an atom.
+    Atom term k: c_k/|zeta-zeta_k|^p.  Raises ValueError unless p is finite
+    and AtomAtPoint when zeta sits on an atom.
     """
+    if not math.isfinite(p):
+        raise ValueError(f"the Ahern-Clark sums need a finite p, got {p}")
     t = _boundary_angle(zeta)
     bl = []
     for zero in theta.zeros():
@@ -551,9 +542,7 @@ def has_angular_derivative(theta: InnerFunction, zeta) -> AngularDerivative:
 
     seq = np.concatenate([bl, at]) if at.size else bl
     seq = np.sort(seq)[::-1][:ANGULAR_BUDGET]  # positive terms; order-free sum
-    k = len(seq)
-    if k == 0:
-        return AngularDerivative("yes", value)
+    k = len(seq)  # at least 1: a truncated spec has a zero or an atom
     tail = seq[max(1, (3 * k) // 4):]
     if tail.sum() <= ANGULAR_CAUCHY_TOL:
         return AngularDerivative("yes", float(bl[:k].sum() + 2.0 * at[:k].sum()))

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID, cauchy_refine,
-                     fold, lp_norm, pow2_at_least, riesz_plus)
+                     fold, lp_norm, pow2_at_least, riesz_plus, toeplitz)
 from .errors import (BandwidthOverflow, BoundaryPointNotNormalizable,
                      NoAngularDerivative, UnsupportedVariant)
 from .inner import (BoundaryPoint, InnerFunction, Monomial,
@@ -108,32 +108,26 @@ def project_theta(theta_samples, f: CircleFunction) -> CircleFunction:
 
 
 class ModelSpace:
-    """K_Theta in a representation that ``ModelSpace(theta, n, mode)`` chooses
-    once, here: ``ToeplitzSpace`` for z^N and ``TMSpace`` for other finite
-    Blaschke products (mode "exact", the default up to degree
-    EXACT_DEGREE_CAP), ``GridSpace`` (mode "truncated") otherwise.  The
-    methods below run on every representation over its hooks: ``_setup(n)``
-    builds the grid and the rest, ``_multiplier``, ``_pair_multiplier`` and
-    ``_outer`` give the (matrix, apply_fn) of an operator, ``_kernel_norms``
-    the rho columns."""
+    """K_Theta in the representation that ``ModelSpace(theta, n)`` chooses
+    from Theta alone: ``ToeplitzSpace`` for z^N and ``TMSpace`` for other
+    finite Blaschke products up to degree EXACT_DEGREE_CAP (mode "exact"),
+    ``GridSpace`` (mode "truncated") otherwise.  A representation named
+    directly, as ``GridSpace(theta, n)`` for the grid twin of an exact
+    space, is taken as named.  The methods below run on every
+    representation over its hooks: ``_setup(n)`` builds the grid and the
+    rest, ``_multiplier``, ``_pair_multiplier`` and ``_outer`` give the
+    (matrix, apply_fn) of an operator, ``_kernel_norms`` the rho columns."""
 
     mode: str  # "exact" or "truncated", set by each representation
 
-    def __new__(cls, theta=None, n=None, mode=None):
-        if cls is not ModelSpace:  # a representation named directly
-            return super().__new__(cls)
-        if mode not in (None, "exact", "truncated"):
-            raise ValueError(f"mode must be None, 'exact' or 'truncated', got {mode!r}")
-        if mode is None:
-            mode = ("exact" if theta.is_finite_blaschke()
-                    and theta.degree() <= EXACT_DEGREE_CAP else "truncated")
-        if mode == "truncated":
-            return super().__new__(GridSpace)
-        if not theta.is_finite_blaschke():
-            raise UnsupportedVariant("exact mode needs a finite Blaschke product")
-        return super().__new__(ToeplitzSpace if isinstance(theta, Monomial) else TMSpace)
+    def __new__(cls, theta, n=None):
+        if cls is ModelSpace:
+            cls = (GridSpace if not theta.is_finite_blaschke()
+                   or theta.degree() > EXACT_DEGREE_CAP
+                   else ToeplitzSpace if isinstance(theta, Monomial) else TMSpace)
+        return super().__new__(cls)
 
-    def __init__(self, theta: InnerFunction, n: int | None = None, mode: str | None = None):
+    def __init__(self, theta: InnerFunction, n: int | None = None):
         self.theta = theta
         self._setup(n)
 
@@ -490,8 +484,7 @@ class ToeplitzSpace(TMSpace):
 
     def _compress(self, w):  # the same rule: c[(i - j) mod n], c = fft(w) / n
         c = np.fft.fft(w) / self.grid.n
-        i = np.arange(self.dim)
-        return c[(i[:, None] - i[None, :]) % self.grid.n]
+        return toeplitz(c[np.arange(1 - self.dim, self.dim) % self.grid.n])
 
     def _unit_kernel_norms(self, M, samples, quotient: bool):
         """The dense product's columns over a rotation-closed set lambda = r w^m,
@@ -525,7 +518,7 @@ PROJECTION_TOL = 1e-8  # relative L^2 change that ends projection_residual's dou
 
 
 def projection_residual(theta: InnerFunction, sampler, max_n: int = 2 ** 16):
-    """Grid-doubling Cauchy residual of a truncated-mode projection.
+    """Grid-doubling Cauchy residual of a grid (``GridSpace``) projection.
 
     ``sampler(grid)`` produces the boundary data on any grid; the
     projection is computed on DEFAULT_GRID and doublings until the L^2
@@ -534,7 +527,7 @@ def projection_residual(theta: InnerFunction, sampler, max_n: int = 2 ** 16):
     achieved residual, final grid size).
     """
     def compute(m):
-        space = ModelSpace(theta, n=m, mode="truncated")
+        space = GridSpace(theta, m)
         return space.project(sampler(space.grid))
 
     def distance(prev, cur):
@@ -545,9 +538,10 @@ def projection_residual(theta: InnerFunction, sampler, max_n: int = 2 ** 16):
     return cauchy_refine(compute, DEFAULT_GRID, PROJECTION_TOL, max_n, distance)
 
 
-def tm_basis(theta: InnerFunction, n: int | None = None) -> list[CircleFunction]:
+def tm_basis(theta: InnerFunction) -> list[CircleFunction]:
     """Orthonormal Takenaka-Malmquist basis of K_Theta as boundary functions."""
-    space = ModelSpace(theta, n=n, mode="exact")
+    space = ModelSpace(theta)
+    space.require_basis("the Takenaka-Malmquist basis")
     return [CircleFunction(space.grid, space.basis_samples[:, j])
             for j in range(space.dim)]
 
@@ -581,9 +575,6 @@ class ModelFunction:
             return complex(self.space._tm_eval([w])[0] @ self.coeffs)
         k = self.space.kernel(w)
         return self.inner(k)
-
-    def __call__(self, w):
-        return self.eval(w)
 
     # -- Hilbert-space operations ------------------------------------------
 

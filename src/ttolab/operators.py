@@ -346,10 +346,7 @@ def operator_norm(op: TTOperator) -> float:
     rng = np.random.default_rng(7)
     f = space.project(CircleFunction(space.grid, rng.standard_normal(space.grid.n)
                                      + 1j * rng.standard_normal(space.grid.n)))
-    nrm = f.norm()
-    if nrm == 0:
-        return 0.0
-    f = (1.0 / nrm) * f
+    f = (1.0 / f.norm()) * f  # not 0: K_Theta is not {0}
     adj = adjoint(op)
     prev = 0.0
     for _ in range(POWER_STEPS):

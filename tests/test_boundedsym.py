@@ -8,11 +8,13 @@ from ttolab import (CircleFunction, FejerWindowSet, FourierPolynomial,
                     assemble_bounded_symbol, blaschke_transport, build,
                     central_bound_check, fejer_kernel, fejer_split,
                     minimal_analytic_extension, operator_norm, rho)
-from ttolab.boundedsym import (QComplex, _lanczos_top_pair, _series_division,
-                               _toeplitz, rotation_covariance_residual,
-                               symbol_from_matrix, transport_function)
-from ttolab.circle import BoundaryGrid, lp_norm
+from ttolab.boundedsym import (CF_TAYLOR_MIN, QComplex, _lanczos_top_pair,
+                               _series_division, _toeplitz_from_taylor,
+                               rotation_covariance_residual, symbol_from_matrix,
+                               transport_function)
+from ttolab.circle import BoundaryGrid, lp_norm, toeplitz
 from ttolab.errors import DivisibilityViolated, SupportOverflow
+from ttolab.modelspace import EXACT_DEGREE_CAP
 from ttolab.operators import LANCZOS_STEPS, BoundarySymbol
 
 
@@ -192,7 +194,7 @@ def test_cf_degenerate_falls_back():
 
 def _cf_matrix(c):
     N = len(c)
-    return _toeplitz(np.concatenate([np.zeros(N - 1, dtype=complex), c]))
+    return toeplitz(np.concatenate([np.zeros(N - 1, dtype=complex), c]))
 
 
 @pytest.mark.parametrize("N", [64, 256])
@@ -253,7 +255,8 @@ def test_cf_series_division_reproduces_numerator(rng, N):
     assert np.max(np.abs(np.convolve(out, ext.den)[:length] - num)) <= 1e-13 * scale
     ref = _series_division_loop(ext.num, ext.den, length)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.array_equal(out, ext.taylor)
+    assert len(ext.taylor) == max(N, CF_TAYLOR_MIN)
+    assert np.array_equal(out[:len(ext.taylor)], ext.taylor)
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 64])
@@ -263,8 +266,20 @@ def test_cf_toeplitz_gather_matches_diagonal_sum(rng, N):
     ref = np.zeros((N, N), dtype=complex)
     for d in range(N):
         ref += np.diag(np.full(N - d, c[d]), -d)
-    got = _toeplitz(np.concatenate([np.zeros(N - 1, dtype=complex), c]))
+    got = toeplitz(np.concatenate([np.zeros(N - 1, dtype=complex), c]))
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 64])
+def test_toeplitz_from_taylor_matches_the_per_diagonal_loop(rng, N):
+    plus, minus = (rng.standard_normal(N + 3) + 1j * rng.standard_normal(N + 3)
+                   for _ in range(2))
+    ref = np.zeros(2 * N - 1, dtype=complex)  # the loop, kept as the reference
+    for d in range(N):
+        ref[d + N - 1] += plus[d]
+        ref[N - 1 - d] += np.conj(minus[d])
+    got = _toeplitz_from_taylor(plus, minus, FourierPolynomial({}), N)
+    assert got.tobytes() == toeplitz(ref).tobytes()
 
 
 def test_central_bound_monomial_pair(rng):
@@ -401,3 +416,22 @@ def test_rotation_covariance():
         t = float(rng.uniform(0, 2 * np.pi))
         lam = 0.9 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
         assert rotation_covariance_residual(sp, t, lam) < 1e-10
+
+
+def test_qcomplex_repr():
+    assert repr(QComplex(Fraction(1, 2), -3)) == "QComplex(1/2, -3)"
+
+
+def test_kzn_identities_refuse_a_grid_space_at_once():
+    # z^N beyond the exact-degree cap is a GridSpace: refused before any work
+    space = ModelSpace(Monomial(EXACT_DEGREE_CAP + 1))
+    op = build(space, BoundarySymbol(CircleFunction.from_coeffs(space.grid, {0: 1.0})))
+    for call in (lambda: assemble_bounded_symbol(op), lambda: blaschke_transport(op, 0.3),
+                 lambda: rotation_covariance_residual(space, 0.1, 0.3)):
+        with pytest.raises(ValueError, match="K_"):
+            call()
+
+
+def test_symbol_from_matrix_reports_an_overflowing_diagonal():
+    with pytest.raises(OverflowError, match="diagonal 0"):
+        symbol_from_matrix(np.full((2, 2), 1e308))

@@ -19,6 +19,7 @@ def test_grid_validation():
     # points are exactly the 16th roots of unity
     assert abs(g.points[4] - 1j) < 1e-15
     assert BoundaryGrid(16) is g  # cached
+    assert repr(g) == "BoundaryGrid(n=16)"
 
 
 def test_oversized_grid_is_refused_before_allocation():
@@ -207,3 +208,19 @@ def test_cauchy_refine():
                                   max_n=1024, distance=distance)
     assert seen == [(1 / 16, 1 / 32), (1 / 32, 1 / 64)]
     assert (val, resid, n) == (1 / 64, 1 / 32 - 1 / 64, 64)
+
+
+def test_coefficients_outside_the_band_are_zero():
+    g = BoundaryGrid(16)
+    f = CircleFunction.from_coeffs(g, {1: 2.0, -8: 1.0})
+    assert f.coeff(-8) == 1.0
+    assert f.coeff(8) == 0 and f.coeff(-9) == 0  # the band is [-8, 8)
+
+
+def test_sums_and_products_without_bandwidth_metadata():
+    g = BoundaryGrid(16)
+    f = CircleFunction.from_coeffs(g, {1: 2.0, -1: 1.0})  # bandwidth 1
+    h = CircleFunction(g, g.points ** 3)  # no bandwidth declared
+    assert (f - f).bandwidth == 1 and (f + h).bandwidth is None
+    # without metadata the product is the plain samplewise one
+    assert np.array_equal(multiply(f, h).samples, f.samples * h.samples)

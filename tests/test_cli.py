@@ -291,6 +291,9 @@ def test_exit_codes(capsys, tmp_path):
         # the family exponent must be a finite number above 2
         ["counterex", "--p", "inf", "--degrees", "4,8"],
         ["counterex", "--p", "nan"],
+        # the Ahern-Clark sums need a finite exponent
+        ["cohn-growth", "--inner", mono3, "--zeta", "0.5", "--p", "inf"],
+        ["cohn-growth", "--inner", mono3, "--zeta", "0.5", "--p", "nan"],
     ]
     # a config file must hold an object of values that the flags could give:
     # no null for a flag with a default, a number for a numeric flag, a choice

@@ -1,3 +1,4 @@
+import math
 import re
 
 import mpmath
@@ -9,8 +10,8 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, ModelSpace, Monomial,
                     gen_blaschke_counterexample, gen_singular_counterexample,
                     growth_ratio, rkt_failure_scan)
 from ttolab.inner import cohn_terms
-from ttolab.counterex import (QUADRATURE_TOL, KernelRule, blaschke_truncation,
-                              graded_norms, growth_scan, kernel_lp)
+from ttolab.counterex import (QUADRATURE_TOL, Certificate, KernelRule,
+                              blaschke_truncation, graded_norms, growth_scan, kernel_lp)
 from ttolab.errors import NoConvergence
 
 
@@ -101,6 +102,22 @@ def test_theorem_check_verdicts():
     assert np.allclose(chk["symbol_p_sums"], [2 * v for v in sp], rtol=1e-12)
     s2 = chk["cohn_2_sums"]
     assert abs(s2[2] - s2[1]) / s2[2] < 1e-3
+
+
+def test_infinite_p_has_no_ahern_clark_sum_or_graded_norm():
+    fam = gen_blaschke_counterexample(3.0, 32)
+    with pytest.raises(ValueError, match="finite p"):
+        counterex_theorem_check(fam, math.inf)
+    theta = blaschke_truncation(fam, 8)
+    with pytest.raises(ValueError, match="finite p"):
+        graded_norms(theta, 0.5, math.inf)
+    # kernel_lp itself takes p = inf on uniform grids
+    assert kernel_lp(theta, 0.5, math.inf)[0] > 0.0
+
+
+def test_certificate_repr():
+    assert repr(Certificate("total_mass", 0.5, 1.0, False)) == \
+        "Certificate(total_mass: 5.000e-01 vs 1.000e+00 [FAIL])"
 
 
 def test_growth_scan_diagonal():

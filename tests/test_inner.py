@@ -205,6 +205,7 @@ def test_json_delta_zeros():
 def test_boundary_point():
     p = BoundaryPoint(np.pi)
     assert abs(p.value + 1.0) < 1e-15
+    assert repr(BoundaryPoint(0.5)) == "BoundaryPoint(angle=0.5)"
 
 
 def test_cohn_termwise_p3_vs_p2():
@@ -351,3 +352,32 @@ def test_phase_increment_resolves_zeros_below_rounding():
     theta = BlaschkeProduct([BlaschkeZero(delta, angle)], truncated=True)
     d, _ = phase_increment(theta, angle + 1.0, angle, np.array([-delta, delta]))
     assert abs((d[1] - d[0]) - 4.0 * math.atan(1.0 - 0.5 * delta)) < 1e-12
+
+
+def test_angular_derivative_inconclusive_on_few_slow_terms():
+    # four truncated zeros: a tail far above the Cauchy tolerance, yet too
+    # few terms for a divergence verdict
+    th = BlaschkeProduct([BlaschkeZero(0.5, t) for t in (0.5, 1.5, 2.5, 3.5)], truncated=True)
+    cert = has_angular_derivative(th, 0.0)
+    assert cert.verdict == "inconclusive" and not cert
+    assert repr(cert) == "AngularDerivative(inconclusive)"
+
+
+def test_divides_merges_atoms_at_one_angle():
+    big = SingularAtomic([Atom(0.5, 1.0), Atom(0.5, 0.5)])  # mass 1.5 at one angle
+    assert divides(SingularAtomic([Atom(0.5, 1.25)]), big)
+    assert not divides(SingularAtomic([Atom(0.5, 2.0)]), big)  # mass not dominated
+    assert not divides(SingularAtomic([Atom(1.5, 0.1)]), big)  # no atom at that angle
+
+
+def test_one_minus_mod_sq_vanishes_on_the_circle():
+    for theta in (Monomial(3), BlaschkeProduct([0.5, 0.3j]), SingularAtomic([Atom(0.0, 1.0)])):
+        assert one_minus_mod_sq(theta, 1.0) == 0.0
+        assert one_minus_mod_sq(theta, -1j) == 0.0
+
+
+def test_cohn_terms_need_a_finite_p():
+    theta = BlaschkeProduct([0.5, 0.3j])
+    for p in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite p"):
+            cohn_terms(theta, 0.5, p)

@@ -10,10 +10,10 @@ from ttolab import (BlaschkeProduct, BoundaryPoint, CircleFunction,
 from ttolab.circle import inner_product, lp_norm
 from ttolab.errors import BoundaryPointNotNormalizable, NoAngularDerivative
 from ttolab.inner import square
-from ttolab.modelspace import _one_minus_abs2, product_into
+from ttolab.modelspace import GridSpace, _one_minus_abs2, product_into
 
-from conftest import (near_zero_lists, random_blaschke_space, space_from_zeros,
-                      zero_lists)
+from conftest import (near_zero_lists, random_blaschke_space, random_trig_poly_samples,
+                      space_from_zeros, zero_lists)
 
 
 def test_tm_basis_monomials():
@@ -141,11 +141,10 @@ def test_kernel_reproduces(rng):
 def test_boundary_kernel_norm_monomial():
     # t = 0.0 is a grid point: there the truncated-mode sample is k_zeta(zeta) = N
     N = 6
-    for mode in (None, "truncated"):
-        sp = ModelSpace(Monomial(N), mode=mode)
+    for sp in (ModelSpace(Monomial(N)), GridSpace(Monomial(N))):
         for t in (0.0, 1.1, 3.7):
             k = sp.kernel(BoundaryPoint(t))
-            assert abs(k.norm() ** 2 - N) < 1e-10, (mode, t)
+            assert abs(k.norm() ** 2 - N) < 1e-10, (sp.mode, t)
 
 
 def test_boundary_kernel_requires_certificate():
@@ -346,7 +345,7 @@ def test_projection_independent_of_zero_ordering(rng):
 
 def test_truncated_mode_projection_smooth():
     # truncated-mode projection is spectrally accurate for smooth Theta
-    space = ModelSpace(BlaschkeProduct([0.4, -0.3 + 0.2j]), mode="truncated")
+    space = GridSpace(BlaschkeProduct([0.4, -0.3 + 0.2j]))
     f = CircleFunction(space.grid, space.theta_samples * space.grid.points)
     assert space.project(f).norm() < 1e-12
     k = space.kernel(0.3 + 0.1j)
@@ -372,26 +371,18 @@ def test_tm_basis_rejects_singular():
 
 def test_representation_follows_the_class_of_theta():
     from ttolab import Atom, SingularAtomic
-    from ttolab.modelspace import GridSpace, TMSpace, ToeplitzSpace
+    from ttolab.modelspace import TMSpace, ToeplitzSpace
     blaschke = BlaschkeProduct([0.3, -0.2j])
     for space, kind, mode in (
             (ModelSpace(Monomial(3)), ToeplitzSpace, "exact"),
             (ModelSpace(blaschke), TMSpace, "exact"),
-            (ModelSpace(blaschke, mode="exact"), TMSpace, "exact"),
-            (ModelSpace(blaschke, mode="truncated"), GridSpace, "truncated"),
-            (ModelSpace(Monomial(3), mode="truncated"), GridSpace, "truncated"),
+            (GridSpace(blaschke), GridSpace, "truncated"),  # a representation named directly
+            (GridSpace(Monomial(3)), GridSpace, "truncated"),
             (ModelSpace(Monomial(600)), GridSpace, "truncated"),  # beyond the degree cap
             (ModelSpace(SingularAtomic([Atom(0.0, 1.0)])), GridSpace, "truncated")):
         assert type(space) is kind and isinstance(space, ModelSpace)
         assert space.mode == mode
-    assert ModelSpace(Monomial(3)).dim == 3 and not hasattr(ModelSpace(blaschke, mode="truncated"), "dim")
-
-
-@pytest.mark.parametrize("mode", ["Exact", "grid", "truncate", "", 1])
-def test_misspelled_mode_is_rejected(mode):
-    # a typo must not fall through to a grid space
-    with pytest.raises(ValueError, match=repr(mode)):
-        ModelSpace(BlaschkeProduct([0.3, -0.2j]), mode=mode)
+    assert ModelSpace(Monomial(3)).dim == 3 and not hasattr(GridSpace(blaschke), "dim")
 
 
 def test_projection_residual_reporting():
@@ -413,9 +404,9 @@ def test_projection_residual_reporting():
     # the triple: the projection on the last grid, and its L^2 distance on
     # the grid before to the projection there, relative to max(1, norm)
     for th, fn, r, last in ((theta, f, resid, n), (BlaschkeProduct([0.4]), f2, resid2, n2)):
-        space = ModelSpace(th, n=last, mode="truncated")
+        space = GridSpace(th, last)
         assert np.array_equal(fn.samples(), space.project(sampler(space.grid)).samples())
-        coarse = ModelSpace(th, n=last // 2, mode="truncated")
+        coarse = GridSpace(th, last // 2)
         prev = coarse.project(sampler(coarse.grid))
         diff = fn.as_circle().on_grid(coarse.grid).samples - prev.samples()
         assert r == float(np.sqrt(np.mean(np.abs(diff) ** 2)) / max(1.0, prev.norm()))
@@ -445,3 +436,11 @@ def test_compress_rejects_a_symbol_it_cannot_represent():
         space = ModelSpace(theta)
         with pytest.raises(OverflowError):
             space.compress(np.full(space.grid.n, 1e307) * (1.0 + space.grid.points))
+
+
+def test_project_takes_a_function_on_another_grid(rng):
+    theta = BlaschkeProduct([0.4, -0.3 + 0.2j])
+    for space in (ModelSpace(theta), ModelSpace(Monomial(3)), GridSpace(theta)):
+        f = random_trig_poly_samples(rng, space.grid.double(), 6)
+        want = space.project(f.on_grid(space.grid))
+        assert np.array_equal(space.project(f).samples(), want.samples())

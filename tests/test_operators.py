@@ -7,8 +7,9 @@ from ttolab import (Atom, BlaschkeProduct, BoundaryPoint, CircleFunction,
                     SampleSet, SingularAtomic, adjoint, build, decompose,
                     measure_operator, operator_norm, rank_one_operator, recover,
                     recover_via_k0, rho, rho_d, rho_r, rho_scan_rows, standard_symbol)
+from ttolab.circle import toeplitz
 from ttolab.errors import UnsupportedVariant
-from ttolab.boundedsym import _toeplitz
+from ttolab.modelspace import GridSpace
 from ttolab.operators import (BoundarySymbol, TTOperator, _lanczos_top_pair,
                               hankel_factor_residual, q_theta,
                               toeplitz_defect)
@@ -278,7 +279,7 @@ def test_operator_norm_on_kzn_matches_the_svd(rng):
     for N in (65, 128, 256):
         space = ModelSpace(Monomial(N))
         for _ in range(3):
-            M = _toeplitz(rng.standard_normal(2 * N - 1) + 1j * rng.standard_normal(2 * N - 1))
+            M = toeplitz(rng.standard_normal(2 * N - 1) + 1j * rng.standard_normal(2 * N - 1))
             ref = np.linalg.svd(M, compute_uv=False)[0]
             assert abs(operator_norm(TTOperator(space, matrix=M)) - ref) <= 1e-12 * ref
         if N > 65:  # the Lanczos pair, not the fallback, gave these
@@ -335,7 +336,7 @@ def test_measure_atom_needs_certificate():
     from ttolab.inner import BlaschkeZero
     zeros = [BlaschkeZero(2.0 ** -k, 0.0) for k in range(1, 16)]
     # exact-mode space over the truncation, but the family flag forbids the atom
-    space = ModelSpace(BlaschkeProduct(zeros, truncated=True), mode=None)
+    space = ModelSpace(BlaschkeProduct(zeros, truncated=True))
     assert space.mode == "truncated"
     with pytest.raises(Exception):
         measure_operator(space, MeasureSymbol(atoms=[(BoundaryPoint(0.0), 1.0)]))
@@ -373,7 +374,7 @@ def test_toeplitz_matrix_for_monomial(rng):
                                    Monomial(4)], ids=["blaschke", "monomial"])
 def test_truncated_mode_matches_exact_mode(theta):
     # every truncated-mode path on samples against the exact TM-basis twin
-    ex, tr = ModelSpace(theta), ModelSpace(theta, mode="truncated")
+    ex, tr = ModelSpace(theta), GridSpace(theta)
     assert tr.mode == "truncated" and tr.grid.n == ex.grid.n
 
     def gap(t, e):  # a truncated-mode element against its exact twin on the grid
@@ -398,7 +399,7 @@ def test_truncated_boundary_kernel_next_to_its_point():
     # 2 f(zeta) k_zeta is the measure operator of the mass 2 at zeta; the
     # truncated-mode k_zeta is sampled 5e-4 from zeta itself at n = 4096
     theta = BlaschkeProduct([0.5, -0.3 + 0.4j, 0.7j, -0.6])
-    ex, tr = ModelSpace(theta), ModelSpace(theta, mode="truncated")
+    ex, tr = ModelSpace(theta), GridSpace(theta)
     zeta, lam = BoundaryPoint(0.7), 0.3 - 0.2j
     f_zeta = ((1 - np.conj(theta.eval(lam)) * theta.eval(zeta.value))
               / (1 - np.conj(lam) * zeta.value))
@@ -409,7 +410,7 @@ def test_truncated_boundary_kernel_next_to_its_point():
 def test_truncated_build_matches_exact(rng):
     zeros = [0.4, -0.3 + 0.2j, 0.1j]
     sp_e = ModelSpace(BlaschkeProduct(zeros))
-    sp_t = ModelSpace(BlaschkeProduct(zeros), mode="truncated")
+    sp_t = GridSpace(BlaschkeProduct(zeros))
     phi = CircleFunction.from_coeffs(sp_e.grid, {0: 0.3, 1: 1.0, -2: 0.5j})
     op_e = build(sp_e, BoundarySymbol(phi))
     op_t = build(sp_t, BoundarySymbol(phi.on_grid(sp_t.grid)))
@@ -423,7 +424,7 @@ def test_truncated_build_matches_exact(rng):
 
 def test_truncated_build_bandwidth_guard():
     from ttolab.errors import BandwidthOverflow
-    sp = ModelSpace(BlaschkeProduct([0.4]), mode="truncated")
+    sp = GridSpace(BlaschkeProduct([0.4]))
     wide = CircleFunction.from_coeffs(sp.grid, {sp.grid.n // 4: 1.0})
     with pytest.raises(BandwidthOverflow):
         build(sp, BoundarySymbol(wide))
@@ -448,7 +449,7 @@ def test_rho_scan_csv(tmp_path, rng):
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
 def test_rho_scan_rows_maxima_are_rho_r_and_rho_d(rng, mode):
     theta = BlaschkeProduct([0.3, -0.2 + 0.4j, 0.5j])
-    space = ModelSpace(theta, n=1024 if mode == "truncated" else None, mode=mode)
+    space = GridSpace(theta, 1024) if mode == "truncated" else ModelSpace(theta)
     op = build(space, BoundarySymbol(random_trig_poly_samples(rng, space.grid, 3)))
     samples = SampleSet([0.0, 0.3, 0.5j, -0.6 + 0.2j, 0.8])
     rows = rho_scan_rows(op, samples)
@@ -512,7 +513,7 @@ def test_operator_norm_route_follows_the_matrix(rng):
     # a Toeplitz matrix on a Blaschke space takes the certified Lanczos pair,
     # a general matrix on K_{z^N} goes straight to the SVD
     N = 80
-    T = _toeplitz(rng.standard_normal(2 * N - 1) + 1j * rng.standard_normal(2 * N - 1))
+    T = toeplitz(rng.standard_normal(2 * N - 1) + 1j * rng.standard_normal(2 * N - 1))
     pair = _lanczos_top_pair(T)
     assert pair is not None
     assert operator_norm(TTOperator(random_blaschke_space(rng, N), matrix=T)) == pair[0]
@@ -552,21 +553,39 @@ ADJOINT_TOL = 1e-12  # relative to ||f|| ||g||
 @settings(max_examples=10, deadline=None, phases=[Phase.generate])  # no shrinking of the xfail
 @given(st.integers(0, 2 ** 32 - 1))
 def test_adjoint_identity(theta, seed):
-    # <A f, g> = <f, adjoint(A) g> for a random trigonometric symbol, on kernel
-    # pairs and on projections of random samples
+    # <A f, g> = <f, adjoint(A) g> for a random trigonometric symbol and a
+    # pair symbol k_nu + conj(k_xi), on kernel pairs and on projections of
+    # random samples
     space = ModelSpace(theta)
     rng = np.random.default_rng(seed)
     op = build(space, BoundarySymbol(random_trig_poly_samples(rng, space.grid, 5)))
-    adj = adjoint(op)
     lam, mu = 0.8 * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
+    nu, xi = 0.8 * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
+    pair = build(space, PairSymbol(space.kernel(nu), space.kernel(xi)))
 
     def noise():
         n = space.grid.n
         return space.project(CircleFunction(
             space.grid, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
 
-    gap = max(abs(op.apply(f).inner(g) - f.inner(adj.apply(g))) / (f.norm() * g.norm())
+    gap = max(abs(A.apply(f).inner(g) - f.inner(adjoint(A).apply(g))) / (f.norm() * g.norm())
+              for A in (op, pair)
               for f, g in ((space.kernel(lam), space.kernel(mu)), (noise(), noise())))
     print(f"adjoint identity on {type(space).__name__} of {type(theta).__name__}: "
           f"relative gap {gap:.2e}")
     assert gap <= ADJOINT_TOL, f"measured relative gap {gap:.2e}"
+
+
+def test_operator_norm_of_a_scalar_matrix_and_of_a_zero_grid_operator():
+    assert operator_norm(TTOperator(ModelSpace(Monomial(1)), matrix=[[3.0 - 4.0j]])) == 5.0
+    space = GridSpace(BlaschkeProduct([0.4]))
+    zero = build(space, BoundarySymbol(CircleFunction(space.grid, np.zeros(space.grid.n))))
+    assert operator_norm(zero) == 0.0
+
+
+def test_lanczos_calls_a_resolved_close_top_pair_multiple():
+    # singular values 1, 1 - 1e-10 and 126 more from 0.5 down to 0.1: the
+    # wide gap to the rest lets both top Ritz values converge, and their
+    # split is below DEGENERATE_GAP
+    s = np.concatenate([[1.0, 1.0 - 1e-10], np.linspace(0.5, 0.1, 126)])
+    assert _lanczos_top_pair(np.diag(s).astype(complex)) is None

@@ -409,3 +409,9 @@ def test_symbol_lp_bound_rank_one_scan(rng):
         lhs, rhs = lp_norm(phi.on_grid(space.grid), 3.0), None
         ratios.append(lhs / (lp_norm(phi.on_grid(space.grid), 2.0) + 1.0))
     assert all(np.isfinite(r) for r in ratios)
+
+
+def test_rho_ratio_of_the_zero_operator_is_zero():
+    space = ModelSpace(BlaschkeProduct([0.3, -0.2j]))
+    rec = recover(KernelActionOracle.from_operator(TTOperator(space, matrix=np.zeros((2, 2)))))
+    assert rec.rho_ratio == 0.0
