@@ -63,6 +63,9 @@ class QComplex:
         other = QComplex.of(other)
         return self.re == other.re and self.im == other.im
 
+    def conjugate(self):
+        return QComplex(self.re, -self.im)
+
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -166,10 +169,10 @@ class CFExtension:
     """Minimal-norm analytic extension of Taylor data c_0..c_{N-1}.
 
     ``taylor`` holds the extension's first max(N, CF_TAYLOR_MIN) Taylor
-    coefficients (max(N, 2) for constant data), of which the assembly reads N,
-    ``norm`` its sup norm (= top singular value of the Toeplitz matrix),
-    and ``suboptimal`` flags the degenerate fallback that keeps the raw
-    polynomial instead of the extremal all-pass quotient.
+    coefficients, of which the assembly reads N, ``norm`` its sup norm
+    (= top singular value of the Toeplitz matrix), and ``suboptimal`` flags
+    the degenerate fallback that keeps the raw polynomial instead of the
+    extremal all-pass quotient.
     """
 
     __slots__ = ("data", "norm", "taylor", "num", "den", "suboptimal",
@@ -229,10 +232,10 @@ def minimal_analytic_extension(coeffs) -> CFExtension:
         raise ValueError("need at least one coefficient")
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
-        return CFExtension(c, 0.0, np.zeros(max(N, 2), dtype=complex),
+        return CFExtension(c, 0.0, np.zeros(max(N, CF_TAYLOR_MIN), dtype=complex),
                            np.zeros(1, dtype=complex), None, False, 0.0, 0.0)
     if np.all(np.abs(c[1:]) <= 1e-15 * scale):
-        taylor = np.zeros(max(N, 2), dtype=complex)
+        taylor = np.zeros(max(N, CF_TAYLOR_MIN), dtype=complex)
         taylor[0] = c[0]
         return CFExtension(c, float(abs(c[0])), taylor,
                            np.array([c[0]]), None, False, 0.0, 0.0)

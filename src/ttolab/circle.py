@@ -281,10 +281,8 @@ class FourierPolynomial:
         return FourierPolynomial({k + m: v for k, v in self.coeffs.items()})
 
     def conjugate(self) -> "FourierPolynomial":
-        out = {}
-        for k, v in self.coeffs.items():
-            out[-k] = v.conjugate() if isinstance(v, complex) else v
-        return FourierPolynomial(out)
+        """The conjugate function: coefficient -k is conj(c_k), of any exact or float type."""
+        return FourierPolynomial({-k: v.conjugate() for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         out = dict(self.coeffs)

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Every run validates its effective configuration (flags overridden by an
-optional JSON config file; unknown keys rejected), executes one
-experiment, and writes deterministic JSON or CSV: floats are formatted
-%.12e in CSV, rows are emitted in a fixed order, and each output embeds
-the config hash and library version.
+optional JSON config file; unknown keys rejected; each value decoded once,
+by its flag's rule, before it is hashed), executes one experiment, and
+writes deterministic JSON or CSV: floats are formatted %.12e in CSV, rows
+are emitted in a fixed order, and each output embeds the config hash and
+library version.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure
 (non-convergence, a failed factorization or overflow), 4 every other
@@ -91,12 +92,6 @@ def _read_json(path):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_json_arg(text):
-    """Read an existing file path as JSON; otherwise parse the text as inline JSON."""
-    s = str(text).strip()
-    return _read_json(s) if os.path.isfile(s) else json.loads(s)
-
-
 def _fourier_to_json(poly: FourierPolynomial):
     return {str(k): _pairs(complex(v)) for k, v in sorted(poly.coeffs.items())}
 
@@ -113,7 +108,7 @@ def _cmd_kernels(cfg):
     space = ModelSpace(from_json(cfg["inner"]), n=cfg.get("grid"))
     lam = _complex(cfg["lambda"])
     k = space.normalized_kernel(lam) if cfg.get("normalized") else space.kernel(lam)
-    if k.coeffs is not None:
+    if space.mode == "exact":
         return {"mode": "exact", "coefficients": _pairs(k.coeffs)}
     return {"mode": "truncated", "samples": _pairs(k.samples())}
 
@@ -128,7 +123,7 @@ def _exact_space(cfg, command: str) -> ModelSpace:
 
 def _cmd_build(cfg):
     space = _exact_space(cfg, "build")
-    poly = FourierPolynomial(_complex(_load_json_arg(cfg["symbol"]), "dict"))
+    poly = FourierPolynomial(_complex(cfg["symbol"], "dict"))
     op = build(space, BoundarySymbol(poly.to_circle(space.grid)))
     return {"dimension": space.dim, "matrix": _pairs(op.matrix),
             "operator_norm": float(operator_norm(op))}
@@ -136,13 +131,12 @@ def _cmd_build(cfg):
 
 def _cmd_recover(cfg):
     space = _exact_space(cfg, "recover")
-    rows = _load_json_arg(cfg["table"])
+    rows = cfg["table"]
     if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
         raise ValidationError("a kernel-action table is a list of objects")
     table = [(_complex(r["lambda"]), _complex(r["coefficients"], "list")) for r in rows]
     oracle = KernelActionOracle.from_table(space, table)
-    mu = _complex(cfg["mu"]) if "mu" in cfg and cfg["mu"] is not None else None
-    rec = recover(oracle, mu=mu)
+    rec = recover(oracle, mu=_complex(cfg["mu"]) if "mu" in cfg else None)
     return {"mu": _pairs(rec.mu),
             "phi_plus": _pairs(rec.phi_plus.coeffs),
             "phi_minus": _pairs(rec.phi_minus.coeffs),
@@ -152,8 +146,7 @@ def _cmd_recover(cfg):
 
 def _cmd_rank_one(cfg):
     space = _exact_space(cfg, "rank-one")
-    pt = BoundaryPoint(float(cfg["zeta"])) if "zeta" in cfg and cfg["zeta"] is not None \
-        else _complex(cfg["lambda"])
+    pt = BoundaryPoint(cfg["zeta"]) if "zeta" in cfg else _complex(cfg["lambda"])
     sym = rank_one_symbol(space, pt)
     op = build(space, sym)
     direct = rank_one_operator(space, pt)
@@ -165,17 +158,15 @@ def _cmd_rank_one(cfg):
 
 
 def _cmd_fejer_split(cfg):
-    poly = FourierPolynomial(_complex(_load_json_arg(cfg["symbol"]), "dict"))
-    p1, p2, p3 = fejer_split(poly, int(cfg["N"]))
-    return {"N": int(cfg["N"]),
+    p1, p2, p3 = fejer_split(FourierPolynomial(_complex(cfg["symbol"], "dict")), cfg["N"])
+    return {"N": cfg["N"],
             "phi1": _fourier_to_json(p1),
             "phi2": _fourier_to_json(p2),
             "phi3": _fourier_to_json(p3)}
 
 
 def _cmd_cf_extend(cfg):
-    coeffs = _complex(_load_json_arg(cfg["coeffs"]), "list")
-    ext = minimal_analytic_extension(coeffs)
+    ext = minimal_analytic_extension(_complex(cfg["coeffs"], "list"))
     return {"norm": ext.norm,
             "taylor": _pairs(ext.taylor),
             "taylor_defect": ext.taylor_defect,
@@ -196,11 +187,10 @@ def _one_assembly(M):
 
 
 def _cmd_assemble(cfg):
-    if cfg.get("batch"):
-        batch = _load_json_arg(cfg["batch"])
-        if not isinstance(batch, list):
+    if "batch" in cfg:
+        if not isinstance(cfg["batch"], list):
             raise ValidationError("a batch is a list of matrices")
-        mats = [_complex(m, "matrix") for m in batch]
+        mats = [_complex(m, "matrix") for m in cfg["batch"]]
         rows = [("index", "N") + ASSEMBLY_COLUMNS]
         payload_rows = []
         for i, M in enumerate(mats):
@@ -210,7 +200,7 @@ def _cmd_assemble(cfg):
         return {"batch": payload_rows}, rows
     if "matrix" not in cfg:
         raise ValidationError("assemble needs --matrix or --batch")
-    res, fields = _one_assembly(_complex(_load_json_arg(cfg["matrix"]), "matrix"))
+    res, fields = _one_assembly(_complex(cfg["matrix"], "matrix"))
     return {**fields,
             "phi1": _fourier_to_json(res.phi1),
             "cf2_norm": res.cf2.norm,
@@ -218,7 +208,7 @@ def _cmd_assemble(cfg):
 
 
 def _cmd_transport(cfg):
-    M = _complex(_load_json_arg(cfg["matrix"]), "matrix")
+    M = _complex(cfg["matrix"], "matrix")
     space = ModelSpace(Monomial(M.shape[0]))
     out = blaschke_transport(TTOperator(space, matrix=M), _complex(cfg["alpha"]))
     return {"matrix": _pairs(out.matrix)}
@@ -226,9 +216,7 @@ def _cmd_transport(cfg):
 
 def _cmd_cohn_growth(cfg):
     theta = from_json(cfg["inner"])
-    zeta = float(cfg["zeta"])
-    p = float(cfg["p"])
-    terms = int(cfg["terms"])
+    zeta, p, terms = cfg["zeta"], cfg["p"], cfg["terms"]
     if terms < 1:
         raise ValidationError(f"--terms must be at least 1, got {terms}")
     sums = [cohn_sum(theta, zeta, p, k) for k in range(1, terms + 1)]
@@ -239,8 +227,6 @@ def _cmd_cohn_growth(cfg):
 
 
 def _listify(val, cast=float):
-    if val is None:
-        return None
     items = [x for x in val.split(",") if x.strip()] if isinstance(val, str) else val
     if not (isinstance(items, list)
             and all(isinstance(x, (str, int, float)) for x in items)):
@@ -250,13 +236,13 @@ def _listify(val, cast=float):
 
 def _cmd_cls_scan(cfg):
     theta = from_json(cfg["inner"])
-    radii = _listify(cfg.get("radii")) or [0.0, 0.5, 0.75, 0.9]
-    angles = int(cfg["angles"])
+    radii = _listify(cfg.get("radii", [])) or [0.0, 0.5, 0.75, 0.9]
+    angles = cfg["angles"]
     if angles < 1:
         raise ValidationError(f"--angles must be at least 1, got {angles}")
-    tol = CLS_TOL if cfg.get("tol") is None else float(cfg["tol"])
-    max_n = MAX_NODES if cfg.get("budget") is None else int(cfg["budget"])
-    rep = cls_ratio_scan(theta, _polar_grid(radii, angles), tol=tol, max_n=max_n)
+    tol = cfg.get("tol", CLS_TOL)
+    rep = cls_ratio_scan(theta, _polar_grid(radii, angles), tol=tol,
+                         max_n=cfg.get("budget", MAX_NODES))
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} tol={tol!r}",
                 ("re_lambda", "im_lambda", "sup_norm", "l2_norm_sq", "ratio")]
     for lam, sup, two, ratio in rep.rows:
@@ -272,7 +258,7 @@ RKT_COLUMNS = ("closed_form", "identity_err", "identity_err_doubled", "norm_sq_g
 
 def _cmd_rkt_scan(cfg):
     theta = from_json(cfg["inner"])
-    s = float(cfg["s"])
+    s = cfg["s"]
     lam = cfg.get("lambda", 0.0)
     # one point is any codec value, an [re, im] pair included; a list of
     # such values is several points
@@ -280,7 +266,7 @@ def _cmd_rkt_scan(cfg):
             (lam if isinstance(lam, list) and not _is_pair(lam) else [lam])]
     if not lams:
         raise ValidationError("--lambda needs at least one point")
-    rep = rkt_failure_scan(theta, s, lams, grid_n=int(cfg["grid"]))
+    rep = rkt_failure_scan(theta, s, lams, grid_n=cfg["grid"])
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} "
                 f"s={s!r} grid={rep['grid']}",
                 ("re_lambda", "im_lambda") + RKT_COLUMNS]
@@ -294,9 +280,7 @@ def _cmd_rkt_scan(cfg):
 
 
 def _cmd_counterex(cfg):
-    kind = cfg["kind"]
-    p = float(cfg["p"])
-    count = int(cfg["count"])
+    kind, p, count = cfg["kind"], cfg["p"], cfg["count"]
     fam = (gen_blaschke_counterexample(p, count) if kind == "blaschke"
            else gen_singular_counterexample(p, count))
     out = {"kind": fam.kind, "p": p, "count": count,
@@ -319,10 +303,8 @@ def _cmd_counterex(cfg):
 
 def _cmd_carleson(cfg):
     space = _exact_space(cfg, "carleson")
-    density = None
-    if cfg.get("density") is not None:
-        density = FourierPolynomial(_complex(_load_json_arg(cfg["density"]), "dict")
-                                    ).to_circle(space.grid)
+    density = (FourierPolynomial(_complex(cfg["density"], "dict")).to_circle(space.grid)
+               if "density" in cfg else None)
     op = measure_operator(space, MeasureSymbol(atoms_from_json(cfg.get("atoms", [])), density))
     evals = np.linalg.eigvalsh(op.matrix)
     return {"carleson_constant": float(evals[-1]),
@@ -393,40 +375,55 @@ def _build_parser():
 
 
 def _effective_config(args) -> dict:
+    """The flags overridden by the config file, nulls dropped, each value decoded."""
     flags = {flag[2:]: kw  # config key -> argparse keywords
              for flag, kw in COMMANDS[args.command][1] if flag.startswith("--")}
-    given = ((key, getattr(args, kw.get("dest", key))) for key, kw in flags.items())
-    cfg = {key: value for key, value in given if value is not None}
+    cfg = {key: getattr(args, kw.get("dest", key)) for key, kw in flags.items()}
     if args.config:
         file_cfg = _read_json(args.config)
         if not isinstance(file_cfg, dict):
             raise ValidationError("a config file holds a JSON object")
-        bad = {k: v for k, v in file_cfg.items() if _impossible(v, flags.get(k, {}))}
+        unknown = set(file_cfg) - set(flags)
+        if unknown:
+            raise ValidationError(f"unknown keys for {args.command}: {sorted(unknown)}")
+        bad = {k: v for k, v in file_cfg.items() if _impossible(v, flags[k])}
         if bad:
             raise ValidationError(f"config values that no flag gives: {json.dumps(bad)}")
         cfg.update(file_cfg)
-    unknown = set(cfg) - set(flags)
-    if unknown:
-        raise ValidationError(
-            f"unknown keys for {args.command}: {sorted(unknown)}")
-    # parse JSON-valued string flags
-    for key in ("inner", "atoms", "radii", "degrees", "lambda"):
-        if key in cfg and isinstance(cfg[key], str) and cfg[key].strip()[:1] in "[{":
-            cfg[key] = json.loads(cfg[key])
-    return cfg
+    return {key: _decode(key, value, flags[key])
+            for key, value in cfg.items() if value is not None}
+
+
+def _decode(key: str, value, kw: dict):
+    """A flag's value by the flag's own rule, from the command line or a config file.
+
+    A typed flag applies its type to the value's text, as argparse does; a choice
+    or a switch is taken as given.  Other text is the JSON of the file it names,
+    else inline JSON if it starts with '[' or '{', else the text itself.
+    """
+    if "type" in kw:
+        try:
+            return kw["type"](str(value))
+        except ValueError:
+            raise ValidationError(f"argument --{key}: invalid {kw['type'].__name__} "
+                                  f"value: {value!r}") from None
+    if "choices" in kw or "action" in kw or not isinstance(value, str):
+        return value
+    text = value.strip()
+    if os.path.isfile(text):
+        return _read_json(text)
+    return json.loads(text) if text[:1] in "[{" else value
 
 
 def _impossible(value, kw: dict) -> bool:
     """Whether no use of the flag gives this config-file value."""
     if value is None:  # argparse fills a flag that has a default; a required one is given
         return "default" in kw or bool(kw.get("required"))
-    return ("type" in kw and not isinstance(value, (int, float, str))
-            or value not in kw.get("choices", [value]))
+    return value not in kw.get("choices", [value])
 
 
 def _config_hash(command: str, cfg: dict) -> str:
-    canon = json.dumps({"command": command, "config": cfg}, sort_keys=True,
-                       default=str)
+    canon = json.dumps({"command": command, "config": cfg}, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

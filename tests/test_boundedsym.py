@@ -106,6 +106,19 @@ def test_fejer_split_matches_fresh_windows(rng, N):
                        for x in (v.re, v.im))
 
 
+def test_fejer_split_parts_conjugate_exactly(rng):
+    # conj of each exact part, coefficient -k against conj(c_k), in QComplex equality
+    N = 8
+    phi = FourierPolynomial({k: complex(rng.standard_normal(), rng.standard_normal())
+                             for k in range(-(N - 1), N)})
+    for part in fejer_split(phi, N):
+        conj = part.conjugate()
+        assert set(conj.coeffs) == {-k for k in part.coeffs}
+        for k, v in part.coeffs.items():
+            assert conj.coeffs[-k] == QComplex(v.re, -v.im)
+    assert fejer_split(FourierPolynomial({3: 1j}), N)[1].conjugate().coeffs[-3] == -1j
+
+
 def test_fejer_split_supports():
     N = 16
     ws = FejerWindowSet(N)
@@ -143,6 +156,17 @@ def test_cf_constant_and_shift():
     assert abs(ext.norm - 1.0) < 1e-12
     assert abs(ext.taylor[1] - 1.0) < 1e-12
     assert abs(ext.taylor[0]) < 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 64])
+def test_cf_taylor_length_is_one_rule(rng, N):
+    generic = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    constant = np.zeros(N, dtype=complex)
+    constant[0] = 0.5 - 0.25j
+    for data in (np.zeros(N), constant, generic):
+        ext = minimal_analytic_extension(data)
+        assert len(ext.taylor) == max(N, CF_TAYLOR_MIN)
+        assert np.allclose(ext.taylor[:N], data, atol=1e-8)
 
 
 def test_cf_golden_ratio():

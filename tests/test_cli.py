@@ -296,7 +296,8 @@ def test_exit_codes(capsys, tmp_path):
         ["cohn-growth", "--inner", mono3, "--zeta", "0.5", "--p", "nan"],
     ]
     # a config file must hold an object of values that the flags could give:
-    # no null for a flag with a default, a number for a numeric flag, a choice
+    # no null for a flag with a default, a typed flag's value as its text would
+    # read, a choice
     for i, (command, text) in enumerate((("cf-extend", "[1,2]"), ("cf-extend", "3"),
                                          ("counterex", '{"p": null}'),
                                          ("rkt-scan", '{"grid": null}'),
@@ -314,14 +315,15 @@ def test_exit_codes(capsys, tmp_path):
 
 
 def test_config_null_is_an_absent_flag(tmp_path, capsys):
-    # for a flag without a default, null in a config file means the flag is absent
+    # for a flag without a default, null in a config file means the flag is
+    # absent, in the config hash too
     cfg = tmp_path / "cfg.json"
     outs = []
     for text in ('{"grid": null}', "{}"):
         cfg.write_text(text)
         assert main(["kernels", "--inner", '{"type":"monomial","degree":2}',
                      "--lambda", "0.1", "--config", str(cfg)]) == 0
-        outs.append(json.loads(capsys.readouterr().out)["coefficients"])
+        outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
 
 
@@ -374,3 +376,98 @@ def test_assemble_batch_csv(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[1].startswith("index,N,sup_norm")
     assert len(lines) == 4
+
+
+MONO2 = '{"type":"monomial","degree":2}'
+MATRIX2 = [[[1, 0], [2, 0]], [[3, 0], [1, 0]]]
+
+
+def test_complex_flags_take_pairs(capsys):
+    # every complex flag reads re, "re,im" and [re, im] alike
+    outs = []
+    for alpha in ("0.3,0.2", "[0.3,0.2]"):
+        code, out = run_cli(["transport", "--matrix", json.dumps(MATRIX2),
+                             "--alpha", alpha], capsys)
+        assert code == 0, alpha
+        outs.append(json.loads(out)["matrix"])
+    assert outs[0] == outs[1]
+    mono3, table = '{"type":"monomial","degree":3}', _mono3_table()
+    code, out = run_cli(["recover", "--inner", mono3, "--table", table,
+                         "--mu", "[0.2,0]"], capsys)
+    assert code == 0
+    first = json.loads(out)
+    assert first["mu"] == [0.2, 0.0]
+    # the printed mu reads back in and gives the same recovery
+    code, out = run_cli(["recover", "--inner", mono3, "--table", table,
+                         "--mu", json.dumps(first["mu"])], capsys)
+    assert code == 0
+    again = json.loads(out)
+    assert {**again, "config_hash": None} == {**first, "config_hash": None}
+
+
+def test_config_numbers_read_as_their_flag_text(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    base = ["kernels", "--inner", MONO2, "--lambda", "0.1", "--config", str(cfg)]
+    cfg.write_text('{"grid": "4096"}')
+    code, from_text = run_cli(base, capsys)
+    assert code == 0
+    code, from_flag = run_cli(base[:-2] + ["--grid", "4096"], capsys)
+    assert code == 0 and from_text == from_flag
+    for text in ('{"grid": 4096.5}', '{"grid": "4096.5"}', '{"grid": true}'):
+        cfg.write_text(text)
+        assert main(base) == 2, text
+        err = capsys.readouterr().err
+        assert "argument --grid: invalid int value" in err and "Traceback" not in err
+    cfg.write_text('{"zeta": "0.7"}')
+    code, out = run_cli(["rank-one", "--inner", MONO2, "--config", str(cfg)], capsys)
+    assert code == 0
+    code, ref = run_cli(["rank-one", "--inner", MONO2, "--zeta", "0.7"], capsys)
+    assert out == ref
+
+
+def test_config_documents_are_json_objects(tmp_path, capsys):
+    # a document flag's value in a config file is the JSON itself
+    cfg = tmp_path / "cfg.json"
+    mono3 = '{"type":"monomial","degree":3}'
+    cases = [
+        (["fejer-split", "--N", "8", "--symbol", '{"0": [1, 0], "3": [0, 1]}'],
+         {"symbol": {"0": [1, 0], "3": [0, 1]}}),
+        (["carleson", "--inner", mono3, "--density", '{"0": [1, 0]}'],
+         {"density": {"0": [1, 0]}}),
+        (["recover", "--inner", mono3, "--mu", "0.2", "--table", _mono3_table()],
+         {"table": json.loads(_mono3_table())}),
+    ]
+    for flags, doc in cases:
+        code, ref = run_cli(flags, capsys)
+        assert code == 0, flags
+        key = next(iter(doc))
+        placeholder = flags[:flags.index("--" + key) + 1] + ["null"] \
+            + flags[flags.index("--" + key) + 2:]
+        cfg.write_text(json.dumps(doc))
+        code, out = run_cli(placeholder + ["--config", str(cfg)], capsys)
+        assert code == 0, flags
+        assert out == ref  # the same values read, so the same hash too
+
+
+def test_inner_names_a_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(MONO2)
+    code, from_file = run_cli(["kernels", "--inner", "spec.json", "--lambda", "0.2"], capsys)
+    assert code == 0
+    code, inline = run_cli(["kernels", "--inner", MONO2, "--lambda", "0.2"], capsys)
+    assert code == 0 and from_file == inline
+
+
+def test_config_hash_covers_what_was_read(tmp_path, capsys):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(MATRIX2))
+
+    def digest(matrix):
+        code, out = run_cli(["transport", "--matrix", matrix, "--alpha", "0.3"], capsys)
+        assert code == 0
+        return json.loads(out)["config_hash"]
+
+    by_file = digest(str(mfile))
+    assert by_file == digest(json.dumps(MATRIX2))
+    mfile.write_text(json.dumps([[[1, 0], [2, 0]], [[3, 0], [1, 1]]]))
+    assert digest(str(mfile)) != by_file

@@ -3,15 +3,17 @@
 Runs the tier-1 suite (pytest from the repository root) and then the five
 demo scripts, all in this one process under ``sys.settrace``, and prints
 ``file:line  source`` for each statement of ``src/ttolab/*.py`` on none of
-whose lines a line event fired.  ``raise`` statements, docstrings and
-``global``/``nonlocal`` declarations (which run no code) are not listed.
-A compound statement counts as run when any line of it ran.  Standard
-library only (no coverage package needed):
+whose lines a line event fired.  ``raise`` statements, docstrings,
+``global``/``nonlocal`` declarations (which run no code) and the body of a
+module-level ``if __name__ == "__main__":`` (which runs only as a script)
+are not listed.  A compound statement counts as run when any line of it
+ran.  Standard library only (no coverage package needed):
 
     python tools/untraced.py
 
-Exit status 0; the suite's own failures are reported by pytest above the
-list, which follows a line ``untraced statements: <count>``.
+The list follows a line ``untraced statements: <count>``; the exit status
+is 1 when it names anything, else 0, so the script serves as a gate.  The
+suite's own failures are reported by pytest above the list.
 """
 
 from __future__ import annotations
@@ -31,9 +33,14 @@ SKIP = (ast.Raise, ast.Global, ast.Nonlocal)
 
 def statements(path: Path):
     """(first line, last line) of each statement that runs code, in order."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    script_only = {id(n) for g in tree.body if isinstance(g, ast.If)
+                   and ast.unparse(g.test) == "__name__ == '__main__'"
+                   for stmt in g.body for n in ast.walk(stmt)}
     out = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if not isinstance(node, ast.stmt) or isinstance(node, SKIP):
+    for node in ast.walk(tree):
+        if (not isinstance(node, ast.stmt) or isinstance(node, SKIP)
+                or id(node) in script_only):
             continue
         if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
                 and isinstance(node.value.value, str)):
@@ -91,7 +98,7 @@ def main() -> int:
                 missed.append(f"{path.relative_to(ROOT)}:{first}  {lines[first - 1].strip()}")
     print(f"untraced statements: {len(missed)}")
     print("\n".join(missed))
-    return 0
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":
