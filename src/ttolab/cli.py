@@ -369,8 +369,8 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        for flag, kw in flags:
-            p.add_argument(flag, **kw)
+        for flag, kw in flags:  # required flags are checked after the config file is read
+            p.add_argument(flag, **{k: v for k, v in kw.items() if k != "required"})
     return ap
 
 
@@ -390,6 +390,9 @@ def _effective_config(args) -> dict:
         if bad:
             raise ValidationError(f"config values that no flag gives: {json.dumps(bad)}")
         cfg.update(file_cfg)
+    missing = [f"--{key}" for key, kw in flags.items() if kw.get("required") and cfg[key] is None]
+    if missing:
+        raise ValidationError(f"the following arguments are required: {', '.join(missing)}")
     return {key: _decode(key, value, flags[key])
             for key, value in cfg.items() if value is not None}
 
@@ -417,8 +420,8 @@ def _decode(key: str, value, kw: dict):
 
 def _impossible(value, kw: dict) -> bool:
     """Whether no use of the flag gives this config-file value."""
-    if value is None:  # argparse fills a flag that has a default; a required one is given
-        return "default" in kw or bool(kw.get("required"))
+    if value is None:  # argparse fills a flag that has a default
+        return "default" in kw
     return value not in kw.get("choices", [value])
 
 

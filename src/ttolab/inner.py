@@ -156,10 +156,13 @@ class InnerFunction:
 
     @functools.cached_property
     def _factor_data(self):
-        """Zeros as (conj(a), 1 - |a|^2, mult) and atoms as (zeta, 2 mass),
-        Python scalars, for ``one_minus_mod_sq``."""
-        return ([(z.value.conjugate(), z.one_minus_mod2(), z.mult) for z in self.zeros()],
-                [(cmath.exp(1j * a.angle), 2.0 * a.mass) for a in self.atoms()])
+        """Zeros as the rows (Re conj(a), Im conj(a), 1 - |a|^2, mult) and
+        atoms as the rows (Re zeta, Im zeta, 2 mass), one column per factor,
+        for ``one_minus_mod_sq``."""
+        zeros = [(z.value.real, -z.value.imag, z.one_minus_mod2(), z.mult) for z in self.zeros()]
+        atoms = [(math.cos(a.angle), math.sin(a.angle), 2.0 * a.mass) for a in self.atoms()]
+        return (np.array(zeros, dtype=float).reshape(-1, 4).T,
+                np.array(atoms, dtype=float).reshape(-1, 3).T)
 
     @functools.cached_property
     def _phase_data(self):
@@ -375,40 +378,53 @@ def _number(obj: dict, key: str, cast=float):
 
 # -- Ahern-Clark / Cohn sums ----------------------------------------------
 
-def one_minus_mod_sq(theta: InnerFunction, lam) -> float:
-    """1 - |Theta(lam)|^2 without cancellation, for lam inside the disk.
+def one_minus_mod_sq(theta: InnerFunction, lam):
+    """1 - |Theta(lam)|^2 without cancellation: a float at a point, an array
+    of lam's shape at an array of points; 0 on and outside the circle.
 
     Each zero a contributes u = 1 - |b_a(lam)|^2 =
     (1-|lam|^2)(1-|a|^2)/|1 - conj(a) lam|^2 (raised to its multiplicity
     through log1p/expm1), and q = 1 - prod(1 - u) accumulates as
-    q += u (1 - q), a sum of nonnegative terms.  Singular factors add
-    their explicit exponent L, joined as 1 - (1 - q) e^L = q - (1 - q) expm1(L).
-    On z^N this is 1 - |lam|^{2N}, with the same operations as the loop.
+    q += u (1 - q), a sum of nonnegative terms.  The u of every zero at
+    every point is one (zeros, points) array, with the complex steps on
+    real and imaginary parts as Python's complex arithmetic takes them and
+    |.| by hypot.  Singular factors add their exponent
+    L = -sum 2 mass (1-|lam|^2)/|lam - zeta|^2 = sum 2 mass Re((lam+zeta)/(lam-zeta)),
+    joined as 1 - (1 - q) e^L = q - (1 - q) expm1(L).  At a single point of
+    z^N this is the closed form 1 - |lam|^{2N}, with the same operations as
+    the general formula.
     """
-    lam = complex(lam)
-    mod = abs(lam)
-    if mod >= 1.0:
-        return 0.0
-    one_minus_lam2 = (1.0 - mod) * (1.0 + mod)
-    if isinstance(theta, Monomial):
-        u = one_minus_lam2
+    if isinstance(lam, (complex, float, int)) and isinstance(theta, Monomial):
+        mod = abs(complex(lam))
+        if mod >= 1.0:
+            return 0.0
+        u = (1.0 - mod) * (1.0 + mod)
         if theta.n > 1 and u < 1.0:  # u = 1 at lam = 0, where log1p(-u) raises
             u = -math.expm1(theta.n * math.log1p(-u))
-        return min(u, 1.0)
-    q = 0.0
+        return u  # <= 1 already: 1 - mod^2, or -expm1 of a number <= 0
+    pts = np.asarray(lam, dtype=complex)
+    mod = np.hypot(pts.real, pts.imag)
+    inside = ~(mod >= 1.0)  # NaN goes through as NaN
+    lr, li, mod = pts.real[inside], pts.imag[inside], mod[inside]
+    one_minus_lam2 = (1.0 - mod) * (1.0 + mod)
     zeros, atoms = theta._factor_data
-    for abar, one_minus_a2, mult in zeros:
-        d = abs(1.0 - abar * lam)
-        u = one_minus_lam2 * one_minus_a2 / (d * d)  # d * d: float ** 2 is slower
-        if mult > 1:
-            u = -math.expm1(mult * math.log1p(-u)) if u < 1.0 else 1.0
-        q += u * (1.0 - q)
-    if not atoms:
-        return min(q, 1.0)  # q >= 1: lam on a zero
-    exponent = 0.0
-    for zeta, twice_mass in atoms:
-        exponent += twice_mass * ((lam + zeta) / (lam - zeta)).real
-    return min(q - (1.0 - q) * math.expm1(exponent), 1.0)  # q >= 1: lam on a zero
+    br, bi, one_minus_a2, mult = zeros[:, :, None]  # each (zeros, 1)
+    d = np.hypot(1.0 - (br * lr - bi * li), -(br * li + bi * lr))  # |1 - conj(a) lam|
+    u = one_minus_lam2 * one_minus_a2 / (d * d)
+    many = mult[:, 0] > 1
+    if many.any():
+        with np.errstate(divide="ignore"):  # u = 1 on the zero: log1p(-1) = -inf
+            u[many] = -np.expm1(mult[many] * np.log1p(-np.minimum(u[many], 1.0)))
+    q = np.zeros_like(mod)
+    for u_zero in u:
+        q += u_zero * (1.0 - q)
+    if atoms.size:
+        zr, zi, twice_mass = atoms[:, :, None]
+        dist = np.hypot(lr - zr, li - zi)
+        q -= (1.0 - q) * np.expm1(-np.sum(twice_mass * one_minus_lam2 / (dist * dist), axis=0))
+    out = np.zeros(pts.shape)
+    out[inside] = np.minimum(q, 1.0)  # q >= 1: lam on a zero
+    return float(out) if out.ndim == 0 else out
 
 
 def _wrap(x):

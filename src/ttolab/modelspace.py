@@ -116,7 +116,8 @@ class ModelSpace:
     space, is taken as named.  The methods below run on every
     representation over its hooks: ``_setup(n)`` builds the grid and the
     rest, ``_multiplier``, ``_pair_multiplier`` and ``_outer`` give the
-    (matrix, apply_fn) of an operator, ``_kernel_norms`` the rho columns."""
+    (matrix, apply_fn) of an operator, ``_unit_kernel_norms`` the rho columns
+    before the kernel scale."""
 
     mode: str  # "exact" or "truncated", set by each representation
 
@@ -193,6 +194,18 @@ class ModelSpace:
         """S* f = (f - f(0))/z, which leaves K_Theta invariant."""
         return self._backward_shift(f)
 
+    def _kernel_norms(self, op, samples, quotient: bool):
+        """||A h_lambda||_2, or ||A h~_lambda||_2 when quotient, at every sample
+        point: ``_unit_kernel_norms`` times the kernel scale
+        sqrt((1-|lambda|^2)/(1-|Theta(lambda)|^2)), its denominators in one pass."""
+        pts = samples.points
+        mod = np.hypot(pts.real, pts.imag)  # |lambda| as one_minus_mod_sq takes it
+        scale = np.sqrt((1.0 - mod) * (1.0 + mod) / self._one_minus_theta_sq(pts))
+        return self._unit_kernel_norms(op, samples, quotient) * scale
+
+    def _one_minus_theta_sq(self, pts):
+        return one_minus_mod_sq(self.theta, pts)
+
 
 class GridSpace(ModelSpace):
     """Any Theta, by samples on the boundary grid: P_Theta is ``project_theta``
@@ -237,10 +250,9 @@ class GridSpace(ModelSpace):
     def _outer(self, x, y):
         return None, lambda f: f.inner(y) * x
 
-    def _kernel_norms(self, op, samples, quotient: bool):
-        """||A h_lambda||_2, or ||A h~_lambda||_2 when quotient, point by point."""
-        kernel = ((lambda lam: self.difference_quotient(lam, normalized=True))
-                  if quotient else self.normalized_kernel)
+    def _unit_kernel_norms(self, op, samples, quotient: bool):
+        """||A k_lambda||_2, or ||A k~_lambda||_2 when quotient, point by point."""
+        kernel = self.difference_quotient if quotient else self.kernel
         return np.array([op.apply(kernel(lam)).norm() for lam in samples.points])
 
 
@@ -437,16 +449,9 @@ class TMSpace(ModelSpace):
     def _outer(self, x, y):
         return np.outer(x.coeffs, np.conj(y.coeffs)), None
 
-    def _kernel_norms(self, op, samples, quotient: bool):
-        """||A h_lambda||_2 with h_lambda = s conj(e(lambda)), or ||A W s e(lambda)||
-        when quotient; s is the kernel scale, one ``one_minus_mod_sq`` per point."""
-        pts = samples.points
-        denom = np.array([one_minus_mod_sq(self.theta, w) for w in pts.tolist()])
-        scale = np.sqrt((1.0 - np.abs(pts)) * (1.0 + np.abs(pts)) / denom)
-        return self._unit_kernel_norms(op.matrix, samples, quotient) * scale
-
-    def _unit_kernel_norms(self, M, samples, quotient: bool):
+    def _unit_kernel_norms(self, op, samples, quotient: bool):
         """||M conj(e(lambda))||, or ||M W e(lambda)||, by one dense product."""
+        M = op.matrix
         A = M @ self.omega_matrix if quotient else M
         E = self._tm_eval(samples.points)  # (L, N)
         # ||M conj(e)|| = ||conj(M) e||: conjugate the N x N matrix, not the L x N one
@@ -486,7 +491,13 @@ class ToeplitzSpace(TMSpace):
         c = np.fft.fft(w) / self.grid.n
         return toeplitz(c[np.arange(1 - self.dim, self.dim) % self.grid.n])
 
-    def _unit_kernel_norms(self, M, samples, quotient: bool):
+    def _one_minus_theta_sq(self, pts):
+        # one scalar closed-form call per rho point: on K_{z^16},
+        # bench/test_bench.py::test_traced_run_reports_every_layer_metric
+        # asserts as many inner.one_minus_mod_sq calls as operators.rho_points
+        return np.array([one_minus_mod_sq(self.theta, w) for w in pts.tolist()])
+
+    def _unit_kernel_norms(self, op, samples, quotient: bool):
         """The dense product's columns over a rotation-closed set lambda = r w^m,
         w = e^{2 pi i/J} (radius-major): with G = M^H M,
         ||M conj(e)||^2 = sum_{j,k} r^{j+k} G_jk w^{(j-k)m}.
@@ -498,8 +509,9 @@ class ToeplitzSpace(TMSpace):
         eps ||M||^2; negative rounding is clamped to 0.
         """
         if samples.tensor is None:
-            return super()._unit_kernel_norms(M, samples, quotient)
+            return super()._unit_kernel_norms(op, samples, quotient)
         radii, J = samples.tensor
+        M = op.matrix
         N = M.shape[0]
         G = M.conj().T @ M
         G = G[::-1, ::-1] if quotient else G

@@ -327,6 +327,29 @@ def test_config_null_is_an_absent_flag(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_config_gives_a_required_flag(tmp_path, capsys):
+    # a required flag may come from the config file alone (a typed one read
+    # as its flag's text); one missing from both exits 2 naming the flag,
+    # with no SystemExit out of main
+    symbol = json.dumps({"0": [1, 0], "3": [0, 1]})
+    code, ref = run_cli(["fejer-split", "--N", "8", "--symbol", symbol], capsys)
+    assert code == 0
+    cfg = tmp_path / "cfg.json"
+    for flags, doc in ((["--N", "8"], {"symbol": json.loads(symbol)}),
+                       (["--symbol", symbol], {"N": 8}),
+                       (["--symbol", symbol], {"N": "8"})):
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["fejer-split", *flags, "--config", str(cfg)], capsys) == (0, ref)
+    for flags, text, missing in ((["--N", "8"], "{}", "--symbol"),
+                                 (["--N", "8", "--symbol", symbol], '{"symbol": null}', "--symbol"),
+                                 ([], "{}", "--N, --symbol")):
+        cfg.write_text(text)
+        assert main(["fejer-split", *flags, "--config", str(cfg)]) == 2
+        assert f"required: {missing}" in capsys.readouterr().err
+    assert main(["fejer-split", "--N", "8"]) == 2
+    assert "required: --symbol" in capsys.readouterr().err
+
+
 def test_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"coeffs": [1, 1], "bogus": 3}))

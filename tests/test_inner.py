@@ -307,6 +307,42 @@ def test_monomial_closed_form_is_the_per_zero_formula():
         assert one_minus_mod_sq(theta, lam) == _per_zero_formula(theta, complex(lam))
 
 
+_on_circle = st.sampled_from([1.0, -1.0, 1j, -1j])  # |lam| = 1 exactly
+_factored = st.one_of(  # no bare z^N, whose single points take the closed form
+    _blaschke, _atom,
+    st.builds(lambda n, b: ProductInner([Monomial(n), b]), st.integers(1, 8), _blaschke),
+    st.builds(lambda n, b, a: ProductInner([Monomial(n), b, a]),
+              st.integers(1, 8), _blaschke, _atom))
+
+
+@st.composite
+def _point_arrays(draw):
+    """(Theta, points): interior points, 0, some of Theta's zeros and points
+    on the circle, shuffled."""
+    theta = draw(_factored)
+    on_zeros = [z.value for z in theta.zeros() if draw(st.booleans())]
+    pts = (draw(st.lists(_points, min_size=1, max_size=12)) + [0.0] + on_zeros
+           + draw(st.lists(_on_circle, max_size=2)))
+    return theta, np.array(draw(st.permutations(pts)), dtype=complex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_arrays())
+def test_one_minus_mod_sq_over_a_point_array(case):
+    theta, pts = case
+    got = one_minus_mod_sq(theta, pts)
+    assert got.shape == pts.shape
+    for lam, value in zip(pts.tolist(), got.tolist()):
+        assert value == one_minus_mod_sq(theta, lam)  # one-element arrays, the same pass
+        if abs(lam) >= 1.0:
+            assert value == 0.0
+            continue
+        ref = _oracle_one_minus_mod_sq(theta, lam)
+        assert abs(value - ref) <= 1e-9 * ref  # 1.0 on a zero, up to the oracle's bound
+        if not theta.atoms():  # numpy's log1p, expm1 and hypot against libm's
+            assert abs(value - _per_zero_formula(theta, lam)) <= 4 * math.ulp(value)
+
+
 def test_one_minus_mod_sq_factor_data_is_per_instance():
     near = BlaschkeProduct([BlaschkeZero(1e-3, 1.0)])
     far = BlaschkeProduct([BlaschkeZero(0.5, 1.0)])

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
-from ttolab import (Atom, BlaschkeProduct, BoundaryPoint, CircleFunction,
+from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint, CircleFunction,
                     KernelActionOracle, MeasureSymbol, ModelSpace, Monomial, PairSymbol,
                     SampleSet, SingularAtomic, adjoint, build, decompose,
                     measure_operator, operator_norm, rank_one_operator, recover,
                     recover_via_k0, rho, rho_d, rho_r, rho_scan_rows, standard_symbol)
 from ttolab.circle import toeplitz
 from ttolab.errors import UnsupportedVariant
-from ttolab.modelspace import GridSpace
+from ttolab.modelspace import GridSpace, _kernel_scale
 from ttolab.operators import (BoundarySymbol, TTOperator, _lanczos_top_pair,
                               hankel_factor_residual, q_theta,
                               toeplitz_defect)
@@ -257,6 +257,26 @@ def test_rho_monotone_under_refinement(rng):
     assert rho_r(op, s2) >= rho_r(op, s) - 1e-14
     nrm = operator_norm(op)
     assert rho(op, s2) <= nrm + 1e-9
+
+
+def test_rho_on_a_blaschke_space_matches_the_per_point_reference(rng):
+    # the kernel scales of the whole sample set come from one pass of
+    # one_minus_mod_sq; the zero at 1 - |a| = 1e-4 adds sample points on its
+    # ray, where 1 - |Theta|^2 is small
+    zeros = [BlaschkeZero(1e-4, 1.0)] + [BlaschkeZero(d, t) for d, t in zip(
+        rng.uniform(0.25, 0.9, 23), rng.uniform(0.0, 2.0 * np.pi, 23))]
+    space = ModelSpace(BlaschkeProduct(zeros))
+    assert type(space).__name__ == "TMSpace" and space.dim == 24
+    M = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    op = TTOperator(space, matrix=M)
+    samples = SampleSet.default(space)
+    ref_r = ref_d = 0.0
+    for lam in samples.points.tolist():
+        h = _kernel_scale(space.theta, lam) * space._tm_eval([lam])[0]  # s e(lambda)
+        ref_r = max(ref_r, np.linalg.norm(M @ np.conj(h)))
+        ref_d = max(ref_d, np.linalg.norm(M @ space.omega_matrix @ h))
+    assert abs(rho_r(op, samples) - ref_r) <= 1e-14 * ref_r
+    assert abs(rho_d(op, samples) - ref_d) <= 1e-14 * ref_d
 
 
 def test_operator_norm_cases(rng):
