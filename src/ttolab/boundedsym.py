@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +26,7 @@ from .inner import (BlaschkeProduct, InnerFunction, Monomial, ProductInner,
                     divides)
 from .modelspace import ModelSpace, ToeplitzSpace
 from .operators import (DEGENERATE_GAP, BoundarySymbol, SampleSet, TTOperator,
-                        _diagonals, _lanczos_top_pair, build, rho, rho_r)
+                        _lanczos_top_pair, build, rho, rho_r)
 
 
 class QComplex:
@@ -326,10 +325,12 @@ class BoundedSymbolResult:
 def symbol_from_matrix(M) -> FourierPolynomial:
     """Read the canonical symbol of a Toeplitz matrix off its diagonals;
     OverflowError where a diagonal's mean overflows."""
+    M = np.asarray(M, dtype=complex)
+    N = M.shape[0]
     coeffs = {}
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
-        for d, diag in _diagonals(np.asarray(M, dtype=complex)):
-            val = complex(diag.mean())
+        for d in range(-(N - 1), N):  # the entries M[i, j] with i - j = d
+            val = complex(np.diagonal(M, offset=-d).mean())
             if cmath.isinf(val):
                 raise OverflowError(f"the mean of diagonal {d} is not finite")
             if val != 0:
@@ -393,7 +394,7 @@ def assemble_bounded_symbol(op: TTOperator,
 
 
 # ---------------------------------------------------------------------------
-# Blaschke transport and rotation covariance
+# Blaschke transport
 
 def blaschke_transport(op: TTOperator, alpha: complex) -> TTOperator:
     """Carry an operator on K_{z^N} to K_{b_alpha^N} by the canonical unitary.
@@ -411,36 +412,3 @@ def blaschke_transport(op: TTOperator, alpha: complex) -> TTOperator:
     target = ModelSpace(BlaschkeProduct([(alpha, N)]))
     D = np.diag((-1.0) ** np.arange(N))
     return TTOperator(target, matrix=D @ op.matrix @ D, symbol=None)
-
-
-def transport_function(f: CircleFunction, alpha: complex) -> CircleFunction:
-    """(U f)(z) = sqrt(1-|alpha|^2)/(1 - conj(alpha) z) f(b_alpha(z)).
-
-    f must be analytic (given by its Taylor coefficients on the grid band).
-    """
-    z = f.grid.points
-    b = (alpha - z) / (1.0 - np.conj(alpha) * z)
-    co = f.coeffs
-    ks = f.grid.freqs
-    pos = np.where(ks >= 0)[0]
-    vals = np.zeros(f.grid.n, dtype=complex)
-    for i in pos[np.argsort(ks[pos])][::-1]:
-        vals = vals * b + co[i]
-    vals *= math.sqrt(1.0 - abs(alpha) ** 2) / (1.0 - np.conj(alpha) * z)
-    return CircleFunction(f.grid, vals)
-
-
-def rotation_covariance_residual(space: ModelSpace, t: float, lam: complex) -> float:
-    """Residual of tau_t h_lam = h_{e^{-it} lam} and its difference-quotient twin."""
-    if not isinstance(space, ToeplitzSpace):
-        raise ValueError("rotation covariance is a K_{z^N} identity")
-    N = space.dim
-    h = space.normalized_kernel(lam)
-    ht = space.difference_quotient(lam, normalized=True)
-    phases = np.exp(1j * t * np.arange(N))
-    lhs1 = h.coeffs * phases
-    rhs1 = space.normalized_kernel(np.exp(-1j * t) * lam).coeffs
-    lhs2 = ht.coeffs * phases
-    rhs2 = (np.exp(1j * (N - 1) * t)
-            * space.difference_quotient(np.exp(-1j * t) * lam, normalized=True).coeffs)
-    return float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))

@@ -1,11 +1,10 @@
 """Function calculus on uniform grids of the unit circle.
 
 Boundary functions are stored by their samples at the n-th roots of unity
-(n a power of two).  Fourier analysis/synthesis is exact for band-limited
-data; Riesz projections act on the coefficient side; products optionally
-zero-pad to avoid aliasing when bandwidth metadata is available; integrals
-use the uniform quadrature rule, which is spectrally accurate for smooth
-boundary data.
+(n a power of two).  Fourier coefficients are exact for band-limited data;
+the Riesz projection acts on the coefficient side; integrals use the
+uniform quadrature rule, which is spectrally accurate for smooth boundary
+data.
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ class BoundaryGrid:
         _GRID_CACHE[n] = self
         return self
 
-    def double(self) -> "BoundaryGrid":
-        return BoundaryGrid(2 * self.n)
-
     def __repr__(self):
         return f"BoundaryGrid(n={self.n})"
 
@@ -63,7 +59,7 @@ class CircleFunction:
     Fourier coefficients (normalized, c_k = (1/n) sum f(zeta_j) zeta_j^{-k})
     are cached on first use.  ``bandwidth`` is optional caller-declared
     metadata: the function promises |c_k| = 0 for |k| > bandwidth, which
-    lets ``multiply`` guarantee alias-free products.
+    lets a grid operator refuse a symbol its grid cannot resolve.
     """
 
     __slots__ = ("grid", "samples", "bandwidth", "_coeffs")
@@ -113,10 +109,6 @@ class CircleFunction:
             return 0.0 + 0.0j
         return complex(self.coeffs[k % n])
 
-    def shifted_coeffs(self):
-        """Coefficients ordered by frequency -n/2 .. n/2-1."""
-        return np.fft.fftshift(self.coeffs)
-
     # -- algebra -------------------------------------------------------
 
     def _like(self, samples, bandwidth=None):
@@ -133,7 +125,7 @@ class CircleFunction:
     def __sub__(self, other: "CircleFunction"):
         return self._like(self.samples - other.samples, self._bandwidth(other))
 
-    def __mul__(self, scalar):  # a product of two functions is ``multiply``
+    def __mul__(self, scalar):
         return self._like(self.samples * scalar, self.bandwidth)
 
     __rmul__ = __mul__
@@ -154,51 +146,11 @@ class CircleFunction:
         return CircleFunction._from_fft(grid, out, self.bandwidth)
 
 
-def analyze(f: CircleFunction):
-    """Discrete Fourier coefficients of f, ordered by frequency -n/2..n/2-1."""
-    return f.shifted_coeffs()
-
-
-def synthesize(grid: BoundaryGrid, shifted_coeffs) -> CircleFunction:
-    """Inverse of :func:`analyze`."""
-    co = np.fft.ifftshift(np.asarray(shifted_coeffs, dtype=complex))
-    return CircleFunction._from_fft(grid, co)
-
-
 def riesz_plus(f: CircleFunction) -> CircleFunction:
     """Riesz projection onto nonnegative frequencies (L^2 -> H^2)."""
     co = f.coeffs.copy()
     co[f.grid.freqs < 0] = 0.0
     return CircleFunction._from_fft(f.grid, co, f.bandwidth)
-
-
-def riesz_minus(f: CircleFunction) -> CircleFunction:
-    """Complementary projection I - riesz_plus (strictly negative frequencies)."""
-    co = f.coeffs.copy()
-    co[f.grid.freqs >= 0] = 0.0
-    return CircleFunction._from_fft(f.grid, co, f.bandwidth)
-
-
-def multiply(f: CircleFunction, g: CircleFunction) -> CircleFunction:
-    """Pointwise product.
-
-    When both factors declare a bandwidth, the product is formed on a
-    zero-padded double grid and reduced back, so it is alias-free as long
-    as the combined bandwidth fits in the band; otherwise BandwidthOverflow
-    is raised to request a larger grid.  Without metadata the product is
-    the plain samplewise one.
-    """
-    if f.grid is not g.grid:
-        raise ValueError("operands live on different grids")
-    if f.bandwidth is not None and g.bandwidth is not None:
-        combined = f.bandwidth + g.bandwidth
-        if combined >= f.grid.n // 2:
-            raise BandwidthOverflow(
-                f"combined bandwidth {combined} >= n/2 = {f.grid.n // 2}")
-        big = f.grid.double()
-        prod = f.on_grid(big).samples * g.on_grid(big).samples
-        return CircleFunction(big, prod, bandwidth=combined).on_grid(f.grid)
-    return CircleFunction(f.grid, f.samples * g.samples)
 
 
 def inner_product(f: CircleFunction, g: CircleFunction) -> complex:
@@ -242,15 +194,6 @@ def polynomial_values(coeffs, grid: BoundaryGrid):
     """sum_k coeffs[k] zeta^k at the grid points: one inverse FFT of the
     coefficients folded mod n."""
     return np.fft.ifft(fold(coeffs, grid.n)) * grid.n
-
-
-def h2_eval(f: CircleFunction, z) -> complex:
-    """Evaluate the analytic part of f at an interior point via its Taylor series."""
-    co = f.coeffs
-    ks = f.grid.freqs
-    pos = ks >= 0
-    k = ks[pos]
-    return complex(np.sum(co[pos] * np.asarray(z) ** k))
 
 
 class FourierPolynomial:
@@ -321,13 +264,13 @@ def _relative_change(prev, cur) -> float:
     return change / max(1.0, float(np.max(np.abs(cur))))
 
 
-def cauchy_refine(compute, start_n, tol, max_n, distance=_relative_change):
+def cauchy_refine(compute, start_n, tol, max_n):
     """Grid-doubling Cauchy control.
 
     ``compute(n)`` maps a grid size to a result; doubling stops once
-    distance(v(n), v(2n)) <= tol, by default |v(2n) - v(n)| / max(1, |v(2n)|)
-    in the max norm.  Returns (value, achieved_residual, n_used).  Raises
-    nothing: the caller decides what a non-converged residual means.
+    |v(2n) - v(n)| / max(1, |v(2n)|) <= tol in the max norm.  Returns
+    (value, achieved_residual, n_used).  Raises nothing: the caller decides
+    what a non-converged residual means.
     """
     n = start_n
     prev = compute(n)
@@ -335,7 +278,7 @@ def cauchy_refine(compute, start_n, tol, max_n, distance=_relative_change):
     while 2 * n <= max_n:
         n *= 2
         cur = compute(n)
-        resid = distance(prev, cur)
+        resid = _relative_change(prev, cur)
         if resid <= tol:
             return cur, resid, n
         prev = cur

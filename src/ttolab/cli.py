@@ -146,7 +146,12 @@ def _cmd_recover(cfg):
 
 def _cmd_rank_one(cfg):
     space = _exact_space(cfg, "rank-one")
-    pt = BoundaryPoint(cfg["zeta"]) if "zeta" in cfg else _complex(cfg["lambda"])
+    if "zeta" in cfg:
+        pt = BoundaryPoint(cfg["zeta"])
+    elif "lambda" in cfg:
+        pt = _complex(cfg["lambda"])
+    else:
+        raise ValidationError("rank-one needs --lambda or --zeta")
     sym = rank_one_symbol(space, pt)
     op = build(space, sym)
     direct = rank_one_operator(space, pt)
@@ -316,7 +321,7 @@ def _cmd_carleson(cfg):
 # also the config key "key"; argparse defaults enter the config hash.
 COMMANDS = {
     "kernels": (_cmd_kernels, (
-        ("--inner", {"required": True}), ("--lambda", {"dest": "lam"}),
+        ("--inner", {"required": True}), ("--lambda", {"dest": "lam", "required": True}),
         ("--normalized", {"action": "store_true"}), ("--grid", {"type": int}))),
     "build": (_cmd_build, (
         ("--inner", {"required": True}), ("--symbol", {"required": True}),

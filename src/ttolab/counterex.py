@@ -374,64 +374,6 @@ def gen_blaschke_counterexample(p: float = 3.0, count: int = 20) -> Counterexamp
     return CounterexampleFamily("blaschke_tangential", theta, p, certs, data)
 
 
-DOMINANCE = 0.9  # least share of the exponent-2 sum a selected zero carries at its point
-
-
-def gen_tangential_family(gamma: float, p: float, count: int = 12) -> CounterexampleFamily:
-    """Greedy tangential-zero family for a given approach exponent gamma.
-
-    Candidates w_k approach 1 with (1-|w_k|)^gamma / |w_k - 1| -> 0; a
-    subsequence is selected so that at each test point (the radial
-    projection of the selected zero) the nearest zero contributes at least
-    the DOMINANCE fraction of the exponent-2 Ahern-Clark sum, which is
-    the operational form of the single-zero-dominance condition.
-    """
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie in (0, 1)")
-    if p <= max(2.0, 1.0 / (1.0 - gamma)):
-        raise ValueError("p must exceed max(2, 1/(1-gamma))")
-    # candidate geometry: delta_k = 4^{-k}, angle_k = delta_k^{gamma'} with
-    # gamma' slightly below gamma so the tangential ratio still vanishes
-    gprime = 0.9 * gamma
-    selected: list[BlaschkeZero] = []
-    dominances = []
-    k = 1
-    attempts = 0
-    while len(selected) < count and attempts < 80:
-        attempts += 1
-        delta = 4.0 ** -k
-        angle = delta ** gprime
-        cand = BlaschkeZero(delta, angle)
-        trial = selected + [cand]
-        t = angle  # test point: radial projection of the candidate
-        terms = np.array([z.one_minus_mod2() / z.dist2_to_boundary_angle(t)
-                          for z in trial])
-        share = terms[-1] / terms.sum()
-        if share >= DOMINANCE:
-            selected.append(cand)
-            dominances.append(float(share))
-            k += 1
-        else:
-            k += 2  # skip ahead: later candidates are better separated
-    if len(selected) < 4:
-        raise ValueError("could not select enough dominated zeros")
-    theta = BlaschkeProduct(selected, truncated=True)
-    tang = np.array([z.delta ** gamma / math.sqrt(z.dist2_to_boundary_angle(0.0))
-                     for z in selected])
-    df3 = np.array([z.delta ** (1 - 1 / p) / math.sqrt(z.dist2_to_boundary_angle(0.0))
-                    for z in selected])
-    certs = [
-        Certificate("dominance_floor", float(min(dominances)), DOMINANCE,
-                    min(dominances) >= DOMINANCE),
-        Certificate("tangential_ratio_decay", float(tang[-1] / tang[0]), 1.0,
-                    bool(np.all(np.diff(tang) < 0))),
-        Certificate("df3_decay", float(df3[-1] / df3[0]), 1.0,
-                    bool(np.all(np.diff(df3) < 0))),
-    ]
-    return CounterexampleFamily("blaschke_tangential", theta, p, certs,
-                                {"dominances": np.array(dominances), "df3": df3})
-
-
 def gen_singular_counterexample(p: float = 3.0, count: int = 20) -> CounterexampleFamily:
     """Atoms of mass 8^{-k} at angles 2^{-k}: the singular twin of the
     Blaschke family, with masses playing the role of 1 - |a_k|^2."""
@@ -487,20 +429,24 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = CLS_TOL,
     test: the supremum of the ratio is finite iff Theta is one-component.
 
     Inside the disk ||k_lam||_2^2 is the closed form
-    (1 - |Theta(lam)|^2)/(1 - |lam|^2) and only the sup is refined (uniform
-    grid doubling at tol, up to max_n points); on the circle both norms
-    come from ``kernel_lp``.
+    (1 - |Theta(lam)|^2)/(1 - |lam|^2), one array pass over all interior
+    points, and only the sup is refined (uniform grid doubling at tol, up
+    to max_n points); on the circle both norms come from ``kernel_lp``.
     """
+    lams = [complex(lam) for lam in np.asarray(points, dtype=complex)]
+    on_circle = [_point(lam)[1] for lam in lams]
+    inside = np.array([lam for lam, edge in zip(lams, on_circle) if not edge], dtype=complex)
+    mod = np.hypot(inside.real, inside.imag)  # |lam| as one_minus_mod_sq takes it
+    two_sq_inside = iter((one_minus_mod_sq(theta, inside) / ((1.0 - mod) * (1.0 + mod))).tolist())
     rows = []
     best = 0.0
-    for lam in np.asarray(points, dtype=complex):
-        lam = complex(lam)
-        if _point(lam)[1]:
+    for lam, edge in zip(lams, on_circle):
+        if edge:
             (sup, _, _), (two, _, _), _ = _norm_pair(theta, lam, np.inf, tol, max_n)
             two_sq = two ** 2
         else:
             sup = kernel_lp(theta, lam, np.inf, tol=tol, max_n=max_n)[0]
-            two_sq = one_minus_mod_sq(theta, lam) / ((1.0 - abs(lam)) * (1.0 + abs(lam)))
+            two_sq = next(two_sq_inside)
         ratio = sup / two_sq
         best = max(best, ratio)
         rows.append((lam, sup, two_sq, ratio))

@@ -6,7 +6,7 @@ class TTOLabError(Exception):
 
 
 class BandwidthOverflow(TTOLabError):
-    """Combined declared bandwidth does not fit on the grid; enlarge the grid."""
+    """Declared bandwidth does not fit on the grid; enlarge the grid."""
 
 
 class UndefinedBoundaryValue(TTOLabError):
@@ -47,7 +47,3 @@ class SupportOverflow(TTOLabError):
 
 class DivisibilityViolated(TTOLabError):
     """Required inner-function divisibility relation does not hold."""
-
-
-class SymbolsDiffer(TTOLabError):
-    """Two alleged symbols of the same operator build different operators."""

@@ -323,11 +323,6 @@ def power(theta: InnerFunction, s: float) -> InnerFunction:
                       s if not isinstance(theta, PowerInner) else s * theta.s)
 
 
-def square(theta: InnerFunction) -> InnerFunction:
-    """Theta^2 as an explicit spec (zeros doubled / masses doubled)."""
-    return ProductInner([theta, theta])
-
-
 # -- JSON -----------------------------------------------------------------
 
 def from_json(obj: dict) -> InnerFunction:

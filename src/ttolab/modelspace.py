@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID, cauchy_refine,
-                     fold, lp_norm, pow2_at_least, riesz_plus, toeplitz)
+from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID, fold, lp_norm,
+                     pow2_at_least, riesz_plus, toeplitz)
 from .errors import (BandwidthOverflow, BoundaryPointNotNormalizable,
                      NoAngularDerivative, UnsupportedVariant)
 from .inner import (BoundaryPoint, InnerFunction, Monomial,
@@ -526,30 +526,6 @@ class ToeplitzSpace(TMSpace):
         return np.sqrt(np.maximum(2.0 * sums.real - x[0].real, 0.0)).T.ravel()
 
 
-PROJECTION_TOL = 1e-8  # relative L^2 change that ends projection_residual's doubling
-
-
-def projection_residual(theta: InnerFunction, sampler, max_n: int = 2 ** 16):
-    """Grid-doubling Cauchy residual of a grid (``GridSpace``) projection.
-
-    ``sampler(grid)`` produces the boundary data on any grid; the
-    projection is computed on DEFAULT_GRID and doublings until the L^2
-    difference of consecutive results (compared on the coarse grid) drops
-    below PROJECTION_TOL.  Returns (ModelFunction on the final grid,
-    achieved residual, final grid size).
-    """
-    def compute(m):
-        space = GridSpace(theta, m)
-        return space.project(sampler(space.grid))
-
-    def distance(prev, cur):
-        down = cur.as_circle().on_grid(prev.space.grid)
-        diff = down.samples - prev.as_circle().samples
-        return lp_norm(diff, 2) / max(1.0, prev.norm())
-
-    return cauchy_refine(compute, DEFAULT_GRID, PROJECTION_TOL, max_n, distance)
-
-
 def tm_basis(theta: InnerFunction) -> list[CircleFunction]:
     """Orthonormal Takenaka-Malmquist basis of K_Theta as boundary functions."""
     space = ModelSpace(theta)
@@ -622,20 +598,3 @@ class ModelFunction:
 
     def __neg__(self):
         return (-1.0) * self
-
-
-def product_into(space_big: ModelSpace, f1: ModelFunction, f2: ModelFunction,
-                 with_z: bool = False) -> ModelFunction:
-    """Project f1*f2 (or z f1 f2) onto a larger model space, returning the projection.
-
-    Used to exercise the product and nesting lemmas: for f1 in K_Theta1 and
-    bounded f2 in K_Theta2 the product already lies in K_{Theta1 Theta2},
-    so the projection residual is a pure quadrature defect.
-    """
-    grid = space_big.grid
-    a = f1.as_circle().on_grid(grid).samples
-    b = f2.as_circle().on_grid(grid).samples
-    prod = a * b
-    if with_z:
-        prod = grid.points * prod
-    return space_big.project(CircleFunction(grid, prod))

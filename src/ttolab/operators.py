@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .circle import CircleFunction, inner_product, lp_norm, riesz_minus
+from .circle import CircleFunction, inner_product, lp_norm
 from .errors import NoConvergence, UnsupportedVariant
 from .inner import BoundaryPoint
 from .modelspace import ModelFunction, ModelSpace, project_theta
@@ -380,38 +380,3 @@ def measure_operator(space: ModelSpace, measure: MeasureSymbol) -> TTOperator:
         M += space.compress(measure.density.on_grid(space.grid).samples)
     return TTOperator(space, matrix=M, symbol=measure)
 
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-def hankel_factor_residual(op: TTOperator, f: ModelFunction) -> float:
-    """|| A_phi f - Theta P_-(conj(Theta) phi f) ||_2 on the grid.
-
-    The factorization through the Hankel operator with symbol
-    conj(Theta) phi holds exactly; the residual is quadrature noise.
-    """
-    space = op.space
-    if not isinstance(op.symbol, (BoundarySymbol, PairSymbol)):
-        raise UnsupportedVariant("needs a boundary or pair symbol")
-    phi = op.symbol.samples_on(space)
-    fs = f.as_circle().samples
-    lhs = op.apply(f).as_circle().samples
-    hank = riesz_minus(CircleFunction(space.grid,
-                                      np.conj(space.theta_samples) * phi * fs))
-    rhs = space.theta_samples * hank.samples
-    return lp_norm(lhs - rhs, 2)
-
-
-def _diagonals(M):
-    """Pairs (d, the entries M[i, j] with i - j = d) for d = -(N-1)..N-1."""
-    N = M.shape[0]
-    return [(d, np.diagonal(M, offset=-d)) for d in range(-(N - 1), N)]
-
-
-def toeplitz_defect(op: TTOperator) -> float:
-    """Max deviation of the matrix from constant diagonals (z^N sanity check)."""
-    worst = 0.0
-    for _, diag in _diagonals(op.matrix):
-        if diag.size > 1:
-            worst = max(worst, float(np.max(np.abs(diag - diag.mean()))))
-    return worst

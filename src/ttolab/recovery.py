@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import CircleFunction, lp_norm
-from .errors import (DegenerateMu, InconsistentOracle, SymbolsDiffer,
-                     UnsupportedVariant)
+from .circle import CircleFunction
+from .errors import DegenerateMu, InconsistentOracle, UnsupportedVariant
 from .modelspace import ModelFunction, ModelSpace, _kernel_samples, _point
 from .operators import (BoundarySymbol, PairSymbol, SampleSet, TTOperator,
                         _polar_grid, build, rho_r)
@@ -92,42 +91,11 @@ class RecoveredSymbol:
 # ---------------------------------------------------------------------------
 # elementary pieces
 
-def shift_resolvent(f: CircleFunction, lam: complex) -> CircleFunction:
-    """(I - lam S*)^{-1} S* f = (f - f(lam))/(z - lam) for analytic f.
-
-    Computed by coefficient-domain synthetic division (top-down recurrence),
-    which handles the removable singularity exactly.
-    """
-    co = f.coeffs
-    n = f.grid.n
-    neg = np.max(np.abs(co[f.grid.freqs < 0])) if n > 1 else 0.0
-    if neg > 1e-10:
-        raise ValueError("shift_resolvent needs analytic input")
-    half = n // 2
-    c = co[:half]
-    g = np.zeros(half, dtype=complex)
-    acc = 0.0 + 0.0j
-    for k in range(half - 1, 0, -1):
-        acc = c[k] + lam * acc
-        g[k - 1] = acc
-    out = np.zeros(n, dtype=complex)
-    out[:half] = g
-    return CircleFunction._from_fft(f.grid, out)
-
-
 def _resolvent_kernel_action(space: ModelSpace, af: ModelFunction, lam) -> ModelFunction:
     """(I - lam S*) omega(A k_lam) in K_Theta coefficients."""
     w = space.omega(af)
     shifted = space.backward_shift(w)
     return w - lam * shifted
-
-
-def f_lambda_mu(oracle: KernelActionOracle, lam, mu) -> ModelFunction:
-    """(I-lam S*) omega(A k_lam) - (I-mu S*) omega(A k_mu); antisymmetric."""
-    space = oracle.space
-    a = _resolvent_kernel_action(space, oracle.act(lam), lam)
-    b = _resolvent_kernel_action(space, oracle.act(mu), mu)
-    return a - b
 
 
 def _minus_values(oracle: KernelActionOracle, mu, theta_mu, psi_base: ModelFunction,
@@ -320,23 +288,3 @@ def rank_one_symbol(space: ModelSpace, pt) -> BoundarySymbol:
     k2 = (1.0 + np.conj(space.theta.eval(w)) * th) * _kernel_samples(space.theta, w, space.grid)
     phi = th * np.conj(space.grid.points * k2)
     return BoundarySymbol(CircleFunction(space.grid, phi))
-
-
-SAME_OPERATOR_TOL = 1e-8  # relative matrix difference below which two builds agree
-
-
-def symbol_lp_bound_check(space: ModelSpace, phi: CircleFunction,
-                          psi: CircleFunction, p: float):
-    """Return (||phi||_p, ||psi||_p + ||phi||_2) for two symbols of one operator.
-
-    Raises SymbolsDiffer when the two builds disagree beyond SAME_OPERATOR_TOL.
-    The ratio lhs/rhs is the empirical constant of the comparison bound.
-    """
-    a = build(space, BoundarySymbol(phi))
-    b = build(space, BoundarySymbol(psi))
-    scale = max(1.0, float(np.linalg.norm(a.matrix)))
-    if float(np.linalg.norm(a.matrix - b.matrix)) > SAME_OPERATOR_TOL * scale:
-        raise SymbolsDiffer("the two symbols build different operators")
-    lhs = lp_norm(phi.on_grid(space.grid), p)
-    rhs = lp_norm(psi.on_grid(space.grid), p) + lp_norm(phi.on_grid(space.grid), 2)
-    return lhs, rhs

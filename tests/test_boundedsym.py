@@ -10,12 +10,13 @@ from ttolab import (CircleFunction, FejerWindowSet, FourierPolynomial,
                     minimal_analytic_extension, operator_norm, rho)
 from ttolab.boundedsym import (CF_TAYLOR_MIN, QComplex, _lanczos_top_pair,
                                _series_division, _toeplitz_from_taylor,
-                               rotation_covariance_residual, symbol_from_matrix,
-                               transport_function)
+                               symbol_from_matrix)
 from ttolab.circle import BoundaryGrid, lp_norm, toeplitz
 from ttolab.errors import DivisibilityViolated, SupportOverflow
 from ttolab.modelspace import EXACT_DEGREE_CAP
 from ttolab.operators import LANCZOS_STEPS, BoundarySymbol
+
+from identities import rotation_covariance_residual, transport_function
 
 
 def random_toeplitz(rng, N):

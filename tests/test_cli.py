@@ -350,6 +350,15 @@ def test_config_gives_a_required_flag(tmp_path, capsys):
     assert "required: --symbol" in capsys.readouterr().err
 
 
+def test_a_missing_kernel_point_names_its_flag(capsys):
+    # kernels needs --lambda; rank-one needs --lambda or --zeta
+    mono = '{"type":"monomial","degree":2}'
+    assert main(["kernels", "--inner", mono]) == 2
+    assert "required: --lambda" in capsys.readouterr().err
+    assert main(["rank-one", "--inner", mono]) == 2
+    assert "rank-one needs --lambda or --zeta" in capsys.readouterr().err
+
+
 def test_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"coeffs": [1, 1], "bogus": 3}))

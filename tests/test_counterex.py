@@ -9,7 +9,8 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, ModelSpace, Monomial,
                     SingularAtomic, cls_ratio_scan, counterex_theorem_check,
                     gen_blaschke_counterexample, gen_singular_counterexample,
                     growth_ratio, rkt_failure_scan)
-from ttolab.inner import cohn_terms
+import ttolab.counterex
+from ttolab.inner import cohn_terms, one_minus_mod_sq
 from ttolab.counterex import (QUADRATURE_TOL, Certificate, KernelRule,
                               blaschke_truncation, graded_norms, growth_scan, kernel_lp)
 from ttolab.errors import NoConvergence
@@ -159,6 +160,27 @@ def test_growth_ratio_of_a_singular_theta_is_the_kernel_lp_ratio():
         growth_ratio(th, 0.3, 3.0, max_n=4096)
 
 
+def test_cls_scan_takes_the_interior_norms_in_one_array_call(monkeypatch):
+    # ||k_lam||_2^2 of every interior point from one one_minus_mod_sq call,
+    # row by row the per-point closed form: |lam| may round apart by an ulp
+    # or two, which 1 - |lam| turns into 4 eps / (1 - |lam|) relative
+    th = BlaschkeProduct([0.3 + 0.2j, -0.5 + 0.1j, 0.9j])
+    pts = [0.0, 0.5, 0.3 - 0.6j, -0.9, 0.99j]
+    calls = []
+
+    def counted(theta, lam):
+        calls.append(np.size(lam))
+        return one_minus_mod_sq(theta, lam)
+
+    monkeypatch.setattr(ttolab.counterex, "one_minus_mod_sq", counted)
+    rep = cls_ratio_scan(th, pts)
+    assert calls == [len(pts)]
+    for (lam, _, two_sq, _), w in zip(rep.rows, pts):
+        assert lam == w
+        want = one_minus_mod_sq(th, w) / ((1.0 - abs(w)) * (1.0 + abs(w)))
+        assert math.isclose(two_sq, want, rel_tol=4 * np.finfo(float).eps / (1.0 - abs(w)))
+
+
 def test_cls_scan_monomial_capped_at_two():
     pts = [r * np.exp(2j * np.pi * j / 16)
            for r in (0.0, 0.3, 0.6, 0.9, 0.99) for j in range(16)]
@@ -212,16 +234,6 @@ def test_rkt_scan_validates_inputs():
         rkt_failure_scan(th, 1.0, [0.0])
     with pytest.raises(ValueError):
         rkt_failure_scan(BlaschkeProduct([0.3]), 0.5, [0.0])
-
-
-def test_tangential_family_generator():
-    from ttolab.counterex import gen_tangential_family
-    fam = gen_tangential_family(0.6, 4.0, count=10)
-    assert fam.all_pass()
-    assert fam.certificates["dominance_floor"].value >= 0.9
-    assert len(fam.theta.zeros()) == 10
-    with pytest.raises(ValueError):
-        gen_tangential_family(0.6, 2.0)  # p must exceed 1/(1-gamma)
 
 
 def test_kernel_lp_strict_rejects_nan_residual():

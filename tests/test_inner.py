@@ -10,7 +10,7 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint,
                     Monomial, ProductInner, SingularAtomic, cohn_sum, divides,
                     from_json, has_angular_derivative, power)
 from ttolab.errors import AtomAtPoint, UndefinedBoundaryValue, UnsupportedVariant
-from ttolab.inner import cohn_terms, one_minus_mod_sq, phase_increment, square
+from ttolab.inner import cohn_terms, one_minus_mod_sq, phase_increment
 
 
 def family_zeros(count):
@@ -127,12 +127,12 @@ def test_angular_derivative_squared_agrees():
     # E(Theta^2) = E(Theta); the certificate value doubles
     th = BlaschkeProduct(family_zeros(64), truncated=True)
     c1 = has_angular_derivative(th, 0.0)
-    c2 = has_angular_derivative(square(th), 0.0)
+    c2 = has_angular_derivative(ProductInner([th, th]), 0.0)
     assert c1.verdict == c2.verdict == "yes"
     assert abs(c2.value - 2.0 * c1.value) < 1e-10
     # termwise: each zero is doubled
     b1, _ = cohn_terms(th, 0.0, 2.0)
-    b2, _ = cohn_terms(square(th), 0.0, 2.0)
+    b2, _ = cohn_terms(ProductInner([th, th]), 0.0, 2.0)
     assert len(b2) == 2 * len(b1)
 
 

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ttolab import (BlaschkeProduct, BoundaryPoint, CircleFunction,
+from ttolab import (BlaschkeProduct, BoundaryGrid, BoundaryPoint, CircleFunction,
                     ModelSpace, Monomial, ProductInner, tm_basis)
 from ttolab.circle import inner_product, lp_norm
 from ttolab.errors import BoundaryPointNotNormalizable, NoAngularDerivative
-from ttolab.inner import square
-from ttolab.modelspace import GridSpace, _one_minus_abs2, product_into
+from ttolab.modelspace import GridSpace, _one_minus_abs2
 
 from conftest import (near_zero_lists, random_blaschke_space, random_trig_poly_samples,
                       space_from_zeros, zero_lists)
+from identities import product_into
 
 
 def test_tm_basis_monomials():
@@ -112,7 +112,7 @@ def test_project_idempotent_selfadjoint(rng):
 def test_project_squared_kernel(rng):
     # P_Theta k_lambda^{Theta^2} = k_lambda^Theta
     space = random_blaschke_space(rng, 5)
-    th2 = square(space.theta)
+    th2 = ProductInner([space.theta, space.theta])
     for lam in (0.2 + 0.1j, -0.4j, 0.55):
         tv2 = complex(th2.eval(lam))
         k2 = CircleFunction(space.grid,
@@ -316,7 +316,7 @@ def test_nesting_lemma(rng):
 def test_kernel_comparison_pointwise(rng):
     # k^{Theta^2} = (1 + conj(Theta(lam)) Theta) k^Theta and the 2x bound
     space = random_blaschke_space(rng, 5)
-    th2 = square(space.theta)
+    th2 = ProductInner([space.theta, space.theta])
     for lam in (0.25, -0.3 + 0.45j):
         tv = complex(space.theta.eval(lam))
         tv2 = complex(th2.eval(lam))
@@ -385,35 +385,6 @@ def test_representation_follows_the_class_of_theta():
     assert ModelSpace(Monomial(3)).dim == 3 and not hasattr(GridSpace(blaschke), "dim")
 
 
-def test_projection_residual_reporting():
-    from ttolab.modelspace import projection_residual
-    from ttolab import SingularAtomic, Atom
-    import numpy as np
-    theta = SingularAtomic([Atom(0.0, 1.0)])
-
-    def sampler(grid):
-        return CircleFunction(grid, 1.0 / (1.0 - 0.3 * grid.points))
-
-    f, resid, n = projection_residual(theta, sampler, max_n=2 ** 14)
-    assert np.isfinite(resid)
-    assert n == 2 ** 14  # slow singular tails: budget exhausted, residual reported
-    # smooth case converges immediately
-    f2, resid2, n2 = projection_residual(BlaschkeProduct([0.4]), sampler,
-                                         max_n=2 ** 14)
-    assert resid2 <= 1e-8
-    # the triple: the projection on the last grid, and its L^2 distance on
-    # the grid before to the projection there, relative to max(1, norm)
-    for th, fn, r, last in ((theta, f, resid, n), (BlaschkeProduct([0.4]), f2, resid2, n2)):
-        space = GridSpace(th, last)
-        assert np.array_equal(fn.samples(), space.project(sampler(space.grid)).samples())
-        coarse = GridSpace(th, last // 2)
-        prev = coarse.project(sampler(coarse.grid))
-        diff = fn.as_circle().on_grid(coarse.grid).samples - prev.samples()
-        assert r == float(np.sqrt(np.mean(np.abs(diff) ** 2)) / max(1.0, prev.norm()))
-    assert n2 == 2 ** 13
-    assert abs(resid - 0.09257485783218919) <= 1e-9 * resid
-
-
 @pytest.mark.parametrize("N", [1, 3, 16, 64])
 def test_kzn_compress_and_project_match_the_basis_quadrature(rng, N):
     # grids 16 and 32 are shorter than 2N - 1 (or than N), so (i - j) mod n
@@ -441,6 +412,6 @@ def test_compress_rejects_a_symbol_it_cannot_represent():
 def test_project_takes_a_function_on_another_grid(rng):
     theta = BlaschkeProduct([0.4, -0.3 + 0.2j])
     for space in (ModelSpace(theta), ModelSpace(Monomial(3)), GridSpace(theta)):
-        f = random_trig_poly_samples(rng, space.grid.double(), 6)
+        f = random_trig_poly_samples(rng, BoundaryGrid(2 * space.grid.n), 6)
         want = space.project(f.on_grid(space.grid))
         assert np.array_equal(space.project(f).samples(), want.samples())

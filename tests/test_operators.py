@@ -10,12 +10,11 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint, CircleFu
 from ttolab.circle import toeplitz
 from ttolab.errors import UnsupportedVariant
 from ttolab.modelspace import GridSpace, _kernel_scale
-from ttolab.operators import (BoundarySymbol, TTOperator, _lanczos_top_pair,
-                              hankel_factor_residual, q_theta,
-                              toeplitz_defect)
+from ttolab.operators import BoundarySymbol, TTOperator, _lanczos_top_pair, q_theta
 
 from conftest import (near_zero_lists, random_blaschke_space, random_trig_poly_samples,
                       space_from_zeros, zero_lists)
+from identities import hankel_factor_residual, toeplitz_defect
 
 
 def sym_from_coeffs(space, coeffs):

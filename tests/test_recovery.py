@@ -5,18 +5,18 @@ from hypothesis import example, given, settings, strategies as st
 from ttolab import (BlaschkeProduct, CircleFunction, KernelActionOracle,
                     ModelSpace, Monomial, PairSymbol, SampleSet, build,
                     rank_one_operator, rank_one_symbol, recover, rho,
-                    recover_via_k0, rho_r, shift_resolvent,
-                    symbol_lp_bound_check)
-from ttolab.circle import BoundaryGrid, lp_norm
-from ttolab.errors import DegenerateMu, InconsistentOracle, SymbolsDiffer
+                    recover_via_k0, rho_r)
+from ttolab.circle import lp_norm
+from ttolab.errors import DegenerateMu, InconsistentOracle
 from ttolab.inner import BoundaryPoint
 from ttolab.operators import BoundarySymbol, TTOperator
 from ttolab.modelspace import ModelFunction
 import ttolab.recovery
 from ttolab.recovery import (_lambda_grid, _minus_values,
-                             _resolvent_kernel_action, default_mu, f_lambda_mu)
+                             _resolvent_kernel_action, default_mu)
 
 from conftest import random_blaschke_space, space_from_zeros, zero_lists
+from identities import SymbolsDiffer, symbol_lp_bound_check
 
 
 def random_pair(space, rng):
@@ -34,31 +34,11 @@ def align_gauge(space, pp, pm, mu):
     return pp + np.conj(cbar) * k0, pm - cbar * k0
 
 
-def test_shift_resolvent_polynomials():
-    g = BoundaryGrid(64)
-    f = CircleFunction.from_coeffs(g, {2: 1.0})  # z^2
-    out = shift_resolvent(f, 0.0)
-    assert abs(out.coeff(1) - 1.0) < 1e-14
-    assert abs(out.coeff(0)) < 1e-14
-    const = CircleFunction.from_coeffs(g, {0: 3.0})
-    out = shift_resolvent(const, 0.37)
-    assert np.max(np.abs(out.samples)) < 1e-14
-
-
-def test_shift_resolvent_inverse_composition(rng):
-    # (I - lam S*) applied after the resolvent returns S* f
-    g = BoundaryGrid(128)
-    coeffs = {k: complex(rng.standard_normal(), rng.standard_normal())
-              for k in range(13)}
-    f = CircleFunction.from_coeffs(g, coeffs)
-    lam = 0.62 - 0.3j
-    res = shift_resolvent(f, lam)
-    # S* res in coefficient space
-    sstar_res = {k - 1: res.coeff(k) for k in range(1, 14)}
-    applied = {k: res.coeff(k) - lam * sstar_res.get(k, 0.0) for k in range(13)}
-    expect = {k: coeffs.get(k + 1, 0.0) for k in range(13)}  # S* f
-    err = max(abs(applied[k] - expect[k]) for k in range(12))
-    assert err < 1e-11
+def f_lambda_mu(oracle, lam, mu):
+    """(I-lam S*) omega(A k_lam) - (I-mu S*) omega(A k_mu); antisymmetric."""
+    space = oracle.space
+    return (_resolvent_kernel_action(space, oracle.act(lam), lam)
+            - _resolvent_kernel_action(space, oracle.act(mu), mu))
 
 
 def test_f_lambda_mu_antisymmetry(rng):
