@@ -30,7 +30,7 @@ class BoundaryGrid:
     and immutable; ``points`` are exactly the n-th roots of unity.
     """
 
-    __slots__ = ("n", "points", "angles", "freqs")
+    __slots__ = ("n", "points", "angles")
 
     def __new__(cls, n: int = DEFAULT_GRID):
         if n in _GRID_CACHE:
@@ -41,11 +41,8 @@ class BoundaryGrid:
         self.n = n
         self.angles = 2.0 * np.pi * np.arange(n) / n
         self.points = np.exp(1j * self.angles)
-        # frequency of FFT bin i: i for i < n/2, i - n otherwise
-        self.freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
         self.angles.setflags(write=False)
         self.points.setflags(write=False)
-        self.freqs.setflags(write=False)
         _GRID_CACHE[n] = self
         return self
 
@@ -98,7 +95,8 @@ class CircleFunction:
 
     @property
     def coeffs(self):
-        """Fourier coefficients in FFT bin order (bin i holds frequency freqs[i])."""
+        """Fourier coefficients in FFT bin order: bin i holds frequency i for
+        i < n/2 and i - n from n/2 on."""
         if self._coeffs is None:
             self._coeffs = np.fft.fft(self.samples) / self.grid.n
         return self._coeffs
@@ -147,10 +145,20 @@ class CircleFunction:
 
 
 def riesz_plus(f: CircleFunction) -> CircleFunction:
-    """Riesz projection onto nonnegative frequencies (L^2 -> H^2)."""
+    """Riesz projection onto nonnegative frequencies (L^2 -> H^2), from f's
+    cached Fourier coefficients if it has them."""
     co = f.coeffs.copy()
-    co[f.grid.freqs < 0] = 0.0
+    co[f.grid.n // 2:] = 0.0  # bins n/2..n-1 hold the frequencies -n/2..-1
     return CircleFunction._from_fft(f.grid, co, f.bandwidth)
+
+
+def riesz_plus_rows(rows):
+    """``riesz_plus`` of each row of an (..., n) stack of grid samples: one
+    FFT pair along the last axis for the whole stack.  For the power-of-two
+    n of a grid, norm="forward" scales as /n and *n do, bit for bit."""
+    co = np.fft.fft(rows, norm="forward")
+    co[..., co.shape[-1] // 2:] = 0.0
+    return np.fft.ifft(co, norm="forward")
 
 
 def inner_product(f: CircleFunction, g: CircleFunction) -> complex:
@@ -160,17 +168,20 @@ def inner_product(f: CircleFunction, g: CircleFunction) -> complex:
     return complex(np.vdot(g.samples, f.samples) / f.grid.n)
 
 
-def lp_norm(f, p) -> float:
-    """L^p norm by uniform quadrature of a CircleFunction or of its samples;
+def lp_norm(f, p):
+    """L^p norm by uniform quadrature of a CircleFunction or of its samples,
+    a float, or of each row of an (..., n) stack of samples, an (...) array;
     p = inf gives the sample maximum."""
     a = np.abs(f.samples if isinstance(f, CircleFunction) else f)
     if p == np.inf:
-        return float(a.max())
-    if p < 1:
+        out = a.max(axis=-1)
+    elif p < 1:
         raise ValueError("p must be >= 1 or inf")
-    if p == 2:
-        return float(np.sqrt(np.mean(a * a)))
-    return float(np.mean(a ** p) ** (1.0 / p))
+    elif p == 2:
+        out = np.sqrt(np.mean(a * a, axis=-1))
+    else:
+        out = np.mean(a ** p, axis=-1) ** (1.0 / p)
+    return float(out) if out.ndim == 0 else out
 
 
 def toeplitz(diag):

@@ -50,10 +50,11 @@ def _complex(obj, shape: str = "value"):
     """Decode complex data from a flag or JSON, by its expected shape.
 
     A "value" is a real number, an [re, im] pair or a string 're' or
-    're,im'.  A "list" holds values, a "dict" maps integer indices to
-    values (the Fourier coefficients of a symbol), and a "matrix" is a
-    square list of rows of [re, im] pairs: pairs only, so that it is never
-    read as a list of pairs.  Anything else raises ValidationError.
+    're,im'.  A "list" holds values, and "points" are a list or one value
+    (a list of one).  A "dict" maps integer indices to values (the Fourier
+    coefficients of a symbol), and a "matrix" is a square list of rows of
+    [re, im] pairs: pairs only, so that it is never read as a list of pairs.
+    Anything else raises ValidationError.
     """
     if shape == "value":
         if isinstance(obj, str) and obj.count(",") <= 1:
@@ -64,6 +65,8 @@ def _complex(obj, shape: str = "value"):
             return complex(obj[0], obj[1])
     elif shape == "list" and isinstance(obj, list):
         return np.array([_complex(v) for v in obj], dtype=complex)
+    elif shape == "points":
+        return _complex(obj if isinstance(obj, list) and not _is_pair(obj) else [obj], "list")
     elif shape == "dict" and isinstance(obj, dict):
         return {int(k): _complex(v) for k, v in obj.items()}
     elif shape == "matrix" and isinstance(obj, list) and obj and all(
@@ -71,6 +74,26 @@ def _complex(obj, shape: str = "value"):
             for row in obj):
         return np.array([[complex(a, b) for a, b in row] for row in obj], dtype=complex)
     raise ValidationError(f"expected a complex {shape}, got {obj!r}")
+
+
+def _shaped(shape: str):
+    """The complex codec of one shape, as a flag's decoder."""
+    return functools.partial(_complex, shape=shape)
+
+
+def _table(obj):
+    """A kernel-action table: a list of objects, each a "lambda" value and its
+    "coefficients" list, as (lambda, coefficients) pairs."""
+    if not (isinstance(obj, list) and all(isinstance(r, dict) for r in obj)):
+        raise ValidationError("a kernel-action table is a list of objects")
+    return [(_complex(r["lambda"]), _complex(r["coefficients"], "list")) for r in obj]
+
+
+def _batch(obj):
+    """A list of matrices."""
+    if not isinstance(obj, list):
+        raise ValidationError("a batch is a list of matrices")
+    return [_complex(m, "matrix") for m in obj]
 
 
 def _is_pair(obj) -> bool:
@@ -106,7 +129,7 @@ def _fmt(x) -> str:
 
 def _cmd_kernels(cfg):
     space = ModelSpace(from_json(cfg["inner"]), n=cfg.get("grid"))
-    lam = _complex(cfg["lambda"])
+    lam = cfg["lambda"]
     k = space.normalized_kernel(lam) if cfg.get("normalized") else space.kernel(lam)
     if space.mode == "exact":
         return {"mode": "exact", "coefficients": _pairs(k.coeffs)}
@@ -123,7 +146,7 @@ def _exact_space(cfg, command: str) -> ModelSpace:
 
 def _cmd_build(cfg):
     space = _exact_space(cfg, "build")
-    poly = FourierPolynomial(_complex(cfg["symbol"], "dict"))
+    poly = FourierPolynomial(cfg["symbol"])
     op = build(space, BoundarySymbol(poly.to_circle(space.grid)))
     return {"dimension": space.dim, "matrix": _pairs(op.matrix),
             "operator_norm": float(operator_norm(op))}
@@ -131,12 +154,8 @@ def _cmd_build(cfg):
 
 def _cmd_recover(cfg):
     space = _exact_space(cfg, "recover")
-    rows = cfg["table"]
-    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
-        raise ValidationError("a kernel-action table is a list of objects")
-    table = [(_complex(r["lambda"]), _complex(r["coefficients"], "list")) for r in rows]
-    oracle = KernelActionOracle.from_table(space, table)
-    rec = recover(oracle, mu=_complex(cfg["mu"]) if "mu" in cfg else None)
+    oracle = KernelActionOracle.from_table(space, cfg["table"])
+    rec = recover(oracle, mu=cfg.get("mu"))
     return {"mu": _pairs(rec.mu),
             "phi_plus": _pairs(rec.phi_plus.coeffs),
             "phi_minus": _pairs(rec.phi_minus.coeffs),
@@ -146,10 +165,12 @@ def _cmd_recover(cfg):
 
 def _cmd_rank_one(cfg):
     space = _exact_space(cfg, "rank-one")
+    if "zeta" in cfg and "lambda" in cfg:
+        raise ValidationError("rank-one takes --lambda or --zeta, not both")
     if "zeta" in cfg:
         pt = BoundaryPoint(cfg["zeta"])
     elif "lambda" in cfg:
-        pt = _complex(cfg["lambda"])
+        pt = cfg["lambda"]
     else:
         raise ValidationError("rank-one needs --lambda or --zeta")
     sym = rank_one_symbol(space, pt)
@@ -163,7 +184,7 @@ def _cmd_rank_one(cfg):
 
 
 def _cmd_fejer_split(cfg):
-    p1, p2, p3 = fejer_split(FourierPolynomial(_complex(cfg["symbol"], "dict")), cfg["N"])
+    p1, p2, p3 = fejer_split(FourierPolynomial(cfg["symbol"]), cfg["N"])
     return {"N": cfg["N"],
             "phi1": _fourier_to_json(p1),
             "phi2": _fourier_to_json(p2),
@@ -171,7 +192,7 @@ def _cmd_fejer_split(cfg):
 
 
 def _cmd_cf_extend(cfg):
-    ext = minimal_analytic_extension(_complex(cfg["coeffs"], "list"))
+    ext = minimal_analytic_extension(cfg["coeffs"])
     return {"norm": ext.norm,
             "taylor": _pairs(ext.taylor),
             "taylor_defect": ext.taylor_defect,
@@ -193,19 +214,16 @@ def _one_assembly(M):
 
 def _cmd_assemble(cfg):
     if "batch" in cfg:
-        if not isinstance(cfg["batch"], list):
-            raise ValidationError("a batch is a list of matrices")
-        mats = [_complex(m, "matrix") for m in cfg["batch"]]
         rows = [("index", "N") + ASSEMBLY_COLUMNS]
         payload_rows = []
-        for i, M in enumerate(mats):
+        for i, M in enumerate(cfg["batch"]):
             _, fields = _one_assembly(M)
             rows.append((str(i), str(M.shape[0])) + tuple(map(_fmt, fields.values())))
             payload_rows.append({"index": i, **fields})
         return {"batch": payload_rows}, rows
     if "matrix" not in cfg:
         raise ValidationError("assemble needs --matrix or --batch")
-    res, fields = _one_assembly(_complex(cfg["matrix"], "matrix"))
+    res, fields = _one_assembly(cfg["matrix"])
     return {**fields,
             "phi1": _fourier_to_json(res.phi1),
             "cf2_norm": res.cf2.norm,
@@ -213,9 +231,9 @@ def _cmd_assemble(cfg):
 
 
 def _cmd_transport(cfg):
-    M = _complex(cfg["matrix"], "matrix")
+    M = cfg["matrix"]
     space = ModelSpace(Monomial(M.shape[0]))
-    out = blaschke_transport(TTOperator(space, matrix=M), _complex(cfg["alpha"]))
+    out = blaschke_transport(TTOperator(space, matrix=M), cfg["alpha"])
     return {"matrix": _pairs(out.matrix)}
 
 
@@ -232,6 +250,7 @@ def _cmd_cohn_growth(cfg):
 
 
 def _listify(val, cast=float):
+    """A list of numbers, or a string of them separated by commas, cast each."""
     items = [x for x in val.split(",") if x.strip()] if isinstance(val, str) else val
     if not (isinstance(items, list)
             and all(isinstance(x, (str, int, float)) for x in items)):
@@ -241,7 +260,7 @@ def _listify(val, cast=float):
 
 def _cmd_cls_scan(cfg):
     theta = from_json(cfg["inner"])
-    radii = _listify(cfg.get("radii", [])) or [0.0, 0.5, 0.75, 0.9]
+    radii = cfg.get("radii") or [0.0, 0.5, 0.75, 0.9]
     angles = cfg["angles"]
     if angles < 1:
         raise ValidationError(f"--angles must be at least 1, got {angles}")
@@ -264,12 +283,8 @@ RKT_COLUMNS = ("closed_form", "identity_err", "identity_err_doubled", "norm_sq_g
 def _cmd_rkt_scan(cfg):
     theta = from_json(cfg["inner"])
     s = cfg["s"]
-    lam = cfg.get("lambda", 0.0)
-    # one point is any codec value, an [re, im] pair included; a list of
-    # such values is several points
-    lams = [_complex(x) for x in
-            (lam if isinstance(lam, list) and not _is_pair(lam) else [lam])]
-    if not lams:
+    lams = cfg.get("lambda", [0.0])
+    if len(lams) == 0:
         raise ValidationError("--lambda needs at least one point")
     rep = rkt_failure_scan(theta, s, lams, grid_n=cfg["grid"])
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} "
@@ -300,7 +315,7 @@ def _cmd_counterex(cfg):
         csv_rows.append((name, _fmt(c.value), _fmt(c.threshold), _fmt(c.passed)))
     if cfg.get("degrees"):
         chk = counterex_theorem_check(fam, p,
-                                      degrees=tuple(_listify(cfg["degrees"], int)))
+                                      degrees=tuple(cfg["degrees"]))
         out["theorem_check"] = {k: (list(v) if isinstance(v, (list, tuple)) else v)
                                 for k, v in chk.items()}
     return out, csv_rows
@@ -308,7 +323,7 @@ def _cmd_counterex(cfg):
 
 def _cmd_carleson(cfg):
     space = _exact_space(cfg, "carleson")
-    density = (FourierPolynomial(_complex(cfg["density"], "dict")).to_circle(space.grid)
+    density = (FourierPolynomial(cfg["density"]).to_circle(space.grid)
                if "density" in cfg else None)
     op = measure_operator(space, MeasureSymbol(atoms_from_json(cfg.get("atoms", [])), density))
     evals = np.linalg.eigvalsh(op.matrix)
@@ -318,26 +333,32 @@ def _cmd_carleson(cfg):
 
 
 # name -> (implementation, (flag, argparse keywords) pairs).  A flag "--key" is
-# also the config key "key"; argparse defaults enter the config hash.
+# also the config key "key"; argparse defaults enter the config hash.  A
+# "codec" keyword (not argparse's) decodes the flag's value (``_decode``).
 COMMANDS = {
     "kernels": (_cmd_kernels, (
-        ("--inner", {"required": True}), ("--lambda", {"dest": "lam", "required": True}),
+        ("--inner", {"required": True}),
+        ("--lambda", {"dest": "lam", "required": True, "codec": _complex}),
         ("--normalized", {"action": "store_true"}), ("--grid", {"type": int}))),
     "build": (_cmd_build, (
-        ("--inner", {"required": True}), ("--symbol", {"required": True}),
+        ("--inner", {"required": True}),
+        ("--symbol", {"required": True, "codec": _shaped("dict")}),
         ("--grid", {"type": int}))),
     "recover": (_cmd_recover, (
-        ("--inner", {"required": True}), ("--table", {"required": True}),
-        ("--mu", {}), ("--grid", {"type": int}))),
+        ("--inner", {"required": True}), ("--table", {"required": True, "codec": _table}),
+        ("--mu", {"codec": _complex}), ("--grid", {"type": int}))),
     "rank-one": (_cmd_rank_one, (
-        ("--inner", {"required": True}), ("--lambda", {"dest": "lam"}),
+        ("--inner", {"required": True}), ("--lambda", {"dest": "lam", "codec": _complex}),
         ("--zeta", {"type": float}), ("--grid", {"type": int}))),
     "fejer-split": (_cmd_fejer_split, (
-        ("--N", {"type": int, "required": True}), ("--symbol", {"required": True}))),
-    "cf-extend": (_cmd_cf_extend, (("--coeffs", {"required": True}),)),
-    "assemble": (_cmd_assemble, (("--matrix", {}), ("--batch", {}))),
+        ("--N", {"type": int, "required": True}),
+        ("--symbol", {"required": True, "codec": _shaped("dict")}))),
+    "cf-extend": (_cmd_cf_extend, (("--coeffs", {"required": True, "codec": _shaped("list")}),)),
+    "assemble": (_cmd_assemble, (
+        ("--matrix", {"codec": _shaped("matrix")}), ("--batch", {"codec": _batch}))),
     "transport": (_cmd_transport, (
-        ("--matrix", {"required": True}), ("--alpha", {"required": True}))),
+        ("--matrix", {"required": True, "codec": _shaped("matrix")}),
+        ("--alpha", {"required": True, "codec": _complex}))),
     "cohn-growth": (_cmd_cohn_growth, (
         ("--inner", {"required": True}),
         ("--zeta", {"type": float, "required": True}),
@@ -345,21 +366,22 @@ COMMANDS = {
         ("--terms", {"type": int, "default": 32}))),
     "cls-scan": (_cmd_cls_scan, (
         ("--inner", {"required": True}),
-        ("--radii", {}), ("--angles", {"type": int, "default": 8}),
+        ("--radii", {"codec": _listify}), ("--angles", {"type": int, "default": 8}),
         ("--tol", {"type": float}), ("--budget", {"type": int}))),
     "rkt-scan": (_cmd_rkt_scan, (
         ("--inner", {"required": True}),
         ("--s", {"type": float, "required": True}),
-        ("--lambda", {"dest": "lam"}), ("--grid", {"type": int, "default": RKT_GRID}))),
+        ("--lambda", {"dest": "lam", "codec": _shaped("points")}),
+        ("--grid", {"type": int, "default": RKT_GRID}))),
     "counterex": (_cmd_counterex, (
         ("gen", {"nargs": "?", "default": "gen"}),
         ("--kind", {"choices": ("blaschke", "singular"), "default": "blaschke"}),
         ("--p", {"type": float, "default": 3.0}),
         ("--count", {"type": int, "default": 20}),
-        ("--degrees", {}))),
+        ("--degrees", {"codec": functools.partial(_listify, cast=int)}))),
     "carleson": (_cmd_carleson, (
         ("--inner", {"required": True}), ("--atoms", {}),
-        ("--density", {}), ("--grid", {"type": int}))),
+        ("--density", {"codec": _shaped("dict")}), ("--grid", {"type": int}))),
 }
 
 
@@ -375,7 +397,8 @@ def _build_parser():
     for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
         for flag, kw in flags:  # required flags are checked after the config file is read
-            p.add_argument(flag, **{k: v for k, v in kw.items() if k != "required"})
+            p.add_argument(flag, **{k: v for k, v in kw.items()
+                                    if k not in ("required", "codec")})
     return ap
 
 
@@ -407,7 +430,8 @@ def _decode(key: str, value, kw: dict):
 
     A typed flag applies its type to the value's text, as argparse does; a choice
     or a switch is taken as given.  Other text is the JSON of the file it names,
-    else inline JSON if it starts with '[' or '{', else the text itself.
+    else inline JSON if it starts with '[' or '{', else the text itself; a flag's
+    codec then turns that into the data its command computes with.
     """
     if "type" in kw:
         try:
@@ -415,12 +439,15 @@ def _decode(key: str, value, kw: dict):
         except ValueError:
             raise ValidationError(f"argument --{key}: invalid {kw['type'].__name__} "
                                   f"value: {value!r}") from None
-    if "choices" in kw or "action" in kw or not isinstance(value, str):
+    if "choices" in kw or "action" in kw:
         return value
-    text = value.strip()
-    if os.path.isfile(text):
-        return _read_json(text)
-    return json.loads(text) if text[:1] in "[{" else value
+    if isinstance(value, str):
+        text = value.strip()
+        if os.path.isfile(text):
+            value = _read_json(text)
+        elif text[:1] in "[{":
+            value = json.loads(text)
+    return kw["codec"](value) if "codec" in kw else value
 
 
 def _impossible(value, kw: dict) -> bool:
@@ -431,7 +458,9 @@ def _impossible(value, kw: dict) -> bool:
 
 
 def _config_hash(command: str, cfg: dict) -> str:
-    canon = json.dumps({"command": command, "config": cfg}, sort_keys=True)
+    """Hash of the decoded config, complex data as [re, im] float pairs: the
+    values a command computes with, however they were spelled."""
+    canon = json.dumps({"command": command, "config": cfg}, sort_keys=True, default=_pairs)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

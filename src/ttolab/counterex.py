@@ -19,12 +19,13 @@ from collections import namedtuple
 
 import numpy as np
 
-from .circle import BoundaryGrid, CircleFunction, DEFAULT_GRID, cauchy_refine, lp_norm
+from .circle import BoundaryGrid, DEFAULT_GRID, cauchy_refine, lp_norm
 from .errors import NoConvergence, UnsupportedVariant
 from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction,
                     SingularAtomic, cohn_terms, has_angular_derivative,
                     one_minus_mod_sq, phase_increment, power)
-from .modelspace import _kernel_samples, _kernel_scale, _point, project_theta
+from .modelspace import (PROJECT_BLOCK, _kernel_samples, _kernel_scale, _point,
+                         project_theta)
 
 RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
                                   # sampled at this radius (atoms have no
@@ -565,7 +566,9 @@ def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
     reported); (ii) ||A h_lam||_2^2 from the grid against the closed form
     (y^s - y)/(1 - y), y = |Theta(lam)|^2; (iii) the exact inequality
     (y^s - y)/(1 - y) <= 1 - s at the sampled y; (iv) the isometry witness
-    ratio ||A f||/||f|| for f = Theta^s k_lam^{Theta^{1-s}}.
+    ratio ||A f||/||f|| for f = Theta^s k_lam^{Theta^{1-s}}.  The grid work
+    runs on stacks of kernel rows, up to PROJECT_BLOCK grid samples at a time:
+    one projection per stack for A k_lam and one for A f.
     """
     if not 0 < s < 1:
         raise ValueError("s must lie in (0, 1)")
@@ -574,36 +577,42 @@ def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
     th_s = power(theta, s)
     th_1ms = power(theta, 1.0 - s)
     grids = (BoundaryGrid(grid_n), BoundaryGrid(2 * grid_n))  # both sizes checked first
-    rows = []
-    for lam in np.asarray(lams, dtype=complex):
-        y = abs(complex(theta.eval(complex(lam)))) ** 2
-        tv_s = complex(th_s.eval(complex(lam)))
-        closed = (y ** s - y) / (1.0 - y)
-        ident = []
-        for g in grids:
-            th = theta.boundary_samples(g)
-            ths = th_s.boundary_samples(g)
-            k_1ms = _kernel_samples(th_1ms, lam, g)  # k_lam^{Theta^{1-s}}
-            k_lam = _kernel_samples(theta, lam, g)
-            lhs = project_theta(th, CircleFunction(g, np.conj(ths) * k_lam)).samples
-            rhs = np.conj(tv_s) * k_1ms
-            ident.append(lp_norm(lhs - rhs, 2) / lp_norm(rhs, 2))
-            if g.n == grid_n:
-                norm_sq = (_kernel_scale(theta, lam) * lp_norm(lhs, 2)) ** 2
+    lams = np.asarray(lams, dtype=complex).ravel()
+    tv_s = th_s.eval(lams)
+    ident = np.empty((2, lams.size))
+    lhs_norm = np.empty(lams.size)
+    iso = np.empty(lams.size)
+    for i, g in enumerate(grids):
+        th = theta.boundary_samples(g)
+        ths = th_s.boundary_samples(g)
+        step = max(1, PROJECT_BLOCK // g.n)
+        for k in range(0, lams.size, step):
+            block = slice(k, k + step)
+            k_1ms = _kernel_samples(th_1ms, lams[block], g)  # k_lam^{Theta^{1-s}}
+            lhs = project_theta(th, np.conj(ths) * _kernel_samples(theta, lams[block], g))
+            rhs = np.conj(tv_s[block])[:, None] * k_1ms
+            ident[i, block] = lp_norm(lhs - rhs, 2) / lp_norm(rhs, 2)
+            if i == 0:  # the scan's own grid
+                lhs_norm[block] = lp_norm(lhs, 2)
                 f = ths * k_1ms
-                af = project_theta(th, CircleFunction(g, np.conj(ths) * f)).samples
-                iso = lp_norm(af, 2) / lp_norm(f, 2)
+                iso[block] = lp_norm(project_theta(th, np.conj(ths) * f), 2) / lp_norm(f, 2)
+    rows = []
+    for lam, err, err2, a_norm, ratio in zip(lams.tolist(), *ident.tolist(),
+                                               lhs_norm.tolist(), iso.tolist()):
+        y = abs(complex(theta.eval(lam))) ** 2
+        closed = (y ** s - y) / (1.0 - y)
+        norm_sq = (_kernel_scale(theta, lam) * a_norm) ** 2
         rows.append({
-            "lambda": complex(lam),
+            "lambda": lam,
             "y": y,
             "closed_form": closed,
-            "identity_err": ident[0],
-            "identity_err_doubled": ident[1],
-            "identity_order": math.log2(ident[0] / ident[1]) if ident[1] > 0 else float("inf"),
+            "identity_err": err,
+            "identity_err_doubled": err2,
+            "identity_order": math.log2(err / err2) if err2 > 0 else float("inf"),
             "norm_sq_grid": norm_sq,
             "norm_sq_err": abs(norm_sq - closed),
             "sup_bound_ok": closed <= (1.0 - s) + 8 * np.finfo(float).eps,
-            "isometry_ratio": iso,
+            "isometry_ratio": ratio,
         })
     return {
         "s": s,

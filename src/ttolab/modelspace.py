@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID, fold, lp_norm,
-                     pow2_at_least, riesz_plus, toeplitz)
+                     pow2_at_least, riesz_plus, riesz_plus_rows, toeplitz)
 from .errors import (BandwidthOverflow, BoundaryPointNotNormalizable,
                      NoAngularDerivative, UnsupportedVariant)
 from .inner import (BoundaryPoint, InnerFunction, Monomial,
@@ -37,33 +37,38 @@ def _point(pt):
     return z, False
 
 
-def _kernel_samples(theta: InnerFunction, lam: complex, grid: BoundaryGrid,
-                    radius: float = 1.0):
-    """k_lam(z) = (1 - conj(Theta(lam)) Theta(z))/(1 - conj(lam) z), z = radius * grid.
+def _kernel_samples(theta: InnerFunction, lam, grid: BoundaryGrid, radius: float = 1.0):
+    """k_lam(z) = (1 - conj(Theta(lam)) Theta(z))/(1 - conj(lam) z), z = radius * grid,
+    at one point lam, or one row per point of a 1-D array lam.
 
     For a boundary lam = e^{i tau} and Theta without singular part the
     samples are e^{i(Delta - w)/2} sin(Delta/2)/sin(w/2), w = t - tau, with
     Delta the phase increment of Theta from tau (``inner.phase_increment``),
     so nothing cancels next to lam.
     """
-    lam = complex(lam)
-    if radius == 1.0 and abs(lam) > 1.0 - 1e-12 and not theta.has_singular_part():
-        delta, w = phase_increment(theta, cmath.phase(lam), 0.0, grid.angles)
-        den = np.sin(0.5 * w)
-        num = np.exp(0.5j * (delta - w)) * np.sin(0.5 * delta)
-    else:
-        z = grid.points if radius == 1.0 else radius * grid.points
-        den = 1.0 - np.conj(lam) * z
-        num = 1.0 - np.conj(complex(theta.eval(lam))) * theta.samples_at(grid, radius)
+    lam = np.asarray(lam, dtype=complex)
+    pts = np.atleast_1d(lam)
+    z = grid.points if radius == 1.0 else radius * grid.points
+    den = 1.0 - np.conj(pts)[:, None] * z
+    num = 1.0 - np.conj(theta.eval(pts))[:, None] * theta.samples_at(grid, radius)
+    if radius == 1.0 and not theta.has_singular_part():
+        for i, p in enumerate(pts.tolist()):
+            if abs(p) > 1.0 - 1e-12:  # a boundary point
+                delta, w = phase_increment(theta, cmath.phase(p), 0.0, grid.angles)
+                den[i] = np.sin(0.5 * w)
+                num[i] = np.exp(0.5j * (delta - w)) * np.sin(0.5 * delta)
     hit = np.abs(den) < 1e-13
-    if np.any(hit):
+    if hit.any():
         # boundary kernel evaluated at its own point: the limit is
         # ||k_zeta||_2^2 = |Theta'(zeta)|, from the Ahern-Clark certificate
-        cert = has_angular_derivative(theta, lam)
-        vals = num / np.where(hit, 1.0, den)
-        vals[hit] = cert.value if cert else np.nan
-        return vals
-    return num / den
+        den[hit] = 1.0
+        vals = num / den
+        for i in np.flatnonzero(hit.any(axis=1)):
+            cert = has_angular_derivative(theta, pts[i])
+            vals[i, hit[i]] = cert.value if cert else np.nan
+    else:
+        vals = num / den
+    return vals if lam.ndim else vals[0]
 
 
 def _kernel_scale(theta: InnerFunction, lam: complex) -> float:
@@ -96,15 +101,23 @@ def _one_minus_abs2(a):
     return ((rest - small) + rest_err) - (big_err + small_err)
 
 
-def project_theta(theta_samples, f: CircleFunction) -> CircleFunction:
-    """P_Theta f = P_+ f - Theta P_+(conj(Theta) f) on f's grid.
+PROJECT_BLOCK = 2 ** 15  # grid samples per stack that the rho columns of a GridSpace and
+                         # rkt_failure_scan project at once (512 kB of complex samples)
 
-    ``theta_samples`` are Theta's values on that grid; f's cached Fourier
-    coefficients, if any, are reused.
+
+def project_theta(theta_samples, rows, plus=None):
+    """P_Theta f = P_+ f - Theta P_+(conj(Theta) f) on a grid, for a stack of f.
+
+    ``rows`` is an (..., n) array, each row the samples of one f on the grid
+    where ``theta_samples`` are Theta's values, and so is the result: each
+    P_+ is one FFT pair along the last axis for the whole stack
+    (``riesz_plus_rows``).  ``plus`` is P_+ f when the caller has it
+    already, as ``riesz_plus`` of a CircleFunction gives it from the
+    function's cached Fourier coefficients.
     """
-    plus = riesz_plus(f)
-    inner_part = riesz_plus(CircleFunction(f.grid, np.conj(theta_samples) * f.samples))
-    return CircleFunction(f.grid, plus.samples - theta_samples * inner_part.samples)
+    if plus is None:
+        plus = riesz_plus_rows(rows)
+    return plus - theta_samples * riesz_plus_rows(np.conj(theta_samples) * rows)
 
 
 class ModelSpace:
@@ -158,13 +171,18 @@ class ModelSpace:
 
     def kernel(self, pt) -> "ModelFunction":
         """Reproducing kernel k_pt(z) = (1 - conj(Theta(pt)) Theta(z))/(1 - conj(pt) z)."""
+        return self._kernel_at(self._kernel_point(pt))
+
+    def _kernel_point(self, pt) -> complex:
+        """The point ``kernel`` takes its samples at (``_point``); at a boundary
+        point NoAngularDerivative unless Theta has an angular derivative there."""
         w, boundary = _point(pt)
         if boundary:
             cert = has_angular_derivative(self.theta, w)
             if not cert:
                 raise NoAngularDerivative(
                     f"no angular-derivative certificate at {w} ({cert.verdict})")
-        return self._kernel_at(w)
+        return w
 
     def normalized_kernel(self, pt) -> "ModelFunction":
         """h_pt = sqrt((1-|pt|^2)/(1-|Theta(pt)|^2)) k_pt; unit norm at interior points."""
@@ -177,8 +195,11 @@ class ModelSpace:
         """Conjugation (omega f)(zeta) = conj(zeta f(zeta)) Theta(zeta); same kind out."""
         if isinstance(f, ModelFunction):
             return self._omega(f)
-        samples = np.conj(self.grid.points * f.samples) * self.theta_samples
-        return CircleFunction(self.grid, samples)
+        return CircleFunction(self.grid, self._omega_rows(f.samples))
+
+    def _omega_rows(self, rows):
+        """omega of each row of an (..., n) stack of grid samples."""
+        return np.conj(self.grid.points * rows) * self.theta_samples
 
     def difference_quotient(self, pt, normalized: bool = False) -> "ModelFunction":
         """k~_pt(z) = (Theta(z) - Theta(pt))/(z - pt) = omega(k_pt)."""
@@ -209,7 +230,11 @@ class ModelSpace:
 
 class GridSpace(ModelSpace):
     """Any Theta, by samples on the boundary grid: P_Theta is ``project_theta``
-    and an operator a multiply-then-project closure.  There is no basis."""
+    and an operator a multiply-then-project closure.  There is no basis.
+
+    A closure (``_multiplier``, ``_pair_multiplier``, ``_outer``) maps an
+    (..., n) stack of grid sample rows to the stack of their images, so the
+    rho columns apply it once per block of kernel rows."""
 
     mode = "truncated"
 
@@ -223,7 +248,8 @@ class GridSpace(ModelSpace):
         return ModelFunction(self, circle=CircleFunction(self.grid, np.zeros(self.grid.n, complex)))
 
     def _project_grid(self, f):
-        return ModelFunction(self, circle=project_theta(self.theta_samples, f))
+        rows = project_theta(self.theta_samples, f.samples, riesz_plus(f).samples)
+        return ModelFunction(self, circle=CircleFunction(self.grid, rows))
 
     def _kernel_at(self, w):
         return ModelFunction(self, circle=CircleFunction(
@@ -239,21 +265,32 @@ class GridSpace(ModelSpace):
         return ModelFunction(self, circle=CircleFunction(self.grid, samples))
 
     def _multiplier(self, phi, bandwidth):
-        """f -> P_Theta(phi f); a known bandwidth must stay below n/4."""
+        """rows -> P_Theta(phi rows); a known bandwidth must stay below n/4."""
         if bandwidth is not None and bandwidth >= self.grid.n // 4:
             raise BandwidthOverflow(f"symbol bandwidth {bandwidth} >= grid/4; enlarge the grid")
-        return None, lambda f: self.project(CircleFunction(self.grid, phi * f.as_circle().samples))
+        return None, lambda rows: project_theta(self.theta_samples, phi * rows)
 
     def _pair_multiplier(self, plus, minus):
         return self._multiplier(plus.samples() + np.conj(minus.samples()), None)
 
     def _outer(self, x, y):
-        return None, lambda f: f.inner(y) * x
+        """rows -> <row, y> x, the inner product by one matrix product per stack."""
+        xs, ys = x.samples(), np.conj(y.samples())
+        return None, lambda rows: xs * (rows @ ys / self.grid.n)[..., None]
 
     def _unit_kernel_norms(self, op, samples, quotient: bool):
-        """||A k_lambda||_2, or ||A k~_lambda||_2 when quotient, point by point."""
-        kernel = self.difference_quotient if quotient else self.kernel
-        return np.array([op.apply(kernel(lam)).norm() for lam in samples.points])
+        """||A k_lambda||_2, or ||A k~_lambda||_2 when quotient: the kernel (or
+        quotient) rows of up to PROJECT_BLOCK grid samples at a time go through
+        the closure as one stack."""
+        pts = np.array([self._kernel_point(p) for p in samples.points.tolist()])
+        step = max(1, PROJECT_BLOCK // self.grid.n)
+        out = np.empty(pts.size)
+        for k in range(0, pts.size, step):
+            rows = _kernel_samples(self.theta, pts[k:k + step], self.grid)
+            if quotient:
+                rows = self._omega_rows(rows)
+            out[k:k + step] = lp_norm(op.apply_fn(rows), 2)
+        return out
 
 
 class TMSpace(ModelSpace):

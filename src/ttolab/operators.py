@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .circle import CircleFunction, inner_product, lp_norm
+from .circle import CircleFunction, inner_product, lp_norm, riesz_plus
 from .errors import NoConvergence, UnsupportedVariant
 from .inner import BoundaryPoint
 from .modelspace import ModelFunction, ModelSpace, project_theta
@@ -65,7 +65,9 @@ class MeasureSymbol:
 # the operator
 
 class TTOperator:
-    """A truncated Toeplitz operator, as a matrix (exact) or a closure."""
+    """A truncated Toeplitz operator, as a matrix (exact) or a closure: a
+    function from an (..., n) stack of grid sample rows to the stack of their
+    images (a ``GridSpace``'s, see there)."""
 
     def __init__(self, space: ModelSpace, matrix=None, apply_fn=None, symbol=None):
         if (matrix is None) == (apply_fn is None):
@@ -78,7 +80,8 @@ class TTOperator:
     def apply(self, f: ModelFunction) -> ModelFunction:
         if self.matrix is not None:
             return ModelFunction(self.space, coeffs=self.matrix @ f.coeffs)
-        return self.apply_fn(f)
+        return ModelFunction(self.space, circle=CircleFunction(
+            self.space.grid, self.apply_fn(f.samples())))
 
 
 def build(space: ModelSpace, symbol) -> TTOperator:
@@ -129,9 +132,9 @@ def _apply_q(space: ModelSpace, f: CircleFunction) -> CircleFunction:
     """Q = P_Theta + M_conj(Theta) P_Theta M_Theta, the projection onto
     K_Theta + conj(z K_Theta)."""
     th = space.theta_samples
-    first = project_theta(th, f)
-    second = project_theta(th, CircleFunction(space.grid, th * f.samples))
-    return CircleFunction(space.grid, first.samples + np.conj(th) * second.samples)
+    first = project_theta(th, f.samples, riesz_plus(f).samples)
+    second = project_theta(th, th * f.samples)
+    return CircleFunction(space.grid, first + np.conj(th) * second)
 
 
 def standard_symbol(space: ModelSpace, phi: CircleFunction) -> CircleFunction:

@@ -10,9 +10,11 @@ import math
 
 import numpy as np
 
-from ttolab.circle import CircleFunction, lp_norm
+from ttolab.circle import BoundaryGrid, CircleFunction, lp_norm, riesz_plus
 from ttolab.errors import TTOLabError, UnsupportedVariant
-from ttolab.modelspace import ModelFunction, ModelSpace, ToeplitzSpace
+from ttolab.inner import power
+from ttolab.modelspace import (ModelFunction, ModelSpace, ToeplitzSpace, _kernel_samples,
+                               _kernel_scale)
 from ttolab.operators import BoundarySymbol, PairSymbol, TTOperator, build
 
 
@@ -32,7 +34,7 @@ def hankel_factor_residual(op: TTOperator, f: ModelFunction) -> float:
     fs = f.as_circle().samples
     lhs = op.apply(f).as_circle().samples
     co = np.fft.fft(np.conj(space.theta_samples) * phi * fs) / space.grid.n
-    co[space.grid.freqs >= 0] = 0.0  # P_-: the strictly negative frequencies
+    co[:space.grid.n // 2] = 0.0  # P_-: the strictly negative frequencies, bins n/2..n-1
     rhs = space.theta_samples * CircleFunction._from_fft(space.grid, co).samples
     return lp_norm(lhs - rhs, 2)
 
@@ -80,7 +82,7 @@ def transport_function(f: CircleFunction, alpha: complex) -> CircleFunction:
     z = f.grid.points
     b = (alpha - z) / (1.0 - np.conj(alpha) * z)
     co = f.coeffs
-    ks = f.grid.freqs
+    ks = np.fft.fftfreq(f.grid.n, d=1.0 / f.grid.n).astype(int)
     pos = np.where(ks >= 0)[0]
     vals = np.zeros(f.grid.n, dtype=complex)
     for i in pos[np.argsort(ks[pos])][::-1]:
@@ -130,3 +132,41 @@ def symbol_lp_bound_check(space: ModelSpace, phi: CircleFunction,
     lhs = lp_norm(phi.on_grid(space.grid), p)
     rhs = lp_norm(psi.on_grid(space.grid), p) + lp_norm(phi.on_grid(space.grid), 2)
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# one function at a time: references of the stacked grid paths
+
+def project_one(theta_samples, samples, grid) -> np.ndarray:
+    """P_Theta of one function by two ``riesz_plus`` calls on CircleFunctions."""
+    plus = riesz_plus(CircleFunction(grid, samples)).samples
+    inner = riesz_plus(CircleFunction(grid, np.conj(theta_samples) * samples)).samples
+    return plus - theta_samples * inner
+
+
+def kernel_norms_per_point(op: TTOperator, samples, quotient: bool = False) -> np.ndarray:
+    """||A k_lambda||_2, or ||A k~_lambda||_2 when quotient, one kernel at a
+    time through ``op.apply``: the columns a space's ``_unit_kernel_norms``
+    gives before the kernel scale."""
+    kernel = op.space.difference_quotient if quotient else op.space.kernel
+    return np.array([op.apply(kernel(lam)).norm() for lam in samples.points.tolist()])
+
+
+def rkt_row_per_point(theta, s: float, lam: complex, grid_n: int) -> dict:
+    """The grid fields of one ``rkt_failure_scan`` row, lambda by lambda:
+    the kernels at one point and each projection by ``project_one``."""
+    th_s, th_1ms = power(theta, s), power(theta, 1.0 - s)
+    tv_s = complex(th_s.eval(lam))
+    out = {}
+    for key, g in (("identity_err", BoundaryGrid(grid_n)),
+                   ("identity_err_doubled", BoundaryGrid(2 * grid_n))):
+        th, ths = theta.boundary_samples(g), th_s.boundary_samples(g)
+        k_1ms = _kernel_samples(th_1ms, lam, g)
+        lhs = project_one(th, np.conj(ths) * _kernel_samples(theta, lam, g), g)
+        rhs = np.conj(tv_s) * k_1ms
+        out[key] = lp_norm(lhs - rhs, 2) / lp_norm(rhs, 2)
+        if g.n == grid_n:
+            out["norm_sq_grid"] = (_kernel_scale(theta, lam) * lp_norm(lhs, 2)) ** 2
+            f = ths * k_1ms
+            out["isometry_ratio"] = lp_norm(project_one(th, np.conj(ths) * f, g), 2) / lp_norm(f, 2)
+    return out

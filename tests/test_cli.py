@@ -359,6 +359,13 @@ def test_a_missing_kernel_point_names_its_flag(capsys):
     assert "rank-one needs --lambda or --zeta" in capsys.readouterr().err
 
 
+def test_rank_one_refuses_both_kernel_points(capsys):
+    # --zeta and --lambda name two operators; neither is dropped in silence
+    assert main(["rank-one", "--inner", MONO2, "--zeta", "0.7", "--lambda", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert "--lambda" in err and "--zeta" in err and "Traceback" not in err
+
+
 def test_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"coeffs": [1, 1], "bogus": 3}))
@@ -429,12 +436,12 @@ def test_complex_flags_take_pairs(capsys):
     assert code == 0
     first = json.loads(out)
     assert first["mu"] == [0.2, 0.0]
-    # the printed mu reads back in and gives the same recovery
-    code, out = run_cli(["recover", "--inner", mono3, "--table", table,
-                         "--mu", json.dumps(first["mu"])], capsys)
-    assert code == 0
-    again = json.loads(out)
-    assert {**again, "config_hash": None} == {**first, "config_hash": None}
+    # the printed mu reads back in and gives the same recovery, and every
+    # spelling of one value gives the same output, config hash included
+    for mu in (json.dumps(first["mu"]), "0.2", "0.2,0", "[0.2, 0.0]"):
+        code, again = run_cli(["recover", "--inner", mono3, "--table", table,
+                               "--mu", mu], capsys)
+        assert code == 0 and json.loads(again) == first, mu
 
 
 def test_config_numbers_read_as_their_flag_text(tmp_path, capsys):

@@ -15,6 +15,8 @@ from ttolab.counterex import (QUADRATURE_TOL, Certificate, KernelRule,
                               blaschke_truncation, graded_norms, growth_scan, kernel_lp)
 from ttolab.errors import NoConvergence
 
+from identities import rkt_row_per_point
+
 
 def test_growth_ratio_at_origin():
     # Theta(0) = 0 makes k_0 the constant 1: ratio exactly one
@@ -226,6 +228,18 @@ def test_rkt_scan_isometry_witness_reported():
     row = rep["rows"][0]
     # the exact value is 1; grid computation carries the slow-tail defect
     assert abs(row["isometry_ratio"] - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("grid_n", [2 ** 13, 2 ** 15])
+def test_rkt_scan_rows_match_the_per_lambda_reference(grid_n):
+    # the scan projects blocks of kernel rows; each row's grid fields are
+    # those of its lambda alone, bit for bit, on both grids
+    theta = SingularAtomic([Atom(0.0, 1.0)])
+    lams = [0.0, 0.3, 0.2 + 0.4j, -0.5, 0.6j]
+    rep = rkt_failure_scan(theta, 0.5, lams, grid_n=grid_n)
+    for lam, row in zip(lams, rep["rows"]):
+        ref = rkt_row_per_point(theta, 0.5, lam, grid_n)
+        assert {key: row[key] for key in ref} == ref
 
 
 def test_rkt_scan_validates_inputs():

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ttolab import (BlaschkeProduct, BoundaryGrid, BoundaryPoint, CircleFunction,
-                    ModelSpace, Monomial, ProductInner, tm_basis)
+from ttolab import (Atom, BlaschkeProduct, BoundaryGrid, BoundaryPoint, CircleFunction,
+                    ModelSpace, Monomial, ProductInner, SingularAtomic, tm_basis)
 from ttolab.circle import inner_product, lp_norm
 from ttolab.errors import BoundaryPointNotNormalizable, NoAngularDerivative
-from ttolab.modelspace import GridSpace, _one_minus_abs2
+from ttolab.modelspace import PROJECT_BLOCK, GridSpace, _one_minus_abs2, project_theta
 
 from conftest import (near_zero_lists, random_blaschke_space, random_trig_poly_samples,
                       space_from_zeros, zero_lists)
-from identities import product_into
+from identities import product_into, project_one
 
 
 def test_tm_basis_monomials():
@@ -415,3 +415,18 @@ def test_project_takes_a_function_on_another_grid(rng):
         f = random_trig_poly_samples(rng, BoundaryGrid(2 * space.grid.n), 6)
         want = space.project(f.on_grid(space.grid))
         assert np.array_equal(space.project(f).samples(), want.samples())
+
+
+def test_project_theta_on_a_stack_is_the_projection_of_each_row(rng):
+    # one FFT pair per P_+ for the whole stack gives each row, bit for bit,
+    # what the row alone gives and what riesz_plus on a CircleFunction gives
+    grid = BoundaryGrid(2 ** 12)
+    for theta in (SingularAtomic([Atom(0.0, 1.0)]), BlaschkeProduct([0.5, -0.3 + 0.6j])):
+        th = theta.boundary_samples(grid)
+        for m in (1, 3, PROJECT_BLOCK // grid.n + 1):
+            rows = rng.standard_normal((m, grid.n)) + 1j * rng.standard_normal((m, grid.n))
+            got = project_theta(th, rows)
+            assert got.shape == rows.shape
+            for row, out in zip(rows, got):
+                assert np.array_equal(out, project_theta(th, row))
+                assert np.array_equal(out, project_one(th, row, grid))

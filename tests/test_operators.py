@@ -14,7 +14,7 @@ from ttolab.operators import BoundarySymbol, TTOperator, _lanczos_top_pair, q_th
 
 from conftest import (near_zero_lists, random_blaschke_space, random_trig_poly_samples,
                       space_from_zeros, zero_lists)
-from identities import hankel_factor_residual, toeplitz_defect
+from identities import hankel_factor_residual, kernel_norms_per_point, toeplitz_defect
 
 
 def sym_from_coeffs(space, coeffs):
@@ -608,3 +608,48 @@ def test_lanczos_calls_a_resolved_close_top_pair_multiple():
     # split is below DEGENERATE_GAP
     s = np.concatenate([[1.0, 1.0 - 1e-10], np.linspace(0.5, 0.1, 126)])
     assert _lanczos_top_pair(np.diag(s).astype(complex)) is None
+
+
+def _grid_closures(space):
+    """A multiplier, a pair and a rank-one closure on a GridSpace."""
+    phi = CircleFunction.from_coeffs(space.grid, {k: np.exp(1j * k) / (1 + abs(k))
+                                                  for k in range(-4, 5)})
+    return {"multiplier": build(space, BoundarySymbol(phi)),
+            "pair": build(space, PairSymbol(space.kernel(0.3) + 0.5 * space.kernel(-0.2j),
+                                            space.kernel(0.1 + 0.1j))),
+            "rank_one": rank_one_operator(space, 0.4 - 0.2j)}
+
+
+@pytest.mark.parametrize("closure", ["multiplier", "pair", "rank_one"])
+def test_grid_rho_columns_match_the_per_point_reference(closure):
+    # the closure maps blocks of kernel rows at once; on a singular Theta each
+    # column is the per-point value bit for bit, except that the rank-one
+    # inner product (one matrix product per block, a dot product per point)
+    # may round differently: within 1e-14 relative
+    space = GridSpace(SingularAtomic([Atom(0.0, 1.0), Atom(2.0, 0.4)]), 2 ** 9)
+    op = _grid_closures(space)[closure]
+    sets = (SampleSet.rotation_closed(16, radii=(0.0, 0.5, 0.75, 0.9, 0.99)),  # two blocks
+            SampleSet.default(space))
+    for samples in sets:
+        for quotient in (False, True):
+            got = space._unit_kernel_norms(op, samples, quotient)
+            ref = kernel_norms_per_point(op, samples, quotient)
+            if closure == "rank_one":
+                assert np.max(np.abs(got - ref) / ref) <= 1e-14
+            else:
+                assert np.array_equal(got, ref)
+
+
+def test_grid_rho_columns_on_a_blaschke_space_match_to_rounding():
+    # Theta(lambda) of a Blaschke product, evaluated over the block's points,
+    # may differ in the last bit from one point's value (numpy's in-place
+    # complex product takes another loop for longer arrays); 1 - |Theta|^2
+    # amplifies that by about 1/(1 - |lambda|) next to the circle
+    space = GridSpace(BlaschkeProduct([0.3 + 0.1j, -0.2 + 0.4j, -0.5j, 0.7]), 2 ** 9)
+    samples = SampleSet.default(space)
+    bound = 16 * np.finfo(float).eps / (1.0 - np.abs(samples.points))
+    for op in _grid_closures(space).values():
+        for quotient in (False, True):
+            got = space._unit_kernel_norms(op, samples, quotient)
+            ref = kernel_norms_per_point(op, samples, quotient)
+            assert np.all(np.abs(got - ref) <= bound * ref)
