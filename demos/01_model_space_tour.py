@@ -19,7 +19,7 @@ for j, e in enumerate(basis):
 print()
 print("== a degree-5 Blaschke space ==")
 space = ModelSpace(BlaschkeProduct([0.5, -0.3 + 0.4j, 0.2j, 0.6, -0.45]))
-print("Gram matrix deviation from the identity:", f"{space.gram_residual():.2e}")
+print("Gram matrix deviation from the identity:", f"{space.gram_residual:.2e}")
 
 lam = 0.3 - 0.2j
 k = space.kernel(lam)

@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .circle import (BoundaryGrid, CircleFunction, FourierPolynomial,
-                     inner_product, lp_norm, riesz_plus)
+                     inner_product, lp_norm)
 from .inner import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint,
                     InnerFunction, Monomial, PowerInner, ProductInner,
                     SingularAtomic, cohn_sum, divides, from_json,

@@ -230,9 +230,6 @@ def minimal_analytic_extension(coeffs) -> CFExtension:
     if N == 0:
         raise ValueError("need at least one coefficient")
     scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        return CFExtension(c, 0.0, np.zeros(max(N, CF_TAYLOR_MIN), dtype=complex),
-                           np.zeros(1, dtype=complex), None, False, 0.0, 0.0)
     if np.all(np.abs(c[1:]) <= 1e-15 * scale):
         taylor = np.zeros(max(N, CF_TAYLOR_MIN), dtype=complex)
         taylor[0] = c[0]

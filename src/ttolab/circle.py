@@ -144,20 +144,13 @@ class CircleFunction:
         return CircleFunction._from_fft(grid, out, self.bandwidth)
 
 
-def riesz_plus(f: CircleFunction) -> CircleFunction:
-    """Riesz projection onto nonnegative frequencies (L^2 -> H^2), from f's
-    cached Fourier coefficients if it has them."""
-    co = f.coeffs.copy()
-    co[f.grid.n // 2:] = 0.0  # bins n/2..n-1 hold the frequencies -n/2..-1
-    return CircleFunction._from_fft(f.grid, co, f.bandwidth)
-
-
 def riesz_plus_rows(rows):
-    """``riesz_plus`` of each row of an (..., n) stack of grid samples: one
-    FFT pair along the last axis for the whole stack.  For the power-of-two
-    n of a grid, norm="forward" scales as /n and *n do, bit for bit."""
+    """The Riesz projection onto nonnegative frequencies (L^2 -> H^2) of each
+    row of an (..., n) stack of grid samples: one FFT pair along the last
+    axis for the whole stack.  For the power-of-two n of a grid,
+    norm="forward" scales as /n and *n do, bit for bit."""
     co = np.fft.fft(rows, norm="forward")
-    co[..., co.shape[-1] // 2:] = 0.0
+    co[..., co.shape[-1] // 2:] = 0.0  # bins n/2..n-1 hold the frequencies -n/2..-1
     return np.fft.ifft(co, norm="forward")
 
 

@@ -260,7 +260,9 @@ def _listify(val, cast=float):
 
 def _cmd_cls_scan(cfg):
     theta = from_json(cfg["inner"])
-    radii = cfg.get("radii") or [0.0, 0.5, 0.75, 0.9]
+    radii = cfg.get("radii", [0.0, 0.5, 0.75, 0.9])
+    if not radii:
+        raise ValidationError("--radii needs at least one radius")
     angles = cfg["angles"]
     if angles < 1:
         raise ValidationError(f"--angles must be at least 1, got {angles}")
@@ -445,7 +447,7 @@ def _decode(key: str, value, kw: dict):
         text = value.strip()
         if os.path.isfile(text):
             value = _read_json(text)
-        elif text[:1] in "[{":
+        elif text.startswith(("[", "{")):
             value = json.loads(text)
     return kw["codec"](value) if "codec" in kw else value
 

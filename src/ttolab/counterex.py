@@ -22,10 +22,9 @@ import numpy as np
 from .circle import BoundaryGrid, DEFAULT_GRID, cauchy_refine, lp_norm
 from .errors import NoConvergence, UnsupportedVariant
 from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction,
-                    SingularAtomic, cohn_terms, has_angular_derivative,
+                    SingularAtomic, cohn_terms, has_angular_derivative, kernel_scale,
                     one_minus_mod_sq, phase_increment, power)
-from .modelspace import (PROJECT_BLOCK, _kernel_samples, _kernel_scale, _point,
-                         project_theta)
+from .modelspace import PROJECT_BLOCK, _kernel_samples, _point, project_theta
 
 RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
                                   # sampled at this radius (atoms have no
@@ -110,7 +109,7 @@ class KernelRule:
         if theta.has_singular_part():
             raise UnsupportedVariant("graded kernel nodes need Theta without singular part")
         lam, boundary = _point(lam)
-        self.theta = theta
+        self.theta, self.lam = theta, lam
         self.tau = cmath.phase(lam)
         angle, delta, _ = theta._phase_data
         if boundary:
@@ -206,11 +205,11 @@ class KernelRule:
         return weights, one, two
 
     def exact_sq(self) -> float:
-        """||k_lam||_2^2 in closed form: (1 - |Theta(lam)|^2)/(1 - |lam|^2)
-        inside, the Ahern-Clark sum |Theta'(zeta)| on the circle (NaN unless
-        the angular-derivative certificate says yes)."""
+        """||k_lam||_2^2 in closed form: the kernel scale to the power -2
+        inside (``inner.kernel_scale``), the Ahern-Clark sum |Theta'(zeta)|
+        on the circle (NaN unless the angular-derivative certificate says yes)."""
         if self.radius < 1.0:
-            return self.q / ((1.0 - self.radius) * (1.0 + self.radius))
+            return kernel_scale(self.theta, self.lam) ** -2
         cert = has_angular_derivative(self.theta, self.tau)
         return cert.value if cert else float("nan")
 
@@ -429,16 +428,15 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = CLS_TOL,
     """Rows (lambda, ||k||_inf, ||k||_2^2, ratio); the connected-level-set
     test: the supremum of the ratio is finite iff Theta is one-component.
 
-    Inside the disk ||k_lam||_2^2 is the closed form
-    (1 - |Theta(lam)|^2)/(1 - |lam|^2), one array pass over all interior
-    points, and only the sup is refined (uniform grid doubling at tol, up
-    to max_n points); on the circle both norms come from ``kernel_lp``.
+    Inside the disk ||k_lam||_2^2 is the kernel scale to the power -2,
+    one ``inner.kernel_scale`` call for all interior points, and only the
+    sup is refined (uniform grid doubling at tol, up to max_n points); on
+    the circle both norms come from ``kernel_lp``.
     """
     lams = [complex(lam) for lam in np.asarray(points, dtype=complex)]
     on_circle = [_point(lam)[1] for lam in lams]
     inside = np.array([lam for lam, edge in zip(lams, on_circle) if not edge], dtype=complex)
-    mod = np.hypot(inside.real, inside.imag)  # |lam| as one_minus_mod_sq takes it
-    two_sq_inside = iter((one_minus_mod_sq(theta, inside) / ((1.0 - mod) * (1.0 + mod))).tolist())
+    two_sq_inside = iter((kernel_scale(theta, inside) ** -2).tolist())
     rows = []
     best = 0.0
     for lam, edge in zip(lams, on_circle):
@@ -568,23 +566,27 @@ def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
     (y^s - y)/(1 - y) <= 1 - s at the sampled y; (iv) the isometry witness
     ratio ||A f||/||f|| for f = Theta^s k_lam^{Theta^{1-s}}.  The grid work
     runs on stacks of kernel rows, up to PROJECT_BLOCK grid samples at a time:
-    one projection per stack for A k_lam and one for A f.
+    one projection per stack for A k_lam and one for A f.  A lam that
+    ``_point`` puts on the circle raises ValueError before any grid work.
     """
     if not 0 < s < 1:
         raise ValueError("s must lie in (0, 1)")
     if not isinstance(theta, SingularAtomic):
         raise ValueError("the scan needs an atomic singular inner function")
+    lams = np.asarray(lams, dtype=complex).ravel()
+    edge = [lam for lam in lams.tolist() if _point(lam)[1]]
+    if edge:
+        raise ValueError(f"the scan needs points inside the disk, got {edge}")
     th_s = power(theta, s)
     th_1ms = power(theta, 1.0 - s)
     grids = (BoundaryGrid(grid_n), BoundaryGrid(2 * grid_n))  # both sizes checked first
-    lams = np.asarray(lams, dtype=complex).ravel()
     tv_s = th_s.eval(lams)
     ident = np.empty((2, lams.size))
     lhs_norm = np.empty(lams.size)
     iso = np.empty(lams.size)
     for i, g in enumerate(grids):
-        th = theta.boundary_samples(g)
-        ths = th_s.boundary_samples(g)
+        th = theta.samples_at(g)
+        ths = th_s.samples_at(g)
         step = max(1, PROJECT_BLOCK // g.n)
         for k in range(0, lams.size, step):
             block = slice(k, k + step)
@@ -597,11 +599,12 @@ def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
                 f = ths * k_1ms
                 iso[block] = lp_norm(project_theta(th, np.conj(ths) * f), 2) / lp_norm(f, 2)
     rows = []
-    for lam, err, err2, a_norm, ratio in zip(lams.tolist(), *ident.tolist(),
-                                               lhs_norm.tolist(), iso.tolist()):
+    for lam, err, err2, a_norm, scale, ratio in zip(
+            lams.tolist(), *ident.tolist(), lhs_norm.tolist(),
+            kernel_scale(theta, lams).tolist(), iso.tolist()):
         y = abs(complex(theta.eval(lam))) ** 2
         closed = (y ** s - y) / (1.0 - y)
-        norm_sq = (_kernel_scale(theta, lam) * a_norm) ** 2
+        norm_sq = (scale * a_norm) ** 2
         rows.append({
             "lambda": lam,
             "y": y,

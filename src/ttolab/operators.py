@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .circle import CircleFunction, inner_product, lp_norm, riesz_plus
+from .circle import CircleFunction, inner_product, lp_norm
 from .errors import NoConvergence, UnsupportedVariant
 from .inner import BoundaryPoint
 from .modelspace import ModelFunction, ModelSpace, project_theta
@@ -132,7 +132,7 @@ def _apply_q(space: ModelSpace, f: CircleFunction) -> CircleFunction:
     """Q = P_Theta + M_conj(Theta) P_Theta M_Theta, the projection onto
     K_Theta + conj(z K_Theta)."""
     th = space.theta_samples
-    first = project_theta(th, f.samples, riesz_plus(f).samples)
+    first = project_theta(th, f.samples)
     second = project_theta(th, th * f.samples)
     return CircleFunction(space.grid, first + np.conj(th) * second)
 
@@ -192,15 +192,13 @@ class SampleSet:
         self.tensor = None  # (radii, angles) of a rotation-closed tensor grid
 
     @classmethod
-    def default(cls, space: ModelSpace | None = None) -> "SampleSet":
+    def default(cls, space: ModelSpace) -> "SampleSet":
         radii = np.concatenate([[0.0], 1.0 - 0.5 ** np.arange(1, DEFAULT_RADII + 1)])
         pts = _polar_grid(radii, DEFAULT_ANGLES)
-        if space is not None:
-            extra = [z.value for z in space.theta.zeros() if abs(z.value) < 1 - 1e-12]
-            for a in extra:
-                if abs(a) > 0:
-                    pts = np.append(pts, radii[1:, None] * (a / abs(a)))
-                pts = np.append(pts, a)
+        for a in [z.value for z in space.theta.zeros() if abs(z.value) < 1 - 1e-12]:
+            if abs(a) > 0:
+                pts = np.append(pts, radii[1:, None] * (a / abs(a)))
+            pts = np.append(pts, a)
         return cls(np.unique(pts))
 
     @classmethod

@@ -10,11 +10,10 @@ import math
 
 import numpy as np
 
-from ttolab.circle import BoundaryGrid, CircleFunction, lp_norm, riesz_plus
+from ttolab.circle import BoundaryGrid, CircleFunction, lp_norm
 from ttolab.errors import TTOLabError, UnsupportedVariant
-from ttolab.inner import power
-from ttolab.modelspace import (ModelFunction, ModelSpace, ToeplitzSpace, _kernel_samples,
-                               _kernel_scale)
+from ttolab.inner import kernel_scale, power
+from ttolab.modelspace import ModelFunction, ModelSpace, ToeplitzSpace, _kernel_samples
 from ttolab.operators import BoundarySymbol, PairSymbol, TTOperator, build
 
 
@@ -97,13 +96,13 @@ def rotation_covariance_residual(space: ModelSpace, t: float, lam: complex) -> f
         raise ValueError("rotation covariance is a K_{z^N} identity")
     N = space.dim
     h = space.normalized_kernel(lam)
-    ht = space.difference_quotient(lam, normalized=True)
+    ht = space.omega(h)  # h~_lam = omega h_lam
     phases = np.exp(1j * t * np.arange(N))
     lhs1 = h.coeffs * phases
     rhs1 = space.normalized_kernel(np.exp(-1j * t) * lam).coeffs
     lhs2 = ht.coeffs * phases
     rhs2 = (np.exp(1j * (N - 1) * t)
-            * space.difference_quotient(np.exp(-1j * t) * lam, normalized=True).coeffs)
+            * space.omega(space.normalized_kernel(np.exp(-1j * t) * lam)).coeffs)
     return float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))
 
 
@@ -138,10 +137,15 @@ def symbol_lp_bound_check(space: ModelSpace, phi: CircleFunction,
 # one function at a time: references of the stacked grid paths
 
 def project_one(theta_samples, samples, grid) -> np.ndarray:
-    """P_Theta of one function by two ``riesz_plus`` calls on CircleFunctions."""
-    plus = riesz_plus(CircleFunction(grid, samples)).samples
-    inner = riesz_plus(CircleFunction(grid, np.conj(theta_samples) * samples)).samples
-    return plus - theta_samples * inner
+    """P_Theta of one function, each P_+ by its own FFT pair with the bins of
+    the negative frequencies masked, on CircleFunctions."""
+    def plus(f):
+        co = f.coeffs.copy()
+        co[grid.n // 2:] = 0.0  # bins n/2..n-1 hold the frequencies -n/2..-1
+        return CircleFunction._from_fft(grid, co).samples
+
+    inner = plus(CircleFunction(grid, np.conj(theta_samples) * samples))
+    return plus(CircleFunction(grid, samples)) - theta_samples * inner
 
 
 def kernel_norms_per_point(op: TTOperator, samples, quotient: bool = False) -> np.ndarray:
@@ -160,13 +164,13 @@ def rkt_row_per_point(theta, s: float, lam: complex, grid_n: int) -> dict:
     out = {}
     for key, g in (("identity_err", BoundaryGrid(grid_n)),
                    ("identity_err_doubled", BoundaryGrid(2 * grid_n))):
-        th, ths = theta.boundary_samples(g), th_s.boundary_samples(g)
+        th, ths = theta.samples_at(g), th_s.samples_at(g)
         k_1ms = _kernel_samples(th_1ms, lam, g)
         lhs = project_one(th, np.conj(ths) * _kernel_samples(theta, lam, g), g)
         rhs = np.conj(tv_s) * k_1ms
         out[key] = lp_norm(lhs - rhs, 2) / lp_norm(rhs, 2)
         if g.n == grid_n:
-            out["norm_sq_grid"] = (_kernel_scale(theta, lam) * lp_norm(lhs, 2)) ** 2
+            out["norm_sq_grid"] = (kernel_scale(theta, lam) * lp_norm(lhs, 2)) ** 2
             f = ths * k_1ms
             out["isometry_ratio"] = lp_norm(project_one(th, np.conj(ths) * f, g), 2) / lp_norm(f, 2)
     return out

@@ -242,6 +242,12 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["assemble", "--matrix",
                  "[[[1e308,0],[1e308,0]],[[1e308,0],[1e308,0]]]"]) == 3
     capsys.readouterr()
+    # so does quadrature on an exact space whose grid does not resolve the basis
+    blaschke = ('{"type":"blaschke","zeros":[{"re":0.3,"im":0.1},{"re":-0.2,"im":0.4},'
+                '{"re":0,"im":-0.95}]}')
+    assert main(["build", "--inner", blaschke, "--symbol", '{"0":1,"3":[0.5,0.2]}',
+                 "--grid", "16"]) == 3
+    assert "n = 16 points" in capsys.readouterr().err
     # commands that need an exact space say so, by name
     singular = '{"type":"singular","atoms":[{"angle":0,"mass":1}]}'
     for args in (["rank-one", "--inner", singular, "--lambda", "0.2"],
@@ -280,6 +286,11 @@ def test_exit_codes(capsys, tmp_path):
         ["cohn-growth", "--inner", mono3, "--zeta", "0.5", "--terms", "0"],
         ["rkt-scan", "--inner", '{"type":"singular","atoms":[{"angle":0,"mass":1}]}',
          "--s", "0.5", "--lambda", "[]"],
+        ["cls-scan", "--inner", mono3, "--radii", "[]"],
+        ["cls-scan", "--inner", mono3, "--radii", ""],
+        # normalized kernels exist only inside the disk
+        ["rkt-scan", "--inner", '{"type":"singular","atoms":[{"angle":0,"mass":1}]}',
+         "--s", "0.5", "--lambda", "-1"],
         # JSON values of the wrong type inside a spec or an atom list
         ["kernels", "--inner", '{"type":"blaschke","zeros":5}', "--lambda", "0"],
         ["kernels", "--inner", '{"type":"blaschke","zeros":[5]}', "--lambda", "0"],
@@ -302,12 +313,13 @@ def test_exit_codes(capsys, tmp_path):
                                          ("counterex", '{"p": null}'),
                                          ("rkt-scan", '{"grid": null}'),
                                          ("counterex", '{"count": [20]}'),
-                                         ("counterex", '{"kind": "bogus"}'))):
+                                         ("counterex", '{"kind": "bogus"}'),
+                                         ("cls-scan", '{"radii": []}'))):
         cfg = tmp_path / f"cfg{i}.json"
         cfg.write_text(text)
         flags = {"cf-extend": ["--coeffs", "[1]"], "counterex": [],
                  "rkt-scan": ["--inner", '{"type":"singular","atoms":[{"angle":0,"mass":1}]}',
-                              "--s", "0.5"]}[command]
+                              "--s", "0.5"], "cls-scan": ["--inner", mono3]}[command]
         malformed.append([command, *flags, "--config", str(cfg)])
     for args in malformed:
         assert main(args) == 2, args
@@ -510,3 +522,14 @@ def test_config_hash_covers_what_was_read(tmp_path, capsys):
     assert by_file == digest(json.dumps(MATRIX2))
     mfile.write_text(json.dumps([[[1, 0], [2, 0]], [[3, 0], [1, 1]]]))
     assert digest(str(mfile)) != by_file
+
+
+def test_cf_extend_of_zero_data_is_pinned(capsys):
+    # zero data take the constant-data exit: the zero function, 8 Taylor zeros
+    pair = "  [\n   0.0,\n   0.0\n  ]"
+    want = ('{\n "config_hash": "8c515ab65a7725e8",\n "modulus_defect": 0.0,\n'
+            ' "norm": 0.0,\n "suboptimal": false,\n "taylor": [\n'
+            + ",\n".join([pair] * 8)
+            + '\n ],\n "taylor_defect": 0.0,\n "version": "0.1.0"\n}\n')
+    assert run_cli(["cf-extend", "--coeffs", "[0,0,0]"], capsys) == (0, want)
+

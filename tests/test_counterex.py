@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import mpmath
 import numpy as np
@@ -8,8 +10,8 @@ import pytest
 from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, ModelSpace, Monomial,
                     SingularAtomic, cls_ratio_scan, counterex_theorem_check,
                     gen_blaschke_counterexample, gen_singular_counterexample,
-                    growth_ratio, rkt_failure_scan)
-import ttolab.counterex
+                    growth_ratio, power, rkt_failure_scan)
+import ttolab.inner
 from ttolab.inner import cohn_terms, one_minus_mod_sq
 from ttolab.counterex import (QUADRATURE_TOL, Certificate, KernelRule,
                               blaschke_truncation, graded_norms, growth_scan, kernel_lp)
@@ -174,7 +176,7 @@ def test_cls_scan_takes_the_interior_norms_in_one_array_call(monkeypatch):
         calls.append(np.size(lam))
         return one_minus_mod_sq(theta, lam)
 
-    monkeypatch.setattr(ttolab.counterex, "one_minus_mod_sq", counted)
+    monkeypatch.setattr(ttolab.inner, "one_minus_mod_sq", counted)  # inner.kernel_scale calls it
     rep = cls_ratio_scan(th, pts)
     assert calls == [len(pts)]
     for (lam, _, two_sq, _), w in zip(rep.rows, pts):
@@ -361,3 +363,42 @@ def test_square_bound_on_shared_nodes():
         _, _, k2_square = graded_norms(th, 1.0, 2.0)
         exact = 2.0 * float(cohn_terms(th, 0.0, 2.0)[0].sum())
         assert abs(k2_square ** 2 / exact - 1.0) <= 1e-10
+
+
+def test_rkt_scan_samples_each_power_once_per_grid():
+    # Theta^s and Theta^{1-s} keep their samples on Theta, so a second scan on
+    # the same Theta samples nothing new; at s = 1/2 they are one function
+    theta = SingularAtomic([Atom(0.0, 1.0)])
+    rkt_failure_scan(theta, 0.5, [0.3], grid_n=2 ** 10)
+    caches = [theta.__dict__["_sample_cache"], power(theta, 0.5).__dict__["_sample_cache"]]
+    before = [dict(cache) for cache in caches]
+    assert set(before[1]) == {(2 ** 10, 1.0), (2 ** 11, 1.0)}
+    rkt_failure_scan(theta, 0.5, [0.3, 0.2j], grid_n=2 ** 10)
+    for cache, old in zip(caches, before):
+        assert cache.keys() == old.keys()
+        assert all(cache[k] is v for k, v in old.items())
+
+
+def test_rkt_scan_refuses_points_on_the_circle():
+    # h_lambda exists only inside the disk; the refusal names the point and
+    # comes before any grid work (a grid of 2^19 points and its double)
+    theta = SingularAtomic([Atom(0.0, 1.0)])
+    for lams in ([-1.0], [0.3, 1j], [0.3, 1.0 - 1e-13]):
+        with pytest.raises(ValueError, match="inside the disk"):
+            rkt_failure_scan(theta, 0.5, lams, grid_n=2 ** 19)
+    assert "_sample_cache" not in theta.__dict__
+
+
+def test_rkt_scan_leaves_no_reference_cycle():
+    # Theta^s refers to its base and the base to Theta^s only weakly, so a
+    # scanned Theta, with every sample it and its powers took, is freed as
+    # soon as it is dropped
+    theta = SingularAtomic([Atom(0.0, 1.0)])
+    rkt_failure_scan(theta, 0.3, [0.3], grid_n=2 ** 10)
+    gone = weakref.ref(theta)
+    gc.disable()
+    try:
+        del theta
+        assert gone() is None
+    finally:
+        gc.enable()

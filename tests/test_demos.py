@@ -1,8 +1,10 @@
 """Every demo script runs to completion against the in-tree package, with
 warnings turned into errors and nothing written to stderr; the README's
-table of fixed numerical policies names the constants as they are."""
+table of fixed numerical policies names the constants as they are, and its
+kept-for-the-criteria paragraph names functions that exist."""
 
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -33,3 +35,18 @@ def test_readme_policy_table_matches_the_constants():
         base, _, exponent = shown.partition("^")
         value = float(base) ** int(exponent) if exponent else float(shown)
         assert getattr(importlib.import_module(f"ttolab.{module}"), name) == value, name
+
+
+def test_readme_kept_functions_exist():
+    # the names tools/untraced.py compares its test-only list with, read by
+    # that script's own parser and found in the source without running it
+    spec = importlib.util.spec_from_file_location("untraced", ROOT / "tools" / "untraced.py")
+    untraced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(untraced)
+    kept = untraced.kept_functions()
+    assert kept
+    for name in sorted(kept):
+        module, function = name.split(".")
+        path = ROOT / "src" / "ttolab" / f"{module}.py"
+        assert path.is_file(), name
+        assert function in untraced.public_functions(path).values(), name

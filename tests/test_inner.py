@@ -10,7 +10,8 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint,
                     Monomial, ProductInner, SingularAtomic, cohn_sum, divides,
                     from_json, has_angular_derivative, power)
 from ttolab.errors import AtomAtPoint, UndefinedBoundaryValue, UnsupportedVariant
-from ttolab.inner import cohn_terms, one_minus_mod_sq, phase_increment
+import ttolab.inner
+from ttolab.inner import cohn_terms, kernel_scale, one_minus_mod_sq, phase_increment
 
 
 def family_zeros(count):
@@ -417,3 +418,54 @@ def test_cohn_terms_need_a_finite_p():
     for p in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite p"):
             cohn_terms(theta, 0.5, p)
+
+
+# -- the kernel scale sqrt((1-|lam|^2)/(1-|Theta(lam)|^2)) ------------------
+
+_SCALE_THETAS = (Monomial(16), BlaschkeProduct([0.3 + 0.1j, -0.2 + 0.4j, -0.95j]),
+                 SingularAtomic([Atom(0.0, 1.0)]),
+                 ProductInner([Monomial(2), BlaschkeProduct([0.5j]), SingularAtomic([Atom(2.0, 0.5)])]))
+
+
+@pytest.mark.parametrize("theta", _SCALE_THETAS, ids=["z16", "blaschke3", "atom", "product"])
+def test_kernel_scale_on_points_and_arrays_matches_mpmath(theta):
+    # 1 - |lam| from 1e-1 down to 1e-6, at angles off the atoms: one call on
+    # the array gives what each point gives alone, bit for bit, and both are
+    # the 50-digit value to 1e-12
+    pts = np.array([(1.0 - 10.0 ** -e) * cmath.exp(1j * t)
+                    for e in range(1, 7) for t in (0.5, 1.3, 2.9, 4.4)] + [0.0, 0.3 - 0.2j])
+    got = kernel_scale(theta, pts)
+    assert got.shape == pts.shape
+    for lam, value in zip(pts.tolist(), got.tolist()):
+        alone = kernel_scale(theta, lam)
+        assert type(alone) is float and alone == value
+        with mpmath.workdps(50):
+            w = mpmath.mpc(lam.real, lam.imag)
+            ref = mpmath.sqrt((1 - abs(w) ** 2) / _oracle_one_minus_mod_sq(theta, lam))
+            assert abs(value - ref) <= 1e-12 * ref, lam
+    assert kernel_scale(theta, pts.reshape(2, -1)).shape == (2, pts.size // 2)
+
+
+def test_kernel_scale_on_z_n_takes_one_closed_form_call_per_point(monkeypatch):
+    calls = []
+
+    def counted(theta, lam):
+        calls.append(np.shape(lam))
+        return one_minus_mod_sq(theta, lam)
+
+    monkeypatch.setattr(ttolab.inner, "one_minus_mod_sq", counted)
+    pts = np.array([0.0, 0.5j, 0.9 - 0.1j, -0.99])
+    kernel_scale(Monomial(16), pts)
+    assert calls == [()] * pts.size
+    calls.clear()
+    kernel_scale(BlaschkeProduct([0.5]), pts)  # any other Theta: one array call
+    assert calls == [pts.shape]
+
+
+def test_power_is_one_object_per_base_and_exponent():
+    th = SingularAtomic([Atom(0.0, 1.0), Atom(2.0, 0.5)])
+    a, b = 0.3, 0.7
+    assert power(th, 0.5) is power(th, 0.5)
+    assert power(power(th, a), b) is power(th, a * b)
+    assert power(th, 0.5) is not power(SingularAtomic([Atom(0.0, 1.0), Atom(2.0, 0.5)]), 0.5)
+    assert power(th, 0.25).base is th and power(th, 0.25).s == 0.25

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ttolab import (Atom, BlaschkeProduct, BoundaryGrid, BoundaryPoint, CircleFunction,
                     ModelSpace, Monomial, ProductInner, SingularAtomic, tm_basis)
 from ttolab.circle import inner_product, lp_norm
-from ttolab.errors import BoundaryPointNotNormalizable, NoAngularDerivative
-from ttolab.modelspace import PROJECT_BLOCK, GridSpace, _one_minus_abs2, project_theta
+from ttolab.errors import BoundaryPointNotNormalizable, NoAngularDerivative, NoConvergence
+from ttolab.modelspace import (GRAM_TOL, PROJECT_BLOCK, GridSpace, _one_minus_abs2,
+                               project_theta)
 
 from conftest import (near_zero_lists, random_blaschke_space, random_trig_poly_samples,
                       space_from_zeros, zero_lists)
@@ -62,7 +63,7 @@ def test_one_minus_abs2_keeps_relative_accuracy(rng):
 
 def test_tm_basis_gram_identity(rng):
     space = random_blaschke_space(rng, 8)
-    assert space.gram_residual() < 1e-10
+    assert space.gram_residual < 1e-10
 
 
 def test_tm_basis_orthogonal_to_theta_h2(rng):
@@ -226,7 +227,7 @@ def test_omega_matches_grid_quadrature(zeros):
     # independent of the swaps: W = conj(B^T diag(conj(Theta) z) B) / n by
     # the uniform rule, wherever the grid resolves the basis
     space = space_from_zeros(zeros)
-    assume(space.gram_residual() <= 1e-13)
+    assume(space.gram_residual <= 1e-13)
     B, z = space.basis_samples, space.grid.points
     quad = np.conj(B.T @ (B * (np.conj(space.theta_samples) * z)[:, None])) / space.grid.n
     assert np.max(np.abs(space.omega_matrix - quad)) <= 1e-12
@@ -409,6 +410,26 @@ def test_compress_rejects_a_symbol_it_cannot_represent():
             space.compress(np.full(space.grid.n, 1e307) * (1.0 + space.grid.points))
 
 
+def test_exact_quadrature_refuses_a_grid_that_cannot_resolve_the_basis(rng):
+    # a zero at 1 - |a| = 0.05: Gram residual 1.57 at n = 16, 0.078 at 64,
+    # 4.0e-6 at 256, 7.9e-12 at 512
+    theta = BlaschkeProduct([0.3 + 0.1j, -0.2 + 0.4j, -0.95j])
+    for n in (16, 64, 256):
+        space = ModelSpace(theta, n=n)
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        with pytest.raises(NoConvergence, match=f"n = {n} points .* Gram residual"):
+            space.compress(w)
+        with pytest.raises(NoConvergence, match=f"n = {n} points"):
+            space.project(CircleFunction(space.grid, w))
+        assert space.gram_residual > GRAM_TOL
+    for n in (512, None):
+        space = ModelSpace(theta, n=n)
+        assert space.gram_residual <= GRAM_TOL
+        w = rng.standard_normal(space.grid.n)
+        space.compress(w)
+        space.project(CircleFunction(space.grid, w))
+
+
 def test_project_takes_a_function_on_another_grid(rng):
     theta = BlaschkeProduct([0.4, -0.3 + 0.2j])
     for space in (ModelSpace(theta), ModelSpace(Monomial(3)), GridSpace(theta)):
@@ -419,10 +440,10 @@ def test_project_takes_a_function_on_another_grid(rng):
 
 def test_project_theta_on_a_stack_is_the_projection_of_each_row(rng):
     # one FFT pair per P_+ for the whole stack gives each row, bit for bit,
-    # what the row alone gives and what riesz_plus on a CircleFunction gives
+    # what the row alone gives and what the per-function oracle gives
     grid = BoundaryGrid(2 ** 12)
     for theta in (SingularAtomic([Atom(0.0, 1.0)]), BlaschkeProduct([0.5, -0.3 + 0.6j])):
-        th = theta.boundary_samples(grid)
+        th = theta.samples_at(grid)
         for m in (1, 3, PROJECT_BLOCK // grid.n + 1):
             rows = rng.standard_normal((m, grid.n)) + 1j * rng.standard_normal((m, grid.n))
             got = project_theta(th, rows)

@@ -9,7 +9,8 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint, CircleFu
                     recover_via_k0, rho, rho_d, rho_r, rho_scan_rows, standard_symbol)
 from ttolab.circle import toeplitz
 from ttolab.errors import UnsupportedVariant
-from ttolab.modelspace import GridSpace, _kernel_scale
+from ttolab.inner import kernel_scale, one_minus_mod_sq
+from ttolab.modelspace import GridSpace
 from ttolab.operators import BoundarySymbol, TTOperator, _lanczos_top_pair, q_theta
 
 from conftest import (near_zero_lists, random_blaschke_space, random_trig_poly_samples,
@@ -64,7 +65,7 @@ def test_pair_build_matches_quadrature(zeros, seed):
     # phi_plus(S) + phi_minus(S)^H against B^H (phi B) / n on the pair's
     # samples, wherever the grid resolves the basis
     space = space_from_zeros(zeros)
-    assume(space.gram_residual() <= 1e-13)
+    assume(space.gram_residual <= 1e-13)
     rng = np.random.default_rng(seed)
     pair = PairSymbol(space.from_coeffs(_random_coeffs(rng, space)),
                       space.from_coeffs(_random_coeffs(rng, space)))
@@ -271,7 +272,7 @@ def test_rho_on_a_blaschke_space_matches_the_per_point_reference(rng):
     samples = SampleSet.default(space)
     ref_r = ref_d = 0.0
     for lam in samples.points.tolist():
-        h = _kernel_scale(space.theta, lam) * space._tm_eval([lam])[0]  # s e(lambda)
+        h = kernel_scale(space.theta, lam) * space._tm_eval([lam])[0]  # s e(lambda)
         ref_r = max(ref_r, np.linalg.norm(M @ np.conj(h)))
         ref_d = max(ref_d, np.linalg.norm(M @ space.omega_matrix @ h))
     assert abs(rho_r(op, samples) - ref_r) <= 1e-14 * ref_r
@@ -653,3 +654,33 @@ def test_grid_rho_columns_on_a_blaschke_space_match_to_rounding():
             got = space._unit_kernel_norms(op, samples, quotient)
             ref = kernel_norms_per_point(op, samples, quotient)
             assert np.all(np.abs(got - ref) <= bound * ref)
+
+
+def test_rho_scan_rows_keep_the_per_representation_scale_bit_for_bit(rng):
+    # the scale that each representation wrote out before inner.kernel_scale
+    # took it over: on K_{z^N} the scalar closed form per point, elsewhere one
+    # one_minus_mod_sq pass; |lambda| by hypot in both
+    def scale(space, pts):
+        mod = np.hypot(pts.real, pts.imag)
+        if isinstance(space.theta, Monomial):
+            q = np.array([one_minus_mod_sq(space.theta, w) for w in pts.tolist()])
+        else:
+            q = one_minus_mod_sq(space.theta, pts)
+        return np.sqrt((1.0 - mod) * (1.0 + mod) / q)
+
+    toeplitz_space = ModelSpace(Monomial(16))
+    M = toeplitz(rng.standard_normal(31) + 1j * rng.standard_normal(31))
+    tm_space = ModelSpace(BlaschkeProduct([0.3 + 0.1j, -0.2 + 0.4j, -0.95j]))
+    grid_space = GridSpace(SingularAtomic([Atom(0.0, 1.0)]), 2 ** 9)
+    cases = [(TTOperator(toeplitz_space, matrix=M), SampleSet.rotation_closed(32)),
+             (TTOperator(toeplitz_space, matrix=M), SampleSet.default(toeplitz_space)),
+             (TTOperator(tm_space, matrix=rng.standard_normal((3, 3))),
+              SampleSet.default(tm_space)),
+             (_grid_closures(grid_space)["multiplier"],
+              SampleSet.rotation_closed(8, radii=(0.0, 0.5, 0.9)))]
+    for op, samples in cases:
+        s = scale(op.space, samples.points)
+        rows = np.array(rho_scan_rows(op, samples))
+        for column, quotient in ((2, False), (3, True)):
+            want = op.space._unit_kernel_norms(op, samples, quotient) * s
+            assert np.array_equal(rows[:, column], want), type(op.space).__name__

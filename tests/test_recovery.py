@@ -111,7 +111,7 @@ def test_compressed_shift_matches_quadrature(rng, degree):
     # the closed-form S_Theta against quadrature-free identities; near the
     # circle the 2^16-point rule B^H (z B) / n is off by its Gram residual
     space = _space_with_near_zero(rng, degree)
-    assert space.gram_residual() <= 1e-12
+    assert space.gram_residual <= 1e-12
     # (S* e_j)(w) = (e_j(w) - e_j(0))/w at interior points
     w = 0.6 * np.exp(2j * np.pi * np.arange(7) / 7) * np.linspace(0.3, 1.0, 7)
     E = space._tm_eval(w)
