@@ -408,4 +408,4 @@ def blaschke_transport(op: TTOperator, alpha: complex) -> TTOperator:
     N = op.space.dim
     target = ModelSpace(BlaschkeProduct([(alpha, N)]))
     D = np.diag((-1.0) ** np.arange(N))
-    return TTOperator(target, matrix=D @ op.matrix @ D, symbol=None)
+    return TTOperator(target, matrix=D @ op.matrix @ D)

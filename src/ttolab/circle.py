@@ -80,16 +80,15 @@ class CircleFunction:
         return f
 
     @classmethod
-    def from_coeffs(cls, grid, coeffs: dict, bandwidth=None):
-        """Build from a sparse {index: coefficient} map (indices in [-n/2, n/2))."""
+    def from_coeffs(cls, grid, coeffs: dict):
+        """Build from a sparse {index: coefficient} map (indices in [-n/2, n/2)),
+        whose largest |index| is the bandwidth."""
         vec = np.zeros(grid.n, dtype=complex)
         for k, c in coeffs.items():
             if not -grid.n // 2 <= k < grid.n // 2:
                 raise BandwidthOverflow(f"index {k} outside grid band of n={grid.n}")
             vec[k % grid.n] = complex(c)
-        if bandwidth is None and coeffs:
-            bandwidth = max(abs(int(k)) for k in coeffs)
-        return cls._from_fft(grid, vec, bandwidth)
+        return cls._from_fft(grid, vec, max((abs(int(k)) for k in coeffs), default=None))
 
     # -- coefficient access -------------------------------------------
 

@@ -348,7 +348,7 @@ COMMANDS = {
         ("--grid", {"type": int}))),
     "recover": (_cmd_recover, (
         ("--inner", {"required": True}), ("--table", {"required": True, "codec": _table}),
-        ("--mu", {"codec": _complex}), ("--grid", {"type": int}))),
+        ("--mu", {"codec": _complex}))),
     "rank-one": (_cmd_rank_one, (
         ("--inner", {"required": True}), ("--lambda", {"dest": "lam", "codec": _complex}),
         ("--zeta", {"type": float}), ("--grid", {"type": int}))),
@@ -376,7 +376,7 @@ COMMANDS = {
         ("--lambda", {"dest": "lam", "codec": _shaped("points")}),
         ("--grid", {"type": int, "default": RKT_GRID}))),
     "counterex": (_cmd_counterex, (
-        ("gen", {"nargs": "?", "default": "gen"}),
+        ("gen", {"nargs": "?", "default": "gen", "choices": ("gen",)}),
         ("--kind", {"choices": ("blaschke", "singular"), "default": "blaschke"}),
         ("--p", {"type": float, "default": 3.0}),
         ("--count", {"type": int, "default": 20}),

@@ -121,8 +121,8 @@ class ModelSpace:
     space, is taken as named.  The methods below run on every
     representation over its hooks: ``_setup(n)`` builds the grid and the
     rest, ``_multiplier``, ``_pair_multiplier`` and ``_outer`` give the
-    (matrix, apply_fn) of an operator, ``_unit_kernel_norms`` the rho columns
-    before the kernel scale."""
+    (matrix, apply_fn, adjoint_fn) of an operator, ``_unit_kernel_norms`` the
+    rho columns before the kernel scale."""
 
     mode: str  # "exact" or "truncated", set by each representation
 
@@ -213,9 +213,10 @@ class GridSpace(ModelSpace):
     """Any Theta, by samples on the boundary grid: P_Theta is ``project_theta``
     and an operator a multiply-then-project closure.  There is no basis.
 
-    A closure (``_multiplier``, ``_pair_multiplier``, ``_outer``) maps an
-    (..., n) stack of grid sample rows to the stack of their images, so the
-    rho columns apply it once per block of kernel rows."""
+    An operator is two closures, A and A* (``_multiplier``,
+    ``_pair_multiplier``, ``_outer``), each mapping an (..., n) stack of grid
+    sample rows to the stack of their images, so the rho columns apply A once
+    per block of kernel rows."""
 
     mode = "truncated"
 
@@ -246,18 +247,25 @@ class GridSpace(ModelSpace):
         return ModelFunction(self, circle=CircleFunction(self.grid, samples))
 
     def _multiplier(self, phi, bandwidth):
-        """rows -> P_Theta(phi rows); a known bandwidth must stay below n/4."""
+        """rows -> P_Theta(phi rows) and rows -> P_Theta(conj(phi) rows); a
+        known bandwidth must stay below n/4."""
         if bandwidth is not None and bandwidth >= self.grid.n // 4:
             raise BandwidthOverflow(f"symbol bandwidth {bandwidth} >= grid/4; enlarge the grid")
-        return None, lambda rows: project_theta(self.theta_samples, phi * rows)
+        phi_bar = np.conj(phi)
+        return (None, lambda rows: project_theta(self.theta_samples, phi * rows),
+                lambda rows: project_theta(self.theta_samples, phi_bar * rows))
 
     def _pair_multiplier(self, plus, minus):
         return self._multiplier(plus.samples() + np.conj(minus.samples()), None)
 
     def _outer(self, x, y):
-        """rows -> <row, y> x, the inner product by one matrix product per stack."""
-        xs, ys = x.samples(), np.conj(y.samples())
-        return None, lambda rows: xs * (rows @ ys / self.grid.n)[..., None]
+        """rows -> <row, y> x and rows -> <row, x> y, each inner product by
+        one matrix product per stack."""
+        xs, ys = x.samples(), y.samples()
+        xc, yc = np.conj(xs), np.conj(ys)
+        n = self.grid.n
+        return (None, lambda rows: xs * (rows @ yc / n)[..., None],
+                lambda rows: ys * (rows @ xc / n)[..., None])
 
     def _unit_kernel_norms(self, op, samples, quotient: bool):
         """||A k_lambda||_2, or ||A k~_lambda||_2 when quotient: the kernel (or
@@ -459,14 +467,14 @@ class TMSpace(ModelSpace):
         return ModelFunction(self, coeffs=self.sstar_matrix @ f.coeffs)
 
     def _multiplier(self, phi, bandwidth):
-        return self.compress(phi), None
+        return self.compress(phi), None, None
 
     def _pair_multiplier(self, plus, minus):  # phi_plus(S) + phi_minus(S)^H
         a, b = self.analytic_operators(np.stack([plus.coeffs, minus.coeffs], axis=1))
-        return a + b.conj().T, None
+        return a + b.conj().T, None, None
 
     def _outer(self, x, y):
-        return np.outer(x.coeffs, np.conj(y.coeffs)), None
+        return np.outer(x.coeffs, np.conj(y.coeffs)), None, None
 
     def _unit_kernel_norms(self, op, samples, quotient: bool):
         """||M conj(e(lambda))||, or ||M W e(lambda)||, by one dense product."""

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .circle import CircleFunction, inner_product, lp_norm
-from .errors import NoConvergence, UnsupportedVariant
+from .errors import NoConvergence
 from .inner import BoundaryPoint
 from .modelspace import ModelFunction, ModelSpace, project_theta
 
@@ -28,12 +28,6 @@ class BoundarySymbol:
     def __init__(self, f: CircleFunction):
         self.f = f
 
-    def samples_on(self, space: ModelSpace):
-        return self.f.on_grid(space.grid).samples
-
-    def conjugate(self):
-        return BoundarySymbol(self.f.conj())
-
 
 class PairSymbol:
     """phi = phi_plus + conj(phi_minus) with both components in K_Theta."""
@@ -41,13 +35,6 @@ class PairSymbol:
     def __init__(self, phi_plus: ModelFunction, phi_minus: ModelFunction):
         self.phi_plus = phi_plus
         self.phi_minus = phi_minus
-
-    def samples_on(self, space: ModelSpace):
-        return (self.phi_plus.as_circle().on_grid(space.grid).samples
-                + np.conj(self.phi_minus.as_circle().on_grid(space.grid).samples))
-
-    def conjugate(self):
-        return PairSymbol(self.phi_minus, self.phi_plus)
 
 
 class MeasureSymbol:
@@ -65,17 +52,17 @@ class MeasureSymbol:
 # the operator
 
 class TTOperator:
-    """A truncated Toeplitz operator, as a matrix (exact) or a closure: a
-    function from an (..., n) stack of grid sample rows to the stack of their
-    images (a ``GridSpace``'s, see there)."""
+    """A truncated Toeplitz operator, as a matrix (exact) or a pair of
+    closures, A and A*: each a function from an (..., n) stack of grid sample
+    rows to the stack of their images (a ``GridSpace``'s, see there)."""
 
-    def __init__(self, space: ModelSpace, matrix=None, apply_fn=None, symbol=None):
-        if (matrix is None) == (apply_fn is None):
-            raise ValueError("exactly one of matrix/apply_fn required")
+    def __init__(self, space: ModelSpace, matrix=None, apply_fn=None, adjoint_fn=None):
+        if (matrix is None) == (apply_fn is None) or (apply_fn is None) != (adjoint_fn is None):
+            raise ValueError("a matrix, or apply_fn with its adjoint_fn, required")
         self.space = space
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=complex)
         self.apply_fn = apply_fn
-        self.symbol = symbol
+        self.adjoint_fn = adjoint_fn
 
     def apply(self, f: ModelFunction) -> ModelFunction:
         if self.matrix is not None:
@@ -97,18 +84,16 @@ def build(space: ModelSpace, symbol) -> TTOperator:
         action = space._pair_multiplier(space.project(symbol.phi_plus),
                                         space.project(symbol.phi_minus))
     else:
-        action = space._multiplier(symbol.samples_on(space), symbol.f.bandwidth)
-    return TTOperator(space, *action, symbol=symbol)
+        action = space._multiplier(symbol.f.on_grid(space.grid).samples, symbol.f.bandwidth)
+    return TTOperator(space, *action)
 
 
 def adjoint(op: TTOperator) -> TTOperator:
-    """(A_phi)^* = A_conj(phi); conjugate-transpose matrix in exact mode."""
-    sym = op.symbol.conjugate() if op.symbol is not None and hasattr(op.symbol, "conjugate") else None
+    """A*: the conjugate-transpose matrix, or the two closures swapped
+    ((A_phi)^* = A_conj(phi))."""
     if op.matrix is not None:
-        return TTOperator(op.space, matrix=op.matrix.conj().T, symbol=sym)
-    if sym is None:
-        raise UnsupportedVariant("closure adjoint needs a conjugable symbol")
-    return build(op.space, sym)
+        return TTOperator(op.space, matrix=op.matrix.conj().T)
+    return TTOperator(op.space, apply_fn=op.adjoint_fn, adjoint_fn=op.apply_fn)
 
 
 def rank_one_operator(space: ModelSpace, pt) -> TTOperator:
@@ -159,11 +144,15 @@ def decompose(space: ModelSpace, phi: CircleFunction, mu: complex) -> PairSymbol
     v = space.omega(w)
     zv = CircleFunction(space.grid, space.grid.points * v.as_circle().samples)
     minus_raw = space.project(zv)
+    return PairSymbol(*_spend_gauge(space, u, minus_raw, mu))
+
+
+def _spend_gauge(space: ModelSpace, plus: ModelFunction, minus: ModelFunction, mu):
+    """The pair (plus + conj(c) k_0, minus - c k_0) with minus(mu) = 0: the
+    gauge (c k_0, -conj(c) k_0) adds nothing to the operator."""
     k0 = space.kernel(0.0)
-    cbar = minus_raw.eval(mu) / k0.eval(mu)
-    plus = u + np.conj(cbar) * k0
-    minus = minus_raw - cbar * k0
-    return PairSymbol(plus, minus)
+    cbar = minus.eval(mu) / k0.eval(mu)
+    return plus + np.conj(cbar) * k0, minus - cbar * k0
 
 
 # ---------------------------------------------------------------------------
@@ -379,5 +368,5 @@ def measure_operator(space: ModelSpace, measure: MeasureSymbol) -> TTOperator:
         M += mass * space._outer(k, k)[0]
     if measure.density is not None:
         M += space.compress(measure.density.on_grid(space.grid).samples)
-    return TTOperator(space, matrix=M, symbol=measure)
+    return TTOperator(space, matrix=M)
 

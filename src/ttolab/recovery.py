@@ -17,14 +17,16 @@ from .circle import CircleFunction
 from .errors import DegenerateMu, InconsistentOracle, UnsupportedVariant
 from .modelspace import ModelFunction, ModelSpace, _kernel_samples, _point
 from .operators import (BoundarySymbol, PairSymbol, SampleSet, TTOperator,
-                        _polar_grid, build, rho_r)
+                        _polar_grid, _spend_gauge, build, rho_r)
 
 
 class KernelActionOracle:
-    """Access to lambda -> A k_lambda (and optionally A k~_0) for an unknown A."""
+    """Access to the kernel actions lambda -> A k_lambda (and optionally
+    A k~_0) of an unknown A, in Takenaka-Malmquist (TM) coefficients: the
+    action maps a 1-D array of L points to the (L, N) array whose row i
+    holds the coefficients of A k_{lams[i]}."""
 
-    def __init__(self, space: ModelSpace, action, dq0_action: ModelFunction | None = None,
-                 sample_points=None):
+    def __init__(self, space: ModelSpace, action, dq0_action=None, sample_points=None):
         self.space = space
         self._action = action
         self._dq0 = dq0_action
@@ -32,28 +34,36 @@ class KernelActionOracle:
 
     @classmethod
     def from_operator(cls, op: TTOperator) -> "KernelActionOracle":
+        """Row i is M k_{lams[i]}: k_lam has the coefficients conj(e(lam)), so
+        the rows are conj(E) M^T with E = ``_tm_eval(lams)``."""
         space = op.space
-        return cls(space, lambda lam: op.apply(space.kernel(lam)),
-                   dq0_action=op.apply(space.difference_quotient(0.0)))
+        return cls(space, lambda lams: np.conj(space._tm_eval(lams)) @ op.matrix.T,
+                   dq0_action=op.apply(space.difference_quotient(0.0)).coeffs)
 
     @classmethod
     def from_table(cls, space: ModelSpace, rows) -> "KernelActionOracle":
         """rows: iterable of (lambda, coefficient vector) pairs (exact mode)."""
-        table = {complex(lam): space.from_coeffs(c) for lam, c in rows}
+        table = {complex(lam): c for lam, c in rows}
+        points = np.array(sorted(table, key=lambda z: (z.real, z.imag)), dtype=complex)
+        stack = np.array([table[z] for z in points.tolist()], dtype=complex)
 
-        def act(lam):
-            key = complex(lam)
-            if key not in table:
-                raise KeyError(f"kernel action at {key} not in table")
-            return table[key]
+        def act(lams):
+            hit = lams[:, None] == points[None, :]
+            missing = ~hit.any(axis=1)
+            if missing.any():
+                raise KeyError(f"kernel action at {complex(lams[missing][0])} not in table")
+            return stack[hit.argmax(axis=1)]
 
-        return cls(space, act, sample_points=np.array(sorted(table, key=lambda z: (z.real, z.imag))))
+        return cls(space, act, sample_points=points)
 
-    def act(self, lam) -> ModelFunction:
-        return self._action(lam)
+    def act(self, lams):
+        """The (L, N) coefficient rows of A k_lambda at the L points ``lams``."""
+        self.space.require_basis("kernel-action rows")
+        return self._action(np.asarray(lams, dtype=complex).ravel())
 
     @property
-    def dq0_action(self) -> ModelFunction:
+    def dq0_action(self):
+        """The coefficients of A k~_0."""
         if self._dq0 is None:
             raise UnsupportedVariant("oracle does not provide the k~_0 action")
         return self._dq0
@@ -91,21 +101,22 @@ class RecoveredSymbol:
 # ---------------------------------------------------------------------------
 # elementary pieces
 
-def _resolvent_kernel_action(space: ModelSpace, af: ModelFunction, lam) -> ModelFunction:
-    """(I - lam S*) omega(A k_lam) in K_Theta coefficients."""
-    w = space.omega(af)
-    shifted = space.backward_shift(w)
-    return w - lam * shifted
+def _resolvent_kernel_action(space: ModelSpace, rows, lams):
+    """(I - lam S*) omega(A k_lam) in K_Theta coefficients, one row per point
+    of ``lams`` from the kernel-action rows: omega is c -> W conj(c) and
+    S* the matrix ``sstar_matrix``, each applied to the rows at once."""
+    w = np.conj(rows) @ space.omega_matrix.T
+    return w - np.asarray(lams, dtype=complex)[:, None] * (w @ space.sstar_matrix.T)
 
 
-def _minus_values(oracle: KernelActionOracle, mu, theta_mu, psi_base: ModelFunction,
-                  lams):
+def _minus_values(oracle: KernelActionOracle, mu, theta_mu, psi_base, lams):
     """phi_minus(lam) at each lam, for the pair normalized by phi_minus(mu) = 0.
 
     phi_minus(lam) = <(z - mu) x, k_mu> / denom with x = (I - mu S*)^{-1} F_lam
     and F_lam = (I - lam S*) omega(A k_lam) - psi_base.  The inner product is
     k_mu^H (S_Theta - mu I) x in K_Theta coefficients, so one row vector
-    applied to the stacked F_lam gives every value.
+    applied to the rows F_lam (``psi_base`` is the row of mu) gives every
+    value.
     """
     space = oracle.space
     theta0 = complex(space.theta.eval(0.0))
@@ -113,9 +124,8 @@ def _minus_values(oracle: KernelActionOracle, mu, theta_mu, psi_base: ModelFunct
     I = np.eye(space.dim)
     row = (np.conj(space.kernel(mu).coeffs) @ (space.shift_matrix - mu * I)
            @ np.linalg.inv(I - mu * space.sstar_matrix)) / denom
-    F = np.array([_resolvent_kernel_action(space, oracle.act(lam), lam).coeffs
-                  for lam in lams])
-    return (F - psi_base.coeffs) @ row
+    F = _resolvent_kernel_action(space, oracle.act(lams), lams)
+    return (F - psi_base) @ row
 
 
 def default_mu(space: ModelSpace) -> complex:
@@ -169,19 +179,16 @@ def recover(oracle: KernelActionOracle, mu: complex | None = None,
     theta_mu = complex(space.theta.eval(mu))
     if abs(theta_mu) < 1e-8:
         raise DegenerateMu(f"|Theta(mu)| = {abs(theta_mu):.2e} at mu = {mu}")
-    psi_base = _resolvent_kernel_action(space, oracle.act(mu), mu)
+    psi_base = _resolvent_kernel_action(space, oracle.act([mu]), [mu])[0]
     lams = oracle.sample_points if oracle.sample_points is not None \
         else _lambda_grid(space, grid_factor)
-    lams = np.asarray(lams, dtype=complex)
     vals = _minus_values(oracle, mu, theta_mu, psi_base, lams)
     E = space._tm_eval(lams)
     minus_coeffs, *_ = np.linalg.lstsq(E, vals, rcond=None)
-    phi_minus = ModelFunction(space, coeffs=minus_coeffs)
-
-    psi_plus = psi_base + theta_mu * space.backward_shift(phi_minus)
-    phi_plus = space.omega(psi_plus)
-
-    return _certify(oracle, phi_plus, phi_minus, mu)
+    psi_plus = psi_base + theta_mu * (space.sstar_matrix @ minus_coeffs)
+    plus_coeffs = space.omega_matrix @ np.conj(psi_plus)
+    return _certify(oracle, ModelFunction(space, coeffs=plus_coeffs),
+                    ModelFunction(space, coeffs=minus_coeffs), mu)
 
 
 def _antilinear_block(M):
@@ -207,14 +214,11 @@ def recover_via_k0(oracle: KernelActionOracle) -> RecoveredSymbol:
     """
     space = oracle.space
     _check_table(oracle)
-    ak0 = oracle.act(0.0)
-    akt0 = oracle.dq0_action
+    a = oracle.act([0.0])[0]
+    b = space.omega_matrix @ np.conj(oracle.dq0_action)
     k0 = space.kernel(0.0)
     theta0 = complex(space.theta.eval(0.0))
     N = space.dim
-
-    a = ak0.coeffs
-    b = space.omega(akt0).coeffs
     W = space.omega_matrix
     G = np.conj(theta0) * (space.shift_matrix @ W)
     E0 = space._tm_eval([0.0])[0]
@@ -227,27 +231,24 @@ def recover_via_k0(oracle: KernelActionOracle) -> RecoveredSymbol:
     sol = np.linalg.solve(np.vstack([top, bottom]), rhs)
     c_plus = sol[:N] + 1j * sol[N:2 * N]
     c_minus = sol[2 * N:3 * N] + 1j * sol[3 * N:]
-    phi_plus = ModelFunction(space, coeffs=c_plus)
-    phi_minus = ModelFunction(space, coeffs=c_minus)
-    # spend the gauge (c k_0, -conj(c) k_0) on phi_minus(0) = 0
-    cbar = phi_minus.eval(0.0) / k0.eval(0.0)
-    phi_plus = phi_plus + np.conj(cbar) * k0
-    phi_minus = phi_minus - cbar * k0
-
+    phi_plus, phi_minus = _spend_gauge(space, ModelFunction(space, coeffs=c_plus),
+                                       ModelFunction(space, coeffs=c_minus), 0.0)
     return _certify(oracle, phi_plus, phi_minus, 0.0)
 
 
 def _check_table(oracle: KernelActionOracle) -> None:
     """Raise UnsupportedVariant on a space without a basis, and ValueError
     unless the oracle's own sample points, if any, determine a pair: at
-    least N = dim distinct points whose kernels span K_Theta.  With fewer,
-    the fit and the certification read only those points, and any pair
-    matching them there passes."""
+    least N = dim distinct points of the closed disk (``_point``'s rule)
+    whose kernels span K_Theta.  With fewer, the fit and the certification
+    read only those points, and any pair matching them there passes."""
     space = oracle.space
     space.require_basis("recovery")
     if oracle.sample_points is None:
         return
     pts = np.unique(np.asarray(oracle.sample_points, dtype=complex))
+    if not np.all(np.abs(pts) <= 1.0 + 1e-12):  # False for NaN too
+        raise ValueError("kernel-action table points must satisfy |lambda| <= 1")
     if pts.size < space.dim:
         raise ValueError(f"the kernel-action table has {pts.size} distinct lambda, "
                          f"fewer than dim K_Theta = {space.dim}")
@@ -261,17 +262,17 @@ def _certify(oracle: KernelActionOracle, phi_plus, phi_minus, mu) -> RecoveredSy
     """Rebuild the operator from the pair and check it against the oracle.
 
     Raises InconsistentOracle when the worst relative difference of the
-    kernel actions at the probe points exceeds RESIDUAL_TOL.
+    kernel actions at the probe points exceeds RESIDUAL_TOL: row i of
+    ``kernels`` holds k at probe i, so row i of ``kernels @ M^T`` is M k.
     """
     space = oracle.space
     rebuilt = build(space, PairSymbol(phi_plus, phi_minus))
     probes = (oracle.sample_points[:8] if oracle.sample_points is not None
               else np.array([0.0, 0.31, -0.52 + 0.2j, 0.11 - 0.6j, 0.77j]))
-    resid = 0.0
-    for lam in probes:
-        k = space.kernel(lam)
-        diff = oracle.act(lam) - rebuilt.apply(k)
-        resid = max(resid, diff.norm() / max(k.norm(), 1.0))
+    kernels = np.conj(space._tm_eval(probes))
+    diff = oracle.act(probes) - kernels @ rebuilt.matrix.T
+    resid = float(np.max(np.linalg.norm(diff, axis=1)
+                         / np.maximum(np.linalg.norm(kernels, axis=1), 1.0)))
     if resid > RESIDUAL_TOL:
         raise InconsistentOracle(f"rebuild residual {resid:.2e} > {RESIDUAL_TOL:.0e}")
     return RecoveredSymbol(phi_plus, phi_minus, mu, resid, rebuilt)

@@ -11,25 +11,23 @@ import math
 import numpy as np
 
 from ttolab.circle import BoundaryGrid, CircleFunction, lp_norm
-from ttolab.errors import TTOLabError, UnsupportedVariant
+from ttolab.errors import TTOLabError
 from ttolab.inner import kernel_scale, power
 from ttolab.modelspace import ModelFunction, ModelSpace, ToeplitzSpace, _kernel_samples
-from ttolab.operators import BoundarySymbol, PairSymbol, TTOperator, build
+from ttolab.operators import BoundarySymbol, TTOperator, build
 
 
 # ---------------------------------------------------------------------------
 # operators
 
-def hankel_factor_residual(op: TTOperator, f: ModelFunction) -> float:
-    """|| A_phi f - Theta P_-(conj(Theta) phi f) ||_2 on the grid.
+def hankel_factor_residual(op: TTOperator, phi, f: ModelFunction) -> float:
+    """|| A_phi f - Theta P_-(conj(Theta) phi f) ||_2 on the grid, for the
+    operator built from phi's samples ``phi`` on the space's grid.
 
     The factorization through the Hankel operator with symbol
     conj(Theta) phi holds exactly; the residual is quadrature noise.
     """
     space = op.space
-    if not isinstance(op.symbol, (BoundarySymbol, PairSymbol)):
-        raise UnsupportedVariant("needs a boundary or pair symbol")
-    phi = op.symbol.samples_on(space)
     fs = f.as_circle().samples
     lhs = op.apply(f).as_circle().samples
     co = np.fft.fft(np.conj(space.theta_samples) * phi * fs) / space.grid.n

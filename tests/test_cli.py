@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ttolab.cli import main
 
@@ -256,6 +257,15 @@ def test_exit_codes(capsys, tmp_path):
                  ["carleson", "--inner", singular]):
         assert main(args) == 2, args
         assert f"{args[0]} needs an exact model space" in capsys.readouterr().err
+    # argparse refuses a counterex word other than gen, and --grid on recover,
+    # which reads no grid (closed forms throughout)
+    for args in (["counterex", "banana", "--count", "4"],
+                 ["recover", "--inner", '{"type":"monomial","degree":3}', "--table", "[]",
+                  "--grid", "4096"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2, args
+        capsys.readouterr()
     # argument checks stay validation errors
     assert main(["rank-one", "--inner", '{"type":"monomial","degree":3}',
                  "--lambda", "1.5"]) == 2
@@ -273,6 +283,9 @@ def test_exit_codes(capsys, tmp_path):
         ["kernels", "--inner", mono3, "--lambda", "[0.3]"],
         ["cls-scan", "--inner", mono3, "--radii", "[[1]]"],
         ["recover", "--inner", mono3, "--table", "[1]"],
+        # a kernel-action table point outside the closed disk
+        ["recover", "--inner", mono3, "--mu", "0.3", "--table", json.dumps(
+            [{"lambda": lam, "coefficients": [1, 0, 0]} for lam in (0.3, [0, -0.4], 1.5)])],
         ["carleson", "--inner", mono3, "--atoms", "[1]"],
         ["assemble", "--batch", "5"],
         ["cf-extend", "--coeffs", "[1]", "--config", "/nonexistent/cfg.json"],

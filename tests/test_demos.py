@@ -1,8 +1,9 @@
 """Every demo script runs to completion against the in-tree package, with
 warnings turned into errors and nothing written to stderr; the README's
 table of fixed numerical policies names the constants as they are, and its
-kept-for-the-criteria paragraph names functions that exist."""
+kept-for-the-criteria paragraph names functions and methods that exist."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -50,3 +51,16 @@ def test_readme_kept_functions_exist():
         path = ROOT / "src" / "ttolab" / f"{module}.py"
         assert path.is_file(), name
         assert function in untraced.public_functions(path).values(), name
+    # the paragraph's module.Class.method names, which the script passes over
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in text.split("\n\n") if untraced.KEPT_MARK in " ".join(p.split()))
+    methods = re.findall(r"`(\w+)\.(\w+)\.(\w+)`", paragraph)
+    assert methods
+    for module, cls, method in methods:
+        path = ROOT / "src" / "ttolab" / f"{module}.py"
+        assert path.is_file(), (module, cls, method)
+        classes = {c.name: c for c in ast.parse(path.read_text(encoding="utf-8")).body
+                   if isinstance(c, ast.ClassDef)}
+        assert cls in classes, (module, cls, method)
+        assert method in {f.name for f in classes[cls].body
+                          if isinstance(f, ast.FunctionDef)}, (module, cls, method)

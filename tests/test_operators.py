@@ -22,6 +22,12 @@ def sym_from_coeffs(space, coeffs):
     return BoundarySymbol(CircleFunction.from_coeffs(space.grid, coeffs))
 
 
+def pair_samples(space, pair):
+    """phi_plus + conj(phi_minus) of a PairSymbol on the space's grid."""
+    return (pair.phi_plus.as_circle().on_grid(space.grid).samples
+            + np.conj(pair.phi_minus.as_circle().on_grid(space.grid).samples))
+
+
 def test_build_shift_on_kz2():
     sp = ModelSpace(Monomial(2))
     op = build(sp, sym_from_coeffs(sp, {1: 1.0}))
@@ -69,7 +75,7 @@ def test_pair_build_matches_quadrature(zeros, seed):
     rng = np.random.default_rng(seed)
     pair = PairSymbol(space.from_coeffs(_random_coeffs(rng, space)),
                       space.from_coeffs(_random_coeffs(rng, space)))
-    quad = space.compress(pair.samples_on(space))
+    quad = space.compress(pair_samples(space, pair))
     closed = build(space, pair).matrix
     assert np.linalg.norm(closed - quad) <= 1e-12 * np.linalg.norm(quad)
 
@@ -99,7 +105,7 @@ def test_pair_build_of_foreign_components(rng):
     pm = big.from_coeffs(rng.standard_normal(7) + 1j * rng.standard_normal(7))
     got = build(space, PairSymbol(pp, pm)).matrix
     ref = build(space, PairSymbol(space.project(pp), space.project(pm))).matrix
-    quad = space.compress(PairSymbol(pp, pm).samples_on(space))
+    quad = space.compress(pair_samples(space, PairSymbol(pp, pm)))
     assert np.max(np.abs(got - ref)) == 0.0
     assert np.max(np.abs(got - quad)) <= 1e-12 * np.linalg.norm(quad)
 
@@ -364,9 +370,10 @@ def test_measure_atom_needs_certificate():
 
 def test_hankel_factorization(rng):
     sp = ModelSpace(Monomial(2))
-    op = build(sp, sym_from_coeffs(sp, {1: 1.0}))
+    sym = sym_from_coeffs(sp, {1: 1.0})
+    op = build(sp, sym)
     one = sp.from_coeffs([1.0, 0.0])
-    assert hankel_factor_residual(op, one) < 1e-10
+    assert hankel_factor_residual(op, sym.f.samples, one) < 1e-10
 
     space = random_blaschke_space(rng, 6)
     for _ in range(50):
@@ -376,7 +383,7 @@ def test_hankel_factorization(rng):
                          for k in range(7)})
         op = build(space, BoundarySymbol(phi))
         f = space.from_coeffs(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        assert hankel_factor_residual(op, f) <= 1e-9 * f.norm() * max(
+        assert hankel_factor_residual(op, phi.samples, f) <= 1e-9 * f.norm() * max(
             1.0, float(np.max(np.abs(phi.samples))))
 
 
@@ -550,6 +557,7 @@ def test_exact_only_functions_refuse_a_grid_space():
         build(space, CircleFunction.from_coeffs(space.grid, {0: 1.0, 1: 0.5})))
     for call in (lambda: measure_operator(space, MeasureSymbol(atoms=[(0.5, 1.0)])),
                  lambda: space.from_coeffs([1.0]),
+                 lambda: oracle.act([0.1]),
                  lambda: recover(oracle), lambda: recover_via_k0(oracle)):
         with pytest.raises(UnsupportedVariant, match="needs an exact model space"):
             call()
@@ -619,6 +627,32 @@ def _grid_closures(space):
             "pair": build(space, PairSymbol(space.kernel(0.3) + 0.5 * space.kernel(-0.2j),
                                             space.kernel(0.1 + 0.1j))),
             "rank_one": rank_one_operator(space, 0.4 - 0.2j)}
+
+
+@pytest.mark.parametrize("theta", [SingularAtomic([Atom(0.0, 1.0)]),
+                                   BlaschkeProduct(ADJOINT_ZEROS)])
+def test_grid_rank_one_operator_carries_its_adjoint(theta):
+    # x (x) y with x = omega(k_lam), y = k_lam has norm ||x|| ||y||, and its
+    # closure pair satisfies <A f, g> = <f, A* g>, with no symbol to conjugate
+    space = GridSpace(theta, 2 ** 10)
+    op = rank_one_operator(space, 0.3)
+    k = space.kernel(0.3)
+    ref = space.omega(k).norm() * k.norm()
+    assert abs(operator_norm(op) - ref) <= 1e-8 * ref
+    adj = adjoint(op)
+    for lam, mu in ((0.2j, -0.5), (0.6 - 0.1j, 0.3 + 0.3j), (0.0, 0.9j)):
+        f, g = space.kernel(lam), space.kernel(mu)
+        gap = abs(op.apply(f).inner(g) - f.inner(adj.apply(g)))
+        assert gap <= ADJOINT_TOL * f.norm() * g.norm()
+
+
+def test_closure_adjoint_swaps_the_two_functions():
+    space = GridSpace(SingularAtomic([Atom(0.0, 1.0)]), 2 ** 9)
+    for op in _grid_closures(space).values():
+        adj = adjoint(op)
+        assert adj.apply_fn is op.adjoint_fn and adj.adjoint_fn is op.apply_fn
+        again = adjoint(adj)
+        assert again.apply_fn is op.apply_fn and again.adjoint_fn is op.adjoint_fn
 
 
 @pytest.mark.parametrize("closure", ["multiplier", "pair", "rank_one"])

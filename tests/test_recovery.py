@@ -34,11 +34,14 @@ def align_gauge(space, pp, pm, mu):
     return pp + np.conj(cbar) * k0, pm - cbar * k0
 
 
+def resolvent_row(oracle, lam):
+    """(I-lam S*) omega(A k_lam) in K_Theta coefficients, from one oracle row."""
+    return _resolvent_kernel_action(oracle.space, oracle.act([lam]), [lam])[0]
+
+
 def f_lambda_mu(oracle, lam, mu):
     """(I-lam S*) omega(A k_lam) - (I-mu S*) omega(A k_mu); antisymmetric."""
-    space = oracle.space
-    return (_resolvent_kernel_action(space, oracle.act(lam), lam)
-            - _resolvent_kernel_action(space, oracle.act(mu), mu))
+    return oracle.space.from_coeffs(resolvent_row(oracle, lam) - resolvent_row(oracle, mu))
 
 
 def test_f_lambda_mu_antisymmetry(rng):
@@ -80,8 +83,8 @@ def _grid_minus_values(oracle, mu, theta_mu, psi_base, lams):
     resolvent_mu = np.linalg.inv(np.eye(space.dim) - mu * space.sstar_matrix)
     vals = np.empty(len(lams), dtype=complex)
     for i, lam in enumerate(lams):
-        F = _resolvent_kernel_action(space, oracle.act(lam), lam) - psi_base
-        x = ModelFunction(space, coeffs=resolvent_mu @ F.coeffs).as_circle().samples
+        F = resolvent_row(oracle, lam) - psi_base
+        x = ModelFunction(space, coeffs=resolvent_mu @ F).as_circle().samples
         vals[i] = np.vdot(k_mu, (space.grid.points - mu) * x) / space.grid.n / denom
     return vals
 
@@ -99,7 +102,7 @@ def test_minus_values_match_grid_quadrature(rng, degree):
     oracle = KernelActionOracle.from_operator(build(space, PairSymbol(*random_pair(space, rng))))
     mu = default_mu(space)
     theta_mu = complex(space.theta.eval(mu))
-    psi_base = _resolvent_kernel_action(space, oracle.act(mu), mu)
+    psi_base = resolvent_row(oracle, mu)
     lams = _lambda_grid(space)
     got = _minus_values(oracle, mu, theta_mu, psi_base, lams)
     ref = _grid_minus_values(oracle, mu, theta_mu, psi_base, lams)
@@ -185,11 +188,11 @@ def test_recovery_runs_no_rho_scan_until_read(rng, monkeypatch):
 def test_recovery_rejects_tables_that_do_not_determine_the_pair(rng):
     space = ModelSpace(Monomial(3))
     op = build(space, PairSymbol(*random_pair(space, rng)))
-    dq0 = op.apply(space.difference_quotient(0.0))
+    exact = KernelActionOracle.from_operator(op)
 
     def oracle(points):
-        return KernelActionOracle(space, lambda lam: op.apply(space.kernel(lam)),
-                                  dq0_action=dq0, sample_points=np.array(points))
+        return KernelActionOracle(space, exact.act, dq0_action=exact.dq0_action,
+                                  sample_points=np.array(points))
 
     # two distinct points (one repeated) for three coefficients
     short = oracle([0.0, 0.2, 0.2])
@@ -203,6 +206,51 @@ def test_recovery_rejects_tables_that_do_not_determine_the_pair(rng):
     # three well-spread points determine the pair
     for route in (recover, recover_via_k0):
         assert route(oracle([0.0, 0.3, -0.4j])).residual < 1e-9
+
+
+def test_oracle_rows_are_the_kernel_actions(rng):
+    # one product conj(E) M^T answers the whole lambda grid; row i is
+    # A k_lambda_i, next to a zero at 1 - |a| = 1e-3 too
+    space = _space_with_near_zero(rng, 12)
+    op = build(space, PairSymbol(*random_pair(space, rng)))
+    lams = _lambda_grid(space)
+    rows = KernelActionOracle.from_operator(op).act(lams)
+    assert rows.shape == (lams.size, space.dim)
+    for lam, row in zip(lams.tolist(), rows):
+        ref = op.apply(space.kernel(lam)).coeffs
+        assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_table_oracle_stacks_its_rows():
+    space = ModelSpace(Monomial(3))
+    table = [(0.1j, [1.0, 2.0, 3.0]), (-0.2, [4.0, 5.0, 6.0]), (0.1j, [7.0, 8.0, 9.0])]
+    oracle = KernelActionOracle.from_table(space, table)
+    assert np.array_equal(oracle.sample_points, [-0.2, 0.1j])
+    # a lambda given twice keeps its last row
+    assert np.array_equal(oracle.act([0.1j, -0.2, 0.1j]), [[7, 8, 9], [4, 5, 6], [7, 8, 9]])
+    with pytest.raises(KeyError, match=r"kernel action at 0\.3j not in table"):
+        oracle.act([-0.2, 0.3j])
+
+
+def test_certify_residual_is_the_worst_probe(rng):
+    # the residual of one product over all probes against the per-probe
+    # formula: the worst ||A k - A_rebuilt k|| / max(||k||, 1), on a table
+    # perturbed by 1e-8 so that the residual is far from rounding
+    space = random_blaschke_space(rng, 6)
+    op = build(space, PairSymbol(*random_pair(space, rng)))
+    lams = np.append(_lambda_grid(space), default_mu(space))  # recover reads mu too
+    table = {complex(lam): op.apply(space.kernel(lam)).coeffs
+             + 1e-8 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+             for lam in lams.tolist()}
+    oracle = KernelActionOracle.from_table(space, table.items())
+    rec = recover(oracle)
+    ref = 0.0
+    for lam in oracle.sample_points[:8].tolist():
+        k = space.kernel(lam)
+        diff = space.from_coeffs(table[lam]) - rec.operator.apply(k)
+        ref = max(ref, diff.norm() / max(k.norm(), 1.0))
+    assert ref > 1e-9
+    assert abs(rec.residual - ref) <= 1e-15
 
 
 def test_recover_via_k0_routes_agree(rng):
@@ -310,9 +358,10 @@ def test_exact_space_reads_its_grid_arrays_only_on_demand(rng):
 def test_recover_inconsistent_oracle(rng):
     space = random_blaschke_space(rng, 4)
 
-    def bogus(lam):
-        # not the kernel action of any truncated Toeplitz operator
-        return space.from_coeffs([abs(lam) ** 2, np.conj(lam) ** 3, 0.0, 1.0])
+    def bogus(lams):
+        # not the kernel actions of any truncated Toeplitz operator
+        return np.stack(np.broadcast_arrays(np.abs(lams) ** 2, np.conj(lams) ** 3, 0.0, 1.0),
+                        axis=1)
 
     with pytest.raises(InconsistentOracle):
         recover(KernelActionOracle(space, bogus))
