@@ -360,6 +360,7 @@ def assemble_bounded_symbol(op: TTOperator,
     machinery), an analytic part and a coanalytic part; the latter two are
     replaced by their minimal-norm extensions, which leaves the compression
     untouched because only Taylor data below N enters the matrix.
+    OverflowError if the sup norm, rho-hat or build residual is not finite.
     """
     if not isinstance(op.space, ToeplitzSpace):
         raise ValueError("assembly is defined on K_{z^N}")
@@ -373,17 +374,20 @@ def assemble_bounded_symbol(op: TTOperator,
 
     central = FourierPolynomial({k: complex(v) for k, v in phi1.coeffs.items()})
     rebuilt = _toeplitz_from_taylor(cf2.taylor, cf3.taylor, central, N)
-    scale = max(1.0, float(np.linalg.norm(op.matrix)))
-    build_residual = float(np.linalg.norm(rebuilt - op.matrix)) / scale
-
     grid = _check_grid(N)
-    result = BoundedSymbolResult(central, cf2, cf3, 0.0, 0.0, 0.0,
-                                 build_residual, cf2.suboptimal or cf3.suboptimal)
-    sup = lp_norm(result.boundary(grid), np.inf)
     if samples is None:
         ws = FejerWindowSet(N)
         samples = SampleSet.rotation_closed(min(ws.closure_angles(), 512))
-    rh = rho(op, samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        scale = max(1.0, float(np.linalg.norm(op.matrix)))
+        build_residual = float(np.linalg.norm(rebuilt - op.matrix)) / scale
+        result = BoundedSymbolResult(central, cf2, cf3, 0.0, 0.0, 0.0,
+                                     build_residual, cf2.suboptimal or cf3.suboptimal)
+        sup = lp_norm(result.boundary(grid), np.inf)
+        rh = rho(op, samples)
+    if not np.isfinite([sup, rh, build_residual]).all():
+        raise OverflowError(f"bounded-symbol assembly is not finite: sup norm {sup}, "
+                            f"rho-hat {rh}, build residual {build_residual}")
     result.sup_norm = sup
     result.rho_hat = rh
     result.measured_constant = sup / rh if rh > 0 else float("inf")

@@ -7,8 +7,9 @@ writes deterministic JSON or CSV: floats are formatted %.12e in CSV, rows
 are emitted in a fixed order, and each output embeds the config hash and
 library version.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure
-(non-convergence, a failed factorization or overflow), 4 every other
+Every number read or written must be finite (strict JSON).  Exit codes: 0
+success, 2 validation error, 3 numerical failure (non-convergence, a failed
+factorization, overflow or a result that is not finite), 4 every other
 library error (missing angular derivative, degenerate recovery point,
 support or bandwidth overflow, and the rest of the TTOLabError family).
 """
@@ -107,6 +108,16 @@ def _pairs(a):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
+def _nonfinite(obj, key):
+    """The key of a number in obj, nested in dicts, lists, tuples and arrays,
+    that is not finite (``key`` for obj itself); None when all are finite."""
+    if not isinstance(obj, (dict, list, tuple)):
+        finite = not isinstance(obj, (float, complex, np.ndarray)) or np.isfinite(obj).all()
+        return None if finite else key
+    items = obj.items() if isinstance(obj, dict) else ((key, v) for v in obj)
+    return next((bad for k, v in items if (bad := _nonfinite(v, k)) is not None), None)
+
+
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -131,9 +142,9 @@ def _cmd_kernels(cfg):
     space = ModelSpace(from_json(cfg["inner"]), n=cfg.get("grid"))
     lam = cfg["lambda"]
     k = space.normalized_kernel(lam) if cfg.get("normalized") else space.kernel(lam)
-    if space.mode == "exact":
-        return {"mode": "exact", "coefficients": _pairs(k.coeffs)}
-    return {"mode": "truncated", "samples": _pairs(k.samples())}
+    # an element is one vector: coefficients on an exact space, samples on a grid
+    field = "coefficients" if k.coeffs is not None else "samples"
+    return {"mode": space.mode, field: _pairs(k.vec)}
 
 
 def _exact_space(cfg, command: str) -> ModelSpace:
@@ -405,7 +416,8 @@ def _build_parser():
 
 
 def _effective_config(args) -> dict:
-    """The flags overridden by the config file, nulls dropped, each value decoded."""
+    """The flags overridden by the config file, nulls dropped, each value decoded
+    (ValidationError where a number is not finite)."""
     flags = {flag[2:]: kw  # config key -> argparse keywords
              for flag, kw in COMMANDS[args.command][1] if flag.startswith("--")}
     cfg = {key: getattr(args, kw.get("dest", key)) for key, kw in flags.items()}
@@ -423,8 +435,15 @@ def _effective_config(args) -> dict:
     missing = [f"--{key}" for key, kw in flags.items() if kw.get("required") and cfg[key] is None]
     if missing:
         raise ValidationError(f"the following arguments are required: {', '.join(missing)}")
-    return {key: _decode(key, value, flags[key])
-            for key, value in cfg.items() if value is not None}
+    try:
+        cfg = {key: _decode(key, value, flags[key])
+               for key, value in cfg.items() if value is not None}
+    except OverflowError as exc:  # a JSON integer beyond the floats
+        raise ValidationError(f"numbers must be finite: {exc}") from None
+    bad = [f"--{key}" for key, value in cfg.items() if _nonfinite(value, key) is not None]
+    if bad:
+        raise ValidationError(f"numbers must be finite: {', '.join(bad)} holds one that is not")
+    return cfg
 
 
 def _decode(key: str, value, kw: dict):
@@ -467,16 +486,18 @@ def _config_hash(command: str, cfg: dict) -> str:
 
 
 def _emit(payload, csv_rows, args, digest: str):
+    if args.format == "csv" and csv_rows is None:
+        raise ValidationError(f"{args.command} has no CSV representation")
+    payload = {"config_hash": digest, "version": __version__, **payload}
+    try:  # strict JSON, in either format: the CSV rows hold the payload's numbers
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
+    except ValueError:
+        raise OverflowError(f"{_nonfinite(payload, None)} is not finite") from None
     if args.format == "csv":
-        if csv_rows is None:
-            raise ValidationError(f"{args.command} has no CSV representation")
         lines = [f"# config_hash={digest} version={__version__}"]
         lines += [row if isinstance(row, str) else ",".join(row)
                   for row in csv_rows]
         text = "\n".join(lines) + "\n"
-    else:
-        payload = {"config_hash": digest, "version": __version__, **payload}
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

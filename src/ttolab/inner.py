@@ -367,9 +367,12 @@ def _objects(items, what: str) -> list:
 
 def _number(obj: dict, key: str, cast=float):
     value = obj[key]
-    if not isinstance(value, (int, float, str)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return cast(value)
+    try:  # OverflowError: int() of an infinity, or an int beyond the floats
+        if isinstance(value, (int, float, str)) and math.isfinite(out := cast(value)):
+            return out
+    except OverflowError:
+        pass
+    raise ValueError(f"{key} must be a finite number, got {value!r}")
 
 
 # -- Ahern-Clark / Cohn sums ----------------------------------------------

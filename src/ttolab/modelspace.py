@@ -1,8 +1,8 @@
 """Model spaces K_Theta and their elements.
 
 ``ModelSpace`` picks one representation per class of Theta (see the class
-docstrings); a ``ModelFunction`` is an element, by basis coefficients or
-grid samples.
+docstrings); a ``ModelFunction`` is an element, one vector in its space's
+coordinates: basis coefficients or grid samples.
 """
 
 from __future__ import annotations
@@ -122,7 +122,9 @@ class ModelSpace:
     representation over its hooks: ``_setup(n)`` builds the grid and the
     rest, ``_multiplier``, ``_pair_multiplier`` and ``_outer`` give the
     (matrix, apply_fn, adjoint_fn) of an operator, ``_unit_kernel_norms`` the
-    rho columns before the kernel scale."""
+    rho columns before the kernel scale; ``_project_grid``, ``_kernel_at``,
+    ``_omega`` and ``_backward_shift`` the vector of an element, which
+    ``_samples``, ``_norm``, ``_weight`` and ``_coeffs`` read."""
 
     mode: str  # "exact" or "truncated", set by each representation
 
@@ -145,9 +147,13 @@ class ModelSpace:
     def require_basis(self, what: str) -> None:
         """Raise UnsupportedVariant, naming ``what``, on a space without a basis."""
 
+    def zero(self) -> "ModelFunction":
+        """The zero element: a zero vector shaped as a kernel's."""
+        return ModelFunction(self, np.zeros_like(self._kernel_at(0.0)))
+
     def from_coeffs(self, c) -> "ModelFunction":
         self.require_basis("coefficient vectors")
-        return ModelFunction(self, coeffs=np.asarray(c, dtype=complex))
+        return ModelFunction(self, c)
 
     # -- core operations ---------------------------------------------------
 
@@ -159,11 +165,11 @@ class ModelSpace:
             f = f.as_circle()
         if f.grid is not self.grid:
             f = f.on_grid(self.grid)
-        return self._project_grid(f)
+        return ModelFunction(self, self._project_grid(f))
 
     def kernel(self, pt) -> "ModelFunction":
         """Reproducing kernel k_pt(z) = (1 - conj(Theta(pt)) Theta(z))/(1 - conj(pt) z)."""
-        return self._kernel_at(self._kernel_point(pt))
+        return ModelFunction(self, self._kernel_at(self._kernel_point(pt)))
 
     def _kernel_point(self, pt) -> complex:
         """The point ``kernel`` takes its samples at (``_point``); at a boundary
@@ -186,7 +192,7 @@ class ModelSpace:
     def omega(self, f):
         """Conjugation (omega f)(zeta) = conj(zeta f(zeta)) Theta(zeta); same kind out."""
         if isinstance(f, ModelFunction):
-            return self._omega(f)
+            return ModelFunction(self, self._omega(f.vec))
         return CircleFunction(self.grid, self._omega_rows(f.samples))
 
     def _omega_rows(self, rows):
@@ -199,7 +205,7 @@ class ModelSpace:
 
     def backward_shift(self, f: "ModelFunction") -> "ModelFunction":
         """S* f = (f - f(0))/z, which leaves K_Theta invariant."""
-        return self._backward_shift(f)
+        return ModelFunction(self, self._backward_shift(f.vec))
 
     def _kernel_norms(self, op, samples, quotient: bool):
         """||A h_lambda||_2, or ||A h~_lambda||_2 when quotient, at every sample
@@ -222,29 +228,30 @@ class GridSpace(ModelSpace):
 
     def _setup(self, n):
         self.grid = BoundaryGrid(DEFAULT_GRID if n is None else n)
+        self._weight = 1.0 / self.grid.n  # <f, g> = vdot(g, f) / n on the samples
 
     def require_basis(self, what: str) -> None:
         raise UnsupportedVariant(f"{what} needs an exact model space (a finite Blaschke product)")
 
-    def zero(self) -> "ModelFunction":
-        return ModelFunction(self, circle=CircleFunction(self.grid, np.zeros(self.grid.n, complex)))
+    def _samples(self, vec):
+        return vec
+
+    def _norm(self, vec):
+        return lp_norm(vec, 2)
+
+    def _coeffs(self, vec):  # no basis
+        return None
 
     def _project_grid(self, f):
-        rows = project_theta(self.theta_samples, f.samples)
-        return ModelFunction(self, circle=CircleFunction(self.grid, rows))
+        return project_theta(self.theta_samples, f.samples)
 
     def _kernel_at(self, w):
-        return ModelFunction(self, circle=CircleFunction(
-            self.grid, _kernel_samples(self.theta, w, self.grid)))
+        return _kernel_samples(self.theta, w, self.grid)
 
-    def _omega(self, f):
-        return ModelFunction(self, circle=self.omega(f.as_circle()))
+    _omega = ModelSpace._omega_rows  # an element's vector is one row of samples
 
-    def _backward_shift(self, f):
-        g = f.as_circle()
-        value = complex(np.mean(g.samples))  # zeroth Fourier coefficient
-        samples = (g.samples - value) * np.conj(self.grid.points)
-        return ModelFunction(self, circle=CircleFunction(self.grid, samples))
+    def _backward_shift(self, vec):  # np.mean: the zeroth Fourier coefficient
+        return (vec - complex(np.mean(vec))) * np.conj(self.grid.points)
 
     def _multiplier(self, phi, bandwidth):
         """rows -> P_Theta(phi rows) and rows -> P_Theta(conj(phi) rows); a
@@ -291,6 +298,7 @@ class TMSpace(ModelSpace):
     data, its arrays computed on first read."""
 
     mode = "exact"
+    _weight = 1.0  # the basis is orthonormal: <f, g> = vdot(g, f)
 
     def _setup(self, n):
         if n is None:
@@ -450,21 +458,27 @@ class TMSpace(ModelSpace):
             block *= scale
         return out.T
 
-    def zero(self) -> "ModelFunction":
-        return ModelFunction(self, coeffs=np.zeros(self.dim, dtype=complex))
+    def _samples(self, vec):
+        return self.basis_samples @ vec
+
+    def _norm(self, vec):
+        return float(np.linalg.norm(vec))
+
+    def _coeffs(self, vec):
+        return vec
 
     def _project_grid(self, f):
         self._require_resolved()
-        return ModelFunction(self, coeffs=self.basis_samples.conj().T @ f.samples / self.grid.n)
+        return self.basis_samples.conj().T @ f.samples / self.grid.n
 
     def _kernel_at(self, w):
-        return ModelFunction(self, coeffs=np.conj(self._tm_eval([w])[0]))
+        return np.conj(self._tm_eval([w])[0])
 
-    def _omega(self, f):
-        return ModelFunction(self, coeffs=self.omega_matrix @ np.conj(f.coeffs))
+    def _omega(self, vec):
+        return self.omega_matrix @ np.conj(vec)
 
-    def _backward_shift(self, f):
-        return ModelFunction(self, coeffs=self.sstar_matrix @ f.coeffs)
+    def _backward_shift(self, vec):
+        return self.sstar_matrix @ vec
 
     def _multiplier(self, phi, bandwidth):
         return self.compress(phi), None, None
@@ -522,7 +536,7 @@ class ToeplitzSpace(TMSpace):
     rotation-closed set takes one DFT per radius."""
 
     def _project_grid(self, f):  # c_j = hat f(j mod n)
-        return ModelFunction(self, coeffs=f.coeffs[np.arange(self.dim) % self.grid.n])
+        return f.coeffs[np.arange(self.dim) % self.grid.n]
 
     def _compress(self, w):  # the same rule: c[(i - j) mod n], c = fft(w) / n
         c = np.fft.fft(w) / self.grid.n
@@ -566,64 +580,53 @@ def tm_basis(theta: InnerFunction) -> list[CircleFunction]:
 
 
 class ModelFunction:
-    """An element of K_Theta: basis coefficients (exact) or grid samples."""
+    """An element of K_Theta: one vector ``vec`` in its space's coordinates,
+    TM coefficients on an exact space and grid samples on a ``GridSpace``,
+    which the space reads (``_samples``, ``_norm``, ``_weight``, ``_coeffs``)."""
 
-    __slots__ = ("space", "coeffs", "circle")
+    __slots__ = ("space", "vec")
 
-    def __init__(self, space: ModelSpace, coeffs=None, circle=None):
-        if (coeffs is None) == (circle is None):
-            raise ValueError("exactly one of coeffs/circle must be given")
+    def __init__(self, space: ModelSpace, vec):
         self.space = space
-        self.coeffs = None if coeffs is None else np.asarray(coeffs, dtype=complex)
-        self.circle = circle
+        self.vec = np.asarray(vec, dtype=complex)
 
-    # -- representations ---------------------------------------------------
+    @property
+    def coeffs(self):
+        """The basis coefficients, ``vec`` itself; None on a ``GridSpace``."""
+        return self.space._coeffs(self.vec)
 
     def as_circle(self) -> CircleFunction:
-        if self.circle is not None:
-            return self.circle
-        return CircleFunction(self.space.grid,
-                              self.space.basis_samples @ self.coeffs)
+        return CircleFunction(self.space.grid, self.samples())
 
     def samples(self):
-        return self.as_circle().samples
+        return self.space._samples(self.vec)
 
     def eval(self, w):
-        """Value at an interior point (reproducing evaluation)."""
-        if self.coeffs is not None:
-            return complex(self.space._tm_eval([w])[0] @ self.coeffs)
-        k = self.space.kernel(w)
-        return self.inner(k)
+        """Value at a point of the disk: <f, k_w>."""
+        return self.inner(self.space.kernel(w))
 
-    # -- Hilbert-space operations ------------------------------------------
+    def _peer(self, other: "ModelFunction"):
+        """The vector of ``other``; ValueError unless it is in the same coordinates."""
+        if other.space.mode != self.space.mode or other.vec.shape != self.vec.shape:
+            raise ValueError("the two elements are in different coordinates of K_Theta")
+        return other.vec
 
     def inner(self, other: "ModelFunction") -> complex:
-        if self.coeffs is not None and other.coeffs is not None:
-            return complex(np.vdot(other.coeffs, self.coeffs))
-        a, b = self.samples(), other.samples()
-        return complex(np.vdot(b, a) / self.space.grid.n)
+        return complex(np.vdot(self._peer(other), self.vec) * self.space._weight)
 
     def norm(self) -> float:
-        if self.coeffs is not None:
-            return float(np.linalg.norm(self.coeffs))
-        return lp_norm(self.samples(), 2)
+        return self.space._norm(self.vec)
 
     def __add__(self, other):
-        if self.coeffs is not None and other.coeffs is not None:
-            return ModelFunction(self.space, coeffs=self.coeffs + other.coeffs)
-        return ModelFunction(self.space,
-                             circle=self.as_circle() + other.as_circle())
+        return ModelFunction(self.space, self.vec + self._peer(other))
 
     def __sub__(self, other):
-        if self.coeffs is not None and other.coeffs is not None:
-            return ModelFunction(self.space, coeffs=self.coeffs - other.coeffs)
-        return ModelFunction(self.space,
-                             circle=self.as_circle() - other.as_circle())
+        return ModelFunction(self.space, self.vec - self._peer(other))
 
     def __mul__(self, scalar):
-        if self.coeffs is not None:
-            return ModelFunction(self.space, coeffs=scalar * self.coeffs)
-        return ModelFunction(self.space, circle=scalar * self.as_circle())
+        # array first, as CircleFunction scales: numpy's vector complex
+        # product can round s * v and v * s apart
+        return ModelFunction(self.space, self.vec * scalar)
 
     __rmul__ = __mul__
 

@@ -65,10 +65,7 @@ class TTOperator:
         self.adjoint_fn = adjoint_fn
 
     def apply(self, f: ModelFunction) -> ModelFunction:
-        if self.matrix is not None:
-            return ModelFunction(self.space, coeffs=self.matrix @ f.coeffs)
-        return ModelFunction(self.space, circle=CircleFunction(
-            self.space.grid, self.apply_fn(f.samples())))
+        return ModelFunction(self.space, (self.apply_fn or self.matrix.__matmul__)(f.vec))
 
 
 def build(space: ModelSpace, symbol) -> TTOperator:
@@ -142,7 +139,7 @@ def decompose(space: ModelSpace, phi: CircleFunction, mu: complex) -> PairSymbol
     th = space.theta_samples
     w = space.project(CircleFunction(space.grid, th * phi.samples))
     v = space.omega(w)
-    zv = CircleFunction(space.grid, space.grid.points * v.as_circle().samples)
+    zv = CircleFunction(space.grid, space.grid.points * v.samples())
     minus_raw = space.project(zv)
     return PairSymbol(*_spend_gauge(space, u, minus_raw, mu))
 

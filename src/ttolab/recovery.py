@@ -187,8 +187,8 @@ def recover(oracle: KernelActionOracle, mu: complex | None = None,
     minus_coeffs, *_ = np.linalg.lstsq(E, vals, rcond=None)
     psi_plus = psi_base + theta_mu * (space.sstar_matrix @ minus_coeffs)
     plus_coeffs = space.omega_matrix @ np.conj(psi_plus)
-    return _certify(oracle, ModelFunction(space, coeffs=plus_coeffs),
-                    ModelFunction(space, coeffs=minus_coeffs), mu)
+    return _certify(oracle, ModelFunction(space, plus_coeffs),
+                    ModelFunction(space, minus_coeffs), mu)
 
 
 def _antilinear_block(M):
@@ -231,8 +231,8 @@ def recover_via_k0(oracle: KernelActionOracle) -> RecoveredSymbol:
     sol = np.linalg.solve(np.vstack([top, bottom]), rhs)
     c_plus = sol[:N] + 1j * sol[N:2 * N]
     c_minus = sol[2 * N:3 * N] + 1j * sol[3 * N:]
-    phi_plus, phi_minus = _spend_gauge(space, ModelFunction(space, coeffs=c_plus),
-                                       ModelFunction(space, coeffs=c_minus), 0.0)
+    phi_plus, phi_minus = _spend_gauge(space, ModelFunction(space, c_plus),
+                                       ModelFunction(space, c_minus), 0.0)
     return _certify(oracle, phi_plus, phi_minus, 0.0)
 
 

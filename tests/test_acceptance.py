@@ -3,7 +3,8 @@
 Criterion 8 contains three sub-tolerances that uniform-grid computation
 provably cannot reach for the atomic singular inner function (its Fourier
 coefficients decay like k^{-3/4}, so percent-level mass lives beyond any
-affordable band; see notes in the repository-external decisions ledger).
+affordable band; ROADMAP item 4 gives the analysis and the representation
+that would reach them).
 Those sub-checks run the stated assertion and are marked xfail rather
 than weakened.
 """
@@ -212,7 +213,7 @@ def test_criterion_5_fejer_machinery():
         assert ws.partition_defect(N - 1) == []
         edge = ws.partition_defect(N)
         # the operator band |n| <= N-1 is always covered; for N = 1 mod 3 the
-        # paper's window choice genuinely misses |n| = N (ledger entry)
+        # paper's window choice genuinely misses |n| = N (FejerWindowSet's docstring)
         if N % 3 == 1:
             assert edge == [-N, N]
         notes.append(f"N={N} partition exact to |n|<={N - 1}")
@@ -342,7 +343,7 @@ def test_criterion_8_sup_bound_and_decrease(rkt_report):
                    reason="spec defect: boundary essential singularity puts "
                           "percent-level Fourier mass beyond any affordable "
                           "band; 1e-4 is unreachable at grid 2^13 "
-                          "(decisions ledger)")
+                          "(ROADMAP item 4)")
 def test_criterion_8_identity_tolerance(rkt_report):
     worst = max(r["identity_err"] for r in rkt_report["rows"])
     _report("8 (identity 1e-4)", worst <= 1e-4,
@@ -352,7 +353,7 @@ def test_criterion_8_identity_tolerance(rkt_report):
 
 @pytest.mark.xfail(strict=False,
                    reason="spec defect: the true norm mass beyond the grid "
-                          "band is ~1e-2; see decisions ledger")
+                          "band is ~1e-2; see ROADMAP item 4")
 def test_criterion_8_norm_tolerance(rkt_report):
     worst = max(r["norm_sq_err"] for r in rkt_report["rows"])
     _report("8 (norm match 1e-4)", worst <= 1e-4,
@@ -362,7 +363,7 @@ def test_criterion_8_norm_tolerance(rkt_report):
 
 @pytest.mark.xfail(strict=False,
                    reason="spec defect: grid projection defect ~5e-3 at 2^13; "
-                          "see decisions ledger")
+                          "see ROADMAP item 4")
 def test_criterion_8_isometry_tolerance(rkt_report):
     worst = max(abs(r["isometry_ratio"] - 1.0) for r in rkt_report["rows"])
     _report("8 (isometry 1e-4)", worst <= 1e-4,

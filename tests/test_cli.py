@@ -243,6 +243,12 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["assemble", "--matrix",
                  "[[[1e308,0],[1e308,0]],[[1e308,0],[1e308,0]]]"]) == 3
     capsys.readouterr()
+    # and so does a result that is not finite, which strict JSON cannot hold:
+    # an overflowing rho-hat, and the 0/0 measured constant of the zero operator
+    assert main(["assemble", "--matrix", "[[[1,0],[0,0]],[[0,0],[1e308,0]]]"]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert main(["assemble", "--matrix", "[[[0,0],[0,0]],[[0,0],[0,0]]]"]) == 3
+    assert "measured_constant is not finite" in capsys.readouterr().err
     # so does quadrature on an exact space whose grid does not resolve the basis
     blaschke = ('{"type":"blaschke","zeros":[{"re":0.3,"im":0.1},{"re":-0.2,"im":0.4},'
                 '{"re":0,"im":-0.95}]}')
@@ -318,6 +324,12 @@ def test_exit_codes(capsys, tmp_path):
         # the Ahern-Clark sums need a finite exponent
         ["cohn-growth", "--inner", mono3, "--zeta", "0.5", "--p", "inf"],
         ["cohn-growth", "--inner", mono3, "--zeta", "0.5", "--p", "nan"],
+        # every number a flag, a config value or an inner spec decodes to is finite
+        ["cf-extend", "--coeffs", '["nan"]'],
+        ["cohn-growth", "--inner", mono3, "--zeta", "nan"],
+        ["kernels", "--inner", '{"type":"blaschke","zeros":[{"delta":0.5,"angle":"nan"}]}',
+         "--lambda", "0.2"],
+        ["cf-extend", "--coeffs", "[1" + "0" * 400 + "]"],  # an integer beyond the floats
     ]
     # a config file must hold an object of values that the flags could give:
     # no null for a flag with a default, a typed flag's value as its text would

@@ -1,13 +1,15 @@
 """Every demo script runs to completion against the in-tree package, with
-warnings turned into errors and nothing written to stderr; the README's
-table of fixed numerical policies names the constants as they are, and its
-kept-for-the-criteria paragraph names functions and methods that exist."""
+warnings turned into errors and nothing written to stderr; every README
+CLI example exits 0; the README's table of fixed numerical policies names
+the constants as they are, and its kept-for-the-criteria paragraph names
+functions and methods that exist."""
 
 import ast
 import importlib
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,17 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the examples tools/same_outputs.py runs, read by that script's own parser
+EXAMPLES = _tool("same_outputs").readme_examples(ROOT / "README.md")
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
@@ -25,6 +38,18 @@ def test_demo_runs(demo, tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("example", EXAMPLES, ids=[e.split()[1] for e in EXAMPLES])
+def test_readme_cli_example_runs(example, capsys, tmp_path, monkeypatch):
+    from ttolab.cli import main
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(example)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_has_one_cli_example_per_command():
+    from ttolab.cli import COMMANDS
+    assert sorted(e.split()[1] for e in EXAMPLES) == sorted(COMMANDS)
 
 
 def test_readme_policy_table_matches_the_constants():
@@ -41,9 +66,7 @@ def test_readme_policy_table_matches_the_constants():
 def test_readme_kept_functions_exist():
     # the names tools/untraced.py compares its test-only list with, read by
     # that script's own parser and found in the source without running it
-    spec = importlib.util.spec_from_file_location("untraced", ROOT / "tools" / "untraced.py")
-    untraced = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(untraced)
+    untraced = _tool("untraced")
     kept = untraced.kept_functions()
     assert kept
     for name in sorted(kept):

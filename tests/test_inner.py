@@ -203,6 +203,18 @@ def test_json_delta_zeros():
     assert th.truncated
 
 
+@pytest.mark.parametrize("spec", [
+    {"type": "monomial", "degree": math.inf},  # int() of an infinity overflows
+    {"type": "monomial", "degree": 10 ** 400},
+    {"type": "blaschke", "zeros": [{"delta": 0.5, "angle": "nan"}]},
+    {"type": "blaschke", "zeros": [{"re": math.nan, "im": 0.0}]},
+    {"type": "singular", "atoms": [{"angle": 0.0, "mass": "inf"}]},
+    {"type": "power", "base": {"type": "monomial", "degree": 2}, "s": -math.inf}])
+def test_json_numbers_must_be_finite(spec):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        from_json(spec)
+
+
 def test_boundary_point():
     p = BoundaryPoint(np.pi)
     assert abs(p.value + 1.0) < 1e-15

@@ -386,6 +386,18 @@ def test_representation_follows_the_class_of_theta():
     assert ModelSpace(Monomial(3)).dim == 3 and not hasattr(GridSpace(blaschke), "dim")
 
 
+def test_elements_of_an_exact_space_and_its_grid_twin_do_not_mix():
+    # coefficients and grid samples are different coordinates: no sum, no
+    # difference and no inner product between them
+    exact = ModelSpace(Monomial(3)).kernel(0.2)
+    grid = GridSpace(Monomial(3)).kernel(0.2)
+    assert exact.coeffs is not None and grid.coeffs is None
+    for f, g in ((exact, grid), (grid, exact)):
+        for combine in (f.__add__, f.__sub__, f.inner):
+            with pytest.raises(ValueError, match="different coordinates"):
+                combine(g)
+
+
 @pytest.mark.parametrize("N", [1, 3, 16, 64])
 def test_kzn_compress_and_project_match_the_basis_quadrature(rng, N):
     # grids 16 and 32 are shorter than 2N - 1 (or than N), so (i - j) mod n

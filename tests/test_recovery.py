@@ -84,7 +84,7 @@ def _grid_minus_values(oracle, mu, theta_mu, psi_base, lams):
     vals = np.empty(len(lams), dtype=complex)
     for i, lam in enumerate(lams):
         F = resolvent_row(oracle, lam) - psi_base
-        x = ModelFunction(space, coeffs=resolvent_mu @ F).as_circle().samples
+        x = ModelFunction(space, resolvent_mu @ F).as_circle().samples
         vals[i] = np.vdot(k_mu, (space.grid.points - mu) * x) / space.grid.n / denom
     return vals
 
