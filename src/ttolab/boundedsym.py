@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import (BoundaryGrid, CircleFunction, FourierPolynomial,
+from .circle import (BoundaryGrid, CircleFunction, FourierPolynomial, fold,
                      lp_norm, polynomial_values, pow2_at_least, toeplitz)
 from .errors import DivisibilityViolated, SupportOverflow
 from .inner import (BlaschkeProduct, InnerFunction, Monomial, ProductInner,
@@ -84,22 +84,24 @@ class FejerWindowSet:
     """The three windows eta_1, eta_2, eta_3 splitting symbols on K_{z^N}.
 
     eta_1 = F_M, eta_2 = e^{2iMt}(2 F_{2M} - F_M), eta_3 = conj(eta_2),
-    with M = floor((N+1)/3).  Their coefficient sum is exactly one on
-    |n| <= min(3M, N); that range always contains the operator-relevant
-    band |n| <= N-1 (for N = 1 mod 3 the identity genuinely fails at
-    |n| = N, which no symbol of an operator on K_{z^N} ever uses).
+    with M = max(1, floor((N+1)/3)).  Times M each coefficient is an integer
+    tent: (M - |k|)_+ for eta_1 and (2M - |j|)_+ - (M - |j|)_+ at 2M + j for
+    eta_2.  Their coefficient sum is exactly one on |n| <= min(3M, N); that
+    range always contains the operator-relevant band |n| <= N-1 (for
+    N = 1 mod 3 the identity genuinely fails at |n| = N, which no symbol of
+    an operator on K_{z^N} ever uses).
     """
 
     def __init__(self, N: int):
-        if N < 2:
-            raise ValueError("window construction needs N >= 2")
+        if N < 1:
+            raise ValueError("window construction needs N >= 1")
         self.N = int(N)
-        self.M = (N + 1) // 3
-        M = self.M
+        self.M = M = max(1, (N + 1) // 3)
         f_m = fejer_kernel(M)
         f_2m = fejer_kernel(2 * M)
         self.eta1 = f_m
-        self.eta2 = (2 * f_2m - f_m).shift(2 * M)
+        self.eta2 = FourierPolynomial({2 * M + j: 2 * f_2m.coeff(j) - f_m.coeff(j)
+                                       for j in range(-2 * M + 1, 2 * M)})
         self.eta3 = self.eta2.conjugate()
         self.partition_range = min(3 * M, N)
 
@@ -119,15 +121,20 @@ class FejerWindowSet:
     def l1_norms(self, J: int | None = None):
         """Discrete L^1 norms (1/J) sum |eta(t_j)| over J uniform angles.
 
+        Each window's values are one inverse FFT of its coefficients folded
+        mod J (t_j^J = 1), rolled so that coefficient k lands in bin k mod J.
         For J beyond twice the window degree the mean of each Fejer kernel
-        is exactly its zeroth coefficient, so the first norm is exactly one
-        and the others are provably at most three.
+        is its zeroth coefficient, so the first norm is one to rounding and
+        the others are provably at most three.
         """
         if J is None:
             J = self.closure_angles()
-        t = np.exp(2j * np.pi * np.arange(J) / J)
-        return tuple(lp_norm(eta.evaluate(t), 1)
-                     for eta in (self.eta1, self.eta2, self.eta3))
+        norms = []
+        for eta in self.windows():
+            lo, hi = min(eta.coeffs), max(eta.coeffs)
+            dense = [complex(eta.coeff(k)) for k in range(lo, hi + 1)]
+            norms.append(lp_norm(np.roll(np.fft.ifft(fold(dense, J)), lo) * J, 1))
+        return tuple(norms)
 
     def closure_angles(self) -> int:
         """Angle count making the discrete rotation-average identity exact."""
@@ -138,24 +145,24 @@ def fejer_split(phi: FourierPolynomial, N: int):
     """Split phi = phi_1 + phi_2 + phi_3 through the windows (exact arithmetic).
 
     phi_1 lives on |n| < M, phi_2 is analytic, phi_3 coanalytic; the sum
-    reproduces phi coefficient-exactly on the partition range.
+    reproduces phi coefficient-exactly.  SupportOverflow for support beyond
+    the partition range, where the windows do not sum to one.
     """
-    if phi.degree() > N:
-        raise SupportOverflow(f"symbol support {phi.degree()} exceeds N = {N}")
+    ws = _window_set(N)
+    if phi.degree() > ws.partition_range:
+        raise SupportOverflow(f"symbol support {phi.degree()} exceeds the partition "
+                              f"range |n| <= {ws.partition_range} of N = {N}")
     exact = FourierPolynomial({k: QComplex.of(v) for k, v in phi.coeffs.items()})
-    return tuple(FourierPolynomial({k: v * window[k] for k, v in exact.coeffs.items()
-                                    if k in window})
-                 for window in _window_coeffs(N))
+    return tuple(FourierPolynomial({k: v * eta.coeffs[k] for k, v in exact.coeffs.items()
+                                    if k in eta.coeffs})
+                 for eta in ws.windows())
 
 
 @functools.lru_cache(maxsize=8)
-def _window_coeffs(N: int):
-    """The three windows' exact coefficients {k: Fraction} on K_{z^N}.
-
-    Built once per N (one entry per distinct N, at most 8 kept); callers
-    only read the dicts.
-    """
-    return tuple(eta.coeffs for eta in FejerWindowSet(N).windows())
+def _window_set(N: int) -> FejerWindowSet:
+    """The windows on K_{z^N}, built once per N (one entry per distinct N, at
+    most 8 kept); callers only read them."""
+    return FejerWindowSet(N)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +383,7 @@ def assemble_bounded_symbol(op: TTOperator,
     rebuilt = _toeplitz_from_taylor(cf2.taylor, cf3.taylor, central, N)
     grid = _check_grid(N)
     if samples is None:
-        ws = FejerWindowSet(N)
-        samples = SampleSet.rotation_closed(min(ws.closure_angles(), 512))
+        samples = SampleSet.rotation_closed(min(_window_set(N).closure_angles(), 512))
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         scale = max(1.0, float(np.linalg.norm(op.matrix)))
         build_residual = float(np.linalg.norm(rebuilt - op.matrix)) / scale

@@ -222,31 +222,9 @@ class FourierPolynomial:
     def degree(self) -> int:
         return max((abs(k) for k in self.coeffs), default=0)
 
-    def shift(self, m: int) -> "FourierPolynomial":
-        """Multiply by z^m (index shift)."""
-        return FourierPolynomial({k + m: v for k, v in self.coeffs.items()})
-
     def conjugate(self) -> "FourierPolynomial":
         """The conjugate function: coefficient -k is conj(c_k), of any exact or float type."""
         return FourierPolynomial({-k: v.conjugate() for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return FourierPolynomial(out)
-
-    def __mul__(self, scalar):
-        return FourierPolynomial({k: scalar * v for k, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def evaluate(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for k, v in self.coeffs.items():
-            out = out + complex(v) * z ** k
-        return out
 
     def to_circle(self, grid: BoundaryGrid) -> CircleFunction:
         return CircleFunction.from_coeffs(

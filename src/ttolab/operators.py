@@ -38,13 +38,20 @@ class PairSymbol:
 
 
 class MeasureSymbol:
-    """A positive measure: point masses on the circle plus an a.c. density."""
+    """A positive measure: point masses on the circle plus an a.c. density,
+    whose samples must be real and nonnegative to within 8 ulps of the
+    largest one."""
 
     def __init__(self, atoms=(), density: CircleFunction | None = None):
         self.atoms = [(a if isinstance(a, BoundaryPoint) else BoundaryPoint(a), float(m))
                       for a, m in atoms]
-        if any(m <= 0 for _, m in self.atoms):
+        if not all(m > 0 for _, m in self.atoms):  # NaN too
             raise ValueError("measure atoms must have positive mass")
+        if density is not None:
+            s = density.samples
+            slack = 8 * np.spacing(np.max(np.abs(s)))
+            if not (np.max(np.abs(s.imag)) <= slack and np.min(s.real) >= -slack):  # NaN too
+                raise ValueError("a measure density must be real and nonnegative")
         self.density = density
 
 

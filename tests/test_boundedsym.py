@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttolab import (CircleFunction, FejerWindowSet, FourierPolynomial,
                     ModelSpace, Monomial, SampleSet, TTOperator,
@@ -68,6 +69,56 @@ def test_window_l1_norms():
         assert abs(l1 - 1.0) < 1e-12
         assert l2 <= 3.0 + 1e-12
         assert abs(l2 - l3) < 1e-12
+    # the L^1 norm of F_M is its zeroth coefficient, one, on angle counts
+    # beyond its degree: the closure and the benchmark's J = min(closure, 512)
+    for N in (256, 512):
+        ws = FejerWindowSet(N)
+        for J in (ws.closure_angles(), min(ws.closure_angles(), 512)):
+            assert abs(ws.l1_norms(J)[0] - 1.0) <= 1e-15, (N, J)
+
+
+def _window_reference(N):
+    """eta_1 = F_M, eta_2 = z^{2M} (2 F_{2M} - F_M) and eta_3 = conj(eta_2) with
+    M = max(1, floor((N+1)/3)), as exact {k: Fraction} dicts."""
+    M = max(1, (N + 1) // 3)
+    f_m, f_2m = fejer_kernel(M).coeffs, fejer_kernel(2 * M).coeffs
+    diff = {k: 2 * Fraction(f_2m.get(k, 0)) - Fraction(f_m.get(k, 0))
+            for k in set(f_m) | set(f_2m)}
+    eta2 = {k + 2 * M: v for k, v in diff.items() if v != 0}
+    return f_m, eta2, {-k: v.conjugate() for k, v in eta2.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1))
+def test_fejer_partition_property(N, seed):
+    ws = FejerWindowSet(N)
+    M = ws.M
+    assert [eta.coeffs for eta in ws.windows()] == list(_window_reference(N))
+    assert ws.partition_defect(3 * M) == []
+    assert ws.partition_defect(3 * M + 1) == [-(3 * M + 1), 3 * M + 1]
+    rng = np.random.default_rng(seed)
+    band = range(-ws.partition_range, ws.partition_range + 1)
+    coeffs = {k: complex(rng.standard_normal(), rng.standard_normal()) for k in band}
+    parts = fejer_split(FourierPolynomial(coeffs), N)
+    for k in band:
+        assert parts[0].coeff(k) + parts[1].coeff(k) + parts[2].coeff(k) == coeffs[k]
+
+
+def test_windows_on_K_z():
+    # N = 1 uses N = 2's windows, exact on |n| <= 1, which covers the band |n| <= 0
+    ws = FejerWindowSet(1)
+    assert (ws.M, ws.partition_range) == (1, 1)
+    assert [eta.coeffs for eta in ws.windows()] == [
+        eta.coeffs for eta in FejerWindowSet(2).windows()]
+    assert ws.partition_defect(1) == []
+    p1, p2, p3 = fejer_split(FourierPolynomial({0: 2 + 1j, 1: 1.0}), 1)
+    assert (p1.coeffs, p2.coeffs, p3.coeffs) == ({0: 2 + 1j}, {1: 1}, {})
+    with pytest.raises(ValueError):
+        FejerWindowSet(0)
+    res = assemble_bounded_symbol(TTOperator(ModelSpace(Monomial(1)), matrix=[[2 + 1j]]))
+    assert res.build_residual == 0.0
+    assert abs(res.sup_norm - 5 ** 0.5) <= 1e-15 and abs(res.rho_hat - 5 ** 0.5) <= 1e-15
+    assert abs(res.measured_constant - 1.0) <= 1e-15
 
 
 def test_fejer_split_constant():
@@ -90,6 +141,9 @@ def test_fejer_split_reconstruction_exact(rng):
             assert complex(total) == coeffs[k]
     with pytest.raises(SupportOverflow):
         fejer_split(FourierPolynomial({10: 1.0}), 8)
+    # N = 4 = 1 mod 3: the windows sum to one on |n| <= 3 only, so z^4 would be dropped
+    with pytest.raises(SupportOverflow, match=r"partition range \|n\| <= 3 of N = 4"):
+        fejer_split(FourierPolynomial({4: 1.0, 0: 1.0}), 4)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 16, 64])

@@ -209,6 +209,20 @@ def test_counterex_theorem_check_cli(capsys):
     assert "[24, 32]" in capsys.readouterr().err
 
 
+def test_commands_on_K_z(capsys):
+    # every operator on K_z is c I, and c is a bounded symbol for it
+    code, out = run_cli(["assemble", "--matrix", "[[[2,1]]]"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["sup_norm"] == data["rho_hat"] == pytest.approx(5 ** 0.5, abs=1e-15)
+    assert data["measured_constant"] == 1.0 and data["build_residual"] == 0.0
+    code, out = run_cli(["fejer-split", "--N", "1", "--symbol", '{"0":[2,1],"1":[1,0]}'],
+                        capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["phi1"], data["phi2"], data["phi3"]) == ({"0": [2.0, 1.0]}, {"1": [1.0, 0.0]}, {})
+
+
 def test_carleson_cli(capsys):
     code, out = run_cli(["carleson", "--inner", '{"type":"monomial","degree":3}',
                          "--density", '{"0": [1, 0]}'], capsys)
@@ -232,9 +246,12 @@ def test_exit_codes(capsys, tmp_path):
     # a matrix of scalars instead of [re, im] pairs is a validation error
     assert main(["transport", "--matrix", "[[1,2],[3,1]]", "--alpha", "0.3"]) == 2
     capsys.readouterr()
-    # every other library error exits 4 (here SupportOverflow)
+    # every other library error exits 4 (here SupportOverflow), also for support
+    # within N but beyond the windows' partition range (|n| <= 3 on N = 4)
     assert main(["fejer-split", "--N", "4", "--symbol", '{"9":1}']) == 4
     capsys.readouterr()
+    assert main(["fejer-split", "--N", "4", "--symbol", '{"4":[1,0],"0":[1,0]}']) == 4
+    assert "partition range |n| <= 3" in capsys.readouterr().err
     # numerical failures exit 3: a failed SVD (numpy's LinAlgError is a
     # ValueError) and an overflow in the diagonal means of a matrix
     assert main(["build", "--inner", '{"type":"monomial","degree":3}',
@@ -316,6 +333,9 @@ def test_exit_codes(capsys, tmp_path):
         ["kernels", "--inner", '{"type":"monomial","degree":[3]}', "--lambda", "0"],
         ["kernels", "--inner", '{"type":"product","factors":null}', "--lambda", "0"],
         ["carleson", "--inner", mono3, "--atoms", '[{"angle":0,"mass":null}]'],
+        # a measure's density is real and nonnegative
+        ["carleson", "--inner", mono3, "--density", '{"0":[-5,0]}'],
+        ["carleson", "--inner", mono3, "--density", '{"1":[1,0]}'],
         # a grid past the largest size is refused before it is allocated
         ["kernels", "--inner", mono3, "--lambda", "0", "--grid", str(2 ** 40)],
         # the family exponent must be a finite number above 2

@@ -7,7 +7,7 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint, CircleFu
                     SampleSet, SingularAtomic, adjoint, build, decompose,
                     measure_operator, operator_norm, rank_one_operator, recover,
                     recover_via_k0, rho, rho_d, rho_r, rho_scan_rows, standard_symbol)
-from ttolab.circle import toeplitz
+from ttolab.circle import BoundaryGrid, toeplitz
 from ttolab.errors import UnsupportedVariant
 from ttolab.inner import kernel_scale, one_minus_mod_sq
 from ttolab.modelspace import GridSpace
@@ -328,6 +328,18 @@ def test_measure_lebesgue_is_identity(rng):
     dens = CircleFunction(space.grid, np.ones(space.grid.n))
     op = measure_operator(space, MeasureSymbol(density=dens))
     assert np.max(np.abs(op.matrix - np.eye(5))) < 1e-10
+
+
+def test_measure_must_be_positive():
+    g = BoundaryGrid(4096)
+    for coeffs in ({0: -5.0}, {1: 1.0}, {0: 1.0, 1: 1.0, -1: 1.0}, {0: 1.0, 1: 0.1j},
+                   {0: float("nan")}):
+        with pytest.raises(ValueError, match="real and nonnegative"):
+            MeasureSymbol(density=CircleFunction.from_coeffs(g, coeffs))
+    with pytest.raises(ValueError, match="positive mass"):
+        MeasureSymbol(atoms=[(0.5, float("nan"))])
+    # 1 + cos t touches zero, and its samples carry FFT rounding
+    MeasureSymbol(density=CircleFunction.from_coeffs(g, {0: 1.0, 1: 0.5, -1: 0.5}))
 
 
 def test_measure_point_mass_is_rank_one_kernel(rng):
