@@ -1,7 +1,8 @@
 """Constructive bounded-symbol machinery for K_{z^N} and Blaschke transports.
 
-The three-way Fejer-window split keeps its window coefficients as exact
-rationals, so the partition of unity is checked in exact arithmetic.  The
+The three-way Fejer-window split multiplies each coefficient of a symbol by
+its window coefficients, integer tents over M, in exact rationals, so the
+partition of unity is checked in exact arithmetic.  The
 commutant-lifting step is realized by the Carathéodory-Fejér solution:
 the minimal sup-norm analytic extension of prescribed Taylor data equals
 the top singular value of the lower-triangular Toeplitz matrix, and the
@@ -14,7 +15,6 @@ it (Ritz residual and gap), and from the dense SVD otherwise.
 from __future__ import annotations
 
 import cmath
-import functools
 from fractions import Fraction
 
 import numpy as np
@@ -54,16 +54,11 @@ class QComplex:
     def __mul__(self, q: Fraction):  # a rational scalar: all the windows need
         return QComplex(self.re * q, self.im * q)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
         other = QComplex.of(other)
         return self.re == other.re and self.im == other.im
-
-    def conjugate(self):
-        return QComplex(self.re, -self.im)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -80,60 +75,57 @@ def fejer_kernel(m: int) -> FourierPolynomial:
         {k: Fraction(m - abs(k), m) for k in range(-m + 1, m)})
 
 
+def _tent(width, j):  # (width - |j|)_+, for an int or an integer array j
+    return (width - abs(j)) * (abs(j) < width)
+
+
 class FejerWindowSet:
     """The three windows eta_1, eta_2, eta_3 splitting symbols on K_{z^N}.
 
     eta_1 = F_M, eta_2 = e^{2iMt}(2 F_{2M} - F_M), eta_3 = conj(eta_2),
-    with M = max(1, floor((N+1)/3)).  Times M each coefficient is an integer
-    tent: (M - |k|)_+ for eta_1 and (2M - |j|)_+ - (M - |j|)_+ at 2M + j for
-    eta_2.  Their coefficient sum is exactly one on |n| <= min(3M, N); that
-    range always contains the operator-relevant band |n| <= N-1 (for
-    N = 1 mod 3 the identity genuinely fails at |n| = N, which no symbol of
-    an operator on K_{z^N} ever uses).
+    with M = max(1, floor((N+1)/3)); nothing is tabulated (``tents``).
+    Their coefficient sum is exactly one on |n| <= min(3M, N); that range
+    always contains the operator-relevant band |n| <= N-1 (for N = 1 mod 3
+    the identity genuinely fails at |n| = N, which no symbol of an
+    operator on K_{z^N} ever uses).
     """
 
     def __init__(self, N: int):
         if N < 1:
             raise ValueError("window construction needs N >= 1")
         self.N = int(N)
-        self.M = M = max(1, (N + 1) // 3)
-        f_m = fejer_kernel(M)
-        f_2m = fejer_kernel(2 * M)
-        self.eta1 = f_m
-        self.eta2 = FourierPolynomial({2 * M + j: 2 * f_2m.coeff(j) - f_m.coeff(j)
-                                       for j in range(-2 * M + 1, 2 * M)})
-        self.eta3 = self.eta2.conjugate()
-        self.partition_range = min(3 * M, N)
+        self.M = max(1, (self.N + 1) // 3)
+        self.partition_range = min(3 * self.M, self.N)
 
-    def windows(self):
-        return self.eta1, self.eta2, self.eta3
+    def tents(self, n):
+        """M times the windows' coefficients at the index n (exact ints, of any
+        size) or at each index of an integer array n: (M - |n|)_+ for eta_1, and
+        (2M - |j|)_+ - (M - |j|)_+ at j = n - 2M for eta_2, j = -n - 2M for eta_3."""
+        M = self.M
+        j2, j3 = n - 2 * M, -n - 2 * M
+        return (_tent(M, n), _tent(2 * M, j2) - _tent(M, j2), _tent(2 * M, j3) - _tent(M, j3))
 
     def partition_defect(self, upto: int):
         """Indices |n| <= upto where the coefficient sum differs from one."""
-        bad = []
-        for n in range(-upto, upto + 1):
-            s = (Fraction(self.eta1.coeff(n)) + Fraction(self.eta2.coeff(n))
-                 + Fraction(self.eta3.coeff(n)))
-            if s != 1:
-                bad.append(n)
-        return bad
+        return [n for n in range(-upto, upto + 1) if sum(self.tents(n)) != self.M]
 
     def l1_norms(self, J: int | None = None):
         """Discrete L^1 norms (1/J) sum |eta(t_j)| over J uniform angles.
 
-        Each window's values are one inverse FFT of its coefficients folded
-        mod J (t_j^J = 1), rolled so that coefficient k lands in bin k mod J.
-        For J beyond twice the window degree the mean of each Fejer kernel
-        is its zeroth coefficient, so the first norm is one to rounding and
-        the others are provably at most three.
+        Each window's values are one inverse FFT of its tents over M, from its
+        lowest nonzero index, folded mod J (t_j^J = 1) and rolled so that
+        coefficient k lands in bin k mod J.  For J beyond twice the window
+        degree the mean of each Fejer kernel is its zeroth coefficient, so the
+        first norm is one to rounding and the others are provably at most three.
         """
         if J is None:
             J = self.closure_angles()
+        n = np.arange(1 - 4 * self.M, 4 * self.M)  # every window's support
         norms = []
-        for eta in self.windows():
-            lo, hi = min(eta.coeffs), max(eta.coeffs)
-            dense = [complex(eta.coeff(k)) for k in range(lo, hi + 1)]
-            norms.append(lp_norm(np.roll(np.fft.ifft(fold(dense, J)), lo) * J, 1))
+        for tent in self.tents(n):
+            lo, hi = np.flatnonzero(tent)[[0, -1]]
+            vals = np.fft.ifft(fold(tent[lo:hi + 1] / self.M, J))
+            norms.append(lp_norm(np.roll(vals, n[lo]) * J, 1))
         return tuple(norms)
 
     def closure_angles(self) -> int:
@@ -145,24 +137,21 @@ def fejer_split(phi: FourierPolynomial, N: int):
     """Split phi = phi_1 + phi_2 + phi_3 through the windows (exact arithmetic).
 
     phi_1 lives on |n| < M, phi_2 is analytic, phi_3 coanalytic; the sum
-    reproduces phi coefficient-exactly.  SupportOverflow for support beyond
-    the partition range, where the windows do not sum to one.
+    reproduces phi coefficient-exactly, each coefficient times its windows'
+    tents over M, so the work follows phi's support, not N.  SupportOverflow
+    for support beyond the partition range, where the windows do not sum to one.
     """
-    ws = _window_set(N)
+    ws = FejerWindowSet(N)
     if phi.degree() > ws.partition_range:
         raise SupportOverflow(f"symbol support {phi.degree()} exceeds the partition "
                               f"range |n| <= {ws.partition_range} of N = {N}")
-    exact = FourierPolynomial({k: QComplex.of(v) for k, v in phi.coeffs.items()})
-    return tuple(FourierPolynomial({k: v * eta.coeffs[k] for k, v in exact.coeffs.items()
-                                    if k in eta.coeffs})
-                 for eta in ws.windows())
-
-
-@functools.lru_cache(maxsize=8)
-def _window_set(N: int) -> FejerWindowSet:
-    """The windows on K_{z^N}, built once per N (one entry per distinct N, at
-    most 8 kept); callers only read them."""
-    return FejerWindowSet(N)
+    parts = ({}, {}, {})
+    for k, v in phi.coeffs.items():
+        exact = QComplex.of(v)
+        for part, tent in zip(parts, ws.tents(k)):
+            if tent:  # tent = M is the factor 1
+                part[k] = exact if tent == ws.M else exact * Fraction(tent, ws.M)
+    return tuple(map(FourierPolynomial, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +372,7 @@ def assemble_bounded_symbol(op: TTOperator,
     rebuilt = _toeplitz_from_taylor(cf2.taylor, cf3.taylor, central, N)
     grid = _check_grid(N)
     if samples is None:
-        samples = SampleSet.rotation_closed(min(_window_set(N).closure_angles(), 512))
+        samples = SampleSet.rotation_closed(min(FejerWindowSet(N).closure_angles(), 512))
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         scale = max(1.0, float(np.linalg.norm(op.matrix)))
         build_residual = float(np.linalg.norm(rebuilt - op.matrix)) / scale

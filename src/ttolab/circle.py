@@ -202,9 +202,9 @@ def polynomial_values(coeffs, grid: BoundaryGrid):
 class FourierPolynomial:
     """Trigonometric polynomial with finite sparse coefficient support.
 
-    Coefficients may be exact ``fractions.Fraction`` values (the Fejer
-    windows keep them rational so partition-of-unity checks are exact) or
-    complex numbers; zero coefficients are dropped.
+    Coefficients are complex numbers, or exact rational values: only the
+    parts of a Fejer split (``boundedsym.fejer_split``) hold ``Fraction``s,
+    in ``QComplex`` coefficients.  Zero coefficients are dropped.
     """
 
     __slots__ = ("coeffs",)
@@ -221,10 +221,6 @@ class FourierPolynomial:
 
     def degree(self) -> int:
         return max((abs(k) for k in self.coeffs), default=0)
-
-    def conjugate(self) -> "FourierPolynomial":
-        """The conjugate function: coefficient -k is conj(c_k), of any exact or float type."""
-        return FourierPolynomial({-k: v.conjugate() for k, v in self.coeffs.items()})
 
     def to_circle(self, grid: BoundaryGrid) -> CircleFunction:
         return CircleFunction.from_coeffs(

@@ -22,8 +22,8 @@ import numpy as np
 from .circle import BoundaryGrid, DEFAULT_GRID, cauchy_refine, lp_norm
 from .errors import NoConvergence, UnsupportedVariant
 from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction,
-                    SingularAtomic, cohn_terms, has_angular_derivative, kernel_scale,
-                    one_minus_mod_sq, phase_increment, power)
+                    SingularAtomic, _MATCH_TOL, cohn_terms, has_angular_derivative,
+                    kernel_scale, one_minus_mod_sq, phase_increment, power)
 from .modelspace import PROJECT_BLOCK, _kernel_samples, _point, project_theta
 
 RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
@@ -264,8 +264,11 @@ def kernel_lp(theta: InnerFunction, lam: complex, p: float, *,
     (n the last grid, residual the last Cauchy change), singular factors
     sampled at a fixed radial offset.  When strict, raises NoConvergence
     unless the residual is at most tol; otherwise the value is returned
-    with its residual, which scan reports carry per row.
+    with its residual, which scan reports carry per row.  ValueError for
+    tol < 0 or max_n < 1.
     """
+    if not (tol >= 0 and max_n >= 1):  # malformed input (a NaN tol too), not unconverged
+        raise ValueError(f"need a tolerance >= 0 and a budget >= 1 node, got {tol}, {max_n}")
     lam, _ = _point(lam)
     if p == np.inf or theta.has_singular_part():
         radius = RADIAL_OFFSET if theta.has_singular_part() else 1.0
@@ -344,12 +347,13 @@ def gen_blaschke_counterexample(p: float = 3.0, count: int = 20) -> Counterexamp
     (16/7) 2^{-k} gives the explicit tail estimate) and diverges linearly
     for the target exponent (each term at least 1/2), so the boundary
     kernel at 1 exists but leaves L^p: the rank-one operator there is
-    bounded with no bounded symbol.
+    bounded with no bounded symbol.  ValueError unless 4 <= count <= 358.
     """
     if not 2 < p < math.inf:
         raise ValueError("p must be finite and exceed 2")
-    if count < 4:
-        raise ValueError("need at least 4 zeros")
+    most = int(-math.log2(math.ulp(0.0))) // 3  # 1 - |a_count| = 8^-count stays positive
+    if not 4 <= count <= most:
+        raise ValueError(f"the Blaschke family takes 4 <= count <= {most}, got {count}")
     ks = np.arange(1, count + 1)
     zeros = [BlaschkeZero(8.0 ** -k, 2.0 ** -k) for k in ks]
     theta = BlaschkeProduct(zeros, truncated=True)
@@ -376,9 +380,13 @@ def gen_blaschke_counterexample(p: float = 3.0, count: int = 20) -> Counterexamp
 
 def gen_singular_counterexample(p: float = 3.0, count: int = 20) -> CounterexampleFamily:
     """Atoms of mass 8^{-k} at angles 2^{-k}: the singular twin of the
-    Blaschke family, with masses playing the role of 1 - |a_k|^2."""
+    Blaschke family, with masses playing the role of 1 - |a_k|^2.
+    ValueError unless 1 <= count <= 39."""
     if not 2 < p < math.inf:
         raise ValueError("p must be finite and exceed 2")
+    most = int(-math.log2(_MATCH_TOL))  # the atom at 2^-count keeps apart from the point 1
+    if not 1 <= count <= most:
+        raise ValueError(f"the singular family takes 1 <= count <= {most}, got {count}")
     ks = np.arange(1, count + 1)
     atoms = [Atom(2.0 ** -k, 8.0 ** -k) for k in ks]
     theta = SingularAtomic(atoms, truncated=True)
@@ -408,6 +416,8 @@ def blaschke_truncation(family: CounterexampleFamily, degree: int) -> BlaschkePr
 
 def _check_degrees(family: CounterexampleFamily, degrees):
     count = len(family.theta.zeros())
+    if not isinstance(family.theta, BlaschkeProduct):
+        raise ValueError(f"theorem check needs a Blaschke family ({family.kind}: {count} zeros)")
     bad = [d for d in degrees if not 1 <= d <= count]
     if bad:
         raise ValueError(f"truncation degrees {bad} are not in 1..{count} "
@@ -431,7 +441,8 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = CLS_TOL,
     Inside the disk ||k_lam||_2^2 is the kernel scale to the power -2,
     one ``inner.kernel_scale`` call for all interior points, and only the
     sup is refined (uniform grid doubling at tol, up to max_n points); on
-    the circle both norms come from ``kernel_lp``.
+    the circle both norms come from ``kernel_lp``, which raises ValueError
+    for tol < 0 or max_n < 1.
     """
     lams = [complex(lam) for lam in np.asarray(points, dtype=complex)]
     on_circle = [_point(lam)[1] for lam in lams]

@@ -128,9 +128,10 @@ def _minus_values(oracle: KernelActionOracle, mu, theta_mu, psi_base, lams):
     return (F - psi_base) @ row
 
 
-def default_mu(space: ModelSpace) -> complex:
-    """Coarse-grid maximizer of |Theta(mu)| * dist(mu, zeros of Theta) (exact mode)."""
-    cand = np.unique(_polar_grid([0.0, 0.15, 0.3, 0.45, 0.6, 0.75], 16))
+def default_mu(space: ModelSpace, cand=None) -> complex:
+    """Maximizer of |Theta(mu)| dist(mu, zeros) over ``cand``, by default a coarse grid."""
+    if cand is None:
+        cand = np.unique(_polar_grid([0.0, 0.15, 0.3, 0.45, 0.6, 0.75], 16))
     dist = np.min(np.abs(cand[:, None] - space.zeros[None, :]), axis=1)
     return complex(cand[int(np.argmax(np.abs(space.theta.eval(cand)) * dist))])
 
@@ -161,7 +162,8 @@ RESIDUAL_TOL = 1e-6  # worst relative kernel-action residual a recovered pair ma
 
 def recover(oracle: KernelActionOracle, mu: complex | None = None,
             grid_factor: int = 4) -> RecoveredSymbol:
-    """Recover the pair with phi_minus(mu) = 0 from kernel actions alone.
+    """Recover the pair with phi_minus(mu) = 0 from kernel actions alone
+    (mu by default: ``default_mu`` over the oracle's sample points, if any).
 
     phi_minus is evaluated pointwise on a lambda grid of grid_factor*N
     spread points (or the oracle's own sample points), least-squares fitted
@@ -175,7 +177,7 @@ def recover(oracle: KernelActionOracle, mu: complex | None = None,
     space = oracle.space
     _check_table(oracle)
     if mu is None:
-        mu = default_mu(space)
+        mu = default_mu(space, oracle.sample_points)
     theta_mu = complex(space.theta.eval(mu))
     if abs(theta_mu) < 1e-8:
         raise DegenerateMu(f"|Theta(mu)| = {abs(theta_mu):.2e} at mu = {mu}")

@@ -93,7 +93,11 @@ def _window_reference(N):
 def test_fejer_partition_property(N, seed):
     ws = FejerWindowSet(N)
     M = ws.M
-    assert [eta.coeffs for eta in ws.windows()] == list(_window_reference(N))
+    n = range(-4 * M, 4 * M + 1)
+    tents = [ws.tents(k) for k in n]
+    assert [{k: Fraction(t[i], M) for k, t in zip(n, tents) if t[i]} for i in range(3)] \
+        == list(_window_reference(N))
+    assert all(isinstance(x, int) for t in tents for x in t)
     assert ws.partition_defect(3 * M) == []
     assert ws.partition_defect(3 * M + 1) == [-(3 * M + 1), 3 * M + 1]
     rng = np.random.default_rng(seed)
@@ -108,8 +112,8 @@ def test_windows_on_K_z():
     # N = 1 uses N = 2's windows, exact on |n| <= 1, which covers the band |n| <= 0
     ws = FejerWindowSet(1)
     assert (ws.M, ws.partition_range) == (1, 1)
-    assert [eta.coeffs for eta in ws.windows()] == [
-        eta.coeffs for eta in FejerWindowSet(2).windows()]
+    assert [ws.tents(k) for k in range(-8, 9)] == [
+        FejerWindowSet(2).tents(k) for k in range(-8, 9)]
     assert ws.partition_defect(1) == []
     p1, p2, p3 = fejer_split(FourierPolynomial({0: 2 + 1j, 1: 1.0}), 1)
     assert (p1.coeffs, p2.coeffs, p3.coeffs) == ({0: 2 + 1j}, {1: 1}, {})
@@ -148,30 +152,29 @@ def test_fejer_split_reconstruction_exact(rng):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 16, 64])
 def test_fejer_split_matches_fresh_windows(rng, N):
-    # reference: a fresh window set and an exact product per coefficient
+    # reference: windows built in the test and an exact product per coefficient
     phi = FourierPolynomial({k: complex(rng.standard_normal(), rng.standard_normal())
                              for k in range(-(N - 1), N)})
-    windows = FejerWindowSet(N).windows()
-    for _ in range(2):  # the second call reads the cached windows
-        for part, eta in zip(fejer_split(phi, N), windows):
-            ref = {k: QComplex.of(v) * Fraction(eta.coeff(k))
-                   for k, v in phi.coeffs.items() if eta.coeff(k)}
-            assert part.coeffs == ref
-            assert all(isinstance(x, Fraction) for v in part.coeffs.values()
-                       for x in (v.re, v.im))
+    for part, eta in zip(fejer_split(phi, N), _window_reference(N)):
+        ref = {k: QComplex.of(v) * Fraction(eta[k])
+               for k, v in phi.coeffs.items() if k in eta}
+        assert part.coeffs == ref
+        assert all(isinstance(x, Fraction) for v in part.coeffs.values()
+                   for x in (v.re, v.im))
 
 
-def test_fejer_split_parts_conjugate_exactly(rng):
-    # conj of each exact part, coefficient -k against conj(c_k), in QComplex equality
-    N = 8
-    phi = FourierPolynomial({k: complex(rng.standard_normal(), rng.standard_normal())
-                             for k in range(-(N - 1), N)})
-    for part in fejer_split(phi, N):
-        conj = part.conjugate()
-        assert set(conj.coeffs) == {-k for k in part.coeffs}
-        for k, v in part.coeffs.items():
-            assert conj.coeffs[-k] == QComplex(v.re, -v.im)
-    assert fejer_split(FourierPolynomial({3: 1j}), N)[1].conjugate().coeffs[-3] == -1j
+def test_fejer_split_reads_only_the_support():
+    # N = 10^6 (M = 333333): the parts of a two-coefficient symbol, exactly,
+    # with no window coefficient off its support formed
+    M = 333333
+    p1, p2, p3 = fejer_split(FourierPolynomial({0: 1.0, 1: 1j}), 10 ** 6)
+    assert p1.coeffs == {0: 1, 1: QComplex(0, Fraction(M - 1, M))}
+    assert p2.coeffs == {1: QComplex(0, Fraction(1, M))}
+    assert p3.coeffs == {}
+    # beyond int64 the tents stay exact Python ints
+    ws = FejerWindowSet(3 * 10 ** 30)
+    assert ws.tents(2) == (10 ** 30 - 2, 2, 0)
+    assert ws.tents(-2 * ws.M) == (0, 0, ws.M)
 
 
 def test_fejer_split_supports():

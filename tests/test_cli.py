@@ -163,6 +163,20 @@ def test_recover_cli_accuracy(capsys):
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
 
+def test_recover_table_default_mu(capsys):
+    # without --mu, mu maximizes |Theta(mu)| dist(mu, zeros) over the table's own
+    # points: 0.5 on README's identity table, as --mu 0.5 gives
+    table = '[{"lambda":0,"coefficients":[1,0]},{"lambda":0.5,"coefficients":[1,0.5]}]'
+    args = ["recover", "--inner", '{"type":"monomial","degree":2}', "--table", table]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    code, given = run_cli(args + ["--mu", "0.5"], capsys)
+    assert code == 0
+    out, given = json.loads(out), json.loads(given)
+    assert out.pop("config_hash") != given.pop("config_hash")
+    assert out == given and out["mu"] == [0.5, 0.0]
+
+
 def test_recover_rejects_an_underdetermined_table(capsys):
     # one row cannot fix three coefficients per component; it used to exit 0
     # with "residual": 0.0
@@ -350,6 +364,16 @@ def test_exit_codes(capsys, tmp_path):
         ["kernels", "--inner", '{"type":"blaschke","zeros":[{"delta":0.5,"angle":"nan"}]}',
          "--lambda", "0.2"],
         ["cf-extend", "--coeffs", "[1" + "0" * 400 + "]"],  # an integer beyond the floats
+        # a negative tolerance or a budget below one node is malformed, not unconverged
+        ["cls-scan", "--inner", mono3, "--tol", "-1"],
+        ["cls-scan", "--inner", mono3, "--budget", "0"],
+        ["cls-scan", "--inner", mono3, "--budget", "-5"],
+        # family sizes are refused before any array: 8^-count underflows past 358,
+        # and the singular family's last atom meets the base point past 39
+        ["counterex", "--count", "359"],
+        ["counterex", "--kind", "singular", "--count", "40"],
+        # the theorem check truncates a Blaschke family
+        ["counterex", "--kind", "singular", "--degrees", "8,16"],
     ]
     # a config file must hold an object of values that the flags could give:
     # no null for a flag with a default, a typed flag's value as its text would

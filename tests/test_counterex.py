@@ -54,6 +54,19 @@ def test_blaschke_family_certificates():
         gen_blaschke_counterexample(3.0, 2)
 
 
+def test_family_sizes_checked_up_front():
+    # the largest families: 8^-358 is the least positive float, and the atom at
+    # 2^-39 lies beyond the 1e-12 matching tolerance of the base point 1
+    assert gen_blaschke_counterexample(3.0, 358).theta.zeros()[-1].delta > 0.0
+    assert gen_singular_counterexample(3.0, 39).all_pass()
+    for gen, count, valid in ((gen_blaschke_counterexample, 359, "4 <= count <= 358"),
+                              (gen_blaschke_counterexample, 3, "4 <= count <= 358"),
+                              (gen_singular_counterexample, 40, "1 <= count <= 39"),
+                              (gen_singular_counterexample, 0, "1 <= count <= 39")):
+        with pytest.raises(ValueError, match=valid):
+            gen(3.0, count)
+
+
 def test_blaschke_family_df3_decay():
     fam = gen_blaschke_counterexample(3.0, 20)
     df3 = fam.data["df3"]
@@ -91,7 +104,7 @@ def test_truncation_degrees_are_checked():
                            ((8, 16, 32), "[32]"), ((24, 32), "[24, 32]")):
         with pytest.raises(ValueError, match=re.escape(named)):
             counterex_theorem_check(fam, 3.0, degrees=degrees)
-    with pytest.raises(ValueError, match="0 zeros"):  # a singular family has none
+    with pytest.raises(ValueError, match=r"needs a Blaschke family \(singular_atoms: 0 zeros\)"):
         counterex_theorem_check(gen_singular_counterexample(3.0, 20), 3.0)
 
 
@@ -261,6 +274,17 @@ def test_kernel_lp_strict_rejects_nan_residual():
     assert np.isnan(value) and np.isnan(resid) and n == KernelRule(radial, 1.0, 2.0).n
     with pytest.raises(NoConvergence):
         kernel_lp(radial, 1.0, 2.0)
+
+
+def test_malformed_tolerance_and_budget_are_rejected():
+    # a negative tolerance or a budget below one node is malformed input (ValueError),
+    # not a quadrature that failed to converge (NoConvergence); tol = 0 is allowed
+    for kw in ({"tol": -1.0}, {"tol": math.nan}, {"max_n": 0}, {"max_n": -5}):
+        with pytest.raises(ValueError):
+            kernel_lp(Monomial(3), 0.5, math.inf, **kw)
+        with pytest.raises(ValueError):
+            cls_ratio_scan(Monomial(3), [0.5], **kw)
+    assert kernel_lp(Monomial(3), 0.0, 2.0, tol=0.0, strict=False)[0] > 0.0
 
 
 def test_kernel_points_outside_the_closed_disk_are_rejected():
