@@ -22,8 +22,9 @@ import numpy as np
 from .circle import BoundaryGrid, DEFAULT_GRID, cauchy_refine, lp_norm
 from .errors import NoConvergence, UnsupportedVariant
 from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction,
-                    SingularAtomic, _MATCH_TOL, cohn_terms, has_angular_derivative,
-                    kernel_scale, one_minus_mod_sq, phase_increment, power)
+                    SingularAtomic, _MATCH_TOL, _boundary_dist2, cohn_terms,
+                    has_angular_derivative, kernel_scale, one_minus_mod_sq,
+                    phase_increment, power)
 from .modelspace import PROJECT_BLOCK, _kernel_samples, _point, project_theta
 
 RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
@@ -73,7 +74,7 @@ def _interior_phase(theta: InnerFunction, lam: complex) -> float:
     (delta - W)(V + delta E) / ((W + delta |lam| E)(delta - V)): no factor
     rounds 1 - |a| away.
     """
-    angle, delta, mult = theta._phase_data
+    _, delta, angle, mult = theta._zero_data
     r = abs(lam)
     v = cmath.phase(lam) - angle
     E = np.exp(1j * v)
@@ -111,11 +112,10 @@ class KernelRule:
         lam, boundary = _point(lam)
         self.theta, self.lam = theta, lam
         self.tau = cmath.phase(lam)
-        angle, delta, _ = theta._phase_data
+        _, delta, angle, _ = theta._zero_data
         if boundary:
             self.radius, self.q, self.beta = 1.0, 0.0, 0.0
-            s = np.sin(0.5 * (self.tau - angle))
-            scale = math.sqrt(np.min(delta * delta + 4.0 * (1.0 - delta) * s * s))
+            scale = math.sqrt(np.min(_boundary_dist2(delta, angle, self.tau)))
         else:
             self.radius = abs(lam)
             self.q = one_minus_mod_sq(theta, lam)  # 1 - rho^2
@@ -370,8 +370,8 @@ def gen_blaschke_counterexample(p: float = 3.0, count: int = 20) -> Counterexamp
     ]
     data = {"p2_terms": bl2, "p_terms": blp}
     if p == 3.0:
-        df3 = (8.0 ** -ks) ** (1.0 - 1.0 / p) / np.sqrt(
-            np.array([z.dist2_to_boundary_angle(0.0) for z in zeros]))
+        _, delta, angle, _ = theta._zero_data
+        df3 = (8.0 ** -ks) ** (1.0 - 1.0 / p) / np.sqrt(_boundary_dist2(delta, angle, 0.0))
         certs.append(Certificate("df3_decay", float(df3[-1] / df3[0]), 1.0,
                                  bool(np.all(np.diff(df3) < 0))))
         data["df3"] = df3
@@ -393,7 +393,6 @@ def gen_singular_counterexample(p: float = 3.0, count: int = 20) -> Counterexamp
     _, at2 = cohn_terms(theta, 0.0, 2.0)
     _, atp = cohn_terms(theta, 0.0, p)
     total = float(sum(a.mass for a in atoms))
-    tail_bound = float(np.sum(at2[3 * count // 4:]))
     certs = [
         Certificate("total_mass", total, 1.0 / 7.0 + 1e-6, total <= 1.0 / 7.0 + 1e-6),
         Certificate("p2_increment_scale",

@@ -11,7 +11,6 @@ the Ahern-Clark sums.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import weakref
 
@@ -61,15 +60,6 @@ class BlaschkeZero:
     def value(self) -> complex:
         return (1.0 - self.delta) * cmath.exp(1j * self.angle)
 
-    def dist2_to_boundary_angle(self, t: float) -> float:
-        """|e^{it} - a|^2 computed stably from (delta, angle)."""
-        s = math.sin(0.5 * (t - self.angle))
-        return self.delta * self.delta + 4.0 * (1.0 - self.delta) * s * s
-
-    def one_minus_mod2(self) -> float:
-        """1 - |a|^2 = delta (2 - delta), exact in delta."""
-        return self.delta * (2.0 - self.delta)
-
 
 class Atom:
     """A point mass of the singular measure: mass c > 0 at e^{i angle}."""
@@ -82,17 +72,17 @@ class Atom:
         self.angle = float(angle) % (2.0 * math.pi)
         self.mass = float(mass)
 
-    def dist2_to_boundary_angle(self, t: float) -> float:
-        s = math.sin(0.5 * (t - self.angle))
-        return 4.0 * s * s
-
 
 class InnerFunction:
-    """Base class.  Instances are immutable, so data derived from them is
-    computed once: grid samples (``samples_at``) and the per-factor
-    constants of ``one_minus_mod_sq`` and ``phase_increment``."""
+    """Base class: Theta = u B S, with u the constant ``unimodular``, B the
+    Blaschke product of ``zeros()`` and S the singular function of
+    ``atoms()``.  Instances are immutable, so data derived from them is
+    computed once: grid samples (``samples_at``) and the factors as arrays
+    (``_zero_data``, ``_atom_data``), which every formula in the factors
+    reads."""
 
     truncated = False  # True when the spec is a truncation of an infinite family
+    unimodular = 1  # u: Theta / (B S)
 
     # combinatorial data -------------------------------------------------
 
@@ -124,17 +114,34 @@ class InnerFunction:
         z = np.atleast_1d(z)
         on_t = np.abs(np.abs(z) - 1.0) < 1e-13
         if np.any(on_t):
-            t = np.angle(z[on_t])
-            for atom in self.atoms():
-                d = np.abs(np.exp(1j * t) - np.exp(1j * atom.angle))
-                if np.any(d < 1e-9):
-                    raise UndefinedBoundaryValue(
-                        f"boundary evaluation at a singular atom (angle {atom.angle})")
+            zeta, angle, _ = self._atom_data
+            near = np.abs(np.exp(1j * np.angle(z[on_t]))[:, None] - zeta).min(axis=0) < 1e-9
+            if near.any():
+                raise UndefinedBoundaryValue(
+                    f"boundary evaluation at a singular atom (angle {angle[near][0]})")
         w = self._eval_impl(z)
         return complex(w[0]) if scalar else w
 
     def _eval_impl(self, z):
-        raise NotImplementedError
+        """S, then each b_a multiplied in out of place, then u: numpy's in-place
+        complex product rounds a one-point array apart from a longer one, which
+        would make Theta(lam) depend on how many points are evaluated."""
+        zeta, _, mass = self._atom_data
+        if mass.size:  # expo + term reuses the buffer of the temporary term
+            expo = np.zeros_like(z)
+            for c, m in zip(zeta.tolist(), mass.tolist()):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    expo = expo + m * (z + c) / (z - c)
+            out = np.exp(expo)
+            out[~np.isfinite(out)] = 0.0  # radial limit at the atoms themselves
+        else:
+            out = np.ones_like(z)
+        a, _, _, mult = self._zero_data
+        for c, m in zip(a.tolist(), mult.tolist()):
+            factor = c - z  # divided in place: one grid-sized temporary fewer
+            factor /= 1.0 - c.conjugate() * z
+            out = out * (factor if m == 1 else factor ** m)  # ** 1 is slow
+        return out if self.unimodular == 1 else self.unimodular * out
 
     def samples_at(self, grid, radius: float = 1.0):
         """Samples on the circle of the given radius over a BoundaryGrid's
@@ -147,25 +154,26 @@ class InnerFunction:
             cache[key] = self._eval_impl(z)
         return cache[key]
 
-    @functools.cached_property
-    def _factor_data(self):
-        """Zeros as the rows (Re conj(a), Im conj(a), 1 - |a|^2, mult) and
-        atoms as the rows (Re zeta, Im zeta, 2 mass), one column per factor,
-        for ``one_minus_mod_sq``."""
-        zeros = [(z.value.real, -z.value.imag, z.one_minus_mod2(), z.mult) for z in self.zeros()]
-        atoms = [(math.cos(a.angle), math.sin(a.angle), 2.0 * a.mass) for a in self.atoms()]
-        return (np.array(zeros, dtype=float).reshape(-1, 4).T,
-                np.array(atoms, dtype=float).reshape(-1, 3).T)
+    @property
+    def _zero_data(self):
+        """The zeros in order as arrays (a, delta, angle, mult), a = ``BlaschkeZero.value``."""
+        if not hasattr(self, "_zero_arrays"):  # not via __dict__, whose read slows attribute loads
+            zs = self.zeros()
+            self._zero_arrays = (np.array([z.value for z in zs], dtype=complex),
+                                 np.array([z.delta for z in zs], dtype=float),
+                                 np.array([z.angle for z in zs], dtype=float),
+                                 np.array([z.mult for z in zs], dtype=int))
+        return self._zero_arrays
 
-    @functools.cached_property
-    def _phase_data(self):
-        """Zeros as arrays (angle, delta, mult), equal zeros merged into one
-        multiplicity, for ``phase_increment``."""
-        mults: dict[tuple[float, float], int] = {}
-        for z in self.zeros():
-            mults[z.angle, z.delta] = mults.get((z.angle, z.delta), 0) + z.mult
-        return tuple(np.array(col, dtype=float) for col in
-                     zip(*((a, d, m) for (a, d), m in mults.items())))
+    @property
+    def _atom_data(self):
+        """The atoms in order as arrays (zeta, angle, mass), zeta = e^{i angle}."""
+        if not hasattr(self, "_atom_arrays"):
+            ats = self.atoms()
+            self._atom_arrays = (np.array([cmath.exp(1j * a.angle) for a in ats], dtype=complex),
+                                 np.array([a.angle for a in ats], dtype=float),
+                                 np.array([a.mass for a in ats], dtype=float))
+        return self._atom_arrays
 
     # serialization --------------------------------------------------------
 
@@ -183,6 +191,10 @@ class Monomial(InnerFunction):
 
     def zeros(self):
         return [BlaschkeZero(1.0, 0.0, self.n)]
+
+    @property
+    def unimodular(self):  # z^N = (-1)^N b_0^N
+        return (-1) ** self.n
 
     def _eval_impl(self, z):
         return z ** self.n
@@ -211,15 +223,6 @@ class BlaschkeProduct(InnerFunction):
     def zeros(self):
         return list(self._zeros)
 
-    def _eval_impl(self, z):
-        out = np.ones_like(z)
-        for zero in self._zeros:
-            a = zero.value
-            factor = a - z  # divided in place: one grid-sized temporary fewer
-            factor /= 1.0 - np.conj(a) * z
-            out *= factor if zero.mult == 1 else factor ** zero.mult  # ** 1 is slow
-        return out
-
     def to_json(self):
         out = {"type": "blaschke",
                "zeros": [{"delta": z.delta, "angle": z.angle, "mult": z.mult}
@@ -241,16 +244,6 @@ class SingularAtomic(InnerFunction):
 
     def atoms(self):
         return list(self._atoms)
-
-    def _eval_impl(self, z):
-        expo = np.zeros_like(z)
-        for atom in self._atoms:
-            zeta = cmath.exp(1j * atom.angle)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                expo = expo + atom.mass * (z + zeta) / (z - zeta)
-        out = np.exp(expo)
-        out[~np.isfinite(out)] = 0.0  # radial limit at the atoms themselves
-        return out
 
     def to_json(self):
         out = {"type": "singular",
@@ -279,11 +272,9 @@ class ProductInner(InnerFunction):
     def atoms(self):
         return [a for f in self.factors for a in f.atoms()]
 
-    def _eval_impl(self, z):
-        out = np.ones_like(z)
-        for f in self.factors:
-            out = out * f._eval_impl(z)
-        return out
+    @property
+    def unimodular(self):
+        return math.prod(f.unimodular for f in self.factors)
 
     def to_json(self):
         return {"type": "product", "factors": [f.to_json() for f in self.factors]}
@@ -406,20 +397,21 @@ def one_minus_mod_sq(theta: InnerFunction, lam):
     inside = ~(mod >= 1.0)  # NaN goes through as NaN
     lr, li, mod = pts.real[inside], pts.imag[inside], mod[inside]
     one_minus_lam2 = (1.0 - mod) * (1.0 + mod)
-    zeros, atoms = theta._factor_data
-    br, bi, one_minus_a2, mult = zeros[:, :, None]  # each (zeros, 1)
+    a, delta, _, mult = theta._zero_data
+    br, bi = a.real[:, None], -a.imag[:, None]  # conj(a), one row per zero
     d = np.hypot(1.0 - (br * lr - bi * li), -(br * li + bi * lr))  # |1 - conj(a) lam|
-    u = one_minus_lam2 * one_minus_a2 / (d * d)
-    many = mult[:, 0] > 1
+    u = one_minus_lam2 * (delta * (2.0 - delta))[:, None] / (d * d)
+    many = mult > 1
     if many.any():
         with np.errstate(divide="ignore"):  # u = 1 on the zero: log1p(-1) = -inf
-            u[many] = -np.expm1(mult[many] * np.log1p(-np.minimum(u[many], 1.0)))
+            u[many] = -np.expm1(mult[many, None] * np.log1p(-np.minimum(u[many], 1.0)))
     q = np.zeros_like(mod)
     for u_zero in u:
         q += u_zero * (1.0 - q)
-    if atoms.size:
-        zr, zi, twice_mass = atoms[:, :, None]
-        dist = np.hypot(lr - zr, li - zi)
+    zeta, _, mass = theta._atom_data
+    if mass.size:
+        dist = np.hypot(lr - zeta.real[:, None], li - zeta.imag[:, None])
+        twice_mass = 2.0 * mass[:, None]
         q -= (1.0 - q) * np.expm1(-np.sum(twice_mass * one_minus_lam2 / (dist * dist), axis=0))
     out = np.zeros(pts.shape)
     out[inside] = np.minimum(q, 1.0)  # q >= 1: lam on a zero
@@ -462,7 +454,7 @@ def phase_increment(theta: InnerFunction, tau: float, anchors, offsets):
     round a zero with delta below 1e-16 onto the circle).  Returns
     (Delta, w) at the nodes.
     """
-    angle, delta, mult = theta._phase_data
+    _, delta, angle, mult = theta._zero_data
     offsets = np.asarray(offsets, dtype=float)
     anchors, where = np.unique(np.broadcast_to(anchors, offsets.shape), return_inverse=True)
     c = (2.0 - delta) / delta
@@ -484,6 +476,13 @@ def phase_increment(theta: InnerFunction, tau: float, anchors, offsets):
         den += ss * sin_part[k][where]
         out += mult[k] * np.arctan2(y, den)
     return 2.0 * out, w
+
+
+def _boundary_dist2(delta, angle, t):
+    """|e^{it} - a|^2 = delta^2 + 4 (1 - delta) sin^2((t - angle)/2) for a =
+    (1 - delta) e^{i angle}, without cancellation; delta = 0 for an atom."""
+    s = np.sin(0.5 * (t - angle))
+    return delta * delta + 4.0 * (1.0 - delta) * s * s
 
 
 def _boundary_angle(zeta) -> float:
@@ -508,18 +507,14 @@ def cohn_terms(theta: InnerFunction, zeta, p: float):
     if not math.isfinite(p):
         raise ValueError(f"the Ahern-Clark sums need a finite p, got {p}")
     t = _boundary_angle(zeta)
-    bl = []
-    for zero in theta.zeros():
-        d2 = zero.dist2_to_boundary_angle(t)
-        term = zero.one_minus_mod2() / d2 ** (p / 2.0)
-        bl.extend([term] * zero.mult)
-    at = []
-    for atom in theta.atoms():
-        d2 = atom.dist2_to_boundary_angle(t)
-        if d2 < _MATCH_TOL ** 2:
-            raise AtomAtPoint(f"point at angle {t} coincides with atom at {atom.angle}")
-        at.append(atom.mass / d2 ** (p / 2.0))
-    return np.asarray(bl), np.asarray(at)
+    _, delta, angle, mult = theta._zero_data
+    bl = delta * (2.0 - delta) / _boundary_dist2(delta, angle, t) ** (p / 2.0)
+    _, angle, mass = theta._atom_data
+    d2 = _boundary_dist2(0.0, angle, t)
+    hit = d2 < _MATCH_TOL ** 2
+    if hit.any():
+        raise AtomAtPoint(f"point at angle {t} coincides with atom at {angle[hit][0]}")
+    return np.repeat(bl, mult), mass / d2 ** (p / 2.0)
 
 
 def cohn_sum(theta: InnerFunction, zeta, p: float, terms: int) -> float:

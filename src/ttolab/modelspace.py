@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 
 import numpy as np
 
@@ -301,15 +300,14 @@ class TMSpace(ModelSpace):
     _weight = 1.0  # the basis is orthonormal: <f, g> = vdot(g, f)
 
     def _setup(self, n):
+        a, delta, _, mult = self.theta._zero_data
         if n is None:
             n = DEFAULT_GRID
-            dmin = min(z.delta for z in self.theta.zeros())
-            if dmin < 0.05:
+            if (dmin := float(np.min(delta))) < 0.05:
                 n = min(2 ** 16, pow2_at_least(int(96.0 / dmin)))
             n = max(n, pow2_at_least(8 * self.theta.degree()))
         self.grid = BoundaryGrid(n)
-        self.zeros = np.array([z.value for z in self.theta.zeros() for _ in range(z.mult)],
-                              dtype=complex)
+        self.zeros = np.repeat(a, mult)
         self.dim = len(self.zeros)
         self.scales = np.sqrt(_one_minus_abs2(self.zeros))  # s_j of the TM basis
         self.shift_matrix = self._compressed_shift()
@@ -337,10 +335,10 @@ class TMSpace(ModelSpace):
     def _conjugation_matrix(self):
         """W with omega(sum c_j e_j) = W conj(c), in closed form.
 
-        With Theta = u prod_a (a - z)/(1 - conj(a) z), |u| = 1, omega e_j =
-        u (-1)^N e~_{N-1-j}, where e~ is the TM basis of the zeros in reverse
-        order.  Swapping two adjacent zeros (a, c) changes only their two
-        basis functions, by the unitary
+        With Theta = u prod_a (a - z)/(1 - conj(a) z), u = ``theta.unimodular``
+        (+-1 here), omega e_j = u (-1)^N e~_{N-1-j}, where e~ is the TM basis
+        of the zeros in reverse order.  Swapping two adjacent zeros (a, c)
+        changes only their two basis functions, by the unitary
         U = [[s_a s_c, a - c], [conj(c) - conj(a), s_a s_c]] / (1 - conj(c) a),
         so the reversal is N rounds of disjoint swaps (odd-even
         transposition), each round one vectorised update of the rows of
@@ -369,13 +367,7 @@ class TMSpace(ModelSpace):
             pair[:, 1] *= diag
             pair[:, 1] += pair[:, 0] * upper
             pair[:, 0] = first
-        # u = Theta / prod_a b_a at a boundary point in the widest gap of the
-        # zeros' angles, where every factor is far from 0/0
-        t = np.sort(np.angle(a))
-        gaps = np.diff(t, append=t[0] + 2.0 * math.pi)
-        z0 = np.exp(1j * (t[np.argmax(gaps)] + 0.5 * np.max(gaps)))
-        u = complex(self.theta.eval(z0)) / np.prod((a - z0) / (1.0 - np.conj(a) * z0))
-        return (-1) ** N * u * basis[::-1].T
+        return (-1) ** N * self.theta.unimodular * basis[::-1].T
 
     def analytic_operators(self, coeffs):
         """phi(S_Theta), the matrix of A_phi, for phi = sum_j c_j e_j: one

@@ -11,7 +11,9 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint,
                     from_json, has_angular_derivative, power)
 from ttolab.errors import AtomAtPoint, UndefinedBoundaryValue, UnsupportedVariant
 import ttolab.inner
-from ttolab.inner import cohn_terms, kernel_scale, one_minus_mod_sq, phase_increment
+from ttolab.inner import PowerInner, cohn_terms, kernel_scale, one_minus_mod_sq, phase_increment
+from ttolab.modelspace import GridSpace
+from ttolab.operators import SampleSet
 
 
 def family_zeros(count):
@@ -293,7 +295,7 @@ def _per_zero_formula(theta, lam):
     q = 0.0
     for z in theta.zeros():
         d = abs(1.0 - z.value.conjugate() * lam)
-        u = one_minus_lam2 * z.one_minus_mod2() / (d * d)
+        u = one_minus_lam2 * (z.delta * (2.0 - z.delta)) / (d * d)
         if z.mult > 1:
             u = -math.expm1(z.mult * math.log1p(-u)) if u < 1.0 else 1.0
         q += u * (1.0 - q)
@@ -368,10 +370,10 @@ def test_one_minus_mod_sq_factor_data_is_per_instance():
             ref = _oracle_one_minus_mod_sq(theta, lam)
             assert abs(got - ref) <= 1e-12 * ref
     # z^N has its closed form and stores no factor data
-    assert not any("_factor_data" in vars(theta) for theta in thetas[2:4])
-    data = [vars(theta)["_factor_data"] for theta in thetas[:2] + thetas[4:]]
+    assert not any("_zero_arrays" in vars(theta) for theta in thetas[2:4])
+    data = [vars(theta)["_zero_arrays"] for theta in thetas[:2] + thetas[4:]]
     assert len({id(d) for d in data}) == len(data)
-    assert len({id(z) for d in data for z in (d[0], d[1])}) == 2 * len(data)
+    assert len({id(x) for d in data for x in d}) == 4 * len(data)
 
 
 def test_phase_increment_matches_samples(rng):
@@ -430,6 +432,49 @@ def test_cohn_terms_need_a_finite_p():
     for p in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite p"):
             cohn_terms(theta, 0.5, p)
+
+
+# -- evaluation and JSON over the factor arrays -----------------------------
+
+@pytest.mark.parametrize("theta", [
+    BlaschkeProduct([0.3 + 0.1j, -0.2 + 0.4j, -0.5j, 0.7]),
+    BlaschkeProduct([(0.3 + 0.1j, 2), -0.5j, (0.6, 3)]),
+    BlaschkeProduct(family_zeros(20), truncated=True),
+    SingularAtomic([Atom(0.0, 1.0), Atom(2.0, 0.4)]),
+    power(SingularAtomic([Atom(0.5, 1.0), Atom(3.0, 0.7)]), 0.3),
+    Monomial(7),
+    ProductInner([Monomial(2), BlaschkeProduct([0.5, 0.3j]), SingularAtomic([Atom(1.0, 0.4)])])],
+    ids=["blaschke", "multiple_zero", "family", "singular", "power", "monomial", "product"])
+def test_eval_of_a_point_does_not_depend_on_the_batch(theta):
+    # Theta(lam) has the same bits alone as among the default sample set's points
+    pts = SampleSet.default(GridSpace(theta, 2 ** 9)).points
+    single = np.array([theta.eval(lam) for lam in pts.tolist()])
+    assert np.array_equal(theta.eval(pts), single)
+
+
+_atom_lists = st.lists(st.tuples(_angles, st.floats(0.01, 3.0)), min_size=1, max_size=3)
+_powers = st.builds(PowerInner, _atom_lists.map(SingularAtomic), st.floats(0.05, 1.0))
+_specs = st.one_of(
+    st.integers(1, 300).map(Monomial),
+    st.builds(BlaschkeProduct, st.lists(_zeros, min_size=1, max_size=6), st.booleans()),
+    st.builds(SingularAtomic, _atom_lists, st.booleans()),
+    st.builds(lambda n, b, a: ProductInner([Monomial(n), b, a]),
+              st.integers(1, 8), _blaschke, _atom),
+    _powers,
+    st.builds(PowerInner, _powers, st.floats(0.05, 1.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_specs, st.lists(_points, min_size=1, max_size=8))
+def test_json_round_trip_keeps_every_factor(theta, pts):
+    again = from_json(theta.to_json())
+    assert type(again) is type(theta) and again.truncated == theta.truncated
+    for mine, theirs in ((theta._zero_data, again._zero_data),
+                         (theta._atom_data, again._atom_data)):
+        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(mine, theirs))
+    assert again.unimodular == theta.unimodular
+    pts = np.array(pts)
+    assert np.array_equal(again.eval(pts), theta.eval(pts))
 
 
 # -- the kernel scale sqrt((1-|lam|^2)/(1-|Theta(lam)|^2)) ------------------

@@ -233,6 +233,20 @@ def test_omega_matches_grid_quadrature(zeros):
     assert np.max(np.abs(space.omega_matrix - quad)) <= 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 64, 256, 512])
+def test_omega_on_k_z_n_is_exactly_the_exchange(N):
+    # u = (-1)^N comes from Theta's definition, not from a sample of Theta
+    W = ModelSpace(Monomial(N)).omega_matrix
+    assert np.array_equal(W, np.eye(N)[::-1])
+
+
+def test_omega_is_an_involution_on_a_product_space():
+    # u of a product is the product of its factors' u: here (-1)^2 * 1
+    space = ModelSpace(ProductInner([Monomial(2), BlaschkeProduct([0.5, 0.3j])]))
+    W = space.omega_matrix
+    assert np.max(np.abs(W @ np.conj(W) - np.eye(space.dim))) <= 1e-14
+
+
 def test_omega_commutes_with_projection(rng):
     space = random_blaschke_space(rng, 6)
     g = space.grid
