@@ -147,7 +147,9 @@ class InnerFunction:
         """Samples on the circle of the given radius over a BoundaryGrid's
         angles, cached per (grid, radius); at grid points on a singular atom
         of the unit circle the radial limit 0 (elsewhere there |Theta| = 1)."""
-        cache = self.__dict__.setdefault("_sample_cache", {})
+        if not hasattr(self, "_sample_cache"):  # not via __dict__, as in _zero_data
+            self._sample_cache = {}
+        cache = self._sample_cache
         key = (grid.n, float(radius))
         if key not in cache:
             z = grid.points if radius == 1.0 else radius * grid.points
@@ -293,7 +295,9 @@ class PowerInner(SingularAtomic):
         self.base = base
         self.s = float(s)
         # samples live on the base, which refers to no power back: no cycle keeps them
-        self._sample_cache = base.__dict__.setdefault("_power_samples", {}).setdefault(self.s, {})
+        if not hasattr(base, "_power_samples"):
+            base._power_samples = {}
+        self._sample_cache = base._power_samples.setdefault(self.s, {})
 
     def to_json(self):
         return {"type": "power", "base": self.base.to_json(), "s": self.s}
@@ -308,7 +312,9 @@ def power(theta: InnerFunction, s: float) -> InnerFunction:
         return theta
     if isinstance(theta, PowerInner):
         theta, s = theta.base, s * theta.s
-    powers = theta.__dict__.setdefault("_powers", weakref.WeakValueDictionary())
+    if not hasattr(theta, "_powers"):
+        theta._powers = weakref.WeakValueDictionary()
+    powers = theta._powers
     out = powers.get(s)
     if out is None:
         out = powers[s] = PowerInner(theta, s)

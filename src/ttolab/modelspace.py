@@ -120,8 +120,9 @@ class ModelSpace:
     space, is taken as named.  The methods below run on every
     representation over its hooks: ``_setup(n)`` builds the grid and the
     rest, ``_multiplier``, ``_pair_multiplier`` and ``_outer`` give the
-    (matrix, apply_fn, adjoint_fn) of an operator, ``_unit_kernel_norms`` the
-    rho columns before the kernel scale; ``_project_grid``, ``_kernel_at``,
+    (matrix, apply_fn, adjoint_fn) of an operator, ``_kernel_norms`` the rho
+    columns (``TMSpace`` from its basis rows; elsewhere ``_unit_kernel_norms``,
+    the columns before the kernel scale); ``_project_grid``, ``_kernel_at``,
     ``_omega`` and ``_backward_shift`` the vector of an element, which
     ``_samples``, ``_norm``, ``_weight`` and ``_coeffs`` read."""
 
@@ -209,7 +210,7 @@ class ModelSpace:
     def _kernel_norms(self, op, samples, quotient: bool):
         """||A h_lambda||_2, or ||A h~_lambda||_2 when quotient, at every sample
         point: ``_unit_kernel_norms`` times the kernel scale of the whole
-        sample set (``inner.kernel_scale``)."""
+        sample set (``inner.kernel_scale``); ``TMSpace`` takes its own."""
         return self._unit_kernel_norms(op, samples, quotient) * kernel_scale(
             self.theta, samples.points)
 
@@ -428,17 +429,21 @@ class TMSpace(ModelSpace):
         e_j(w) = sqrt(1-|a_j|^2)/(1 - conj(a_j) w) * prod_{i<j} (w-a_i)/(1-conj(a_i) w)
 
         Returns an (L, N) array for L points: the transpose of the (N, L)
-        array whose row j holds e_j.  Points go in blocks of TM_BLOCK, so
-        each pass over an N x block temporary stays in cache.
+        array whose row j holds e_j.  Points go in blocks of TM_BLOCK, built
+        in place: each pass over the block's slice of the output, or over the
+        one work array of Blaschke factors, stays in cache.
         """
         w = np.asarray(w, dtype=complex).ravel()
         a, scale = self.zeros[:, None], self.scales[:, None]
         out = np.empty((self.dim, w.size), dtype=complex)
+        work = np.empty((self.dim - 1, min(w.size, TM_BLOCK)), dtype=complex)
         for k in range(0, w.size, TM_BLOCK):
             wk = w[k:k + TM_BLOCK]
             block = out[:, k:k + TM_BLOCK]
-            np.divide(1.0, 1.0 - np.conj(a) * wk, out=block)  # 1/(1 - conj(a_j) w)
-            prefix = (wk - a[:-1]) * block[:-1]  # row j: the j-th Blaschke factor
+            np.subtract(1.0, np.multiply(np.conj(a), wk, out=block), out=block)
+            np.divide(1.0, block, out=block)  # 1/(1 - conj(a_j) w)
+            prefix = np.subtract(wk, a[:-1], out=work[:, :wk.size])
+            prefix *= block[:-1]  # row j: the j-th Blaschke factor
             # row j becomes prod_{i<=j} of the factors: row by row, or for the
             # few points of a kernel in one accumulate instead of N - 1 calls
             if wk.size > 64:
@@ -482,13 +487,14 @@ class TMSpace(ModelSpace):
     def _outer(self, x, y):
         return np.outer(x.coeffs, np.conj(y.coeffs)), None, None
 
-    def _unit_kernel_norms(self, op, samples, quotient: bool):
-        """||M conj(e(lambda))||, or ||M W e(lambda)||, by one dense product."""
+    def _kernel_norms(self, op, samples, quotient: bool):
+        """||M conj(e)||/||e||, or ||M W e||/||e||, e = e(lambda), by one dense
+        product: k_lambda = conj(e), so no 1 - |lambda|^2 or 1 - |Theta|^2 enters."""
         M = op.matrix
-        A = M @ self.omega_matrix if quotient else M
         E = self._tm_eval(samples.points)  # (L, N)
         # ||M conj(e)|| = ||conj(M) e||: conjugate the N x N matrix, not the L x N one
-        return np.linalg.norm((A if quotient else np.conj(A)) @ E.T, axis=0)
+        A = M @ self.omega_matrix if quotient else np.conj(M)
+        return np.linalg.norm(A @ E.T, axis=0) / np.linalg.norm(E, axis=1)
 
     def compress(self, w):
         """Matrix of f -> P_Theta(w f) in the basis for w sampled on the grid (a
@@ -534,8 +540,14 @@ class ToeplitzSpace(TMSpace):
         c = np.fft.fft(w) / self.grid.n
         return toeplitz(c[np.arange(1 - self.dim, self.dim) % self.grid.n])
 
+    def _kernel_norms(self, op, samples, quotient: bool):
+        """A rotation-closed set forms no basis rows: its DFT columns take the
+        kernel scale (``ModelSpace``); any other set the rows of ``TMSpace``."""
+        owner = TMSpace if samples.tensor is None else ModelSpace
+        return owner._kernel_norms(self, op, samples, quotient)
+
     def _unit_kernel_norms(self, op, samples, quotient: bool):
-        """The dense product's columns over a rotation-closed set lambda = r w^m,
+        """||M conj(e)||, or ||M W e||, over a rotation-closed set lambda = r w^m,
         w = e^{2 pi i/J} (radius-major): with G = M^H M,
         ||M conj(e)||^2 = sum_{j,k} r^{j+k} G_jk w^{(j-k)m}.
         G is Hermitian, so with x_e(r) = r^e sum_j G[j, j+e] r^{2j} this is
@@ -545,8 +557,6 @@ class ToeplitzSpace(TMSpace):
         sign (J times an inverse DFT).  The squares carry rounding of about
         eps ||M||^2; negative rounding is clamped to 0.
         """
-        if samples.tensor is None:
-            return super()._unit_kernel_norms(op, samples, quotient)
         radii, J = samples.tensor
         M = op.matrix
         N = M.shape[0]

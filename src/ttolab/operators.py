@@ -186,13 +186,17 @@ class SampleSet:
 
     @classmethod
     def default(cls, space: ModelSpace) -> "SampleSet":
+        """The polar grid, and each zero a with |a| < 1 - 1e-12 with, for
+        a != 0, its ray r a/|a| over the grid's nonzero radii."""
         radii = np.concatenate([[0.0], 1.0 - 0.5 ** np.arange(1, DEFAULT_RADII + 1)])
-        pts = _polar_grid(radii, DEFAULT_ANGLES)
-        for a in [z.value for z in space.theta.zeros() if abs(z.value) < 1 - 1e-12]:
-            if abs(a) > 0:
-                pts = np.append(pts, radii[1:, None] * (a / abs(a)))
-            pts = np.append(pts, a)
-        return cls(np.unique(pts))
+        a = space.theta._zero_data[0]
+        mod = np.hypot(a.real, a.imag)  # as Python's abs; np.abs can round apart
+        a, mod = a[mod < 1 - 1e-12], mod[mod < 1 - 1e-12]
+        ray = mod > 0
+        # a/|a| part by part, as Python divides; numpy's complex division multiplies by 1/|a|
+        unit = (a[ray].view(float).reshape(-1, 2) / mod[ray, None]).view(complex)
+        return cls(np.unique(np.concatenate(
+            [_polar_grid(radii, DEFAULT_ANGLES), (radii[1:] * unit).ravel(), a])))
 
     @classmethod
     def rotation_closed(cls, angles: int, radii=None) -> "SampleSet":

@@ -14,7 +14,8 @@ from ttolab.circle import BoundaryGrid, CircleFunction, lp_norm
 from ttolab.errors import TTOLabError
 from ttolab.inner import kernel_scale, power
 from ttolab.modelspace import ModelFunction, ModelSpace, ToeplitzSpace, _kernel_samples
-from ttolab.operators import BoundarySymbol, TTOperator, build
+from ttolab.operators import (DEFAULT_ANGLES, DEFAULT_RADII, BoundarySymbol, TTOperator,
+                              _polar_grid, build)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +149,9 @@ def project_one(theta_samples, samples, grid) -> np.ndarray:
 
 def kernel_norms_per_point(op: TTOperator, samples, quotient: bool = False) -> np.ndarray:
     """||A k_lambda||_2, or ||A k~_lambda||_2 when quotient, one kernel at a
-    time through ``op.apply``: the columns a space's ``_unit_kernel_norms``
-    gives before the kernel scale."""
+    time through ``op.apply``: the rho columns before the kernel scale, which
+    ``_unit_kernel_norms`` gives on a ``GridSpace`` and on rotation-closed
+    sets of K_{z^N} (a ``TMSpace`` divides by ||e(lambda)|| instead)."""
     kernel = op.space.difference_quotient if quotient else op.space.kernel
     return np.array([op.apply(kernel(lam)).norm() for lam in samples.points.tolist()])
 
@@ -172,3 +174,16 @@ def rkt_row_per_point(theta, s: float, lam: complex, grid_n: int) -> dict:
             f = ths * k_1ms
             out["isometry_ratio"] = lp_norm(project_one(th, np.conj(ths) * f, g), 2) / lp_norm(f, 2)
     return out
+
+
+def default_points_by_loop(space: ModelSpace) -> np.ndarray:
+    """The points of ``SampleSet.default``, zero by zero from ``theta.zeros()``:
+    the polar grid, then for each zero a with |a| < 1 - 1e-12 its ray over the
+    nonzero radii (for a != 0) and a itself, each by one np.append."""
+    radii = np.concatenate([[0.0], 1.0 - 0.5 ** np.arange(1, DEFAULT_RADII + 1)])
+    pts = _polar_grid(radii, DEFAULT_ANGLES)
+    for a in [z.value for z in space.theta.zeros() if abs(z.value) < 1 - 1e-12]:
+        if abs(a) > 0:
+            pts = np.append(pts, radii[1:, None] * (a / abs(a)))
+        pts = np.append(pts, a)
+    return np.unique(pts)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint,
                     Monomial, ProductInner, SingularAtomic, cohn_sum, divides,
                     from_json, has_angular_derivative, power)
+from ttolab.circle import BoundaryGrid
 from ttolab.errors import AtomAtPoint, UndefinedBoundaryValue, UnsupportedVariant
 import ttolab.inner
 from ttolab.inner import PowerInner, cohn_terms, kernel_scale, one_minus_mod_sq, phase_increment
@@ -517,6 +518,18 @@ def test_kernel_scale_on_z_n_takes_one_closed_form_call_per_point(monkeypatch):
     calls.clear()
     kernel_scale(BlaschkeProduct([0.5]), pts)  # any other Theta: one array call
     assert calls == [pts.shape]
+
+
+def test_samples_are_one_array_per_grid_and_radius():
+    # the caches live in attributes, set on first use; a power's samples on its base
+    th = SingularAtomic([Atom(0.0, 1.0)])
+    g = BoundaryGrid(64)
+    assert th.samples_at(g) is th.samples_at(g)
+    assert th.samples_at(g, 0.5) is th.samples_at(g, 0.5) is not th.samples_at(g)
+    half = power(th, 0.5)
+    assert half.samples_at(g) is half.samples_at(g) is th._power_samples[0.5][(64, 1.0)]
+    b = BlaschkeProduct([0.3 + 0.1j, -0.5j])
+    assert b.samples_at(g) is b.samples_at(g) is b._sample_cache[(64, 1.0)]
 
 
 def test_power_is_one_object_per_base_and_exponent():

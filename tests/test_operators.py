@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
@@ -9,13 +10,15 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint, CircleFu
                     recover_via_k0, rho, rho_d, rho_r, rho_scan_rows, standard_symbol)
 from ttolab.circle import BoundaryGrid, toeplitz
 from ttolab.errors import UnsupportedVariant
-from ttolab.inner import kernel_scale, one_minus_mod_sq
+import ttolab.inner
+from ttolab.inner import ProductInner, kernel_scale, one_minus_mod_sq
 from ttolab.modelspace import GridSpace
 from ttolab.operators import BoundarySymbol, TTOperator, _lanczos_top_pair, q_theta
 
 from conftest import (near_zero_lists, random_blaschke_space, random_trig_poly_samples,
                       space_from_zeros, zero_lists)
-from identities import hankel_factor_residual, kernel_norms_per_point, toeplitz_defect
+from identities import (default_points_by_loop, hankel_factor_residual, kernel_norms_per_point,
+                        toeplitz_defect)
 
 
 def sym_from_coeffs(space, coeffs):
@@ -266,9 +269,9 @@ def test_rho_monotone_under_refinement(rng):
 
 
 def test_rho_on_a_blaschke_space_matches_the_per_point_reference(rng):
-    # the kernel scales of the whole sample set come from one pass of
-    # one_minus_mod_sq; the zero at 1 - |a| = 1e-4 adds sample points on its
-    # ray, where 1 - |Theta|^2 is small
+    # the columns divide by the basis rows' norms ||e(lambda)||, the reference
+    # multiplies by inner.kernel_scale point by point; the zero at
+    # 1 - |a| = 1e-4 adds sample points on its ray, where 1 - |Theta|^2 is small
     zeros = [BlaschkeZero(1e-4, 1.0)] + [BlaschkeZero(d, t) for d, t in zip(
         rng.uniform(0.25, 0.9, 23), rng.uniform(0.0, 2.0 * np.pi, 23))]
     space = ModelSpace(BlaschkeProduct(zeros))
@@ -704,7 +707,7 @@ def test_grid_rho_columns_on_a_blaschke_space_match_to_rounding():
                 assert np.array_equal(got, ref)
 
 
-def test_rho_scan_rows_keep_the_per_representation_scale_bit_for_bit(rng):
+def test_rho_scan_rows_keep_the_per_representation_scale_bit_for_bit(rng, monkeypatch):
     # the scale that each representation wrote out before inner.kernel_scale
     # took it over: on K_{z^N} the scalar closed form per point, elsewhere one
     # one_minus_mod_sq pass; |lambda| by hypot in both
@@ -721,9 +724,6 @@ def test_rho_scan_rows_keep_the_per_representation_scale_bit_for_bit(rng):
     tm_space = ModelSpace(BlaschkeProduct([0.3 + 0.1j, -0.2 + 0.4j, -0.95j]))
     grid_space = GridSpace(SingularAtomic([Atom(0.0, 1.0)]), 2 ** 9)
     cases = [(TTOperator(toeplitz_space, matrix=M), SampleSet.rotation_closed(32)),
-             (TTOperator(toeplitz_space, matrix=M), SampleSet.default(toeplitz_space)),
-             (TTOperator(tm_space, matrix=rng.standard_normal((3, 3))),
-              SampleSet.default(tm_space)),
              (_grid_closures(grid_space)["multiplier"],
               SampleSet.rotation_closed(8, radii=(0.0, 0.5, 0.9)))]
     for op, samples in cases:
@@ -732,3 +732,95 @@ def test_rho_scan_rows_keep_the_per_representation_scale_bit_for_bit(rng):
         for column, quotient in ((2, False), (3, True)):
             want = op.space._unit_kernel_norms(op, samples, quotient) * s
             assert np.array_equal(rows[:, column], want), type(op.space).__name__
+    # any other set on an exact space: h_lambda = conj(e(lambda))/||e(lambda)||
+    # from the basis rows alone, with no 1 - |Theta|^2
+    calls = []
+    real = ttolab.inner.one_minus_mod_sq
+    monkeypatch.setattr(ttolab.inner, "one_minus_mod_sq",
+                        lambda *args: calls.append(1) or real(*args))
+    for op in (TTOperator(toeplitz_space, matrix=M),
+               TTOperator(tm_space, matrix=rng.standard_normal((3, 3)))):
+        space, samples = op.space, SampleSet.default(op.space)
+        E = space._tm_eval(samples.points)
+        rows = np.array(rho_scan_rows(op, samples))
+        for column, A in ((2, np.conj(op.matrix)), (3, op.matrix @ space.omega_matrix)):
+            want = np.linalg.norm(A @ E.T, axis=0) / np.linalg.norm(E, axis=1)
+            assert np.array_equal(rows[:, column], want), type(space).__name__
+    assert calls == []
+
+
+def _near_circle_space(rng, delta, others):
+    """A Blaschke space with one zero at 1 - |a| = delta and ``others`` zeros
+    with 1 - |a| in [0.25, 0.9)."""
+    zeros = [BlaschkeZero(delta, 1.0)] + [BlaschkeZero(d, t) for d, t in zip(
+        rng.uniform(0.25, 0.9, others), rng.uniform(0.0, 2.0 * np.pi, others))]
+    return ModelSpace(BlaschkeProduct(zeros))
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+def test_tm_rho_columns_match_the_kernel_scale_route(rng, delta):
+    # ||e(lambda)|| and inner.kernel_scale are two routes to ||k_lambda||, each
+    # rounding 1 - conj(a) lambda or 1 - |lambda| next to the zero, so they
+    # agree to about eps/(1 - |a|): at most 6.5e-15, 9.5e-14 and 1.13e-12 here
+    # (at 1e-4 each route is 5-6e-13 off a 40-digit value)
+    space = _near_circle_space(rng, delta, 11)
+    op = TTOperator(space, matrix=rng.standard_normal((12, 12))
+                    + 1j * rng.standard_normal((12, 12)))
+    samples = SampleSet.default(space)
+    s = kernel_scale(space.theta, samples.points)
+    rows = np.array(rho_scan_rows(op, samples))
+    for column, quotient in ((2, False), (3, True)):
+        want = kernel_norms_per_point(op, samples, quotient) * s
+        assert np.max(np.abs(rows[:, column] - want) / want) <= 2 * np.finfo(float).eps / delta
+
+
+def test_tm_kernel_norm_next_to_a_zero_at_1e_8_matches_mpmath():
+    # ||k_lambda|| = sqrt((1 - |Theta(lambda)|^2)/(1 - |lambda|^2)) in 40 digits
+    # on the same float inputs.  The row norm ||e(lambda)|| that rho divides by
+    # is off by at most 1.26e-9 relative (at lambda = a, where 1 - conj(a) a
+    # rounds); 1/kernel_scale, which forms 1 - |lambda|^2, by 5.64e-9
+    space = ModelSpace(BlaschkeProduct([BlaschkeZero(1e-8, 1.0), 0.3 + 0.1j, -0.2 + 0.4j, -0.5j]))
+    pts = SampleSet.default(space).points
+    ref = []
+    with mpmath.workdps(40):
+        zeros = [mpmath.mpc(a) for a in space.zeros.tolist()]
+        for lam in pts.tolist():
+            w = mpmath.mpc(lam)
+            mod2 = mpmath.fprod(abs((a - w) / (1 - mpmath.conj(a) * w)) ** 2 for a in zeros)
+            ref.append(float(mpmath.sqrt((1 - mod2) / (1 - abs(w) ** 2))))
+    ref = np.array(ref)
+    row = np.linalg.norm(space._tm_eval(pts), axis=1)
+    err_row = np.max(np.abs(row - ref) / ref)
+    err_scale = np.max(np.abs(1.0 / kernel_scale(space.theta, pts) - ref) / ref)
+    assert err_row <= 2.5e-9 < err_scale
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-8])
+def test_rho_stays_below_the_operator_norm_next_to_the_circle(rng, delta):
+    # h_lambda is a unit vector up to rounding, so rho <= ||A||; the pair
+    # (k_0, 0) is the identity, whose every column is 1
+    space = _near_circle_space(rng, delta, 5)
+    samples = SampleSet.default(space)
+    pairs = [PairSymbol(space.kernel(0.0), space.zero())]
+    for _ in range(3):
+        c = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+        pairs.append(PairSymbol(space.from_coeffs(c[0]), space.from_coeffs(c[1])))
+    for pair in pairs:
+        op = build(space, pair)
+        assert rho(op, samples) <= operator_norm(op) * (1 + 1e-12)
+
+
+def test_default_sample_set_matches_the_zero_by_zero_loop():
+    # one pass over theta's zero arrays gives the loop's points bit for bit:
+    # a multiple zero, z^N, a zero at the origin (no ray), a zero within
+    # 1e-12 of the circle (left out) and a product with a singular factor
+    thetas = [BlaschkeProduct([(0.5 + 0.2j, 3), -0.3j, 0.7]),
+              Monomial(7),
+              BlaschkeProduct([0.4 - 0.1j, 0.0, -0.6, (0.0, 2)]),
+              BlaschkeProduct([BlaschkeZero(1e-13, 2.0), 0.3j, BlaschkeZero(1e-3, 0.3)]),
+              ProductInner([Monomial(2), BlaschkeProduct([0.3 + 0.3j, -0.6]),
+                            SingularAtomic([Atom(1.0, 0.5)])])]
+    for theta in thetas:
+        space = GridSpace(theta, 2 ** 6)
+        got, ref = SampleSet.default(space).points, default_points_by_loop(space)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
