@@ -25,7 +25,7 @@ from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction,
                     SingularAtomic, _MATCH_TOL, _boundary_dist2, cohn_terms,
                     has_angular_derivative, kernel_scale, one_minus_mod_sq,
                     phase_increment, power)
-from .modelspace import PROJECT_BLOCK, _kernel_samples, _point, project_theta
+from .modelspace import PROJECT_BLOCK, _angular_derivative, _kernel_samples, _point, project_theta
 
 RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
                                   # sampled at this radius (atoms have no
@@ -437,25 +437,22 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = CLS_TOL,
     """Rows (lambda, ||k||_inf, ||k||_2^2, ratio); the connected-level-set
     test: the supremum of the ratio is finite iff Theta is one-component.
 
-    Inside the disk ||k_lam||_2^2 is the kernel scale to the power -2,
-    one ``inner.kernel_scale`` call for all interior points, and only the
-    sup is refined (uniform grid doubling at tol, up to max_n points); on
-    the circle both norms come from ``kernel_lp``, which raises ValueError
-    for tol < 0 or max_n < 1.
+    ||k_lam||_2^2 is a closed form: inside the disk the kernel scale to the
+    power -2, one ``inner.kernel_scale`` call for all interior points; on
+    the circle the Ahern-Clark sum |Theta'(zeta)|, NoAngularDerivative
+    unless its certificate says yes (``modelspace._angular_derivative``).
+    Only the sup is refined, by ``kernel_lp`` at tol and max_n (uniform
+    grid doubling), which raises ValueError for tol < 0 or max_n < 1.
     """
     lams = [complex(lam) for lam in np.asarray(points, dtype=complex)]
-    on_circle = [_point(lam)[1] for lam in lams]
-    inside = np.array([lam for lam, edge in zip(lams, on_circle) if not edge], dtype=complex)
+    pts = [_point(lam) for lam in lams]
+    inside = np.array([w for w, edge in pts if not edge], dtype=complex)
     two_sq_inside = iter((kernel_scale(theta, inside) ** -2).tolist())
     rows = []
     best = 0.0
-    for lam, edge in zip(lams, on_circle):
-        if edge:
-            (sup, _, _), (two, _, _), _ = _norm_pair(theta, lam, np.inf, tol, max_n)
-            two_sq = two ** 2
-        else:
-            sup = kernel_lp(theta, lam, np.inf, tol=tol, max_n=max_n)[0]
-            two_sq = next(two_sq_inside)
+    for lam, (w, edge) in zip(lams, pts):
+        two_sq = _angular_derivative(theta, w) if edge else next(two_sq_inside)
+        sup = kernel_lp(theta, lam, np.inf, tol=tol, max_n=max_n)[0]
         ratio = sup / two_sq
         best = max(best, ratio)
         rows.append((lam, sup, two_sq, ratio))

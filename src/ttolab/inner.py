@@ -43,8 +43,8 @@ class BlaschkeZero:
     __slots__ = ("delta", "angle", "mult")
 
     def __init__(self, delta: float, angle: float, mult: int = 1):
-        if not 0 < delta <= 1:
-            raise ValueError("zero must lie strictly inside the disk")
+        if not (0 < delta <= 1 and math.isfinite(angle)):  # NaN fails too
+            raise ValueError(f"zero needs 0 < delta <= 1 and a finite angle, got {delta}, {angle}")
         if mult < 1:
             raise ValueError("multiplicity must be >= 1")
         self.delta = float(delta)
@@ -67,8 +67,8 @@ class Atom:
     __slots__ = ("angle", "mass")
 
     def __init__(self, angle: float, mass: float):
-        if mass <= 0:
-            raise ValueError("atom mass must be positive")
+        if not (math.isfinite(angle) and 0 < mass < math.inf):  # NaN fails too
+            raise ValueError(f"atom needs a finite angle and 0 < mass < inf, got {angle}, {mass}")
         self.angle = float(angle) % (2.0 * math.pi)
         self.mass = float(mass)
 

@@ -23,29 +23,38 @@ EXACT_DEGREE_CAP = 512
 TM_BLOCK = 4096  # points per block of ModelSpace._tm_eval
 GRAM_TOL = 1e-10  # largest Gram residual of the TM basis on its grid at which an exact
                   # space integrates sampled data (compress, project); beyond it NoConvergence
+EDGE = 1e-12  # a kernel point with 1 - EDGE < |z| <= 1 + EDGE is the boundary point z/|z|
 
 
 def _point(pt):
-    """(value, is_boundary) of a kernel point: |z| < 1, |z| = 1 to 1e-12 or a
-    BoundaryPoint.  Any other point, NaN included, raises ValueError."""
+    """(value, is_boundary) of a kernel point: |z| <= 1 - EDGE, z/|z| for z within
+    EDGE of the circle, or a BoundaryPoint.  Any other point, NaN included, raises ValueError."""
     z = pt.value if isinstance(pt, BoundaryPoint) else complex(pt)
-    if not abs(z) <= 1.0 + 1e-12:  # False for NaN too
+    if not abs(z) <= 1.0 + EDGE:  # False for NaN too
         raise ValueError(f"kernel points must satisfy |z| < 1 or |z| = 1, got {z}")
     if isinstance(pt, BoundaryPoint):
         return z, True
-    if abs(z) > 1.0 - 1e-12:
+    if abs(z) > 1.0 - EDGE:
         return z / abs(z), True
     return z, False
 
 
+def _angular_derivative(theta: InnerFunction, zeta) -> float:
+    """|Theta'(zeta)| = ||k_zeta||_2^2 by the Ahern-Clark sum, certified or NoAngularDerivative."""
+    cert = has_angular_derivative(theta, zeta)
+    if not cert:
+        raise NoAngularDerivative(f"no angular-derivative certificate at {zeta} ({cert.verdict})")
+    return cert.value
+
+
 def _kernel_samples(theta: InnerFunction, lam, grid: BoundaryGrid, radius: float = 1.0):
     """k_lam(z) = (1 - conj(Theta(lam)) Theta(z))/(1 - conj(lam) z), z = radius * grid,
-    at one point lam, or one row per point of a 1-D array lam.
+    at one point lam, or one row per point of a 1-D array lam, as ``_point`` gives.
 
-    For a boundary lam = e^{i tau} and Theta without singular part the
-    samples are e^{i(Delta - w)/2} sin(Delta/2)/sin(w/2), w = t - tau, with
-    Delta the phase increment of Theta from tau (``inner.phase_increment``),
-    so nothing cancels next to lam.
+    For a boundary lam = e^{i tau} (|lam| > 1 - EDGE) and Theta without singular
+    part the samples are e^{i(Delta - w)/2} sin(Delta/2)/sin(w/2), w = t - tau, with
+    Delta the phase increment of Theta from tau (``inner.phase_increment``), so
+    nothing cancels next to lam.
     """
     lam = np.asarray(lam, dtype=complex)
     pts = np.atleast_1d(lam)
@@ -53,11 +62,10 @@ def _kernel_samples(theta: InnerFunction, lam, grid: BoundaryGrid, radius: float
     den = 1.0 - np.conj(pts)[:, None] * z
     num = 1.0 - np.conj(theta.eval(pts))[:, None] * theta.samples_at(grid, radius)
     if radius == 1.0 and not theta.has_singular_part():
-        for i, p in enumerate(pts.tolist()):
-            if abs(p) > 1.0 - 1e-12:  # a boundary point
-                delta, w = phase_increment(theta, cmath.phase(p), 0.0, grid.angles)
-                den[i] = np.sin(0.5 * w)
-                num[i] = np.exp(0.5j * (delta - w)) * np.sin(0.5 * delta)
+        for i in np.flatnonzero(np.hypot(pts.real, pts.imag) > 1.0 - EDGE):  # as Python's abs
+            delta, w = phase_increment(theta, cmath.phase(pts[i]), 0.0, grid.angles)
+            den[i] = np.sin(0.5 * w)
+            num[i] = np.exp(0.5j * (delta - w)) * np.sin(0.5 * delta)
     hit = np.abs(den) < 1e-13
     if hit.any():
         # boundary kernel evaluated at its own point: the limit is
@@ -168,19 +176,12 @@ class ModelSpace:
         return ModelFunction(self, self._project_grid(f))
 
     def kernel(self, pt) -> "ModelFunction":
-        """Reproducing kernel k_pt(z) = (1 - conj(Theta(pt)) Theta(z))/(1 - conj(pt) z)."""
-        return ModelFunction(self, self._kernel_at(self._kernel_point(pt)))
-
-    def _kernel_point(self, pt) -> complex:
-        """The point ``kernel`` takes its samples at (``_point``); at a boundary
-        point NoAngularDerivative unless Theta has an angular derivative there."""
+        """Reproducing kernel k_pt(z) = (1 - conj(Theta(pt)) Theta(z))/(1 - conj(pt) z) at
+        ``_point(pt)``; NoAngularDerivative at a boundary point without a certificate."""
         w, boundary = _point(pt)
         if boundary:
-            cert = has_angular_derivative(self.theta, w)
-            if not cert:
-                raise NoAngularDerivative(
-                    f"no angular-derivative certificate at {w} ({cert.verdict})")
-        return w
+            _angular_derivative(self.theta, w)
+        return ModelFunction(self, self._kernel_at(w))
 
     def normalized_kernel(self, pt) -> "ModelFunction":
         """h_pt = sqrt((1-|pt|^2)/(1-|Theta(pt)|^2)) k_pt; unit norm at interior points."""
@@ -277,8 +278,8 @@ class GridSpace(ModelSpace):
     def _unit_kernel_norms(self, op, samples, quotient: bool):
         """||A k_lambda||_2, or ||A k~_lambda||_2 when quotient: the kernel (or
         quotient) rows of up to PROJECT_BLOCK grid samples at a time go through
-        the closure as one stack."""
-        pts = np.array([self._kernel_point(p) for p in samples.points.tolist()])
+        the closure as one stack; sample points are interior (``SampleSet``)."""
+        pts = samples.points
         step = max(1, PROJECT_BLOCK // self.grid.n)
         out = np.empty(pts.size)
         for k in range(0, pts.size, step):

@@ -16,7 +16,7 @@ import numpy as np
 from .circle import CircleFunction, inner_product, lp_norm
 from .errors import NoConvergence
 from .inner import BoundaryPoint
-from .modelspace import ModelFunction, ModelSpace, project_theta
+from .modelspace import EDGE, ModelFunction, ModelSpace, project_theta
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +173,25 @@ DEFAULT_ANGLES = 64  # equispaced angles per radius of SampleSet.default
 
 
 class SampleSet:
-    """A finite set of interior points standing in for the supremum over D."""
+    """Interior points, |z| <= 1 - EDGE as ``_point`` decides, standing in for the sup over D."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=complex).ravel()
         if pts.size == 0:
             raise ValueError("sample set must be nonempty")
-        if np.any(np.abs(pts) >= 1.0):
-            raise ValueError("sample points must lie strictly inside the disk")
+        if not np.all(np.hypot(pts.real, pts.imag) <= 1.0 - EDGE):  # as Python's abs; NaN fails
+            raise ValueError(f"sample points must satisfy |z| <= 1 - {EDGE}")
         self.points = pts
         self.tensor = None  # (radii, angles) of a rotation-closed tensor grid
 
     @classmethod
     def default(cls, space: ModelSpace) -> "SampleSet":
-        """The polar grid, and each zero a with |a| < 1 - 1e-12 with, for
+        """The polar grid, and each interior zero a (|a| <= 1 - EDGE) with, for
         a != 0, its ray r a/|a| over the grid's nonzero radii."""
         radii = np.concatenate([[0.0], 1.0 - 0.5 ** np.arange(1, DEFAULT_RADII + 1)])
         a = space.theta._zero_data[0]
         mod = np.hypot(a.real, a.imag)  # as Python's abs; np.abs can round apart
-        a, mod = a[mod < 1 - 1e-12], mod[mod < 1 - 1e-12]
+        a, mod = a[mod <= 1.0 - EDGE], mod[mod <= 1.0 - EDGE]
         ray = mod > 0
         # a/|a| part by part, as Python divides; numpy's complex division multiplies by 1/|a|
         unit = (a[ray].view(float).reshape(-1, 2) / mod[ray, None]).view(complex)

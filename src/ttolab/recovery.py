@@ -15,7 +15,7 @@ import numpy as np
 
 from .circle import CircleFunction
 from .errors import DegenerateMu, InconsistentOracle, UnsupportedVariant
-from .modelspace import ModelFunction, ModelSpace, _kernel_samples, _point
+from .modelspace import EDGE, ModelFunction, ModelSpace, _kernel_samples, _point
 from .operators import (BoundarySymbol, PairSymbol, SampleSet, TTOperator,
                         _polar_grid, _spend_gauge, build, rho_r)
 
@@ -42,10 +42,12 @@ class KernelActionOracle:
 
     @classmethod
     def from_table(cls, space: ModelSpace, rows) -> "KernelActionOracle":
-        """rows: iterable of (lambda, coefficient vector) pairs (exact mode)."""
+        """rows: iterable of (lambda, coefficient vector) pairs (exact mode), all finite."""
         table = {complex(lam): c for lam, c in rows}
         points = np.array(sorted(table, key=lambda z: (z.real, z.imag)), dtype=complex)
         stack = np.array([table[z] for z in points.tolist()], dtype=complex)
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("kernel-action table coefficients must be finite")
 
         def act(lams):
             hit = lams[:, None] == points[None, :]
@@ -249,7 +251,7 @@ def _check_table(oracle: KernelActionOracle) -> None:
     if oracle.sample_points is None:
         return
     pts = np.unique(np.asarray(oracle.sample_points, dtype=complex))
-    if not np.all(np.abs(pts) <= 1.0 + 1e-12):  # False for NaN too
+    if not np.all(np.abs(pts) <= 1.0 + EDGE):  # False for NaN too
         raise ValueError("kernel-action table points must satisfy |lambda| <= 1")
     if pts.size < space.dim:
         raise ValueError(f"the kernel-action table has {pts.size} distinct lambda, "
@@ -263,8 +265,8 @@ def _check_table(oracle: KernelActionOracle) -> None:
 def _certify(oracle: KernelActionOracle, phi_plus, phi_minus, mu) -> RecoveredSymbol:
     """Rebuild the operator from the pair and check it against the oracle.
 
-    Raises InconsistentOracle when the worst relative difference of the
-    kernel actions at the probe points exceeds RESIDUAL_TOL: row i of
+    Raises InconsistentOracle unless the worst relative difference of the kernel
+    actions at the probe points is at most RESIDUAL_TOL (NaN is not): row i of
     ``kernels`` holds k at probe i, so row i of ``kernels @ M^T`` is M k.
     """
     space = oracle.space
@@ -275,8 +277,8 @@ def _certify(oracle: KernelActionOracle, phi_plus, phi_minus, mu) -> RecoveredSy
     diff = oracle.act(probes) - kernels @ rebuilt.matrix.T
     resid = float(np.max(np.linalg.norm(diff, axis=1)
                          / np.maximum(np.linalg.norm(kernels, axis=1), 1.0)))
-    if resid > RESIDUAL_TOL:
-        raise InconsistentOracle(f"rebuild residual {resid:.2e} > {RESIDUAL_TOL:.0e}")
+    if not resid <= RESIDUAL_TOL:
+        raise InconsistentOracle(f"rebuild residual {resid:.2e} not within {RESIDUAL_TOL:.0e}")
     return RecoveredSymbol(phi_plus, phi_minus, mu, resid, rebuilt)
 
 

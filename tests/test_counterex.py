@@ -1,3 +1,4 @@
+import cmath
 import gc
 import math
 import re
@@ -12,10 +13,10 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, ModelSpace, Monomial,
                     gen_blaschke_counterexample, gen_singular_counterexample,
                     growth_ratio, power, rkt_failure_scan)
 import ttolab.inner
-from ttolab.inner import cohn_terms, one_minus_mod_sq
+from ttolab.inner import cohn_terms, has_angular_derivative, one_minus_mod_sq
 from ttolab.counterex import (QUADRATURE_TOL, Certificate, KernelRule,
                               blaschke_truncation, graded_norms, growth_scan, kernel_lp)
-from ttolab.errors import NoConvergence
+from ttolab.errors import NoAngularDerivative, NoConvergence
 
 from identities import rkt_row_per_point
 
@@ -161,10 +162,35 @@ def test_growth_ratio_strict_raises_on_unresolvable():
         growth_ratio(th, 0.99, 3.0, max_n=2 ** 11)
 
 
-def test_cls_scan_boundary_point_takes_both_norms_from_kernel_lp():
-    # on K_{z^4}, k_1 = 1 + z + z^2 + z^3: sup 4, ||k_1||_2^2 = 4
+def test_cls_scan_boundary_point_takes_its_sup_from_kernel_lp_and_its_two_norm_exactly():
+    # on K_{z^4}, k_1 = 1 + z + z^2 + z^3: sup 4, ||k_1||_2^2 = |Theta'(1)| = 4
     (lam, sup, two_sq, ratio), = cls_ratio_scan(Monomial(4), [1.0]).rows
     assert (lam, sup, two_sq, ratio) == (1.0, 4.0, 4.0, 1.0)
+
+
+def test_cls_scan_boundary_two_norm_is_the_ahern_clark_sum_on_a_singular_theta():
+    # Theta = exp((z+1)/(z-1)): |Theta'(-1)| = 2 mass / |-1 - 1|^2 = 1/2; the p = 2
+    # quadrature at RADIAL_OFFSET reads 0.4956531 with a residual of 4e-12
+    th = SingularAtomic([Atom(0.0, 1.0)])
+    assert cls_ratio_scan(th, [-1.0]).rows[0][2] == 0.5
+    for t in (0.5, 1.0, 2.0):
+        zeta = cmath.exp(1j * t)
+        assert cls_ratio_scan(th, [zeta]).rows[0][2] == has_angular_derivative(th, zeta).value
+
+
+def test_cls_scan_boundary_two_norm_matches_the_graded_quadrature_on_blaschke_data():
+    th = BlaschkeProduct([0.5, 0.3j, -0.2, 0.9 * cmath.exp(1j)])
+    zetas = [1.0, -1.0, 1j, cmath.exp(1j), cmath.exp(2.5j)]
+    for (_, _, two_sq, _), zeta in zip(cls_ratio_scan(th, zetas).rows, zetas):
+        assert two_sq == has_angular_derivative(th, complex(zeta)).value
+        assert two_sq == pytest.approx(kernel_lp(th, zeta, 2.0)[0] ** 2, rel=1e-12, abs=0)
+
+
+def test_cls_scan_boundary_point_without_a_certificate_raises():
+    # the atom sits at the point: no angular derivative, so no ||k_1||_2
+    th = SingularAtomic([Atom(0.0, 1.0)])
+    with pytest.raises(NoAngularDerivative, match=r"at \(1\+0j\) \(no\)"):
+        cls_ratio_scan(th, [0.5, 1.0])
 
 
 def test_growth_ratio_of_a_singular_theta_is_the_kernel_lp_ratio():

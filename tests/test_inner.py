@@ -52,6 +52,21 @@ def test_modulus_bounds(rng):
         assert abs(abs(th.eval(cmath.exp(1j * t))) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("angle, mass", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                                         (math.inf, 1.0), (0.0, 0.0), (0.0, -1.0)])
+def test_atom_needs_a_finite_angle_and_a_finite_positive_mass(angle, mass):
+    # a NaN or infinite mass would make SingularAtomic([atom]).eval(0.3) return 0j
+    with pytest.raises(ValueError, match="finite angle and 0 < mass < inf"):
+        Atom(angle, mass)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_blaschke_zero_needs_a_finite_angle(angle):
+    # a NaN angle would make BlaschkeZero(0.5, nan).value NaN
+    with pytest.raises(ValueError, match="a finite angle"):
+        BlaschkeZero(0.5, angle)
+
+
 def test_boundary_value_at_atom_undefined():
     th = SingularAtomic([Atom(0.0, 1.0)])
     with pytest.raises(UndefinedBoundaryValue):

@@ -242,6 +242,16 @@ def test_rho_d_equals_rho_r_of_adjoint(rng):
     assert abs(rho_d(op, s) - rho_r(adjoint(op), s)) < 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(0.3, np.nan), np.inf, -np.inf,
+                                 1.0 - 1e-13, 1.0, 1.5, -1j])
+def test_sample_sets_hold_only_points_that_point_calls_interior(bad):
+    # a NaN point would make rho NaN, and 1 - 1e-13 would be interior to
+    # TMSpace but a boundary kernel to GridSpace
+    with pytest.raises(ValueError, match=r"\|z\| <= 1 - 1e-12"):
+        SampleSet([bad, 0.3])
+    assert SampleSet([1.0 - 2e-12, 0.3]).points[0] == 1.0 - 2e-12
+
+
 def test_rho_rank_one_value(rng):
     # ||(kt (x) k) h_lam||_2 = |<h_lam, k>| ||kt||
     space = random_blaschke_space(rng, 5)

@@ -367,6 +367,24 @@ def test_recover_inconsistent_oracle(rng):
         recover(KernelActionOracle(space, bogus))
 
 
+def test_both_routes_refuse_a_nan_residual():
+    space = ModelSpace(BlaschkeProduct([0.5, 0.3j, -0.2]))
+    op = build(space, PairSymbol(space.kernel(0.3), space.kernel(-0.1j)))
+    op.matrix[1, 2] = np.nan
+    oracle = KernelActionOracle.from_operator(op)
+    for route in (recover, recover_via_k0):
+        with pytest.raises(InconsistentOracle, match="residual nan not within 1e-06"):
+            route(oracle)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_a_table_with_a_non_finite_coefficient_is_refused(bad):
+    space = ModelSpace(BlaschkeProduct([0.5, 0.3j, -0.2]))
+    rows = [(0.0, [bad, 0, 0]), (0.5, [1, 0, 0]), (0.3j, [0, 1, 0])]
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        KernelActionOracle.from_table(space, rows)
+
+
 def test_rank_one_symbol_monomial():
     sp = ModelSpace(Monomial(2))
     sym = rank_one_symbol(sp, 0.0)
