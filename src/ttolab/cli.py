@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .circle import FourierPolynomial
 from .errors import NoConvergence, TTOLabError
-from .inner import BoundaryPoint, Monomial, atoms_from_json, cohn_sum, from_json
+from .inner import BoundaryPoint, Monomial, _is_number, atoms_from_json, cohn_sum, from_json
 from .modelspace import ModelSpace
 from .operators import (BoundarySymbol, MeasureSymbol, TTOperator, _polar_grid, build,
                         measure_operator, operator_norm, rank_one_operator)
@@ -60,7 +60,7 @@ def _complex(obj, shape: str = "value"):
     if shape == "value":
         if isinstance(obj, str) and obj.count(",") <= 1:
             return complex(*map(float, obj.split(",")))  # ValueError if not numbers
-        if isinstance(obj, (int, float)):
+        if _is_number(obj):
             return complex(obj)
         if _is_pair(obj):
             return complex(obj[0], obj[1])
@@ -98,8 +98,7 @@ def _batch(obj):
 
 
 def _is_pair(obj) -> bool:
-    return (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj))
+    return isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_number, obj))
 
 
 def _pairs(a):
@@ -253,7 +252,7 @@ def _cmd_cohn_growth(cfg):
     zeta, p, terms = cfg["zeta"], cfg["p"], cfg["terms"]
     if terms < 1:
         raise ValidationError(f"--terms must be at least 1, got {terms}")
-    sums = [cohn_sum(theta, zeta, p, k) for k in range(1, terms + 1)]
+    sums = [cohn_sum(theta, BoundaryPoint(zeta), p, k) for k in range(1, terms + 1)]
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} "
                 f"zeta={zeta!r} p={p!r} terms={terms}",
                 ("k", "partial_sum")] + [(str(k), _fmt(s)) for k, s in enumerate(sums, 1)]
@@ -261,11 +260,12 @@ def _cmd_cohn_growth(cfg):
 
 
 def _listify(val, cast=float):
-    """A list of numbers, or a string of them separated by commas, cast each."""
+    """A list of numbers that cast keeps (int refuses a fraction), or a string of
+    them separated by commas, cast each."""
     items = [x for x in val.split(",") if x.strip()] if isinstance(val, str) else val
     if not (isinstance(items, list)
-            and all(isinstance(x, (str, int, float)) for x in items)):
-        raise ValidationError(f"expected a list of numbers, got {val!r}")
+            and all(isinstance(x, str) or _is_number(x) and cast(x) == x for x in items)):
+        raise ValidationError(f"expected a list of {cast.__name__}s, got {val!r}")
     return [cast(x) for x in items]
 
 
@@ -338,7 +338,8 @@ def _cmd_carleson(cfg):
     space = _exact_space(cfg, "carleson")
     density = (FourierPolynomial(cfg["density"]).to_circle(space.grid)
                if "density" in cfg else None)
-    op = measure_operator(space, MeasureSymbol(atoms_from_json(cfg.get("atoms", [])), density))
+    atoms = [(BoundaryPoint(angle), mass) for angle, mass in atoms_from_json(cfg.get("atoms", []))]
+    op = measure_operator(space, MeasureSymbol(atoms, density))
     evals = np.linalg.eigvalsh(op.matrix)
     return {"carleson_constant": float(evals[-1]),
             "min_eigenvalue": float(evals[0]),

@@ -22,10 +22,10 @@ import numpy as np
 from .circle import BoundaryGrid, DEFAULT_GRID, cauchy_refine, lp_norm
 from .errors import NoConvergence, UnsupportedVariant
 from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction,
-                    SingularAtomic, _MATCH_TOL, _boundary_dist2, cohn_terms,
-                    has_angular_derivative, kernel_scale, one_minus_mod_sq,
-                    phase_increment, power)
-from .modelspace import PROJECT_BLOCK, _angular_derivative, _kernel_samples, _point, project_theta
+                    SingularAtomic, _MATCH_TOL, _angular_derivative, _boundary_dist2,
+                    _point, cohn_terms, has_angular_derivative, kernel_scale,
+                    one_minus_mod_sq, phase_increment, power)
+from .modelspace import PROJECT_BLOCK, _kernel_samples, project_theta
 
 RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
                                   # sampled at this radius (atoms have no
@@ -210,7 +210,7 @@ class KernelRule:
         on the circle (NaN unless the angular-derivative certificate says yes)."""
         if self.radius < 1.0:
             return kernel_scale(self.theta, self.lam) ** -2
-        cert = has_angular_derivative(self.theta, self.tau)
+        cert = has_angular_derivative(self.theta, self.lam)
         return cert.value if cert else float("nan")
 
 
@@ -357,8 +357,8 @@ def gen_blaschke_counterexample(p: float = 3.0, count: int = 20) -> Counterexamp
     ks = np.arange(1, count + 1)
     zeros = [BlaschkeZero(8.0 ** -k, 2.0 ** -k) for k in ks]
     theta = BlaschkeProduct(zeros, truncated=True)
-    bl2, _ = cohn_terms(theta, 0.0, 2.0)
-    blp, _ = cohn_terms(theta, 0.0, p)
+    bl2, _ = cohn_terms(theta, 1.0, 2.0)
+    blp, _ = cohn_terms(theta, 1.0, p)
     tail_bound = (16.0 / 7.0) * 2.0 ** -count
     certs = [
         Certificate("p2_tail_bound", tail_bound, 1e-5, tail_bound < 1e-5),
@@ -390,8 +390,8 @@ def gen_singular_counterexample(p: float = 3.0, count: int = 20) -> Counterexamp
     ks = np.arange(1, count + 1)
     atoms = [Atom(2.0 ** -k, 8.0 ** -k) for k in ks]
     theta = SingularAtomic(atoms, truncated=True)
-    _, at2 = cohn_terms(theta, 0.0, 2.0)
-    _, atp = cohn_terms(theta, 0.0, p)
+    _, at2 = cohn_terms(theta, 1.0, 2.0)
+    _, atp = cohn_terms(theta, 1.0, p)
     total = float(sum(a.mass for a in atoms))
     certs = [
         Certificate("total_mass", total, 1.0 / 7.0 + 1e-6, total <= 1.0 / 7.0 + 1e-6),
@@ -440,7 +440,7 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = CLS_TOL,
     ||k_lam||_2^2 is a closed form: inside the disk the kernel scale to the
     power -2, one ``inner.kernel_scale`` call for all interior points; on
     the circle the Ahern-Clark sum |Theta'(zeta)|, NoAngularDerivative
-    unless its certificate says yes (``modelspace._angular_derivative``).
+    unless its certificate says yes (``inner._angular_derivative``).
     Only the sup is refined, by ``kernel_lp`` at tol and max_n (uniform
     grid doubling), which raises ValueError for tol < 0 or max_n < 1.
     """
@@ -519,8 +519,8 @@ def counterex_theorem_check(family: CounterexampleFamily, p: float,
     bound_ok = True
     for d in degrees:
         th = blaschke_truncation(family, d)
-        bl_p, at_p = cohn_terms(th, 0.0, p)
-        bl_2, at_2 = cohn_terms(th, 0.0, 2.0)
+        bl_p, at_p = cohn_terms(th, 1.0, p)
+        bl_2, at_2 = cohn_terms(th, 1.0, 2.0)
         sums_p.append(float(bl_p.sum() + at_p.sum()))
         sums_2.append(float(bl_2.sum() + at_2.sum()))
         sums_sq.append(2.0 * sums_p[-1])  # zeros of Theta^2 are doubled

@@ -16,13 +16,14 @@ import weakref
 
 import numpy as np
 
-from .errors import AtomAtPoint, UndefinedBoundaryValue, UnsupportedVariant
+from .errors import AtomAtPoint, NoAngularDerivative, UndefinedBoundaryValue, UnsupportedVariant
 
 _MATCH_TOL = 1e-12
+EDGE = 1e-12  # a point with 1 - EDGE < |z| <= 1 + EDGE is the boundary point z/|z|
 
 
 class BoundaryPoint:
-    """A point e^{i angle} of the unit circle, kept as an exact angle."""
+    """e^{i angle} on the unit circle, kept as an exact angle: how an angle names a point."""
 
     __slots__ = ("angle",)
 
@@ -35,6 +36,17 @@ class BoundaryPoint:
 
     def __repr__(self):
         return f"BoundaryPoint(angle={self.angle!r})"
+
+
+def _point(pt):
+    """(value, is_boundary) of a point argument: |z| <= 1 - EDGE, z/|z| for z within
+    EDGE of the circle, or a BoundaryPoint.  Any other point, NaN included, raises ValueError."""
+    z = pt.value if isinstance(pt, BoundaryPoint) else complex(pt)
+    if not abs(z) <= 1.0 + EDGE:  # False for NaN too
+        raise ValueError(f"points must satisfy |z| < 1 or |z| = 1, got {z}")
+    if isinstance(pt, BoundaryPoint):
+        return z, True
+    return (z / abs(z), True) if abs(z) > 1.0 - EDGE else (z, False)
 
 
 class BlaschkeZero:
@@ -106,13 +118,14 @@ class InnerFunction:
     def eval(self, z):
         """Evaluate at interior points or admissible boundary points.
 
-        Raises UndefinedBoundaryValue for boundary points sitting on a
-        singular atom (within matching tolerance).
+        Raises UndefinedBoundaryValue for boundary points (``_point``'s rule)
+        sitting on a singular atom (within matching tolerance).
         """
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
-        on_t = np.abs(np.abs(z) - 1.0) < 1e-13
+        mod = np.abs(z)
+        on_t = (mod > 1.0 - EDGE) & (mod <= 1.0 + EDGE)
         if np.any(on_t):
             zeta, angle, _ = self._atom_data
             near = np.abs(np.exp(1j * np.angle(z[on_t]))[:, None] - zeta).min(axis=0) < 1e-9
@@ -362,14 +375,22 @@ def _objects(items, what: str) -> list:
     return items
 
 
+def _is_number(x) -> bool:
+    """Whether x is a JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _number(obj: dict, key: str, cast=float):
+    """obj[key] (a JSON number or its text) as a finite float, or a whole int; ValueError else."""
     value = obj[key]
-    try:  # OverflowError: int() of an infinity, or an int beyond the floats
-        if isinstance(value, (int, float, str)) and math.isfinite(out := cast(value)):
+    try:  # OverflowError: int() of an infinity or an int beyond the floats; ValueError: bad text
+        if ((_is_number(value) or isinstance(value, str))
+                and math.isfinite(out := cast(value)) and out == float(value)):
             return out
-    except OverflowError:
+    except (OverflowError, ValueError):
         pass
-    raise ValueError(f"{key} must be a finite number, got {value!r}")
+    whole = " with no fraction" if cast is int else ""
+    raise ValueError(f"{key} must be a finite number{whole}, got {value!r}")
 
 
 # -- Ahern-Clark / Cohn sums ----------------------------------------------
@@ -491,28 +512,18 @@ def _boundary_dist2(delta, angle, t):
     return delta * delta + 4.0 * (1.0 - delta) * s * s
 
 
-def _boundary_angle(zeta) -> float:
-    """Accept an angle (real), a BoundaryPoint, or a unimodular complex number."""
-    if isinstance(zeta, BoundaryPoint):
-        return zeta.angle
-    if isinstance(zeta, (int, float)):
-        return float(zeta)
-    z = complex(zeta)
-    if abs(abs(z) - 1.0) > 1e-10:
-        raise ValueError("boundary point must have modulus one")
-    return cmath.phase(z)
-
-
 def cohn_terms(theta: InnerFunction, zeta, p: float):
-    """Termwise Ahern-Clark data at e^{it}: Blaschke terms then atom terms.
+    """Termwise Ahern-Clark data at zeta = e^{it}: Blaschke terms then atom terms.
 
-    Blaschke term k: (1-|a_k|^2)/|zeta-a_k|^p, computed from (delta, angle).
-    Atom term k: c_k/|zeta-zeta_k|^p.  Raises ValueError unless p is finite
-    and AtomAtPoint when zeta sits on an atom.
-    """
+    zeta is a point ``_point`` puts on the circle (t: a number's phase as given, a
+    BoundaryPoint's angle).  Blaschke term k: (1-|a_k|^2)/|zeta-a_k|^p from (delta,
+    angle); atom term k: c_k/|zeta-zeta_k|^p.  ValueError unless p is finite and
+    zeta is on the circle; AtomAtPoint when zeta sits on an atom."""
     if not math.isfinite(p):
         raise ValueError(f"the Ahern-Clark sums need a finite p, got {p}")
-    t = _boundary_angle(zeta)
+    if not _point(zeta)[1]:
+        raise ValueError(f"the Ahern-Clark sums need a point of the circle, got {zeta}")
+    t = zeta.angle if isinstance(zeta, BoundaryPoint) else cmath.phase(zeta)
     _, delta, angle, mult = theta._zero_data
     bl = delta * (2.0 - delta) / _boundary_dist2(delta, angle, t) ** (p / 2.0)
     _, angle, mass = theta._atom_data
@@ -524,7 +535,7 @@ def cohn_terms(theta: InnerFunction, zeta, p: float):
 
 
 def cohn_sum(theta: InnerFunction, zeta, p: float, terms: int) -> float:
-    """Partial Ahern-Clark sum with the first ``terms`` Blaschke zeros and atoms."""
+    """Partial Ahern-Clark sum at zeta (as in ``cohn_terms``): first ``terms`` zeros and atoms."""
     if terms < 1:
         raise ValueError("term count must be >= 1")
     bl, at = cohn_terms(theta, zeta, p)
@@ -554,7 +565,7 @@ ANGULAR_CAUCHY_TOL = 1e-10  # tail sum at or below which that verdict is "yes"
 
 
 def has_angular_derivative(theta: InnerFunction, zeta) -> AngularDerivative:
-    """Carathéodory angular-derivative test at a boundary point.
+    """Carathéodory angular-derivative test at a boundary point zeta, as ``cohn_terms`` reads it.
 
     For exact finite data the answer is yes, with |Theta'(zeta)| equal to
     the Blaschke p=2 sum plus twice the atomic p=2 sum.  For specs flagged
@@ -563,9 +574,8 @@ def has_angular_derivative(theta: InnerFunction, zeta) -> AngularDerivative:
     criterion on partial sums (ANGULAR_CAUCHY_TOL) says yes, a positive
     termwise floor on the tail says no, anything else is inconclusive.
     """
-    t = _boundary_angle(zeta)
     try:
-        bl, at = cohn_terms(theta, t, 2.0)
+        bl, at = cohn_terms(theta, zeta, 2.0)
     except AtomAtPoint:
         return AngularDerivative("no")
     value = float(bl.sum() + 2.0 * at.sum())
@@ -581,6 +591,14 @@ def has_angular_derivative(theta: InnerFunction, zeta) -> AngularDerivative:
     if k >= 8 and tail.min() >= 1e-8:
         return AngularDerivative("no")
     return AngularDerivative("inconclusive")
+
+
+def _angular_derivative(theta: InnerFunction, zeta) -> float:
+    """|Theta'(zeta)| = ||k_zeta||_2^2 by the Ahern-Clark sum, certified or NoAngularDerivative."""
+    cert = has_angular_derivative(theta, zeta)
+    if not cert:
+        raise NoAngularDerivative(f"no angular-derivative certificate at {zeta} ({cert.verdict})")
+    return cert.value
 
 
 # -- divisibility -----------------------------------------------------------

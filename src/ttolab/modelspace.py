@@ -14,37 +14,15 @@ import numpy as np
 
 from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID, fold, lp_norm,
                      pow2_at_least, riesz_plus_rows, toeplitz)
-from .errors import (BandwidthOverflow, BoundaryPointNotNormalizable,
-                     NoAngularDerivative, NoConvergence, UnsupportedVariant)
-from .inner import (BoundaryPoint, InnerFunction, Monomial,
+from .errors import (BandwidthOverflow, BoundaryPointNotNormalizable, NoConvergence,
+                     UnsupportedVariant)
+from .inner import (EDGE, InnerFunction, Monomial, _angular_derivative, _point,
                     has_angular_derivative, kernel_scale, phase_increment)
 
 EXACT_DEGREE_CAP = 512
 TM_BLOCK = 4096  # points per block of ModelSpace._tm_eval
 GRAM_TOL = 1e-10  # largest Gram residual of the TM basis on its grid at which an exact
                   # space integrates sampled data (compress, project); beyond it NoConvergence
-EDGE = 1e-12  # a kernel point with 1 - EDGE < |z| <= 1 + EDGE is the boundary point z/|z|
-
-
-def _point(pt):
-    """(value, is_boundary) of a kernel point: |z| <= 1 - EDGE, z/|z| for z within
-    EDGE of the circle, or a BoundaryPoint.  Any other point, NaN included, raises ValueError."""
-    z = pt.value if isinstance(pt, BoundaryPoint) else complex(pt)
-    if not abs(z) <= 1.0 + EDGE:  # False for NaN too
-        raise ValueError(f"kernel points must satisfy |z| < 1 or |z| = 1, got {z}")
-    if isinstance(pt, BoundaryPoint):
-        return z, True
-    if abs(z) > 1.0 - EDGE:
-        return z / abs(z), True
-    return z, False
-
-
-def _angular_derivative(theta: InnerFunction, zeta) -> float:
-    """|Theta'(zeta)| = ||k_zeta||_2^2 by the Ahern-Clark sum, certified or NoAngularDerivative."""
-    cert = has_angular_derivative(theta, zeta)
-    if not cert:
-        raise NoAngularDerivative(f"no angular-derivative certificate at {zeta} ({cert.verdict})")
-    return cert.value
 
 
 def _kernel_samples(theta: InnerFunction, lam, grid: BoundaryGrid, radius: float = 1.0):

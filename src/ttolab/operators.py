@@ -15,8 +15,8 @@ import numpy as np
 
 from .circle import CircleFunction, inner_product, lp_norm
 from .errors import NoConvergence
-from .inner import BoundaryPoint
-from .modelspace import EDGE, ModelFunction, ModelSpace, project_theta
+from .inner import EDGE, _point
+from .modelspace import ModelFunction, ModelSpace, project_theta
 
 
 # ---------------------------------------------------------------------------
@@ -38,15 +38,14 @@ class PairSymbol:
 
 
 class MeasureSymbol:
-    """A positive measure: point masses on the circle plus an a.c. density,
-    whose samples must be real and nonnegative to within 8 ulps of the
-    largest one."""
+    """A positive measure: point masses on the circle (where ``_point`` puts a
+    point; an angle is a BoundaryPoint) plus an a.c. density, whose samples
+    must be real and nonnegative to within 8 ulps of the largest one."""
 
     def __init__(self, atoms=(), density: CircleFunction | None = None):
-        self.atoms = [(a if isinstance(a, BoundaryPoint) else BoundaryPoint(a), float(m))
-                      for a, m in atoms]
-        if not all(m > 0 for _, m in self.atoms):  # NaN too
-            raise ValueError("measure atoms must have positive mass")
+        self.atoms = [(a, float(m)) for a, m in atoms]
+        if not all(_point(a)[1] and m > 0 for a, m in self.atoms):  # NaN mass too
+            raise ValueError("measure atoms must sit on the unit circle with positive mass")
         if density is not None:
             s = density.samples
             slack = 8 * np.spacing(np.max(np.abs(s)))

@@ -15,7 +15,8 @@ import numpy as np
 
 from .circle import CircleFunction
 from .errors import DegenerateMu, InconsistentOracle, UnsupportedVariant
-from .modelspace import EDGE, ModelFunction, ModelSpace, _kernel_samples, _point
+from .inner import EDGE, _point
+from .modelspace import ModelFunction, ModelSpace, _kernel_samples
 from .operators import (BoundarySymbol, PairSymbol, SampleSet, TTOperator,
                         _polar_grid, _spend_gauge, build, rho_r)
 
@@ -43,7 +44,10 @@ class KernelActionOracle:
     @classmethod
     def from_table(cls, space: ModelSpace, rows) -> "KernelActionOracle":
         """rows: iterable of (lambda, coefficient vector) pairs (exact mode), all finite."""
-        table = {complex(lam): c for lam, c in rows}
+        table = {}
+        for lam, c in rows:  # a lambda given twice must repeat its coefficients
+            if not np.array_equal(table.setdefault(complex(lam), c), c, equal_nan=True):
+                raise ValueError(f"the kernel-action table gives two rows at lambda {complex(lam)}")
         points = np.array(sorted(table, key=lambda z: (z.real, z.imag)), dtype=complex)
         stack = np.array([table[z] for z in points.tolist()], dtype=complex)
         if not np.all(np.isfinite(stack)):

@@ -374,6 +374,19 @@ def test_exit_codes(capsys, tmp_path):
         ["counterex", "--kind", "singular", "--count", "40"],
         # the theorem check truncates a Blaschke family
         ["counterex", "--kind", "singular", "--degrees", "8,16"],
+        # a JSON number is not a bool, and an integer field takes no fraction
+        ["kernels", "--inner", '{"type":"monomial","degree":true}', "--lambda", "0"],
+        ["kernels", "--inner", '{"type":"monomial","degree":3.9}', "--lambda", "0"],
+        ["kernels", "--inner", '{"type":"blaschke","zeros":[{"re":0.5,"im":0,"mult":2.7}]}',
+         "--lambda", "0"],
+        ["cf-extend", "--coeffs", "[true, 1]"],
+        ["cls-scan", "--inner", mono3, "--radii", "[true]"],
+        ["counterex", "--degrees", "[8.5, 16]"],
+        # a kernel-action table gives each lambda one row
+        ["recover", "--inner", mono3, "--mu", "0.3", "--table", json.dumps(
+            [{"lambda": lam, "coefficients": c}
+             for lam, c in ((0.3, [9, 9, 9]), (0.3, [1, 0, 0]), (0.5, [0, 1, 0]),
+                            (0.1, [0, 0, 1]))])],
     ]
     # a config file must hold an object of values that the flags could give:
     # no null for a flag with a default, a typed flag's value as its text would
@@ -383,12 +396,14 @@ def test_exit_codes(capsys, tmp_path):
                                          ("rkt-scan", '{"grid": null}'),
                                          ("counterex", '{"count": [20]}'),
                                          ("counterex", '{"kind": "bogus"}'),
-                                         ("cls-scan", '{"radii": []}'))):
+                                         ("cls-scan", '{"radii": []}'),
+                                         ("kernels", '{"lambda": true}'))):
         cfg = tmp_path / f"cfg{i}.json"
         cfg.write_text(text)
         flags = {"cf-extend": ["--coeffs", "[1]"], "counterex": [],
                  "rkt-scan": ["--inner", '{"type":"singular","atoms":[{"angle":0,"mass":1}]}',
-                              "--s", "0.5"], "cls-scan": ["--inner", mono3]}[command]
+                              "--s", "0.5"], "cls-scan": ["--inner", mono3],
+                 "kernels": ["--inner", mono3]}[command]
         malformed.append([command, *flags, "--config", str(cfg)])
     for args in malformed:
         assert main(args) == 2, args

@@ -7,9 +7,10 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, ModelSpace, Monomial,
-                    SingularAtomic, cls_ratio_scan, counterex_theorem_check,
+from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint, ModelSpace, Monomial,
+                    ProductInner, SingularAtomic, cls_ratio_scan, counterex_theorem_check,
                     gen_blaschke_counterexample, gen_singular_counterexample,
                     growth_ratio, power, rkt_failure_scan)
 import ttolab.inner
@@ -18,6 +19,7 @@ from ttolab.counterex import (QUADRATURE_TOL, Certificate, KernelRule,
                               blaschke_truncation, graded_norms, growth_scan, kernel_lp)
 from ttolab.errors import NoAngularDerivative, NoConvergence
 
+from conftest import zero_lists
 from identities import rkt_row_per_point
 
 
@@ -186,6 +188,23 @@ def test_cls_scan_boundary_two_norm_matches_the_graded_quadrature_on_blaschke_da
         assert two_sq == pytest.approx(kernel_lp(th, zeta, 2.0)[0] ** 2, rel=1e-12, abs=0)
 
 
+@settings(max_examples=25, deadline=None)
+@given(zero_lists, zero_lists, st.floats(0.0, 2.0 * np.pi, exclude_max=True), st.booleans())
+def test_a_boundary_point_reads_the_same_as_a_number_or_an_angle(zeros, more, t, product):
+    th = BlaschkeProduct([BlaschkeZero(d, a) for d, a in zeros])
+    if product:
+        th = ProductInner([th, BlaschkeProduct([BlaschkeZero(d, a) for d, a in more])])
+    zeta, angle = cmath.exp(1j * t), BoundaryPoint(t)
+    value = has_angular_derivative(th, angle).value
+    assert has_angular_derivative(th, zeta).value == pytest.approx(value, rel=1e-12, abs=0)
+    for mine, theirs in zip(cohn_terms(th, zeta, 3.0), cohn_terms(th, angle, 3.0)):
+        np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=0)
+    space = ModelSpace(th)
+    for pt in (zeta, angle):
+        assert space.kernel(pt).norm() ** 2 == pytest.approx(value, rel=1e-12, abs=0)
+    assert cls_ratio_scan(th, [zeta]).rows[0][2] == pytest.approx(value, rel=1e-12, abs=0)
+
+
 def test_cls_scan_boundary_point_without_a_certificate_raises():
     # the atom sits at the point: no angular derivative, so no ||k_1||_2
     th = SingularAtomic([Atom(0.0, 1.0)])
@@ -341,7 +360,7 @@ def test_graded_rule_matches_ahern_clark_at_one():
     for d in (8, 16, 24, 32):
         th = blaschke_truncation(fam, d)
         (two, resid, n), _, _ = graded_norms(th, 1.0, 2.0)
-        exact = float(cohn_terms(th, 0.0, 2.0)[0].sum())
+        exact = float(cohn_terms(th, 1.0, 2.0)[0].sum())
         assert abs(two ** 2 / exact - 1.0) <= 1e-10, d
         assert resid <= 1e-10 and n <= 2 ** 15
         assert kernel_lp(th, 1.0, 2.0, tol=1e-10) == (two, resid, n)
@@ -411,7 +430,7 @@ def test_square_bound_on_shared_nodes():
         (kp, _, _), _, kp_square = graded_norms(th, 1.0, 3.0)
         assert kp < kp_square <= 2.0 * kp
         _, _, k2_square = graded_norms(th, 1.0, 2.0)
-        exact = 2.0 * float(cohn_terms(th, 0.0, 2.0)[0].sum())
+        exact = 2.0 * float(cohn_terms(th, 1.0, 2.0)[0].sum())
         assert abs(k2_square ** 2 / exact - 1.0) <= 1e-10
 
 

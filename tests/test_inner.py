@@ -84,12 +84,12 @@ def test_product_multiplicativity(rng):
 
 def test_cohn_sum_single_zero():
     th = BlaschkeProduct([0.0])
-    assert abs(cohn_sum(th, 0.0, 2.0, 1) - 1.0) < 1e-15
+    assert abs(cohn_sum(th, 1.0, 2.0, 1) - 1.0) < 1e-15
 
 
 def test_cohn_sum_monotone_in_terms():
     th = BlaschkeProduct(family_zeros(20), truncated=True)
-    sums = [cohn_sum(th, 0.0, 2.0, k) for k in range(1, 21)]
+    sums = [cohn_sum(th, 1.0, 2.0, k) for k in range(1, 21)]
     assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
@@ -97,25 +97,25 @@ def test_family_p2_cauchy_p3_divergent():
     # partial-sum oracle: S_2K - S_K -> 0 at p=2, S_K >= c K at p=3
     th = BlaschkeProduct(family_zeros(40), truncated=True)
     for K in (10, 20):
-        gap = cohn_sum(th, 0.0, 2.0, 2 * K) - cohn_sum(th, 0.0, 2.0, K)
+        gap = cohn_sum(th, 1.0, 2.0, 2 * K) - cohn_sum(th, 1.0, 2.0, K)
         assert gap < 2.4 * 2.0 ** -K  # explicit termwise bound
-    s3 = [cohn_sum(th, 0.0, 3.0, K) for K in (10, 20, 40)]
+    s3 = [cohn_sum(th, 1.0, 3.0, K) for K in (10, 20, 40)]
     for K, s in zip((10, 20, 40), s3):
         assert s >= 0.5 * K
     # each p=3 term individually sits in [0.5, 2.2]
-    bl, _ = cohn_terms(th, 0.0, 3.0)
+    bl, _ = cohn_terms(th, 1.0, 3.0)
     assert bl.min() >= 0.5 and bl.max() <= 2.2
 
 
 def test_cohn_atom_at_point():
     th = SingularAtomic([Atom(0.0, 1.0)])
     with pytest.raises(AtomAtPoint):
-        cohn_sum(th, 0.0, 2.0, 1)
+        cohn_sum(th, 1.0, 2.0, 1)
 
 
 def test_angular_derivative_monomial():
     for n in (1, 2, 7):
-        cert = has_angular_derivative(Monomial(n), 0.0)
+        cert = has_angular_derivative(Monomial(n), 1.0)
         assert cert.verdict == "yes"
         assert abs(cert.value - n) < 1e-14
 
@@ -123,21 +123,21 @@ def test_angular_derivative_monomial():
 def test_angular_derivative_divergent_family():
     zeros = [BlaschkeZero(2.0 ** -k, 0.0) for k in range(1, 21)]  # 1 - 2^-k real
     th = BlaschkeProduct(zeros, truncated=True)
-    assert has_angular_derivative(th, 0.0).verdict == "no"
+    assert has_angular_derivative(th, 1.0).verdict == "no"
 
 
 def test_angular_derivative_convergent_family():
     th = BlaschkeProduct(family_zeros(64), truncated=True)
-    cert = has_angular_derivative(th, 0.0)
+    cert = has_angular_derivative(th, 1.0)
     assert cert.verdict == "yes"
     # limit value agrees with the plain partial sum
-    assert abs(cert.value - cohn_sum(th, 0.0, 2.0, 64)) < 1e-12
+    assert abs(cert.value - cohn_sum(th, 1.0, 2.0, 64)) < 1e-12
 
 
 def test_angular_derivative_singular_factor_two():
     # |Theta'(zeta)| = 2 c / |zeta - atom|^2 for one atom
     th = SingularAtomic([Atom(0.0, 1.0)])
-    cert = has_angular_derivative(th, np.pi)  # zeta = -1
+    cert = has_angular_derivative(th, -1.0)  # zeta = -1
     assert cert.verdict == "yes"
     assert abs(cert.value - 2.0 * 1.0 / 4.0) < 1e-14
 
@@ -145,13 +145,13 @@ def test_angular_derivative_singular_factor_two():
 def test_angular_derivative_squared_agrees():
     # E(Theta^2) = E(Theta); the certificate value doubles
     th = BlaschkeProduct(family_zeros(64), truncated=True)
-    c1 = has_angular_derivative(th, 0.0)
-    c2 = has_angular_derivative(ProductInner([th, th]), 0.0)
+    c1 = has_angular_derivative(th, 1.0)
+    c2 = has_angular_derivative(ProductInner([th, th]), 1.0)
     assert c1.verdict == c2.verdict == "yes"
     assert abs(c2.value - 2.0 * c1.value) < 1e-10
     # termwise: each zero is doubled
-    b1, _ = cohn_terms(th, 0.0, 2.0)
-    b2, _ = cohn_terms(ProductInner([th, th]), 0.0, 2.0)
+    b1, _ = cohn_terms(th, 1.0, 2.0)
+    b2, _ = cohn_terms(ProductInner([th, th]), 1.0, 2.0)
     assert len(b2) == 2 * len(b1)
 
 
@@ -233,6 +233,18 @@ def test_json_numbers_must_be_finite(spec):
         from_json(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    {"type": "monomial", "degree": True},
+    {"type": "monomial", "degree": 3.9},
+    {"type": "blaschke", "zeros": [{"re": 0.5, "im": 0.0, "mult": 2.7}]},
+    {"type": "blaschke", "zeros": [{"delta": 0.5, "angle": True}]},
+    {"type": "singular", "atoms": [{"angle": 0.0, "mass": True}]}])
+def test_json_numbers_are_not_bools_and_integer_fields_are_whole(spec):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        from_json(spec)
+    assert from_json({"type": "monomial", "degree": 3.0}).n == 3
+
+
 def test_boundary_point():
     p = BoundaryPoint(np.pi)
     assert abs(p.value + 1.0) < 1e-15
@@ -242,8 +254,8 @@ def test_boundary_point():
 def test_cohn_termwise_p3_vs_p2():
     # for |zeta - a| <= 2 each p=3 term dominates half the p=2 term
     th = BlaschkeProduct(family_zeros(20), truncated=True)
-    t2, _ = cohn_terms(th, 0.0, 2.0)
-    t3, _ = cohn_terms(th, 0.0, 3.0)
+    t2, _ = cohn_terms(th, 1.0, 2.0)
+    t3, _ = cohn_terms(th, 1.0, 3.0)
     assert np.all(t3 >= 0.5 * t2)
 
 
@@ -425,7 +437,7 @@ def test_angular_derivative_inconclusive_on_few_slow_terms():
     # four truncated zeros: a tail far above the Cauchy tolerance, yet too
     # few terms for a divergence verdict
     th = BlaschkeProduct([BlaschkeZero(0.5, t) for t in (0.5, 1.5, 2.5, 3.5)], truncated=True)
-    cert = has_angular_derivative(th, 0.0)
+    cert = has_angular_derivative(th, 1.0)
     assert cert.verdict == "inconclusive" and not cert
     assert repr(cert) == "AngularDerivative(inconclusive)"
 
@@ -448,6 +460,30 @@ def test_cohn_terms_need_a_finite_p():
     for p in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite p"):
             cohn_terms(theta, 0.5, p)
+
+
+def test_a_real_number_is_a_point_of_the_disk_in_the_ahern_clark_functions():
+    # -1.0 is the point -1, as for every kernel function, not the angle -1
+    # (which reads 2.1753, |Theta'| at e^{-i})
+    th = SingularAtomic([Atom(0.0, 1.0)])
+    assert has_angular_derivative(th, -1.0).value == 0.5
+    for zeta in (-1.0, -1 + 0j, BoundaryPoint(math.pi)):
+        assert cohn_sum(th, zeta, 2.0, 1) == 0.25
+
+
+def test_ahern_clark_functions_refuse_a_point_inside_the_disk():
+    theta = BlaschkeProduct([0.5, 0.3j])
+    for call in (lambda: cohn_terms(theta, 0.3, 2), lambda: cohn_sum(theta, 0.3j, 2.0, 1),
+                 lambda: has_angular_derivative(theta, 1 - 2e-12)):
+        with pytest.raises(ValueError, match="need a point of the circle"):
+            call()
+
+
+def test_eval_within_the_edge_of_an_atom_is_undefined():
+    # |z| = 1 - 5e-13 is on the circle by _point's rule, as in every kernel function
+    th = SingularAtomic([Atom(1.0, 1.0)])
+    with pytest.raises(UndefinedBoundaryValue):
+        th.eval((1 - 5e-13) * cmath.exp(1j))
 
 
 # -- evaluation and JSON over the factor arrays -----------------------------

@@ -350,9 +350,20 @@ def test_measure_must_be_positive():
         with pytest.raises(ValueError, match="real and nonnegative"):
             MeasureSymbol(density=CircleFunction.from_coeffs(g, coeffs))
     with pytest.raises(ValueError, match="positive mass"):
-        MeasureSymbol(atoms=[(0.5, float("nan"))])
+        MeasureSymbol(atoms=[(BoundaryPoint(0.5), float("nan"))])
     # 1 + cos t touches zero, and its samples carry FFT rounding
     MeasureSymbol(density=CircleFunction.from_coeffs(g, {0: 1.0, 1: 0.5, -1: 0.5}))
+
+
+def test_measure_atoms_sit_on_the_circle(rng):
+    # an atom position is a point, as for every kernel function: 0.5 lies inside
+    with pytest.raises(ValueError, match="on the unit circle"):
+        MeasureSymbol(atoms=[(0.5, 1.0)])
+    space = random_blaschke_space(rng, 4)
+    by_angle = measure_operator(space, MeasureSymbol(atoms=[(BoundaryPoint(0.5 * np.pi), 1.0)]))
+    by_point = measure_operator(space, MeasureSymbol(atoms=[(1j, 1.0)]))
+    assert np.max(np.abs(by_angle.matrix - by_point.matrix)) <= 1e-12 * np.max(
+        np.abs(by_point.matrix))
 
 
 def test_measure_point_mass_is_rank_one_kernel(rng):
@@ -580,7 +591,8 @@ def test_exact_only_functions_refuse_a_grid_space():
     space = ModelSpace(SingularAtomic([Atom(0.0, 1.0)]))
     oracle = KernelActionOracle.from_operator(
         build(space, CircleFunction.from_coeffs(space.grid, {0: 1.0, 1: 0.5})))
-    for call in (lambda: measure_operator(space, MeasureSymbol(atoms=[(0.5, 1.0)])),
+    atom = BoundaryPoint(0.5)
+    for call in (lambda: measure_operator(space, MeasureSymbol(atoms=[(atom, 1.0)])),
                  lambda: space.from_coeffs([1.0]),
                  lambda: oracle.act([0.1]),
                  lambda: recover(oracle), lambda: recover_via_k0(oracle)):

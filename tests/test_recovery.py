@@ -223,11 +223,11 @@ def test_oracle_rows_are_the_kernel_actions(rng):
 
 def test_table_oracle_stacks_its_rows():
     space = ModelSpace(Monomial(3))
-    table = [(0.1j, [1.0, 2.0, 3.0]), (-0.2, [4.0, 5.0, 6.0]), (0.1j, [7.0, 8.0, 9.0])]
+    table = [(0.1j, [1.0, 2.0, 3.0]), (-0.2, [4.0, 5.0, 6.0]), (0.1j, [1, 2, 3])]
     oracle = KernelActionOracle.from_table(space, table)
     assert np.array_equal(oracle.sample_points, [-0.2, 0.1j])
-    # a lambda given twice keeps its last row
-    assert np.array_equal(oracle.act([0.1j, -0.2, 0.1j]), [[7, 8, 9], [4, 5, 6], [7, 8, 9]])
+    # a lambda given twice with the same row is one row
+    assert np.array_equal(oracle.act([0.1j, -0.2, 0.1j]), [[1, 2, 3], [4, 5, 6], [1, 2, 3]])
     with pytest.raises(KeyError, match=r"kernel action at 0\.3j not in table"):
         oracle.act([-0.2, 0.3j])
 
@@ -383,6 +383,18 @@ def test_a_table_with_a_non_finite_coefficient_is_refused(bad):
     rows = [(0.0, [bad, 0, 0]), (0.5, [1, 0, 0]), (0.3j, [0, 1, 0])]
     with pytest.raises(ValueError, match="coefficients must be finite"):
         KernelActionOracle.from_table(space, rows)
+
+
+def test_a_table_that_gives_one_lambda_two_rows_is_refused():
+    # a contradictory row is refused, not dropped in favour of the later one
+    space = ModelSpace(BlaschkeProduct([0.5, 0.3j, -0.2]))
+    op = build(space, CircleFunction.from_coeffs(space.grid, {0: 1.0, 1: 0.5, -2: 0.3j}))
+    lams = [0.31, 0.0, 0.5j, -0.4, 0.2 + 0.2j]
+    rows = [(lam, op.apply(space.kernel(lam)).coeffs) for lam in lams]
+    with pytest.raises(ValueError, match=r"two rows at lambda \(0\.31\+0j\)"):
+        KernelActionOracle.from_table(space, [(0.31, [9, 9, 9])] + rows)
+    oracle = KernelActionOracle.from_table(space, rows + rows[:2])  # repeats agree
+    assert recover(oracle).residual <= 1e-10
 
 
 def test_rank_one_symbol_monomial():
