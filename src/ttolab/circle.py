@@ -167,8 +167,8 @@ def lp_norm(f, p):
     a = np.abs(f.samples if isinstance(f, CircleFunction) else f)
     if p == np.inf:
         out = a.max(axis=-1)
-    elif p < 1:
-        raise ValueError("p must be >= 1 or inf")
+    elif not p >= 1:  # NaN too
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
     elif p == 2:
         out = np.sqrt(np.mean(a * a, axis=-1))
     else:

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .circle import FourierPolynomial
 from .errors import NoConvergence, TTOLabError
-from .inner import BoundaryPoint, Monomial, _is_number, atoms_from_json, cohn_sum, from_json
+from .inner import BoundaryPoint, Monomial, _is_number, atoms_from_json, cohn_sums, from_json
 from .modelspace import ModelSpace
 from .operators import (BoundarySymbol, MeasureSymbol, TTOperator, _polar_grid, build,
                         measure_operator, operator_norm, rank_one_operator)
@@ -252,7 +252,7 @@ def _cmd_cohn_growth(cfg):
     zeta, p, terms = cfg["zeta"], cfg["p"], cfg["terms"]
     if terms < 1:
         raise ValidationError(f"--terms must be at least 1, got {terms}")
-    sums = [cohn_sum(theta, BoundaryPoint(zeta), p, k) for k in range(1, terms + 1)]
+    sums = cohn_sums(theta, BoundaryPoint(zeta), p, range(1, terms + 1))
     csv_rows = [f"# inner={json.dumps(cfg['inner'], sort_keys=True)} "
                 f"zeta={zeta!r} p={p!r} terms={terms}",
                 ("k", "partial_sum")] + [(str(k), _fmt(s)) for k, s in enumerate(sums, 1)]

@@ -21,10 +21,9 @@ import numpy as np
 
 from .circle import BoundaryGrid, DEFAULT_GRID, cauchy_refine, lp_norm
 from .errors import NoConvergence, UnsupportedVariant
-from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction,
-                    SingularAtomic, _MATCH_TOL, _angular_derivative, _boundary_dist2,
-                    _point, cohn_terms, has_angular_derivative, kernel_scale,
-                    one_minus_mod_sq, phase_increment, power)
+from .inner import (Atom, BlaschkeProduct, BlaschkeZero, InnerFunction, SingularAtomic,
+                    _MATCH_TOL, _boundary_dist2, _kernel_point, _point, cohn_sum,
+                    cohn_terms, kernel_scale, one_minus_mod_sq, phase_increment, power)
 from .modelspace import PROJECT_BLOCK, _kernel_samples, project_theta
 
 RADIAL_OFFSET = 1.0 - 2.0 ** -12  # boundary kernels of singular Theta are
@@ -103,17 +102,18 @@ class KernelRule:
     split evenly.  For p != 2, |k_lam|^p is not analytic where Delta - beta
     is a multiple of 2 pi (k_zeta vanishes there, with a kink; inside the
     disk |k_lam| is near its minimum), so each such point is a breakpoint,
-    graded toward from LEVEL_DEPTH levels below its panel's width.
+    graded toward from LEVEL_DEPTH levels below its panel's width.  lam is
+    read by ``inner._kernel_point``.
     """
 
     def __init__(self, theta: InnerFunction, lam, p: float):
+        lam, self.boundary_sq = _kernel_point(theta, lam)
         if theta.has_singular_part():
             raise UnsupportedVariant("graded kernel nodes need Theta without singular part")
-        lam, boundary = _point(lam)
         self.theta, self.lam = theta, lam
         self.tau = cmath.phase(lam)
         _, delta, angle, _ = theta._zero_data
-        if boundary:
+        if self.boundary_sq is not None:
             self.radius, self.q, self.beta = 1.0, 0.0, 0.0
             scale = math.sqrt(np.min(_boundary_dist2(delta, angle, self.tau)))
         else:
@@ -206,12 +206,9 @@ class KernelRule:
 
     def exact_sq(self) -> float:
         """||k_lam||_2^2 in closed form: the kernel scale to the power -2
-        inside (``inner.kernel_scale``), the Ahern-Clark sum |Theta'(zeta)|
-        on the circle (NaN unless the angular-derivative certificate says yes)."""
-        if self.radius < 1.0:
-            return kernel_scale(self.theta, self.lam) ** -2
-        cert = has_angular_derivative(self.theta, self.lam)
-        return cert.value if cert else float("nan")
+        inside (``inner.kernel_scale``), the certified Ahern-Clark sum
+        |Theta'(zeta)| on the circle (``inner._kernel_point``)."""
+        return kernel_scale(self.theta, self.lam) ** -2 if self.radius < 1.0 else self.boundary_sq
 
 
 def _rule_norm(weights, k_sq, p: float) -> float:  # finite p
@@ -225,18 +222,17 @@ def graded_norms(theta: InnerFunction, lam, p: float, max_n: int = MAX_NODES):
     The p = 2 residual is the relative distance of the quadrature value
     to the exact norm (``KernelRule.exact_sq``); for p != 2 it is the
     relative distance to the same panels at CHECK_ORDER.  A rule of more
-    than ``max_n`` nodes is not evaluated (values NaN, residuals inf), and
-    without an exact reference every value and residual is NaN.  ValueError
-    unless p is finite (``kernel_lp`` takes p = inf on uniform grids).
+    than ``max_n`` nodes is not evaluated (values NaN, residuals inf).
+    ValueError unless 1 <= p < inf (``kernel_lp`` takes p = inf on uniform
+    grids); NoAngularDerivative as in ``KernelRule``.
     """
-    if not math.isfinite(p):
-        raise ValueError(f"graded kernel norms need a finite p, got {p}")
+    if not 1 <= p < math.inf:  # False for NaN too
+        raise ValueError(f"graded kernel norms need a finite p >= 1, got {p}")
     rule = KernelRule(theta, lam, p)
     n = rule.n
+    if n > max_n:
+        return (math.nan, math.inf, n), (math.nan, math.inf, n), math.nan
     exact = rule.exact_sq()
-    if n > max_n or not math.isfinite(exact):
-        resid = math.inf if n > max_n else math.nan
-        return (math.nan, resid, n), (math.nan, resid, n), math.nan
     weights, one, two = rule.kernel_sq()
     norm_2 = _rule_norm(weights, one, 2.0)
     res_2 = abs(norm_2 / math.sqrt(exact) - 1.0)
@@ -264,12 +260,13 @@ def kernel_lp(theta: InnerFunction, lam: complex, p: float, *,
     (n the last grid, residual the last Cauchy change), singular factors
     sampled at a fixed radial offset.  When strict, raises NoConvergence
     unless the residual is at most tol; otherwise the value is returned
-    with its residual, which scan reports carry per row.  ValueError for
-    tol < 0 or max_n < 1.
+    with its residual, which scan reports carry per row.  ValueError unless
+    p >= 1 (inf included), tol >= 0 and max_n >= 1; NoAngularDerivative at
+    a boundary point without a certificate (``inner._kernel_point``).
     """
-    if not (tol >= 0 and max_n >= 1):  # malformed input (a NaN tol too), not unconverged
-        raise ValueError(f"need a tolerance >= 0 and a budget >= 1 node, got {tol}, {max_n}")
-    lam, _ = _point(lam)
+    if not (p >= 1 and tol >= 0 and max_n >= 1):  # malformed input (NaN too), not unconverged
+        raise ValueError(f"need p >= 1, tol >= 0 and max_n >= 1, got {p}, {tol}, {max_n}")
+    lam, _ = _kernel_point(theta, lam)
     if p == np.inf or theta.has_singular_part():
         radius = RADIAL_OFFSET if theta.has_singular_part() else 1.0
 
@@ -292,7 +289,7 @@ def _norm_pair(theta: InnerFunction, lam, p: float, tol: float, max_n: int):
     if p == np.inf or theta.has_singular_part():
         return (kernel_lp(theta, lam, p, tol=tol, max_n=max_n),
                 kernel_lp(theta, lam, 2.0, tol=tol, max_n=max_n), math.nan)
-    norms = graded_norms(theta, _point(lam)[0], p, max_n)
+    norms = graded_norms(theta, lam, p, max_n)
     for (_, resid, _), q in zip(norms, (p, 2.0)):
         _require(resid, tol, q, max_n)
     return norms
@@ -439,19 +436,19 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = CLS_TOL,
 
     ||k_lam||_2^2 is a closed form: inside the disk the kernel scale to the
     power -2, one ``inner.kernel_scale`` call for all interior points; on
-    the circle the Ahern-Clark sum |Theta'(zeta)|, NoAngularDerivative
-    unless its certificate says yes (``inner._angular_derivative``).
+    the circle the Ahern-Clark sum |Theta'(zeta)|, NoAngularDerivative,
+    before any row, unless its certificate says yes (``inner._kernel_point``).
     Only the sup is refined, by ``kernel_lp`` at tol and max_n (uniform
     grid doubling), which raises ValueError for tol < 0 or max_n < 1.
     """
     lams = [complex(lam) for lam in np.asarray(points, dtype=complex)]
-    pts = [_point(lam) for lam in lams]
-    inside = np.array([w for w, edge in pts if not edge], dtype=complex)
+    pts = [_kernel_point(theta, lam) for lam in lams]
+    inside = np.array([w for w, two_sq in pts if two_sq is None], dtype=complex)
     two_sq_inside = iter((kernel_scale(theta, inside) ** -2).tolist())
     rows = []
     best = 0.0
-    for lam, (w, edge) in zip(lams, pts):
-        two_sq = _angular_derivative(theta, w) if edge else next(two_sq_inside)
+    for lam, (_, two_sq) in zip(lams, pts):
+        two_sq = next(two_sq_inside) if two_sq is None else two_sq
         sup = kernel_lp(theta, lam, np.inf, tol=tol, max_n=max_n)[0]
         ratio = sup / two_sq
         best = max(best, ratio)
@@ -519,10 +516,8 @@ def counterex_theorem_check(family: CounterexampleFamily, p: float,
     bound_ok = True
     for d in degrees:
         th = blaschke_truncation(family, d)
-        bl_p, at_p = cohn_terms(th, 1.0, p)
-        bl_2, at_2 = cohn_terms(th, 1.0, 2.0)
-        sums_p.append(float(bl_p.sum() + at_p.sum()))
-        sums_2.append(float(bl_2.sum() + at_2.sum()))
+        sums_p.append(cohn_sum(th, 1.0, p, d))
+        sums_2.append(cohn_sum(th, 1.0, 2.0, d))
         sums_sq.append(2.0 * sums_p[-1])  # zeros of Theta^2 are doubled
         (kp, rp, _), (k2, r2, _), kp_square = _norm_pair(th, 1.0, p, QUADRATURE_TOL,
                                                           MAX_NODES)

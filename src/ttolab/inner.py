@@ -352,10 +352,9 @@ def from_json(obj: dict) -> InnerFunction:
             else:
                 zeros.append(BlaschkeZero.from_complex(
                     complex(_number(z, "re"), _number(z, "im")), mult))
-        return BlaschkeProduct(zeros, truncated=bool(obj.get("truncated", False)))
+        return BlaschkeProduct(zeros, truncated=_truncated(obj))
     if kind == "singular":
-        return SingularAtomic(atoms_from_json(obj["atoms"]),
-                              truncated=bool(obj.get("truncated", False)))
+        return SingularAtomic(atoms_from_json(obj["atoms"]), truncated=_truncated(obj))
     if kind == "product":
         return ProductInner([from_json(f) for f in _objects(obj["factors"], "factors")])
     if kind == "power":
@@ -373,6 +372,13 @@ def _objects(items, what: str) -> list:
     if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
         raise ValueError(f"{what} must be a list of JSON objects, got {items!r}")
     return items
+
+
+def _truncated(obj: dict) -> bool:
+    """The spec's "truncated" flag: JSON true or false, false when absent; ValueError else."""
+    if isinstance(flag := obj.get("truncated", False), bool):
+        return flag
+    raise ValueError(f"truncated must be true or false, got {flag!r}")
 
 
 def _is_number(x) -> bool:
@@ -536,10 +542,15 @@ def cohn_terms(theta: InnerFunction, zeta, p: float):
 
 def cohn_sum(theta: InnerFunction, zeta, p: float, terms: int) -> float:
     """Partial Ahern-Clark sum at zeta (as in ``cohn_terms``): first ``terms`` zeros and atoms."""
-    if terms < 1:
+    return cohn_sums(theta, zeta, p, [terms])[0]
+
+
+def cohn_sums(theta: InnerFunction, zeta, p: float, counts) -> list[float]:
+    """``cohn_sum`` for each term count in ``counts``, from one pass over the terms."""
+    if min(counts) < 1:
         raise ValueError("term count must be >= 1")
     bl, at = cohn_terms(theta, zeta, p)
-    return float(bl[:terms].sum() + at[:terms].sum())
+    return [float(bl[:k].sum() + at[:k].sum()) for k in counts]
 
 
 class AngularDerivative:
@@ -578,9 +589,8 @@ def has_angular_derivative(theta: InnerFunction, zeta) -> AngularDerivative:
         bl, at = cohn_terms(theta, zeta, 2.0)
     except AtomAtPoint:
         return AngularDerivative("no")
-    value = float(bl.sum() + 2.0 * at.sum())
     if not theta.truncated:
-        return AngularDerivative("yes", value)
+        return AngularDerivative("yes", float(bl.sum() + 2.0 * at.sum()))
 
     seq = np.concatenate([bl, at]) if at.size else bl
     seq = np.sort(seq)[::-1][:ANGULAR_BUDGET]  # positive terms; order-free sum
@@ -593,12 +603,16 @@ def has_angular_derivative(theta: InnerFunction, zeta) -> AngularDerivative:
     return AngularDerivative("inconclusive")
 
 
-def _angular_derivative(theta: InnerFunction, zeta) -> float:
-    """|Theta'(zeta)| = ||k_zeta||_2^2 by the Ahern-Clark sum, certified or NoAngularDerivative."""
-    cert = has_angular_derivative(theta, zeta)
+def _kernel_point(theta: InnerFunction, pt):
+    """(``_point``'s value, ||k_pt||_2^2) for a kernel at pt: None inside the disk, on the
+    circle |Theta'(zeta)| certified by ``has_angular_derivative`` or NoAngularDerivative."""
+    z, boundary = _point(pt)
+    if not boundary:
+        return z, None
+    cert = has_angular_derivative(theta, z)
     if not cert:
-        raise NoAngularDerivative(f"no angular-derivative certificate at {zeta} ({cert.verdict})")
-    return cert.value
+        raise NoAngularDerivative(f"no angular-derivative certificate at {z} ({cert.verdict})")
+    return z, cert.value
 
 
 # -- divisibility -----------------------------------------------------------

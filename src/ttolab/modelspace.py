@@ -16,8 +16,8 @@ from .circle import (BoundaryGrid, CircleFunction, DEFAULT_GRID, fold, lp_norm,
                      pow2_at_least, riesz_plus_rows, toeplitz)
 from .errors import (BandwidthOverflow, BoundaryPointNotNormalizable, NoConvergence,
                      UnsupportedVariant)
-from .inner import (EDGE, InnerFunction, Monomial, _angular_derivative, _point,
-                    has_angular_derivative, kernel_scale, phase_increment)
+from .inner import (EDGE, InnerFunction, Monomial, _kernel_point, _point, kernel_scale,
+                    phase_increment)
 
 EXACT_DEGREE_CAP = 512
 TM_BLOCK = 4096  # points per block of ModelSpace._tm_eval
@@ -32,7 +32,7 @@ def _kernel_samples(theta: InnerFunction, lam, grid: BoundaryGrid, radius: float
     For a boundary lam = e^{i tau} (|lam| > 1 - EDGE) and Theta without singular
     part the samples are e^{i(Delta - w)/2} sin(Delta/2)/sin(w/2), w = t - tau, with
     Delta the phase increment of Theta from tau (``inner.phase_increment``), so
-    nothing cancels next to lam.
+    nothing cancels next to lam; at lam itself, ||k_lam||_2^2 (``inner._kernel_point``).
     """
     lam = np.asarray(lam, dtype=complex)
     pts = np.atleast_1d(lam)
@@ -44,17 +44,11 @@ def _kernel_samples(theta: InnerFunction, lam, grid: BoundaryGrid, radius: float
             delta, w = phase_increment(theta, cmath.phase(pts[i]), 0.0, grid.angles)
             den[i] = np.sin(0.5 * w)
             num[i] = np.exp(0.5j * (delta - w)) * np.sin(0.5 * delta)
-    hit = np.abs(den) < 1e-13
-    if hit.any():
-        # boundary kernel evaluated at its own point: the limit is
-        # ||k_zeta||_2^2 = |Theta'(zeta)|, from the Ahern-Clark certificate
-        den[hit] = 1.0
-        vals = num / den
-        for i in np.flatnonzero(hit.any(axis=1)):
-            cert = has_angular_derivative(theta, pts[i])
-            vals[i, hit[i]] = cert.value if cert else np.nan
-    else:
-        vals = num / den
+    hit = np.abs(den) < 1e-13  # a boundary lam on the grid
+    den[hit] = 1.0
+    vals = num / den
+    for i in np.flatnonzero(hit.any(axis=1)):
+        vals[i, hit[i]] = _kernel_point(theta, pts[i])[1]
     return vals if lam.ndim else vals[0]
 
 
@@ -155,11 +149,8 @@ class ModelSpace:
 
     def kernel(self, pt) -> "ModelFunction":
         """Reproducing kernel k_pt(z) = (1 - conj(Theta(pt)) Theta(z))/(1 - conj(pt) z) at
-        ``_point(pt)``; NoAngularDerivative at a boundary point without a certificate."""
-        w, boundary = _point(pt)
-        if boundary:
-            _angular_derivative(self.theta, w)
-        return ModelFunction(self, self._kernel_at(w))
+        pt, as ``inner._kernel_point`` reads it (NoAngularDerivative at an uncertified one)."""
+        return ModelFunction(self, self._kernel_at(_kernel_point(self.theta, pt)[0]))
 
     def normalized_kernel(self, pt) -> "ModelFunction":
         """h_pt = sqrt((1-|pt|^2)/(1-|Theta(pt)|^2)) k_pt; unit norm at interior points."""

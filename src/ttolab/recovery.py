@@ -15,7 +15,7 @@ import numpy as np
 
 from .circle import CircleFunction
 from .errors import DegenerateMu, InconsistentOracle, UnsupportedVariant
-from .inner import EDGE, _point
+from .inner import EDGE, _kernel_point
 from .modelspace import ModelFunction, ModelSpace, _kernel_samples
 from .operators import (BoundarySymbol, PairSymbol, SampleSet, TTOperator,
                         _polar_grid, _spend_gauge, build, rho_r)
@@ -290,8 +290,8 @@ def _certify(oracle: KernelActionOracle, phi_plus, phi_minus, mu) -> RecoveredSy
 # rank-one symbols
 
 def rank_one_symbol(space: ModelSpace, pt) -> BoundarySymbol:
-    """The explicit symbol Theta conj(z k_pt^{Theta^2}) of k~_pt (x) k_pt."""
-    w, _ = _point(pt)
+    """The explicit symbol Theta conj(z k_pt^{Theta^2}) of k~_pt (x) k_pt (``_kernel_point``)."""
+    w, _ = _kernel_point(space.theta, pt)
     th = space.theta_samples
     # k^{Theta^2} = (1 + conj(Theta(pt)) Theta) k^Theta, from Theta's cached samples
     k2 = (1.0 + np.conj(space.theta.eval(w)) * th) * _kernel_samples(space.theta, w, space.grid)

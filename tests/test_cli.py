@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ttolab.cli import main
+from ttolab.counterex import gen_blaschke_counterexample
+from ttolab.inner import BoundaryPoint, cohn_sum, from_json
 
 
 def run_cli(args, capsys):
@@ -95,6 +97,36 @@ def test_cohn_growth_csv(capsys):
     assert lines[1].startswith("# inner=")  # scan header documents the spec
     assert lines[2] == "k,partial_sum"
     assert lines[3] == "1,1.000000000000e+00"
+
+
+def test_cohn_growth_partial_sums_are_cohn_sum_bit_for_bit(capsys):
+    theta = gen_blaschke_counterexample(3.0, 20).theta
+    code, out = run_cli(["cohn-growth", "--inner", json.dumps(theta.to_json()),
+                         "--zeta", "0", "--p", "3", "--terms", "20"], capsys)
+    assert code == 0
+    want = [cohn_sum(theta, BoundaryPoint(0.0), 3.0, k) for k in range(1, 21)]
+    assert json.loads(out)["partial_sums"] == want
+
+
+def test_the_truncated_flag_is_a_json_boolean(capsys):
+    # true marks a truncation of an infinite family (a grid space); false or no key
+    # an exact spec, which is how to_json writes it back
+    specs = {"blaschke": '{"type":"blaschke","zeros":[{"re":0.5,"im":0}]%s}',
+             "singular": '{"type":"singular","atoms":[{"angle":0,"mass":1}]%s}'}
+    for kind, spec in specs.items():
+        for flag, truncated in ((',"truncated":true', True), (',"truncated":false', False),
+                                ("", False)):
+            theta = from_json(json.loads(spec % flag))
+            assert theta.truncated is truncated
+            assert from_json(theta.to_json()).to_json() == theta.to_json()
+            code, out = run_cli(["kernels", "--inner", spec % flag, "--lambda", "0.5"], capsys)
+            assert code == 0
+            if kind == "blaschke":
+                assert json.loads(out)["mode"] == ("truncated" if truncated else "exact")
+        for bad in ('"false"', "0.5", "1", "0", '"no"', "[]", "null"):
+            assert main(["kernels", "--inner", spec % f',"truncated":{bad}',
+                         "--lambda", "0.5"]) == 2, (kind, bad)
+            assert "truncated must be true or false" in capsys.readouterr().err
 
 
 def test_recover_cli(capsys, tmp_path):

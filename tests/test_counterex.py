@@ -1,4 +1,5 @@
 import cmath
+import functools
 import gc
 import math
 import re
@@ -18,6 +19,7 @@ from ttolab.inner import cohn_terms, has_angular_derivative, one_minus_mod_sq
 from ttolab.counterex import (QUADRATURE_TOL, Certificate, KernelRule,
                               blaschke_truncation, graded_norms, growth_scan, kernel_lp)
 from ttolab.errors import NoAngularDerivative, NoConvergence
+from ttolab.recovery import rank_one_symbol
 
 from conftest import zero_lists
 from identities import rkt_row_per_point
@@ -202,6 +204,7 @@ def test_a_boundary_point_reads_the_same_as_a_number_or_an_angle(zeros, more, t,
     space = ModelSpace(th)
     for pt in (zeta, angle):
         assert space.kernel(pt).norm() ** 2 == pytest.approx(value, rel=1e-12, abs=0)
+        assert KernelRule(th, pt, 3.0).exact_sq() == pytest.approx(value, rel=1e-12, abs=0)
     # the row's two-norm is the certificate whatever the sup's tolerance, which a
     # uniform grid may not reach next to a zero (kernel_lp raises NoConvergence)
     assert cls_ratio_scan(th, [zeta], tol=1.0).rows[0][2] == pytest.approx(value, rel=1e-12, abs=0)
@@ -313,14 +316,47 @@ def test_rkt_scan_validates_inputs():
 
 
 def test_kernel_lp_strict_rejects_nan_residual():
-    # radial zeros at zeta = 1: the boundary kernel there has an
-    # inconclusive certificate, so its samples (and residuals) are NaN
-    radial = BlaschkeProduct([BlaschkeZero(8.0 ** -k, 0.0) for k in range(1, 12)],
-                             truncated=True)
-    value, resid, n = kernel_lp(radial, 1.0, 2.0, strict=False)
-    assert np.isnan(value) and np.isnan(resid) and n == KernelRule(radial, 1.0, 2.0).n
-    with pytest.raises(NoConvergence):
-        kernel_lp(radial, 1.0, 2.0)
+    # radial zeros at zeta = 1: k_1 is not in H^2 (the certificate says no), so
+    # there is no norm to return, with or without a residual
+    radial = _uncertified_at_one()[1]
+    for strict in (True, False):
+        with pytest.raises(NoAngularDerivative, match=r"\(no\)"):
+            kernel_lp(radial, 1.0, 2.0, strict=strict)
+
+
+def _uncertified_at_one():
+    """Two truncated Theta whose certificate at 1 says no: atoms of mass 2^-k at
+    the angles 2^-k, and zeros 8^-k from the circle at angle 0."""
+    return (SingularAtomic([Atom(2.0 ** -k, 2.0 ** -k) for k in range(1, 21)], truncated=True),
+            BlaschkeProduct([BlaschkeZero(8.0 ** -k, 0.0) for k in range(1, 12)],
+                            truncated=True))
+
+
+@pytest.mark.parametrize("theta", _uncertified_at_one(), ids=["singular", "radial"])
+def test_no_kernel_is_formed_at_a_boundary_point_without_a_certificate(theta):
+    assert has_angular_derivative(theta, 1.0).verdict == "no"
+    space = ModelSpace(theta)
+    calls = [lambda: space.kernel(1.0), lambda: space.kernel(BoundaryPoint(0.0)),
+             lambda: graded_norms(theta, 1.0, 3.0), lambda: growth_ratio(theta, 1.0, 3.0),
+             lambda: cls_ratio_scan(theta, [0.5, 1.0]), lambda: rank_one_symbol(space, 1.0)]
+    calls += [functools.partial(kernel_lp, theta, 1.0, p, strict=strict)
+              for p in (2.0, 3.0, math.inf) for strict in (True, False)]
+    for call in calls:
+        with pytest.raises(NoAngularDerivative, match=r"at \(1\+0j\) \(no\)"):
+            call()
+
+
+def test_kernel_norms_take_p_of_at_least_one():
+    # one exponent rule on the graded route (finite p, Blaschke data) and the grid
+    # route (p = inf, or a singular factor): p >= 1 or inf, anything else refused
+    for theta in (Monomial(3), SingularAtomic([Atom(0.0, 1.0)])):
+        for p in (0.5, 0.0, -1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="p >= 1"):
+                kernel_lp(theta, 0.5, p, strict=False)
+    for p in (0.5, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p >= 1"):
+            graded_norms(Monomial(3), 0.5, p)
+    assert kernel_lp(Monomial(3), 0.5, 1.0)[0] > 0.0
 
 
 def test_malformed_tolerance_and_budget_are_rejected():
