@@ -150,7 +150,7 @@ def riesz_plus_rows(rows):
     norm="forward" scales as /n and *n do, bit for bit."""
     co = np.fft.fft(rows, norm="forward")
     co[..., co.shape[-1] // 2:] = 0.0  # bins n/2..n-1 hold the frequencies -n/2..-1
-    return np.fft.ifft(co, norm="forward")
+    return np.fft.ifft(co, norm="forward", out=co)
 
 
 def inner_product(f: CircleFunction, g: CircleFunction) -> complex:
@@ -170,9 +170,9 @@ def lp_norm(f, p):
     elif not p >= 1:  # NaN too
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     elif p == 2:
-        out = np.sqrt(np.mean(a * a, axis=-1))
+        out = np.sqrt(np.mean(np.multiply(a, a, out=a), axis=-1))
     else:
-        out = np.mean(a ** p, axis=-1) ** (1.0 / p)
+        out = np.mean(np.power(a, p, out=a), axis=-1) ** (1.0 / p)
     return float(out) if out.ndim == 0 else out
 
 

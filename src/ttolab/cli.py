@@ -102,9 +102,9 @@ def _is_pair(obj) -> bool:
 
 
 def _pairs(a):
-    """[re, im] pairs of a complex scalar or array, nested like the array."""
-    a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
+    """[re, im] pairs of a complex scalar or array: a float view shaped like it
+    with a last axis of 2, which ``_json_text`` writes as nested lists."""
+    return np.asarray(a, dtype=complex)[..., None].view(float)
 
 
 def _nonfinite(obj, key):
@@ -115,6 +115,37 @@ def _nonfinite(obj, key):
         return None if finite else key
     items = obj.items() if isinstance(obj, dict) else ((key, v) for v in obj)
     return next((bad for k, v in items if (bad := _nonfinite(v, k)) is not None), None)
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=1, allow_nan=False), byte for byte, with
+    each float array (``_pairs``) as its nested list, written by one format string
+    of its shape and float.__repr__; ValueError if a number is not finite."""
+    if isinstance(obj, (float, np.ndarray)):
+        text = (float.__repr__(obj) if isinstance(obj, float)
+                else _array_format(obj.shape, indent) % tuple(obj.ravel().tolist()))
+        if "n" in text:  # "nan", "inf" or "-inf": no finite repr and no format holds an n
+            raise ValueError("Out of range float values are not JSON compliant")
+        return text
+    if isinstance(obj, dict):
+        return _nested([json.dumps(k if isinstance(k, str) else _json_text(k)) + ": "
+                        + _json_text(v, indent + " ") for k, v in sorted(obj.items())],
+                       "{}", indent)
+    if isinstance(obj, (list, tuple)):
+        return _nested([_json_text(v, indent + " ") for v in obj], "[]", indent)
+    return json.dumps(obj)
+
+
+def _array_format(shape, indent: str) -> str:
+    """The %-format of an array of this shape, nested as json.dumps nests lists."""
+    if not shape:
+        return "%r"
+    return _nested([_array_format(shape[1:], indent + " ")] * shape[0], "[]", indent)
+
+
+def _nested(items, ends: str, indent: str) -> str:  # as json.dumps brackets them
+    inner = indent + " "
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 def _read_json(path):
@@ -482,7 +513,8 @@ def _impossible(value, kw: dict) -> bool:
 def _config_hash(command: str, cfg: dict) -> str:
     """Hash of the decoded config, complex data as [re, im] float pairs: the
     values a command computes with, however they were spelled."""
-    canon = json.dumps({"command": command, "config": cfg}, sort_keys=True, default=_pairs)
+    canon = json.dumps({"command": command, "config": cfg}, sort_keys=True,
+                       default=lambda a: _pairs(a).tolist())
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -491,7 +523,7 @@ def _emit(payload, csv_rows, args, digest: str):
         raise ValidationError(f"{args.command} has no CSV representation")
     payload = {"config_hash": digest, "version": __version__, **payload}
     try:  # strict JSON, in either format: the CSV rows hold the payload's numbers
-        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
+        text = _json_text(payload) + "\n"
     except ValueError:
         raise OverflowError(f"{_nonfinite(payload, None)} is not finite") from None
     if args.format == "csv":

@@ -589,17 +589,19 @@ def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
     for i, g in enumerate(grids):
         th = theta.samples_at(g)
         ths = th_s.samples_at(g)
+        ths_bar = np.conj(ths)
         step = max(1, PROJECT_BLOCK // g.n)
         for k in range(0, lams.size, step):
             block = slice(k, k + step)
             k_1ms = _kernel_samples(th_1ms, lams[block], g)  # k_lam^{Theta^{1-s}}
-            lhs = project_theta(th, np.conj(ths) * _kernel_samples(theta, lams[block], g))
-            rhs = np.conj(tv_s[block])[:, None] * k_1ms
-            ident[i, block] = lp_norm(lhs - rhs, 2) / lp_norm(rhs, 2)
+            kern = _kernel_samples(theta, lams[block], g)
+            lhs = project_theta(th, np.multiply(ths_bar, kern, out=kern))
             if i == 0:  # the scan's own grid
                 lhs_norm[block] = lp_norm(lhs, 2)
                 f = ths * k_1ms
-                iso[block] = lp_norm(project_theta(th, np.conj(ths) * f), 2) / lp_norm(f, 2)
+                iso[block] = lp_norm(project_theta(th, ths_bar * f), 2) / lp_norm(f, 2)
+            rhs = np.multiply(np.conj(tv_s[block])[:, None], k_1ms, out=k_1ms)
+            ident[i, block] = lp_norm(np.subtract(lhs, rhs, out=lhs), 2) / lp_norm(rhs, 2)
     rows = []
     for lam, err, err2, a_norm, scale, ratio in zip(
             lams.tolist(), *ident.tolist(), lhs_norm.tolist(),

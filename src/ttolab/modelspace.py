@@ -37,8 +37,10 @@ def _kernel_samples(theta: InnerFunction, lam, grid: BoundaryGrid, radius: float
     lam = np.asarray(lam, dtype=complex)
     pts = np.atleast_1d(lam)
     z = grid.points if radius == 1.0 else radius * grid.points
-    den = 1.0 - np.conj(pts)[:, None] * z
-    num = 1.0 - np.conj(theta.eval(pts))[:, None] * theta.samples_at(grid, radius)
+    den = np.conj(pts)[:, None] * z
+    num = np.conj(theta.eval(pts))[:, None] * theta.samples_at(grid, radius)
+    np.subtract(1.0, den, out=den)
+    np.subtract(1.0, num, out=num)
     if radius == 1.0 and not theta.has_singular_part():
         for i in np.flatnonzero(np.hypot(pts.real, pts.imag) > 1.0 - EDGE):  # as Python's abs
             delta, w = phase_increment(theta, cmath.phase(pts[i]), 0.0, grid.angles)
@@ -46,7 +48,7 @@ def _kernel_samples(theta: InnerFunction, lam, grid: BoundaryGrid, radius: float
             num[i] = np.exp(0.5j * (delta - w)) * np.sin(0.5 * delta)
     hit = np.abs(den) < 1e-13  # a boundary lam on the grid
     den[hit] = 1.0
-    vals = num / den
+    vals = np.divide(num, den, out=num)
     for i in np.flatnonzero(hit.any(axis=1)):
         vals[i, hit[i]] = _kernel_point(theta, pts[i])[1]
     return vals if lam.ndim else vals[0]
@@ -86,9 +88,12 @@ def project_theta(theta_samples, rows):
     ``rows`` is an (..., n) array, each row the samples of one f on the grid
     where ``theta_samples`` are Theta's values, and so is the result: each
     P_+ is one FFT pair along the last axis for the whole stack
-    (``riesz_plus_rows``).
+    (``riesz_plus_rows``).  The products run in place, in the formula's operand
+    order: under FMA a complex product's bits depend on it.
     """
-    return riesz_plus_rows(rows) - theta_samples * riesz_plus_rows(np.conj(theta_samples) * rows)
+    second = riesz_plus_rows(np.multiply(np.conj(theta_samples), rows))
+    first = riesz_plus_rows(rows)
+    return np.subtract(first, np.multiply(theta_samples, second, out=second), out=first)
 
 
 class ModelSpace:
@@ -167,7 +172,8 @@ class ModelSpace:
 
     def _omega_rows(self, rows):
         """omega of each row of an (..., n) stack of grid samples."""
-        return np.conj(self.grid.points * rows) * self.theta_samples
+        out = np.multiply(self.grid.points, rows)
+        return np.multiply(np.conj(out, out=out), self.theta_samples, out=out)
 
     def difference_quotient(self, pt) -> "ModelFunction":
         """k~_pt(z) = (Theta(z) - Theta(pt))/(z - pt) = omega(k_pt)."""

@@ -1,8 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ttolab import cli
 from ttolab.cli import main
 from ttolab.counterex import gen_blaschke_counterexample
 from ttolab.inner import BoundaryPoint, cohn_sum, from_json
@@ -649,3 +653,53 @@ def test_cf_extend_of_zero_data_is_pinned(capsys):
             + '\n ],\n "taylor_defect": 0.0,\n "version": "0.1.0"\n}\n')
     assert run_cli(["cf-extend", "--coeffs", "[0,0,0]"], capsys) == (0, want)
 
+
+
+def test_kernels_prints_a_grid_kernel_as_json_dumps_does(capsys):
+    # a 4096-sample GridSpace kernel: the large array path of the JSON writer
+    code, out = run_cli(["kernels", "--inner", '{"type":"singular","atoms":[{"angle":0,"mass":1}]}',
+                         "--lambda", "0.5"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["mode"] == "truncated" and len(data["samples"]) == 4096
+    assert out == json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 1e-7])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fa\u00e9\u20ac\U0001d11e\ud800')
+                | st.characters(), max_size=6)
+_SHAPES = st.sampled_from([(), (0,)]) | hnp.array_shapes(min_dims=1, max_dims=2, max_side=4)
+_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False) | st.builds(
+    complex, _EDGE_FLOATS, _EDGE_FLOATS)
+_PAIRS = _SHAPES.flatmap(lambda shape: hnp.arrays(complex, shape, elements=_COMPLEX)).map(cli._pairs)
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT | _PAIRS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=12)
+
+
+def _as_lists(x):
+    """x with each array replaced by its nested list."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, dict):
+        return {k: _as_lists(v) for k, v in x.items()}
+    return type(x)(map(_as_lists, x)) if isinstance(x, (list, tuple)) else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_json_text_is_json_dumps_byte_for_byte(x):
+    want = json.dumps(_as_lists(x), sort_keys=True, indent=1, allow_nan=False)
+    assert cli._json_text(x) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PAYLOADS, st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans())
+def test_json_text_refuses_numbers_that_are_not_finite(x, bad, in_array):
+    bad = cli._pairs([1.0, complex(0.5, bad)]) if in_array else bad
+    for obj in ({"x": x, "bad": bad}, [x, [bad]]):
+        with pytest.raises(ValueError):
+            cli._json_text(obj)

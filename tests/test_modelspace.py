@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ttolab import (Atom, BlaschkeProduct, BoundaryGrid, BoundaryPoint, CircleFunction,
                     ModelSpace, Monomial, ProductInner, SingularAtomic, tm_basis)
-from ttolab.circle import inner_product, lp_norm
+from ttolab.circle import inner_product, lp_norm, riesz_plus_rows
 from ttolab.errors import BoundaryPointNotNormalizable, NoAngularDerivative, NoConvergence
 from ttolab.modelspace import (GRAM_TOL, PROJECT_BLOCK, GridSpace, _one_minus_abs2,
                                project_theta)
@@ -477,3 +477,16 @@ def test_project_theta_on_a_stack_is_the_projection_of_each_row(rng):
             for row, out in zip(rows, got):
                 assert np.array_equal(out, project_theta(th, row))
                 assert np.array_equal(out, project_one(th, row, grid))
+
+
+def test_project_theta_is_the_plain_formula_bit_for_bit(rng):
+    # the projection works in place, in the formula's operand order: complex
+    # products under FMA depend on it, so a swapped operand fails here
+    for theta in (SingularAtomic([Atom(0.0, 1.0)]), BlaschkeProduct([0.5, -0.3 + 0.6j, 0.9j])):
+        space = GridSpace(theta)
+        th, n = space.theta_samples, space.grid.n
+        rows = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        kept = rows.copy()
+        want = riesz_plus_rows(rows) - th * riesz_plus_rows(np.conj(th) * rows)
+        assert np.array_equal(project_theta(th, rows), want)
+        assert np.array_equal(rows, kept)
