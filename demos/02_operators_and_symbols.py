@@ -12,6 +12,7 @@ from ttolab import (BlaschkeProduct, BoundaryPoint, CircleFunction,
                     MeasureSymbol, ModelSpace, Monomial, SampleSet, adjoint,
                     build, decompose, measure_operator, operator_norm, rho_d,
                     rho_r, standard_symbol)
+from ttolab.modelspace import GridSpace
 from ttolab.operators import BoundarySymbol, write_rho_scan_csv
 
 print("== the compressed shift on K_{z^2} ==")
@@ -49,6 +50,9 @@ op = build(space, BoundarySymbol(phi))
 samples = SampleSet.default(space)
 rr, rd, nrm = rho_r(op, samples), rho_d(op, samples), operator_norm(op)
 print(f"rho_r = {rr:.6f}, rho_d = {rd:.6f}, ||A|| = {nrm:.6f}")
+twin = GridSpace(space.theta, space.grid.n)  # the same Theta by grid samples
+print(f"on its grid twin (Lanczos on A*A): ||A|| = "
+      f"{operator_norm(build(twin, BoundarySymbol(phi))):.6f}")
 print("refinement can only increase the sampled suprema:",
       rho_r(op, samples.refine()) >= rr)
 csv_path = os.path.join(tempfile.gettempdir(), "rho_scan_demo.csv")

@@ -7,9 +7,9 @@ commutant-lifting step is realized by the Carathéodory-Fejér solution:
 the minimal sup-norm analytic extension of prescribed Taylor data equals
 the top singular value of the lower-triangular Toeplitz matrix, and the
 extremal function is the quotient of the corresponding Schmidt pair.  That
-pair comes from Lanczos on T^H T (``operators._lanczos_top_pair``, which
-``operator_norm`` shares) when a Krylov space smaller than C^N certifies
-it (Ritz residual and gap), and from the dense SVD otherwise.
+pair comes from ``operators._lanczos_top_pair`` on T^H T (``operator_norm``'s
+route for persymmetric matrices) when a Krylov space smaller than C^N
+certifies it (Ritz residual and gap), and from the dense SVD otherwise.
 """
 
 from __future__ import annotations

@@ -266,8 +266,8 @@ def kernel_lp(theta: InnerFunction, lam: complex, p: float, *,
     """
     if not (p >= 1 and tol >= 0 and max_n >= 1):  # malformed input (NaN too), not unconverged
         raise ValueError(f"need p >= 1, tol >= 0 and max_n >= 1, got {p}, {tol}, {max_n}")
-    lam, _ = _kernel_point(theta, lam)
     if p == np.inf or theta.has_singular_part():
+        lam, _ = _kernel_point(theta, lam)
         radius = RADIAL_OFFSET if theta.has_singular_part() else 1.0
 
         def compute(m):

@@ -605,11 +605,11 @@ def has_angular_derivative(theta: InnerFunction, zeta) -> AngularDerivative:
 
 def _kernel_point(theta: InnerFunction, pt):
     """(``_point``'s value, ||k_pt||_2^2) for a kernel at pt: None inside the disk, on the
-    circle |Theta'(zeta)| certified by ``has_angular_derivative`` or NoAngularDerivative."""
+    circle |Theta'| certified by ``has_angular_derivative`` at pt itself or NoAngularDerivative."""
     z, boundary = _point(pt)
     if not boundary:
         return z, None
-    cert = has_angular_derivative(theta, z)
+    cert = has_angular_derivative(theta, pt)
     if not cert:
         raise NoAngularDerivative(f"no angular-derivative certificate at {z} ({cert.verdict})")
     return z, cert.value

@@ -3,8 +3,8 @@
 An operator is a matrix or a closure, whichever the space's representation
 builds (``modelspace``).  Includes symbol normalization onto the canonical
 symbol space, the analytic/coanalytic pair decomposition, the rho quantities
-(suprema over normalized kernels / difference quotients, sampled), and
-operators induced by boundary measures.
+(suprema over normalized kernels / difference quotients, sampled), the
+operator norm by one Lanczos recurrence, and boundary-measure operators.
 """
 
 from __future__ import annotations
@@ -253,16 +253,46 @@ def write_rho_scan_csv(op: TTOperator, samples: SampleSet, path) -> None:
             fh.write(",".join("%.12e" % v for v in row) + "\n")
 
 
-LANCZOS_STEPS = 64  # Krylov dimension budget of the top singular pair
+LANCZOS_STEPS = 64  # Krylov dimension budget of every Lanczos run
 LANCZOS_TOL = 1e-13  # Ritz residual ||T^H T v - theta v|| / theta accepted
 DEGENERATE_GAP = 1e-8  # relative gap sigma_0 - sigma_1 at or below which sigma is multiple
+SETTLE_TOL = 1e-8  # relative change of a closure's top Ritz sigma that ends its Lanczos
+
+
+def _lanczos(gram, q):
+    """Lanczos on the Hermitian map ``gram`` from q, reorthogonalised in full.  Step k
+    yields views (alpha[:k+1], beta[:k+1], Q[:k+1]): the tridiagonal's diagonal, its
+    off-diagonal then beta[k], the coupling to the next Krylov vector, and the basis.
+    It stops after LANCZOS_STEPS steps or at the step where the Krylov space closes
+    (beta_k <= 1e-12 max alpha), yielded with beta[k] = 0 (its Ritz pairs are exact)."""
+    Q = np.zeros((LANCZOS_STEPS + 1, q.size), dtype=complex)
+    Q[0] = q / np.linalg.norm(q)
+    alpha = np.zeros(LANCZOS_STEPS)
+    beta = np.zeros(LANCZOS_STEPS)
+    for k in range(LANCZOS_STEPS):
+        w = gram(Q[k])
+        alpha[k] = np.vdot(Q[k], w).real
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= Q[:k + 1].T @ np.conj(Q[:k + 1] @ np.conj(w))
+        beta[k] = np.linalg.norm(w)
+        if beta[k] <= 1e-12 * alpha[:k + 1].max():
+            beta[k] = 0.0  # closed
+        else:
+            Q[k + 1] = w / beta[k]
+        yield alpha[:k + 1], beta[:k + 1], Q[:k + 1]
+        if not beta[k]:
+            return
+
+
+def _tridiagonal(alpha, beta):
+    return np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
 
 
 def _lanczos_top_pair(T):
     """(sigma, v, T v) for the top right singular vector v of T, or None.
 
-    Lanczos on T^H T with dense matvecs, full reorthogonalisation and a
-    fixed pseudo-random start vector (so reruns are bitwise identical).
+    ``_lanczos`` on T^H T with dense matvecs from a fixed pseudo-random start
+    vector (so reruns are bitwise identical).
     The pair is certified when its Ritz residual is below LANCZOS_TOL
     relative to the Ritz value theta_0, the second Ritz value is separated
     from it by more than DEGENERATE_GAP sigma_0 in sigma = sqrt(theta), and
@@ -283,30 +313,18 @@ def _lanczos_top_pair(T):
         return np.conj(T.T @ np.conj(T @ x))
 
     rng = np.random.default_rng(0)
-    q = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    Q = np.zeros((LANCZOS_STEPS + 1, N), dtype=complex)
-    Q[0] = q / np.linalg.norm(q)
-    alpha = np.zeros(LANCZOS_STEPS)
-    beta = np.zeros(LANCZOS_STEPS)
-    for k in range(LANCZOS_STEPS):
-        w = gram(Q[k])
-        alpha[k] = np.vdot(Q[k], w).real
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            w -= Q[:k + 1].T @ np.conj(Q[:k + 1] @ np.conj(w))
-        beta[k] = np.linalg.norm(w)
-        if beta[k] <= 1e-12 * alpha[:k + 1].max():
+    for alpha, beta, Q in _lanczos(gram, rng.standard_normal(N) + 1j * rng.standard_normal(N)):
+        if not beta[-1]:  # closed
             return None
-        Q[k + 1] = w / beta[k]
-        if (k + 1) % 4:  # the eigensolve costs more than a step
+        if len(alpha) % 4:  # the eigensolve costs more than a step
             continue
-        tri = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
-        theta, Y = np.linalg.eigh(tri)
-        if beta[k] * abs(Y[-1, -1]) > LANCZOS_TOL * theta[-1]:
+        theta, Y = np.linalg.eigh(_tridiagonal(alpha, beta))
+        if beta[-1] * abs(Y[-1, -1]) > LANCZOS_TOL * theta[-1]:
             continue
         s0, s1 = np.sqrt(np.maximum(theta[-2:][::-1], 0.0))
         if s0 - s1 <= DEGENERATE_GAP * s0:
             return None
-        v = Q[:k + 1].T @ Y[:, -1]
+        v = Q.T @ Y[:, -1]
         num = T @ v
         sigma = float(np.linalg.norm(num))
         # the explicit residual at the Rayleigh quotient sigma^2, and the symmetry
@@ -317,18 +335,15 @@ def _lanczos_top_pair(T):
     return None
 
 
-POWER_TOL = 1e-8  # relative change of the estimate that ends power iteration
-POWER_STEPS = 500  # power-iteration steps before NoConvergence
-
-
 def operator_norm(op: TTOperator) -> float:
-    """Spectral norm: largest singular value, or power iteration on closures.
+    """Spectral norm: largest singular value, by Lanczos on closures.
 
     A matrix that is exactly persymmetric (M = J M^T J), as every Toeplitz
     matrix and so every compression on K_{z^N} is, takes sigma from the
     certified Lanczos pair (``_lanczos_top_pair``, N > LANCZOS_STEPS), whose
     certificate relies on that symmetry; any other, or an uncertified pair,
-    from the dense SVD.
+    from the dense SVD.  A closure's sigma is the top Ritz value of ``_lanczos`` on A*A,
+    uncertified, once a step moves it by at most SETTLE_TOL or the space closes.
     """
     M = op.matrix
     if M is not None:
@@ -343,20 +358,13 @@ def operator_norm(op: TTOperator) -> float:
     rng = np.random.default_rng(7)
     f = space.project(CircleFunction(space.grid, rng.standard_normal(space.grid.n)
                                      + 1j * rng.standard_normal(space.grid.n)))
-    f = (1.0 / f.norm()) * f  # not 0: K_Theta is not {0}
-    adj = adjoint(op)
     prev = 0.0
-    for _ in range(POWER_STEPS):
-        g = adj.apply(op.apply(f))
-        gn = g.norm()
-        val = math.sqrt(gn)
-        if gn == 0:
-            return 0.0
-        f = (1.0 / gn) * g
-        if abs(val - prev) <= POWER_TOL * max(1.0, val):
+    for alpha, beta, _ in _lanczos(lambda x: op.adjoint_fn(op.apply_fn(x)), f.vec):  # f != 0
+        val = math.sqrt(max(np.linalg.eigvalsh(_tridiagonal(alpha, beta))[-1], 0.0))
+        if not beta[-1] or abs(val - prev) <= SETTLE_TOL * max(1.0, val):
             return val
         prev = val
-    raise NoConvergence(f"power iteration did not stabilize within {POWER_STEPS} steps")
+    raise NoConvergence(f"Lanczos on A*A did not settle within {LANCZOS_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,23 @@ def test_a_boundary_point_reads_the_same_as_a_number_or_an_angle(zeros, more, t,
     assert cls_ratio_scan(th, [zeta], tol=1.0).rows[0][2] == pytest.approx(value, rel=1e-12, abs=0)
 
 
+# (delta, angle) of a Blaschke product on which reading a point near the circle
+# twice, or a BoundaryPoint's angle as the phase of its value, moves the last bit
+READ_ONCE_ZEROS = [(0.3, 0.2), (0.05, 1.0), (0.5, 4.0)]
+
+
+def test_kernel_lp_hands_its_point_to_the_graded_rule_unread():
+    th = BlaschkeProduct([BlaschkeZero(d, a) for d, a in READ_ONCE_ZEROS])
+    z = 0.9885229986402918 + 0.15107045097552732j  # within EDGE of the circle
+    assert kernel_lp(th, z, 3.0)[0] == graded_norms(th, z, 3.0)[0][0]
+
+
+def test_a_boundary_kernel_takes_its_certificate_at_its_own_angle():
+    th = BlaschkeProduct([BlaschkeZero(d, a) for d, a in READ_ONCE_ZEROS])
+    pt = BoundaryPoint(3.2158701122134374)  # cmath.phase(e^{it}) is not t
+    assert KernelRule(th, pt, 2.0).exact_sq() == has_angular_derivative(th, pt).value
+
+
 def test_cls_scan_boundary_point_without_a_certificate_raises():
     # the atom sits at the point: no angular derivative, so no ||k_1||_2
     th = SingularAtomic([Atom(0.0, 1.0)])

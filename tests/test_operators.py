@@ -13,7 +13,8 @@ from ttolab.errors import UnsupportedVariant
 import ttolab.inner
 from ttolab.inner import ProductInner, kernel_scale, one_minus_mod_sq
 from ttolab.modelspace import GridSpace
-from ttolab.operators import BoundarySymbol, TTOperator, _lanczos_top_pair, q_theta
+from ttolab.operators import (BoundarySymbol, TTOperator, _lanczos, _lanczos_top_pair,
+                              _tridiagonal, q_theta)
 
 from conftest import (near_zero_lists, random_blaschke_space, random_trig_poly_samples,
                       space_from_zeros, zero_lists)
@@ -646,6 +647,44 @@ def test_operator_norm_of_a_scalar_matrix_and_of_a_zero_grid_operator():
     space = GridSpace(BlaschkeProduct([0.4]))
     zero = build(space, BoundarySymbol(CircleFunction(space.grid, np.zeros(space.grid.n))))
     assert operator_norm(zero) == 0.0
+
+
+CLOSE_TOP_PAIR = {0: 1.0, 1: 0.5j, -2: 0.3}  # 1 + 0.5i z + 0.3 conj(z)^2
+WIDER_SYMBOL = {1: 1.0, -1: 0.7j, 3: 0.2}  # z + 0.7i conj(z) + 0.2 z^3
+
+
+@pytest.mark.parametrize("mass, coeffs", [(1.0, CLOSE_TOP_PAIR), (1.0, WIDER_SYMBOL),
+                                          (0.3, WIDER_SYMBOL)])
+def test_grid_operator_norm_settles_where_the_top_pair_is_close(mass, coeffs):
+    # close top singular values, on which iterating one vector creeps: Lanczos
+    # on A*A settles within LANCZOS_STEPS
+    space = GridSpace(SingularAtomic([Atom(0.0, mass)]), 1024)
+    phi = CircleFunction.from_coeffs(space.grid, coeffs)
+    sigma = operator_norm(build(space, BoundarySymbol(phi)))
+    assert np.isfinite(sigma) and sigma <= np.max(np.abs(phi.samples))
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_grid_operator_norm_of_a_blaschke_twin_is_the_exact_norm(n):
+    theta = BlaschkeProduct([0.5, -0.3 + 0.4j, 0.9j, 0.2 - 0.7j])
+    exact = ModelSpace(theta)
+    ref = operator_norm(build(exact, sym_from_coeffs(exact, CLOSE_TOP_PAIR)))
+    assert ref == pytest.approx(1.3531619470316059, rel=1e-15, abs=0)
+    space = GridSpace(theta, n)
+    sigma = operator_norm(build(space, sym_from_coeffs(space, CLOSE_TOP_PAIR)))
+    assert sigma == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_lanczos_stops_at_the_step_where_the_krylov_space_closes(rng):
+    # T^H T has the three eigenvalues 9, 4 and 0, so the third step closes the
+    # Krylov space; it is the last one yielded, with beta_k = 0 and exact Ritz values
+    T = np.diag(np.r_[3.0, 2.0, np.zeros(98)]).astype(complex)
+    steps = [(alpha.copy(), beta.copy()) for alpha, beta, _ in _lanczos(
+        lambda x: T.conj().T @ (T @ x), rng.standard_normal(100) + 1j * rng.standard_normal(100))]
+    assert [len(alpha) for alpha, _ in steps] == [1, 2, 3]
+    assert [beta[-1] == 0.0 for _, beta in steps] == [False, False, True]
+    np.testing.assert_allclose(np.linalg.eigvalsh(_tridiagonal(*steps[-1])), [0.0, 4.0, 9.0],
+                               rtol=0, atol=1e-13)
 
 
 def test_lanczos_calls_a_resolved_close_top_pair_multiple():
