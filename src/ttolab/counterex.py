@@ -267,11 +267,17 @@ def kernel_lp(theta: InnerFunction, lam: complex, p: float, *,
     if not (p >= 1 and tol >= 0 and max_n >= 1):  # malformed input (NaN too), not unconverged
         raise ValueError(f"need p >= 1, tol >= 0 and max_n >= 1, got {p}, {tol}, {max_n}")
     if p == np.inf or theta.has_singular_part():
-        lam, _ = _kernel_point(theta, lam)
+        lam, sq = _kernel_point(theta, lam)
         radius = RADIAL_OFFSET if theta.has_singular_part() else 1.0
+        sups = {}  # p = inf: the sup on each grid; grid 2m's even nodes are grid m's
 
         def compute(m):
-            return lp_norm(_kernel_samples(theta, lam, BoundaryGrid(m), radius), p)
+            if p < np.inf:  # a mean over 2m nodes does not reuse the sum over m bit for bit
+                return lp_norm(_kernel_samples(theta, lam, BoundaryGrid(m), radius, sq), p)
+            odd = slice(1, None, 2) if m // 2 in sups else slice(None)
+            sup = lp_norm(_kernel_samples(theta, lam, BoundaryGrid(m), radius, sq, odd), p)
+            sups[m] = float(np.maximum(sups.get(m // 2, sup), sup))  # NaN-propagating
+            return sups[m]
 
         value, resid, n = cauchy_refine(compute, DEFAULT_GRID, tol, max_n)
     else:

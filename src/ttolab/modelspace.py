@@ -25,32 +25,38 @@ GRAM_TOL = 1e-10  # largest Gram residual of the TM basis on its grid at which a
                   # space integrates sampled data (compress, project); beyond it NoConvergence
 
 
-def _kernel_samples(theta: InnerFunction, lam, grid: BoundaryGrid, radius: float = 1.0):
+def _kernel_samples(theta: InnerFunction, lam, grid: BoundaryGrid, radius: float = 1.0,
+                    sq=None, nodes=slice(None)):
     """k_lam(z) = (1 - conj(Theta(lam)) Theta(z))/(1 - conj(lam) z), z = radius * grid,
-    at one point lam, or one row per point of a 1-D array lam, as ``_point`` gives.
+    at one point lam, or one row per point of a 1-D array lam, as ``_point`` gives;
+    only at the grid nodes ``nodes`` (a slice), whose values are those of the full row.
 
     For a boundary lam = e^{i tau} (|lam| > 1 - EDGE) and Theta without singular
     part the samples are e^{i(Delta - w)/2} sin(Delta/2)/sin(w/2), w = t - tau, with
     Delta the phase increment of Theta from tau (``inner.phase_increment``), so
-    nothing cancels next to lam; at lam itself, ||k_lam||_2^2 (``inner._kernel_point``).
+    nothing cancels next to lam; at lam itself, sq: the caller's ||k_lam||_2^2
+    (``inner._kernel_point``).  Only boundary rows are tested for a node at lam:
+    elsewhere |1 - conj(lam) z| >= 1 - |lam| >= EDGE.
     """
     lam = np.asarray(lam, dtype=complex)
     pts = np.atleast_1d(lam)
-    z = grid.points if radius == 1.0 else radius * grid.points
+    z = grid.points[nodes] if radius == 1.0 else radius * grid.points[nodes]
     den = np.conj(pts)[:, None] * z
-    num = np.conj(theta.eval(pts))[:, None] * theta.samples_at(grid, radius)
+    num = np.conj(theta.eval(pts))[:, None] * theta.samples_at(grid, radius)[nodes]
     np.subtract(1.0, den, out=den)
     np.subtract(1.0, num, out=num)
+    edge = np.flatnonzero(np.hypot(pts.real, pts.imag) > 1.0 - EDGE)  # as Python's abs
     if radius == 1.0 and not theta.has_singular_part():
-        for i in np.flatnonzero(np.hypot(pts.real, pts.imag) > 1.0 - EDGE):  # as Python's abs
-            delta, w = phase_increment(theta, cmath.phase(pts[i]), 0.0, grid.angles)
+        for i in edge:
+            delta, w = phase_increment(theta, cmath.phase(pts[i]), 0.0, grid.angles[nodes])
             den[i] = np.sin(0.5 * w)
             num[i] = np.exp(0.5j * (delta - w)) * np.sin(0.5 * delta)
-    hit = np.abs(den) < 1e-13  # a boundary lam on the grid
-    den[hit] = 1.0
+    hits = [(i, np.abs(den[i]) < 1e-13) for i in edge]
+    for i, hit in hits:  # a boundary lam on the grid
+        den[i, hit] = 1.0
     vals = np.divide(num, den, out=num)
-    for i in np.flatnonzero(hit.any(axis=1)):
-        vals[i, hit[i]] = _kernel_point(theta, pts[i])[1]
+    for i, hit in hits:
+        vals[i, hit] = sq
     return vals if lam.ndim else vals[0]
 
 
@@ -155,7 +161,7 @@ class ModelSpace:
     def kernel(self, pt) -> "ModelFunction":
         """Reproducing kernel k_pt(z) = (1 - conj(Theta(pt)) Theta(z))/(1 - conj(pt) z) at
         pt, as ``inner._kernel_point`` reads it (NoAngularDerivative at an uncertified one)."""
-        return ModelFunction(self, self._kernel_at(_kernel_point(self.theta, pt)[0]))
+        return ModelFunction(self, self._kernel_at(*_kernel_point(self.theta, pt)))
 
     def normalized_kernel(self, pt) -> "ModelFunction":
         """h_pt = sqrt((1-|pt|^2)/(1-|Theta(pt)|^2)) k_pt; unit norm at interior points."""
@@ -221,8 +227,8 @@ class GridSpace(ModelSpace):
     def _project_grid(self, f):
         return project_theta(self.theta_samples, f.samples)
 
-    def _kernel_at(self, w):
-        return _kernel_samples(self.theta, w, self.grid)
+    def _kernel_at(self, w, sq=None):
+        return _kernel_samples(self.theta, w, self.grid, sq=sq)
 
     _omega = ModelSpace._omega_rows  # an element's vector is one row of samples
 
@@ -444,7 +450,7 @@ class TMSpace(ModelSpace):
         self._require_resolved()
         return self.basis_samples.conj().T @ f.samples / self.grid.n
 
-    def _kernel_at(self, w):
+    def _kernel_at(self, w, sq=None):
         return np.conj(self._tm_eval([w])[0])
 
     def _omega(self, vec):

@@ -291,9 +291,10 @@ def _certify(oracle: KernelActionOracle, phi_plus, phi_minus, mu) -> RecoveredSy
 
 def rank_one_symbol(space: ModelSpace, pt) -> BoundarySymbol:
     """The explicit symbol Theta conj(z k_pt^{Theta^2}) of k~_pt (x) k_pt (``_kernel_point``)."""
-    w, _ = _kernel_point(space.theta, pt)
+    w, sq = _kernel_point(space.theta, pt)
     th = space.theta_samples
     # k^{Theta^2} = (1 + conj(Theta(pt)) Theta) k^Theta, from Theta's cached samples
-    k2 = (1.0 + np.conj(space.theta.eval(w)) * th) * _kernel_samples(space.theta, w, space.grid)
+    k = _kernel_samples(space.theta, w, space.grid, sq=sq)
+    k2 = (1.0 + np.conj(space.theta.eval(w)) * th) * k
     phi = th * np.conj(space.grid.points * k2)
     return BoundarySymbol(CircleFunction(space.grid, phi))

@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
-from ttolab.circle import BoundaryGrid, CircleFunction, lp_norm
+from ttolab.circle import DEFAULT_GRID, BoundaryGrid, CircleFunction, lp_norm
+from ttolab.counterex import KERNEL_TOL, MAX_NODES, RADIAL_OFFSET
 from ttolab.errors import TTOLabError
-from ttolab.inner import kernel_scale, power
+from ttolab.inner import _kernel_point, kernel_scale, power
 from ttolab.modelspace import ModelFunction, ModelSpace, ToeplitzSpace, _kernel_samples
 from ttolab.operators import (DEFAULT_ANGLES, DEFAULT_RADII, BoundarySymbol, TTOperator,
                               _polar_grid, build)
@@ -174,6 +175,28 @@ def rkt_row_per_point(theta, s: float, lam: complex, grid_n: int) -> dict:
             f = ths * k_1ms
             out["isometry_ratio"] = lp_norm(project_one(th, np.conj(ths) * f, g), 2) / lp_norm(f, 2)
     return out
+
+
+def sup_on_full_grids(theta, lam, tol: float = KERNEL_TOL, max_n: int = MAX_NODES):
+    """``kernel_lp``'s p = inf triple (value, residual, n) with every grid
+    evaluated in full: the kernel's sample maximum on n = DEFAULT_GRID, 2n,
+    ... points until the relative change |v(2n) - v(n)| / max(1, |v(2n)|) is
+    at most tol or 2n would exceed max_n (``circle.cauchy_refine``'s rule)."""
+    lam, sq = _kernel_point(theta, lam)
+    radius = RADIAL_OFFSET if theta.has_singular_part() else 1.0
+
+    def sup(n):
+        return lp_norm(_kernel_samples(theta, lam, BoundaryGrid(n), radius, sq), math.inf)
+
+    n, prev, resid = DEFAULT_GRID, sup(DEFAULT_GRID), math.inf
+    while 2 * n <= max_n:
+        n *= 2
+        cur = sup(n)
+        resid = abs(cur - prev) / max(1.0, abs(cur))
+        if resid <= tol:
+            return cur, resid, n
+        prev = cur
+    return prev, resid, n
 
 
 def default_points_by_loop(space: ModelSpace) -> np.ndarray:

@@ -16,13 +16,14 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint, ModelSpa
                     growth_ratio, power, rkt_failure_scan)
 import ttolab.inner
 from ttolab.inner import cohn_terms, has_angular_derivative, one_minus_mod_sq
-from ttolab.counterex import (QUADRATURE_TOL, Certificate, KernelRule,
+from ttolab.counterex import (CLS_TOL, QUADRATURE_TOL, Certificate, KernelRule,
                               blaschke_truncation, graded_norms, growth_scan, kernel_lp)
 from ttolab.errors import NoAngularDerivative, NoConvergence
+from ttolab.modelspace import GridSpace
 from ttolab.recovery import rank_one_symbol
 
 from conftest import zero_lists
-from identities import rkt_row_per_point
+from identities import rkt_row_per_point, sup_on_full_grids
 
 
 def test_growth_ratio_at_origin():
@@ -215,16 +216,91 @@ def test_a_boundary_point_reads_the_same_as_a_number_or_an_angle(zeros, more, t,
 READ_ONCE_ZEROS = [(0.3, 0.2), (0.05, 1.0), (0.5, 4.0)]
 
 
+def _read_once_product():
+    return BlaschkeProduct([BlaschkeZero(d, a) for d, a in READ_ONCE_ZEROS])
+
+
 def test_kernel_lp_hands_its_point_to_the_graded_rule_unread():
-    th = BlaschkeProduct([BlaschkeZero(d, a) for d, a in READ_ONCE_ZEROS])
+    th = _read_once_product()
     z = 0.9885229986402918 + 0.15107045097552732j  # within EDGE of the circle
     assert kernel_lp(th, z, 3.0)[0] == graded_norms(th, z, 3.0)[0][0]
 
 
 def test_a_boundary_kernel_takes_its_certificate_at_its_own_angle():
-    th = BlaschkeProduct([BlaschkeZero(d, a) for d, a in READ_ONCE_ZEROS])
+    th = _read_once_product()
     pt = BoundaryPoint(3.2158701122134374)  # cmath.phase(e^{it}) is not t
     assert KernelRule(th, pt, 2.0).exact_sq() == has_angular_derivative(th, pt).value
+
+
+# (Theta, points) of the kernel_scans CLS scans, of the false convergence on
+# z^512 and of boundary points, exp(2 pi i 3/4096) on a node of every grid
+SUP_CASES = {
+    "z8": (lambda: Monomial(8), [r * np.exp(2j * np.pi * j / 16)
+                                 for r in np.linspace(0.0, 0.99, 8) for j in range(16)]),
+    "atom": (lambda: SingularAtomic([Atom(0.0, 1.0)]),
+             [0.5 * np.exp(2j * np.pi * (j + 0.5) / 24) for j in range(24)]),
+    "z512": (lambda: Monomial(512), [0.999 * cmath.exp(0.37j)]),
+    "read_once": (_read_once_product, [1.0, 1j, cmath.exp(1j), cmath.exp(2j * np.pi * 3 / 4096),
+                                       0.9, 0.99 * cmath.exp(1j)]),
+}
+
+
+@pytest.mark.parametrize("case", SUP_CASES)
+def test_the_sup_route_matches_full_grids_bit_for_bit(case):
+    # each doubling evaluates only the new (odd) nodes and keeps the coarser max
+    make, pts = SUP_CASES[case]
+    theta = make()
+    assert [kernel_lp(theta, lam, math.inf) for lam in pts] == [
+        sup_on_full_grids(theta, lam) for lam in pts]
+    assert [sup for _, sup, _, _ in cls_ratio_scan(theta, pts).rows] == [
+        sup_on_full_grids(theta, lam, CLS_TOL)[0] for lam in pts]
+    for max_n in (16, 2048):  # below DEFAULT_GRID: one grid, no residual
+        assert kernel_lp(theta, pts[-1], math.inf, max_n=max_n, strict=False) == \
+            sup_on_full_grids(theta, pts[-1], max_n=max_n)
+
+
+def test_the_false_convergence_on_z512_keeps_its_value():
+    # ROADMAP item 13: the Cauchy test passes at 8192 points, 1.04e-3 below (1 - r^N)/(1 - r)
+    r = 0.999
+    value, resid, n = kernel_lp(Monomial(512), r * cmath.exp(0.37j), math.inf)
+    assert (value, resid, n) == (400.44085541042995, 0.0, 8192)
+    assert round(1.0 - value * (1.0 - r) / (1.0 - r ** 512), 5) == 1.04e-3
+
+
+def test_the_sup_route_stops_at_the_same_unconverged_point():
+    theta, pts, tol, max_n = _read_once_product(), [0.3, cmath.exp(1j), 0.9, 1.0], 1e-12, 2 ** 13
+    refs = [sup_on_full_grids(theta, lam, tol, max_n) for lam in pts]
+    assert [kernel_lp(theta, lam, math.inf, tol=tol, max_n=max_n, strict=False)
+            for lam in pts] == refs
+    first = next(lam for lam, (_, resid, _) in zip(pts, refs) if not resid <= tol)
+    assert first == 0.9
+    with pytest.raises(NoConvergence) as err:
+        kernel_lp(theta, first, math.inf, tol=tol, max_n=max_n)
+    with pytest.raises(NoConvergence, match=re.escape(str(err.value))):
+        cls_ratio_scan(theta, pts, tol, max_n)
+
+
+def test_a_boundary_kernel_reads_its_point_once(monkeypatch):
+    # the caller's ||k_zeta||_2^2 (inner._kernel_point) fills a grid node at zeta
+    calls = []
+
+    def counted(theta, pt):
+        calls.append(pt)
+        return has_angular_derivative(theta, pt)
+
+    monkeypatch.setattr(ttolab.inner, "has_angular_derivative", counted)
+    assert kernel_lp(Monomial(4), 1.0, math.inf) == (4.0, 0.0, 8192)
+    assert len(calls) == 1
+    calls.clear()
+    theta = BlaschkeProduct([BlaschkeZero(0.5, 0.3), BlaschkeZero(0.2, 2.0)])
+    k = GridSpace(theta, 1024).kernel(1.0).samples()
+    assert len(calls) == 1 and k[0] == has_angular_derivative(theta, 1.0).value
+    calls.clear()
+    assert [row[1:] for row in cls_ratio_scan(Monomial(4), [1.0, 1j]).rows] == [(4.0, 4.0, 1.0)] * 2
+    assert len(calls) == 4  # one per point in the scan, one per kernel_lp call
+    calls.clear()
+    phi = rank_one_symbol(GridSpace(Monomial(4), 1024), 1.0).f.samples
+    assert len(calls) == 1 and phi[0] == 8.0  # Theta conj(z k^{z^8}_1) at z = 1
 
 
 def test_cls_scan_boundary_point_without_a_certificate_raises():

@@ -9,8 +9,10 @@ from ttolab import (Atom, BlaschkeProduct, BoundaryGrid, BoundaryPoint, CircleFu
                     ModelSpace, Monomial, ProductInner, SingularAtomic, tm_basis)
 from ttolab.circle import inner_product, lp_norm, riesz_plus_rows
 from ttolab.errors import BoundaryPointNotNormalizable, NoAngularDerivative, NoConvergence
-from ttolab.modelspace import (GRAM_TOL, PROJECT_BLOCK, GridSpace, _one_minus_abs2,
-                               project_theta)
+from ttolab.counterex import RADIAL_OFFSET
+from ttolab.inner import EDGE, BlaschkeZero, _kernel_point
+from ttolab.modelspace import (GRAM_TOL, PROJECT_BLOCK, GridSpace, _kernel_samples,
+                               _one_minus_abs2, project_theta)
 
 from conftest import (near_zero_lists, random_blaschke_space, random_trig_poly_samples,
                       space_from_zeros, zero_lists)
@@ -149,11 +151,39 @@ def test_boundary_kernel_norm_monomial():
 
 
 def test_boundary_kernel_requires_certificate():
-    from ttolab.inner import BlaschkeZero
     zeros = [BlaschkeZero(2.0 ** -k, 0.0) for k in range(1, 16)]
     space = ModelSpace(BlaschkeProduct(zeros, truncated=True))
     with pytest.raises(NoAngularDerivative):
         space.kernel(BoundaryPoint(0.0))
+
+
+def test_a_doubled_grid_nests_its_half_and_the_kernel_rows_on_it():
+    # kernel_lp's sup on grid 2n takes grid n's max and evaluates the odd nodes alone
+    for k in range(4, 18):
+        fine, coarse = BoundaryGrid(2 ** (k + 1)), BoundaryGrid(2 ** k)
+        assert fine.points[::2].tobytes() == coarse.points.tobytes()
+        assert fine.angles[::2].tobytes() == coarse.angles.tobytes()
+    three = BlaschkeProduct([BlaschkeZero(d, a) for d, a in ((0.3, 0.2), (0.05, 1.0), (0.5, 4.0))])
+    cases = [(Monomial(8), 1.0, [0.0, 0.5j, 0.99 * np.exp(0.3j), 1.0, np.exp(1j)]),
+             (SingularAtomic([Atom(0.0, 1.0)]), RADIAL_OFFSET, [0.5, -0.9j, 1j, -1.0]),
+             (three, 1.0, [0.3, 0.9 * np.exp(1j), 1.0, np.exp(2j * np.pi * 3 / 4096),
+                           np.exp(2j * np.pi * 6 / 4096), BoundaryPoint(2.0)])]
+    for theta, radius, pts in cases:
+        for n in (4096, 8192):
+            grid, odd, inside = BoundaryGrid(n), slice(1, None, 2), []
+            for pt in pts:
+                lam, sq = _kernel_point(theta, pt)
+                full = _kernel_samples(theta, lam, grid, radius, sq)
+                assert full[odd].tobytes() == \
+                    _kernel_samples(theta, lam, grid, radius, sq, odd).tobytes()
+                if sq is None:
+                    inside.append(lam)
+            rows = _kernel_samples(theta, inside, grid, radius)  # one row per point
+            assert rows[:, odd].tobytes() == \
+                _kernel_samples(theta, inside, grid, radius, nodes=odd).tobytes()
+    # |lam| = 1 - EDGE is interior: |1 - conj(lam)| = EDGE at z = 1 is no hit on the node
+    k = _kernel_samples(Monomial(4), 1.0 - EDGE, BoundaryGrid(4096))
+    assert abs(k[0] - 4.0) < 1e-4  # 1 - lam^4 cancels to about 1e-5 relative
 
 
 def test_orthogonal_kernel_split(rng):
