@@ -112,11 +112,11 @@ class FejerWindowSet:
     def l1_norms(self, J: int | None = None):
         """Discrete L^1 norms (1/J) sum |eta(t_j)| over J uniform angles.
 
-        Each window's values are one inverse FFT of its tents over M, from its
-        lowest nonzero index, folded mod J (t_j^J = 1) and rolled so that
-        coefficient k lands in bin k mod J.  For J beyond twice the window
-        degree the mean of each Fejer kernel is its zeroth coefficient, so the
-        first norm is one to rounding and the others are provably at most three.
+        Each window's values, one inverse FFT of its tents over M folded mod J
+        (t_j^J = 1) from its lowest nonzero index lo, carry a factor t_j^-lo of
+        modulus one; the roll by lo only reorders the samples the mean adds up.
+        For J beyond twice the window degree each Fejer kernel's mean is its
+        zeroth coefficient: the first norm is one to rounding, the others <= 3.
         """
         if J is None:
             J = self.closure_angles()

@@ -153,8 +153,8 @@ def decompose(space: ModelSpace, phi: CircleFunction, mu: complex) -> PairSymbol
 def _spend_gauge(space: ModelSpace, plus: ModelFunction, minus: ModelFunction, mu):
     """The pair (plus + conj(c) k_0, minus - c k_0) with minus(mu) = 0: the
     gauge (c k_0, -conj(c) k_0) adds nothing to the operator."""
-    k0 = space.kernel(0.0)
-    cbar = minus.eval(mu) / k0.eval(mu)
+    k0, k_mu = space.kernel(0.0), space.kernel(mu)
+    cbar = minus.inner(k_mu) / k0.inner(k_mu)
     return plus + np.conj(cbar) * k0, minus - cbar * k0
 
 

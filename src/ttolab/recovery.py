@@ -1,12 +1,11 @@
 """Recovering the (phi_plus, phi_minus) symbol pair from kernel actions.
 
 A truncated Toeplitz operator is determined by its action on reproducing
-kernels.  Two constructive routes are implemented: the resolvent route,
-which reads phi_minus off a family of differences of shifted conjugated
-kernel actions and then reconstructs phi_plus through the conjugation,
-and the k_0 route, which solves a 2x2 system fed by the actions on the
-kernel and difference quotient at the origin.  Both produce a pair
-normalized by a vanishing condition on phi_minus.
+kernels.  The resolvent route reads phi_minus off differences of shifted
+conjugated kernel actions and phi_plus through the conjugation; the k_0
+route solves one complex N x N system fed by the actions on the kernel and
+difference quotient at the origin.  Both normalize the pair by a vanishing
+condition on phi_minus.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from .circle import CircleFunction
 from .errors import DegenerateMu, InconsistentOracle, UnsupportedVariant
 from .inner import EDGE, _kernel_point
 from .modelspace import ModelFunction, ModelSpace, _kernel_samples
-from .operators import (BoundarySymbol, PairSymbol, SampleSet, TTOperator,
-                        _polar_grid, _spend_gauge, build, rho_r)
+from .operators import (DEFAULT_RADII, BoundarySymbol, PairSymbol, SampleSet,
+                        TTOperator, _polar_grid, _spend_gauge, build, rho_r)
 
 
 class KernelActionOracle:
@@ -120,26 +119,41 @@ def _minus_values(oracle: KernelActionOracle, mu, theta_mu, psi_base, lams):
 
     phi_minus(lam) = <(z - mu) x, k_mu> / denom with x = (I - mu S*)^{-1} F_lam
     and F_lam = (I - lam S*) omega(A k_lam) - psi_base.  The inner product is
-    k_mu^H (S_Theta - mu I) x in K_Theta coefficients, so one row vector
-    applied to the rows F_lam (``psi_base`` is the row of mu) gives every
-    value.
+    k_mu^H (S_Theta - mu I) x in K_Theta coefficients, so one row vector (one
+    solve with (I - mu S*)^T) applied to the rows F_lam (``psi_base`` is the
+    row of mu) gives every value.
     """
     space = oracle.space
     theta0 = complex(space.theta.eval(0.0))
     denom = theta_mu * (np.conj(theta0) * theta_mu - 1.0)
     I = np.eye(space.dim)
-    row = (np.conj(space.kernel(mu).coeffs) @ (space.shift_matrix - mu * I)
-           @ np.linalg.inv(I - mu * space.sstar_matrix)) / denom
+    row = np.linalg.solve((I - mu * space.sstar_matrix).T, np.conj(space.kernel(mu).coeffs)
+                          @ (space.shift_matrix - mu * I)) / denom
     F = _resolvent_kernel_action(space, oracle.act(lams), lams)
     return (F - psi_base) @ row
 
 
+MU_TOL = 1e-8  # least |Theta(mu)| at the gauge point mu of recover (default_mu's target)
+
+
+def _best_mu(space: ModelSpace, pts):
+    """The maximizer of |Theta(mu)| dist(mu, zeros) over ``pts``, and whether it clears MU_TOL."""
+    mod = np.abs(space.theta.eval(pts))
+    i = int(np.argmax(mod * np.min(np.abs(pts[:, None] - space.zeros[None, :]), axis=1)))
+    return complex(pts[i]), mod[i] >= MU_TOL
+
+
 def default_mu(space: ModelSpace, cand=None) -> complex:
-    """Maximizer of |Theta(mu)| dist(mu, zeros) over ``cand``, by default a coarse grid."""
-    if cand is None:
-        cand = np.unique(_polar_grid([0.0, 0.15, 0.3, 0.45, 0.6, 0.75], 16))
-    dist = np.min(np.abs(cand[:, None] - space.zeros[None, :]), axis=1)
-    return complex(cand[int(np.argmax(np.abs(space.theta.eval(cand)) * dist))])
+    """``_best_mu`` over ``cand``, by default over a coarse grid of |mu| <= 0.75;
+    where its point has |Theta(mu)| < MU_TOL (a product of high degree is tiny
+    there), over the first ring 1 - 2^-k of 16 angles, k = 3 .. DEFAULT_RADII
+    outward, whose point clears it."""
+    if cand is not None:
+        return _best_mu(space, cand)[0]
+    mu, clears = _best_mu(space, np.unique(_polar_grid([0.0, 0.15, 0.3, 0.45, 0.6, 0.75], 16)))
+    rings = (_best_mu(space, _polar_grid([1.0 - 0.5 ** k], 16))
+             for k in range(3, DEFAULT_RADII + 1))
+    return mu if clears else next((m for m, ok in rings if ok), mu)
 
 
 def _lambda_grid(space: ModelSpace, factor: int = 4):
@@ -185,7 +199,7 @@ def recover(oracle: KernelActionOracle, mu: complex | None = None,
     if mu is None:
         mu = default_mu(space, oracle.sample_points)
     theta_mu = complex(space.theta.eval(mu))
-    if abs(theta_mu) < 1e-8:
+    if abs(theta_mu) < MU_TOL:
         raise DegenerateMu(f"|Theta(mu)| = {abs(theta_mu):.2e} at mu = {mu}")
     psi_base = _resolvent_kernel_action(space, oracle.act([mu]), [mu])[0]
     lams = oracle.sample_points if oracle.sample_points is not None \
@@ -199,11 +213,6 @@ def recover(oracle: KernelActionOracle, mu: complex | None = None,
                     ModelFunction(space, minus_coeffs), mu)
 
 
-def _antilinear_block(M):
-    """Real 2Nx2N block of the antilinear map c -> M conj(c)."""
-    return np.block([[M.real, M.imag], [M.imag, -M.real]])
-
-
 def recover_via_k0(oracle: KernelActionOracle) -> RecoveredSymbol:
     """Recovery from the actions on k_0 and k~_0 alone.
 
@@ -214,31 +223,22 @@ def recover_via_k0(oracle: KernelActionOracle) -> RecoveredSymbol:
         omega(A k~_0) = phi_minus + conj(phi_plus(0)) 1
                         - conj(Theta(0)) z omega(phi_plus),
 
-    which is an affine system in the coefficient pair (antilinear in each
-    unknown through the conjugation, hence solved in real form).  It is
-    uniquely solvable: the coupling has operator norm at most |Theta(0)|
-    times a contraction, mirroring the positivity of the determinant in
-    the scalar case.  For Theta(0) = 0 it collapses to phi_plus = A k_0.
+    in coefficients c+ - G conj(c-) = a and H conj(c+) + c- = b, with
+    G = conj(Theta(0)) S_Theta W and H = k_0 k_0^T - G.  Two antilinear maps
+    compose to a linear one, so c+ = a + G conj(c-) leaves one complex N x N
+    system, (I + H conj(G)) c- = b - H conj(a).  It is uniquely solvable:
+    with t = |Theta(0)|, ||G|| <= t and ||k_0||^2 = 1 - t^2 give
+    ||H conj(G)|| <= t (1 + t - t^2) < 1.  For Theta(0) = 0, phi_plus = A k_0.
     """
     space = oracle.space
     _check_table(oracle)
     a = oracle.act([0.0])[0]
     b = space.omega_matrix @ np.conj(oracle.dq0_action)
-    k0 = space.kernel(0.0)
-    theta0 = complex(space.theta.eval(0.0))
-    N = space.dim
-    W = space.omega_matrix
-    G = np.conj(theta0) * (space.shift_matrix @ W)
-    E0 = space._tm_eval([0.0])[0]
-    Mk = np.outer(k0.coeffs, np.conj(E0))
-
-    I2 = np.eye(2 * N)
-    top = np.hstack([I2, -_antilinear_block(G)])
-    bottom = np.hstack([_antilinear_block(Mk - G), I2])
-    rhs = np.concatenate([a.real, a.imag, b.real, b.imag])
-    sol = np.linalg.solve(np.vstack([top, bottom]), rhs)
-    c_plus = sol[:N] + 1j * sol[N:2 * N]
-    c_minus = sol[2 * N:3 * N] + 1j * sol[3 * N:]
+    k0 = space.kernel(0.0).coeffs
+    G = np.conj(complex(space.theta.eval(0.0))) * (space.shift_matrix @ space.omega_matrix)
+    H = np.outer(k0, k0) - G
+    c_minus = np.linalg.solve(np.eye(space.dim) + H @ np.conj(G), b - H @ np.conj(a))
+    c_plus = a + G @ np.conj(c_minus)
     phi_plus, phi_minus = _spend_gauge(space, ModelFunction(space, c_plus),
                                        ModelFunction(space, c_minus), 0.0)
     return _certify(oracle, phi_plus, phi_minus, 0.0)

@@ -17,6 +17,7 @@ from ttolab.inner import _kernel_point, kernel_scale, power
 from ttolab.modelspace import ModelFunction, ModelSpace, ToeplitzSpace, _kernel_samples
 from ttolab.operators import (DEFAULT_ANGLES, DEFAULT_RADII, BoundarySymbol, TTOperator,
                               _polar_grid, build)
+from ttolab.recovery import _resolvent_kernel_action
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +211,43 @@ def default_points_by_loop(space: ModelSpace) -> np.ndarray:
             pts = np.append(pts, radii[1:, None] * (a / abs(a)))
         pts = np.append(pts, a)
     return np.unique(pts)
+
+
+# ---------------------------------------------------------------------------
+# recovery: the systems in real and inverse form
+
+def k0_pair_by_real_block(oracle):
+    """The k_0 route's pair with phi_minus(0) = 0, from the real 4N x 4N form
+    of c+ - G conj(c-) = a and H conj(c+) + c- = b (G = conj(Theta(0)) S W,
+    H = k_0 k_0^T - G): the antilinear c -> M conj(c) is the real block
+    [[Re M, Im M], [Im M, -Re M]] on (Re c, Im c).  Returns (c+, c-)."""
+    space = oracle.space
+    N = space.dim
+    a = oracle.act([0.0])[0]
+    b = space.omega_matrix @ np.conj(oracle.dq0_action)
+    k0 = np.conj(space._tm_eval([0.0])[0])
+    G = np.conj(complex(space.theta.eval(0.0))) * (space.shift_matrix @ space.omega_matrix)
+
+    def block(M):
+        return np.block([[M.real, M.imag], [M.imag, -M.real]])
+
+    I2 = np.eye(2 * N)
+    system = np.vstack([np.hstack([I2, -block(G)]),
+                        np.hstack([block(np.outer(k0, k0) - G), I2])])
+    sol = np.linalg.solve(system, np.concatenate([a.real, a.imag, b.real, b.imag]))
+    c_plus, c_minus = sol[:N] + 1j * sol[N:2 * N], sol[2 * N:3 * N] + 1j * sol[3 * N:]
+    cbar = np.vdot(k0, c_minus) / np.vdot(k0, k0)  # the gauge (c k_0, -conj(c) k_0)
+    return c_plus + np.conj(cbar) * k0, c_minus - cbar * k0
+
+
+def minus_values_by_inverse(oracle, mu, theta_mu, psi_base, lams):
+    """``recovery._minus_values`` with its row vector formed through the
+    explicit inverse: k_mu^H (S_Theta - mu I) (I - mu S*)^{-1} / denom."""
+    space = oracle.space
+    theta0 = complex(space.theta.eval(0.0))
+    denom = theta_mu * (np.conj(theta0) * theta_mu - 1.0)
+    I = np.eye(space.dim)
+    row = (np.conj(space.kernel(mu).coeffs) @ (space.shift_matrix - mu * I)
+           @ np.linalg.inv(I - mu * space.sstar_matrix)) / denom
+    F = _resolvent_kernel_action(space, oracle.act(lams), lams)
+    return (F - psi_base) @ row

@@ -44,6 +44,18 @@ def test_demo_runs(demo, tmp_path):
     assert proc.stderr == ""
 
 
+def test_same_outputs_reports_numbers_that_moved():
+    moved = _tool("same_outputs").moved_numbers
+    old = b"demo\nrebuild residual 2.27e-15, 3 probes\nnorm 1.5 of -2\n"
+    new = b"demo\nrebuild residual 2.40e-15, 3 probes\nnorm 1.50 of -2.5\n"
+    assert moved(old, new) == ("    3 numbers differ, the largest relative change "
+                               "2.00e-01 at line 3")
+    # text that moved besides the numbers, or only bytes that do not decode
+    assert moved(old, new.replace(b"probes", b"points")) is None
+    assert moved(old, old.rstrip()) is None
+    assert moved(b"\xff", b"\xfe") is None
+
+
 @pytest.mark.parametrize("example", EXAMPLES, ids=EXAMPLE_IDS)
 def test_readme_cli_example_runs(example, capsys, tmp_path, monkeypatch):
     from ttolab.cli import main

@@ -12,11 +12,12 @@ from ttolab.inner import BoundaryPoint
 from ttolab.operators import BoundarySymbol, TTOperator
 from ttolab.modelspace import ModelFunction
 import ttolab.recovery
-from ttolab.recovery import (_lambda_grid, _minus_values,
+from ttolab.recovery import (MU_TOL, RESIDUAL_TOL, _lambda_grid, _minus_values,
                              _resolvent_kernel_action, default_mu)
 
 from conftest import random_blaschke_space, space_from_zeros, zero_lists
-from identities import SymbolsDiffer, symbol_lp_bound_check
+from identities import (SymbolsDiffer, k0_pair_by_real_block, minus_values_by_inverse,
+                        symbol_lp_bound_check)
 
 
 def random_pair(space, rng):
@@ -285,6 +286,75 @@ def test_recover_via_k0_monomial_collapse(rng):
     rec0 = recover_via_k0(KernelActionOracle.from_operator(op))
     ak0 = op.apply(space.kernel(0.0))
     assert np.max(np.abs(rec0.phi_plus.coeffs - ak0.coeffs)) < 1e-10
+
+
+def _near_circle_spaces(rng):
+    """Exact spaces of degree 4..48 with zeros at 1 - |a| = 1e-8, 1e-5 and 1e-3
+    (the rest in [0.05, 0.9]), and K_{z^N}."""
+    for degree in (4, 8, 16, 24, 32, 48):
+        deltas = rng.uniform(0.05, 0.9, degree)
+        deltas[:3] = 1e-8, 1e-5, 1e-3
+        yield space_from_zeros(zip(deltas, rng.uniform(0.0, 2.0 * np.pi, degree)))
+    yield ModelSpace(Monomial(12))
+
+
+def test_recover_via_k0_matches_the_real_block_solve(rng):
+    # the one complex N x N solve against the real 4N x 4N form of the same system
+    for space in _near_circle_spaces(rng):
+        op = build(space, PairSymbol(*random_pair(space, rng)))
+        oracle = KernelActionOracle.from_operator(op)
+        rec0 = recover_via_k0(oracle)
+        for got, ref in zip((rec0.phi_plus, rec0.phi_minus), k0_pair_by_real_block(oracle)):
+            assert np.linalg.norm(got.coeffs - ref) <= 1e-13 * np.linalg.norm(ref), space.dim
+
+
+def test_minus_values_row_matches_the_inverse(rng):
+    # the row solved from (I - mu S*)^T against the one formed through the inverse
+    for space in _near_circle_spaces(rng):
+        op = build(space, PairSymbol(*random_pair(space, rng)))
+        oracle = KernelActionOracle.from_operator(op)
+        mu = default_mu(space)
+        theta_mu = complex(space.theta.eval(mu))
+        psi_base = resolvent_row(oracle, mu)
+        lams = _lambda_grid(space)
+        got = _minus_values(oracle, mu, theta_mu, psi_base, lams)
+        ref = minus_values_by_inverse(oracle, mu, theta_mu, psi_base, lams)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), space.dim
+
+
+def test_recover_via_k0_evaluates_each_kernel_once(rng, monkeypatch):
+    # single-point TM evaluations outside the oracle (which answers from a twin
+    # space): k_0 for the system, then k_0 and k_mu (mu = 0) for the gauge
+    space = random_blaschke_space(rng, 6)
+    op = build(space, PairSymbol(*random_pair(space, rng)))
+    twin = KernelActionOracle.from_operator(TTOperator(ModelSpace(space.theta), matrix=op.matrix))
+    oracle = KernelActionOracle(space, twin.act, dq0_action=twin.dq0_action)
+    sizes = []
+    tm_eval = space._tm_eval
+
+    def counted(w):
+        sizes.append(np.size(w))
+        return tm_eval(w)
+
+    monkeypatch.setattr(space, "_tm_eval", counted)
+    assert recover_via_k0(oracle).residual <= 1e-12
+    assert sizes.count(1) == 3
+
+
+@pytest.mark.parametrize("degree", [128, 512])
+def test_default_mu_walks_out_past_a_degenerate_grid(degree):
+    # zeros uniform in |a| <= 0.9: |Theta| on the grid |mu| <= 0.75 falls below
+    # MU_TOL, so default_mu walks the rings 1 - 2^-k outward
+    rng = np.random.default_rng(1)
+    radii = 0.9 * np.sqrt(rng.uniform(0, 1, degree))
+    zeros = radii * np.exp(2j * np.pi * rng.uniform(0, 1, degree))
+    space = ModelSpace(BlaschkeProduct(list(zeros)))
+    grid = np.unique(ttolab.recovery._polar_grid([0.0, 0.15, 0.3, 0.45, 0.6, 0.75], 16))
+    assert abs(space.theta.eval(default_mu(space, grid))) < MU_TOL
+    pp, pm = random_pair(space, rng)
+    rec = recover(KernelActionOracle.from_operator(build(space, PairSymbol(pp, pm))))
+    assert abs(rec.mu) > 0.75 and abs(space.theta.eval(rec.mu)) >= MU_TOL
+    assert rec.residual <= RESIDUAL_TOL
 
 
 def test_recover_from_table(rng):

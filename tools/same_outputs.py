@@ -9,13 +9,16 @@ README, as ``python -m ttolab.cli <flags>``.  Each run starts in one
 scratch directory, which is also its TMPDIR, shared by both trees, so a
 path it prints is the same in both.  Exit codes and stdout must match byte
 for byte, and stderr after each tree's own path is replaced by ``<tree>``.
-Prints each run that differs and exits 1 if any does, else 0.  Standard
-library only.
+Prints each run that differs and exits 1 if any does, else 0.  Where a
+differing stdout has the same text in both trees once every number is
+masked, it also prints how many numbers differ, the largest relative change
+and its line.  Standard library only.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -23,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 TIMEOUT = 600  # seconds per run
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def readme_examples(readme: Path) -> list[str]:
@@ -61,6 +65,25 @@ def first_difference(x: bytes, y: bytes) -> str:
     return f"    line {i + 1} old: {old}\n    line {i + 1} new: {new}"
 
 
+def moved_numbers(x: bytes, y: bytes) -> str | None:
+    """How many numbers differ between two outputs, the largest relative change
+    and its line, when the outputs have the same text once every number is
+    masked; else None."""
+    xs, ys = (t.decode(errors="replace").splitlines(keepends=True) for t in (x, y))
+    if [NUMBER.sub("#", s) for s in xs] != [NUMBER.sub("#", s) for s in ys]:
+        return None
+    moved = []  # (relative change, line) of each number whose text differs
+    for line, (p, q) in enumerate(zip(xs, ys), 1):
+        for s, t in zip(NUMBER.findall(p), NUMBER.findall(q)):
+            if s != t:
+                u, v = float(s), float(t)
+                moved.append((abs(v - u) / max(abs(u), abs(v)) if u != v else 0.0, line))
+    if not moved:  # the same text, up to undecodable bytes
+        return None
+    rel, line = max(moved)
+    return f"    {len(moved)} numbers differ, the largest relative change {rel:.2e} at line {line}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -82,6 +105,8 @@ def main(argv: list[str]) -> int:
                     if x != y:
                         print(f"  {name}, first difference:")
                         print(first_difference(x, y))
+                        if name == "stdout" and (moved := moved_numbers(x, y)):
+                            print(moved)
             else:
                 print(f"same     {label}")
     print(f"{differ} of {len(todo)} runs differ")
