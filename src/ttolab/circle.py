@@ -235,17 +235,15 @@ def pow2_at_least(m) -> int:
     return n
 
 
-def _relative_change(prev, cur) -> float:
-    cur = np.atleast_1d(cur)
-    change = float(np.max(np.abs(cur - np.atleast_1d(prev))))
-    return change / max(1.0, float(np.max(np.abs(cur))))
+def _relative_change(prev: float, cur: float) -> float:
+    return abs(cur - prev) / max(1.0, abs(cur))  # NaN in, NaN out: max(1.0, nan) is 1.0
 
 
 def cauchy_refine(compute, start_n, tol, max_n):
     """Grid-doubling Cauchy control.
 
-    ``compute(n)`` maps a grid size to a result; doubling stops once
-    |v(2n) - v(n)| / max(1, |v(2n)|) <= tol in the max norm.  Returns
+    ``compute(n)`` maps a grid size to a float; doubling stops once
+    |v(2n) - v(n)| / max(1, |v(2n)|) <= tol.  Returns
     (value, achieved_residual, n_used).  Raises nothing: the caller decides
     what a non-converged residual means.
     """

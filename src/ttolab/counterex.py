@@ -250,36 +250,47 @@ def _require(resid, tol, p, max_n):
                             f"{tol} at a budget of {max_n} nodes or grid points")
 
 
+def _check_inputs(p, tol, max_n):
+    if not (p >= 1 and tol >= 0 and max_n >= 1):  # malformed input (NaN too), not unconverged
+        raise ValueError(f"need p >= 1, tol >= 0 and max_n >= 1, got {p}, {tol}, {max_n}")
+
+
+def _uniform_lp(theta: InnerFunction, point, p: float, tol: float, max_n: int):
+    """||k_w||_p, as (value, residual, n), by uniform quadrature with grid
+    doubling from DEFAULT_GRID to at most max_n points (n the last grid,
+    residual the last Cauchy change), singular factors sampled at a fixed
+    radial offset.  ``point`` is (w, ||k_w||_2^2 or None) as
+    ``inner._kernel_point`` read it: the point is not read again."""
+    w, sq = point
+    radius = RADIAL_OFFSET if theta.has_singular_part() else 1.0
+    sups = {}  # p = inf: the sup on each grid; grid 2m's even nodes are grid m's
+
+    def compute(m):
+        if p < np.inf:  # a mean over 2m nodes does not reuse the sum over m bit for bit
+            return lp_norm(_kernel_samples(theta, w, BoundaryGrid(m), radius, sq), p)
+        odd = slice(1, None, 2) if m // 2 in sups else slice(None)
+        sup = lp_norm(_kernel_samples(theta, w, BoundaryGrid(m), radius, sq, odd), p)
+        sups[m] = float(np.maximum(sups.get(m // 2, sup), sup))  # NaN-propagating
+        return sups[m]
+
+    return cauchy_refine(compute, DEFAULT_GRID, tol, max_n)
+
+
 def kernel_lp(theta: InnerFunction, lam: complex, p: float, *,
               tol: float = KERNEL_TOL, max_n: int = MAX_NODES, strict: bool = True):
     """||k_lam||_p, as (value, residual, n).
 
     For Theta without singular part and finite p the value comes from
-    ``graded_norms`` (n nodes, at most max_n).  Otherwise it is uniform
-    quadrature with grid doubling from DEFAULT_GRID to at most max_n points
-    (n the last grid, residual the last Cauchy change), singular factors
-    sampled at a fixed radial offset.  When strict, raises NoConvergence
-    unless the residual is at most tol; otherwise the value is returned
-    with its residual, which scan reports carry per row.  ValueError unless
-    p >= 1 (inf included), tol >= 0 and max_n >= 1; NoAngularDerivative at
-    a boundary point without a certificate (``inner._kernel_point``).
+    ``graded_norms`` (n nodes, at most max_n), otherwise from uniform grids
+    (``_uniform_lp``).  When strict, raises NoConvergence unless the
+    residual is at most tol; otherwise the value is returned with its
+    residual, which scan reports carry per row.  ValueError unless p >= 1
+    (inf included), tol >= 0 and max_n >= 1; NoAngularDerivative at a
+    boundary point without a certificate (``inner._kernel_point``).
     """
-    if not (p >= 1 and tol >= 0 and max_n >= 1):  # malformed input (NaN too), not unconverged
-        raise ValueError(f"need p >= 1, tol >= 0 and max_n >= 1, got {p}, {tol}, {max_n}")
+    _check_inputs(p, tol, max_n)
     if p == np.inf or theta.has_singular_part():
-        lam, sq = _kernel_point(theta, lam)
-        radius = RADIAL_OFFSET if theta.has_singular_part() else 1.0
-        sups = {}  # p = inf: the sup on each grid; grid 2m's even nodes are grid m's
-
-        def compute(m):
-            if p < np.inf:  # a mean over 2m nodes does not reuse the sum over m bit for bit
-                return lp_norm(_kernel_samples(theta, lam, BoundaryGrid(m), radius, sq), p)
-            odd = slice(1, None, 2) if m // 2 in sups else slice(None)
-            sup = lp_norm(_kernel_samples(theta, lam, BoundaryGrid(m), radius, sq, odd), p)
-            sups[m] = float(np.maximum(sups.get(m // 2, sup), sup))  # NaN-propagating
-            return sups[m]
-
-        value, resid, n = cauchy_refine(compute, DEFAULT_GRID, tol, max_n)
+        value, resid, n = _uniform_lp(theta, _kernel_point(theta, lam), p, tol, max_n)
     else:
         value, resid, n = graded_norms(theta, lam, p, max_n)[0]
     if strict:
@@ -290,11 +301,19 @@ def kernel_lp(theta: InnerFunction, lam: complex, p: float, *,
 def _norm_pair(theta: InnerFunction, lam, p: float, tol: float, max_n: int):
     """||k_lam||_p and ||k_lam||_2, each (value, residual, n), and
     ||k_lam^{Theta^2}||_p: one graded rule for Theta without singular part
-    and finite p, else two ``kernel_lp`` calls and NaN.  NoConvergence
-    unless both residuals are at most tol."""
+    and finite p, else each norm as ``kernel_lp`` takes it, the uniform
+    grids from one read of lam, and NaN.  NoConvergence unless both
+    residuals are at most tol."""
     if p == np.inf or theta.has_singular_part():
-        return (kernel_lp(theta, lam, p, tol=tol, max_n=max_n),
-                kernel_lp(theta, lam, 2.0, tol=tol, max_n=max_n), math.nan)
+        _check_inputs(p, tol, max_n)
+        point = _kernel_point(theta, lam)
+        norms = []
+        for q in (p, 2.0):
+            norms.append(_uniform_lp(theta, point, q, tol, max_n)
+                         if q == np.inf or theta.has_singular_part()
+                         else graded_norms(theta, lam, q, max_n)[0])
+            _require(norms[-1][1], tol, q, max_n)
+        return norms[0], norms[1], math.nan
     norms = graded_norms(theta, lam, p, max_n)
     for (_, resid, _), q in zip(norms, (p, 2.0)):
         _require(resid, tol, q, max_n)
@@ -444,18 +463,22 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = CLS_TOL,
     power -2, one ``inner.kernel_scale`` call for all interior points; on
     the circle the Ahern-Clark sum |Theta'(zeta)|, NoAngularDerivative,
     before any row, unless its certificate says yes (``inner._kernel_point``).
-    Only the sup is refined, by ``kernel_lp`` at tol and max_n (uniform
-    grid doubling), which raises ValueError for tol < 0 or max_n < 1.
+    Only the sup is refined, as ``kernel_lp`` refines it, from the point
+    read here (``_uniform_lp`` at tol and max_n; ValueError for tol < 0 or
+    max_n < 1 at the first row, NoConvergence beyond tol).
     """
     lams = [complex(lam) for lam in np.asarray(points, dtype=complex)]
     pts = [_kernel_point(theta, lam) for lam in lams]
     inside = np.array([w for w, two_sq in pts if two_sq is None], dtype=complex)
     two_sq_inside = iter((kernel_scale(theta, inside) ** -2).tolist())
+    if pts:  # after the point errors; a scan of no points refines nothing
+        _check_inputs(np.inf, tol, max_n)
     rows = []
     best = 0.0
-    for lam, (_, two_sq) in zip(lams, pts):
-        two_sq = next(two_sq_inside) if two_sq is None else two_sq
-        sup = kernel_lp(theta, lam, np.inf, tol=tol, max_n=max_n)[0]
+    for lam, pt in zip(lams, pts):
+        two_sq = next(two_sq_inside) if pt[1] is None else pt[1]
+        sup, resid, _ = _uniform_lp(theta, pt, np.inf, tol, max_n)
+        _require(resid, tol, np.inf, max_n)
         ratio = sup / two_sq
         best = max(best, ratio)
         rows.append((lam, sup, two_sq, ratio))

@@ -168,7 +168,7 @@ class ModelSpace:
         w, boundary = _point(pt)
         if boundary:
             raise BoundaryPointNotNormalizable("|Theta| = 1 on the boundary")
-        return kernel_scale(self.theta, w) * self.kernel(w)
+        return kernel_scale(self.theta, w) * ModelFunction(self, self._kernel_at(w))
 
     def omega(self, f):
         """Conjugation (omega f)(zeta) = conj(zeta f(zeta)) Theta(zeta); same kind out."""
@@ -427,8 +427,9 @@ class TMSpace(ModelSpace):
             prefix = np.subtract(wk, a[:-1], out=work[:, :wk.size])
             prefix *= block[:-1]  # row j: the j-th Blaschke factor
             # row j becomes prod_{i<=j} of the factors: row by row, or for the
-            # few points of a kernel in one accumulate instead of N - 1 calls
-            if wk.size > 64:
+            # few points of a kernel in one accumulate instead of N - 1 calls,
+            # chosen per call so that no block's rows take the other path
+            if w.size > 64:
                 for j in range(1, len(prefix)):
                     prefix[j] *= prefix[j - 1]
             else:

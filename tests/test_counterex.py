@@ -297,7 +297,10 @@ def test_a_boundary_kernel_reads_its_point_once(monkeypatch):
     assert len(calls) == 1 and k[0] == has_angular_derivative(theta, 1.0).value
     calls.clear()
     assert [row[1:] for row in cls_ratio_scan(Monomial(4), [1.0, 1j]).rows] == [(4.0, 4.0, 1.0)] * 2
-    assert len(calls) == 4  # one per point in the scan, one per kernel_lp call
+    assert len(calls) == 2  # one per point: the sup refines the point the scan read
+    calls.clear()
+    assert growth_ratio(SingularAtomic([Atom(2.0, 0.5)]), 1.0, 3.0) == 1.8890824914556945
+    assert len(calls) == 1  # one read for both uniform-grid norms
     calls.clear()
     phi = rank_one_symbol(GridSpace(Monomial(4), 1024), 1.0).f.samples
     assert len(calls) == 1 and phi[0] == 8.0  # Theta conj(z k^{z^8}_1) at z = 1
@@ -314,6 +317,10 @@ def test_growth_ratio_of_a_singular_theta_is_the_kernel_lp_ratio():
     th = SingularAtomic([Atom(0.0, 1.0)])
     want = kernel_lp(th, 0.3, 3.0)[0] / kernel_lp(th, 0.3, 2.0)[0] ** 2
     assert growth_ratio(th, 0.3, 3.0) == want  # the same two strict calls, bit for bit
+    # at p = inf without a singular part, ||k||_2 comes from the graded rule, as in kernel_lp
+    th8 = Monomial(8)
+    assert growth_ratio(th8, 0.3, math.inf) == (kernel_lp(th8, 0.3, math.inf)[0]
+                                                / kernel_lp(th8, 0.3, 2.0)[0] ** 2)
     # uniform doubling starts at 4096 points, so a 4096-point budget never doubles
     with pytest.raises(NoConvergence, match="residual inf not within 1e-06 at a "
                                             "budget of 4096"):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import ttolab.inner
+import ttolab.modelspace
 from ttolab import (Atom, BlaschkeProduct, BoundaryGrid, BoundaryPoint, CircleFunction,
                     ModelSpace, Monomial, ProductInner, SingularAtomic, tm_basis)
 from ttolab.circle import inner_product, lp_norm, riesz_plus_rows
 from ttolab.errors import BoundaryPointNotNormalizable, NoAngularDerivative, NoConvergence
 from ttolab.counterex import RADIAL_OFFSET
-from ttolab.inner import EDGE, BlaschkeZero, _kernel_point
+from ttolab.inner import EDGE, BlaschkeZero, _kernel_point, kernel_scale
 from ttolab.modelspace import (GRAM_TOL, PROJECT_BLOCK, GridSpace, _kernel_samples,
                                _one_minus_abs2, project_theta)
 
@@ -51,6 +53,16 @@ def test_tm_eval_matches_scalar_formula(rng, N, L):
     assert got.shape == (L, N)
     ref = np.array([_tm_scalar([complex(a) for a in space.zeros], complex(z)) for z in w])
     assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+def test_tm_rows_do_not_depend_on_the_block_a_point_falls_in(rng):
+    # the product path is chosen per call: the last block of a 4100-point
+    # call holds 4 points and takes the row-by-row loop, as the others do
+    space = random_blaschke_space(rng, 12)
+    w = 0.9 * rng.uniform(0.0, 1.0, 4100) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 4100))
+    rows = space._tm_eval(w)
+    for m in (300, 65):
+        assert np.array_equal(rows[-m:], space._tm_eval(w[-m:]))
 
 
 def test_one_minus_abs2_keeps_relative_accuracy(rng):
@@ -205,6 +217,25 @@ def test_normalized_kernel_unit_norm(rng):
         assert abs(space.normalized_kernel(lam).norm() - 1.0) < 1e-10
     with pytest.raises(BoundaryPointNotNormalizable):
         space.normalized_kernel(BoundaryPoint(0.3))
+
+
+@pytest.mark.parametrize("make", [lambda: ModelSpace(Monomial(3)),
+                                  lambda: ModelSpace(BlaschkeProduct([0.5, -0.3j])),
+                                  lambda: GridSpace(SingularAtomic([Atom(0.0, 1.0)]), 1024)],
+                         ids=["toeplitz", "tm", "grid"])
+def test_normalized_kernel_reads_its_point_once(make, monkeypatch):
+    space, calls = make(), []
+
+    def counted(pt, read=ttolab.inner._point):
+        calls.append(pt)
+        return read(pt)
+
+    lam = 0.7 * np.exp(0.4j)
+    want = (kernel_scale(space.theta, lam) * space.kernel(lam)).vec
+    monkeypatch.setattr(ttolab.inner, "_point", counted)
+    monkeypatch.setattr(ttolab.modelspace, "_point", counted)
+    assert np.array_equal(space.normalized_kernel(lam).vec, want)
+    assert calls == [lam]
 
 
 def test_kernel_norm_lower_bound(rng):
