@@ -102,12 +102,12 @@ class KernelRule:
     split evenly.  For p != 2, |k_lam|^p is not analytic where Delta - beta
     is a multiple of 2 pi (k_zeta vanishes there, with a kink; inside the
     disk |k_lam| is near its minimum), so each such point is a breakpoint,
-    graded toward from LEVEL_DEPTH levels below its panel's width.  lam is
-    read by ``inner._kernel_point``.
+    graded toward from LEVEL_DEPTH levels below its panel's width.  ``point``
+    is (lam, ||k_lam||_2^2 or None) as ``inner._kernel_point`` read it.
     """
 
-    def __init__(self, theta: InnerFunction, lam, p: float):
-        lam, self.boundary_sq = _kernel_point(theta, lam)
+    def __init__(self, theta: InnerFunction, point, p: float):
+        lam, self.boundary_sq = point
         if theta.has_singular_part():
             raise UnsupportedVariant("graded kernel nodes need Theta without singular part")
         self.theta, self.lam = theta, lam
@@ -224,11 +224,16 @@ def graded_norms(theta: InnerFunction, lam, p: float, max_n: int = MAX_NODES):
     relative distance to the same panels at CHECK_ORDER.  A rule of more
     than ``max_n`` nodes is not evaluated (values NaN, residuals inf).
     ValueError unless 1 <= p < inf (``kernel_lp`` takes p = inf on uniform
-    grids); NoAngularDerivative as in ``KernelRule``.
+    grids); NoAngularDerivative as in ``inner._kernel_point``.
     """
     if not 1 <= p < math.inf:  # False for NaN too
         raise ValueError(f"graded kernel norms need a finite p >= 1, got {p}")
-    rule = KernelRule(theta, lam, p)
+    return _graded_norms(theta, _kernel_point(theta, lam), p, max_n)
+
+
+def _graded_norms(theta: InnerFunction, point, p: float, max_n: int):
+    """``graded_norms`` at a point ``inner._kernel_point`` read, for a finite p >= 1."""
+    rule = KernelRule(theta, point, p)
     n = rule.n
     if n > max_n:
         return (math.nan, math.inf, n), (math.nan, math.inf, n), math.nan
@@ -276,23 +281,31 @@ def _uniform_lp(theta: InnerFunction, point, p: float, tol: float, max_n: int):
     return cauchy_refine(compute, DEFAULT_GRID, tol, max_n)
 
 
+def _kernel_norm(theta: InnerFunction, point, p: float, tol: float, max_n: int):
+    """||k_w||_p, ||k_w||_2 and ||k_w^{Theta^2}||_p at a point
+    ``inner._kernel_point`` read: the one choice between ``_graded_norms``
+    (Theta without singular part, finite p: all three on one rule) and
+    ``_uniform_lp`` (the p-norm alone; then None and NaN for the others)."""
+    if p == np.inf or theta.has_singular_part():
+        return _uniform_lp(theta, point, p, tol, max_n), None, math.nan
+    return _graded_norms(theta, point, p, max_n)
+
+
 def kernel_lp(theta: InnerFunction, lam: complex, p: float, *,
               tol: float = KERNEL_TOL, max_n: int = MAX_NODES, strict: bool = True):
     """||k_lam||_p, as (value, residual, n).
 
     For Theta without singular part and finite p the value comes from
-    ``graded_norms`` (n nodes, at most max_n), otherwise from uniform grids
-    (``_uniform_lp``).  When strict, raises NoConvergence unless the
-    residual is at most tol; otherwise the value is returned with its
-    residual, which scan reports carry per row.  ValueError unless p >= 1
-    (inf included), tol >= 0 and max_n >= 1; NoAngularDerivative at a
-    boundary point without a certificate (``inner._kernel_point``).
+    graded nodes (``KernelRule``; n nodes, at most max_n), otherwise from
+    uniform grids (``_uniform_lp``), as ``_kernel_norm`` chooses.  When
+    strict, raises NoConvergence unless the residual is at most tol;
+    otherwise the value is returned with its residual, which scan reports
+    carry per row.  ValueError unless p >= 1 (inf included), tol >= 0 and
+    max_n >= 1; NoAngularDerivative at a boundary point without a
+    certificate (``inner._kernel_point``).
     """
     _check_inputs(p, tol, max_n)
-    if p == np.inf or theta.has_singular_part():
-        value, resid, n = _uniform_lp(theta, _kernel_point(theta, lam), p, tol, max_n)
-    else:
-        value, resid, n = graded_norms(theta, lam, p, max_n)[0]
+    value, resid, n = _kernel_norm(theta, _kernel_point(theta, lam), p, tol, max_n)[0]
     if strict:
         _require(resid, tol, p, max_n)
     return value, resid, n
@@ -300,24 +313,18 @@ def kernel_lp(theta: InnerFunction, lam: complex, p: float, *,
 
 def _norm_pair(theta: InnerFunction, lam, p: float, tol: float, max_n: int):
     """||k_lam||_p and ||k_lam||_2, each (value, residual, n), and
-    ||k_lam^{Theta^2}||_p: one graded rule for Theta without singular part
-    and finite p, else each norm as ``kernel_lp`` takes it, the uniform
-    grids from one read of lam, and NaN.  NoConvergence unless both
-    residuals are at most tol."""
-    if p == np.inf or theta.has_singular_part():
-        _check_inputs(p, tol, max_n)
-        point = _kernel_point(theta, lam)
-        norms = []
-        for q in (p, 2.0):
-            norms.append(_uniform_lp(theta, point, q, tol, max_n)
-                         if q == np.inf or theta.has_singular_part()
-                         else graded_norms(theta, lam, q, max_n)[0])
-            _require(norms[-1][1], tol, q, max_n)
-        return norms[0], norms[1], math.nan
-    norms = graded_norms(theta, lam, p, max_n)
-    for (_, resid, _), q in zip(norms, (p, 2.0)):
-        _require(resid, tol, q, max_n)
-    return norms
+    ||k_lam^{Theta^2}||_p, from one read of lam: one graded rule when
+    ``_kernel_norm`` grades p, else ||k_lam||_2 as it takes p = 2, and NaN.
+    ValueError as in ``kernel_lp``; NoConvergence unless both residuals are
+    at most tol, the p-norm's checked before the 2-norm is taken."""
+    _check_inputs(p, tol, max_n)
+    point = _kernel_point(theta, lam)
+    norm_p, norm_2, square = _kernel_norm(theta, point, p, tol, max_n)
+    _require(norm_p[1], tol, p, max_n)
+    if norm_2 is None:
+        norm_2 = _kernel_norm(theta, point, 2.0, tol, max_n)[0]
+    _require(norm_2[1], tol, 2.0, max_n)
+    return norm_p, norm_2, square
 
 
 def growth_ratio(theta: InnerFunction, lam: complex, p: float, max_n: int = MAX_NODES) -> float:
@@ -465,14 +472,14 @@ def cls_ratio_scan(theta: InnerFunction, points, tol: float = CLS_TOL,
     before any row, unless its certificate says yes (``inner._kernel_point``).
     Only the sup is refined, as ``kernel_lp`` refines it, from the point
     read here (``_uniform_lp`` at tol and max_n; ValueError for tol < 0 or
-    max_n < 1 at the first row, NoConvergence beyond tol).
+    max_n < 1 after the point errors, with no points too; NoConvergence
+    beyond tol).
     """
     lams = [complex(lam) for lam in np.asarray(points, dtype=complex)]
     pts = [_kernel_point(theta, lam) for lam in lams]
     inside = np.array([w for w, two_sq in pts if two_sq is None], dtype=complex)
     two_sq_inside = iter((kernel_scale(theta, inside) ** -2).tolist())
-    if pts:  # after the point errors; a scan of no points refines nothing
-        _check_inputs(np.inf, tol, max_n)
+    _check_inputs(np.inf, tol, max_n)
     rows = []
     best = 0.0
     for lam, pt in zip(lams, pts):
@@ -494,8 +501,13 @@ def growth_scan(family: CounterexampleFamily, degrees, radii, p: float) -> ScanR
     node count, ``residual_2`` the relative distance of ||k_r||_2 to the
     closed form and ``residual_p`` that of ||k_r||_p to the same panels at
     CHECK_ORDER (p = inf takes ``kernel_lp``'s uniform grids).  Raises
-    NoConvergence when either residual exceeds QUADRATURE_TOL.
+    NoConvergence when either residual exceeds QUADRATURE_TOL; ValueError,
+    before any row, unless there are as many radii as degrees.
     """
+    degrees, radii = list(degrees), list(radii)
+    if len(degrees) != len(radii):
+        raise ValueError(f"growth_scan needs one radius per degree, got {len(radii)} "
+                         f"for {len(degrees)} degrees")
     rows = []
     best = 0.0
     for d, r in zip(degrees, radii):
@@ -597,14 +609,16 @@ def rkt_failure_scan(theta: SingularAtomic, s: float, lams,
     (y^s - y)/(1 - y) <= 1 - s at the sampled y; (iv) the isometry witness
     ratio ||A f||/||f|| for f = Theta^s k_lam^{Theta^{1-s}}.  The grid work
     runs on stacks of kernel rows, up to PROJECT_BLOCK grid samples at a time:
-    one projection per stack for A k_lam and one for A f.  A lam that
-    ``_point`` puts on the circle raises ValueError before any grid work.
+    one projection per stack for A k_lam and one for A f.  No lam, or a lam
+    that ``_point`` puts on the circle, raises ValueError before any grid work.
     """
     if not 0 < s < 1:
         raise ValueError("s must lie in (0, 1)")
     if not isinstance(theta, SingularAtomic):
         raise ValueError("the scan needs an atomic singular inner function")
     lams = np.asarray(lams, dtype=complex).ravel()
+    if not lams.size:
+        raise ValueError("the scan needs at least one point, got none")
     edge = [lam for lam in lams.tolist() if _point(lam)[1]]
     if edge:
         raise ValueError(f"the scan needs points inside the disk, got {edge}")

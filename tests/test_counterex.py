@@ -14,8 +14,9 @@ from ttolab import (Atom, BlaschkeProduct, BlaschkeZero, BoundaryPoint, ModelSpa
                     ProductInner, SingularAtomic, cls_ratio_scan, counterex_theorem_check,
                     gen_blaschke_counterexample, gen_singular_counterexample,
                     growth_ratio, power, rkt_failure_scan)
+import ttolab.counterex
 import ttolab.inner
-from ttolab.inner import cohn_terms, has_angular_derivative, one_minus_mod_sq
+from ttolab.inner import _kernel_point, cohn_terms, has_angular_derivative, one_minus_mod_sq
 from ttolab.counterex import (CLS_TOL, QUADRATURE_TOL, Certificate, KernelRule,
                               blaschke_truncation, graded_norms, growth_scan, kernel_lp)
 from ttolab.errors import NoAngularDerivative, NoConvergence
@@ -158,11 +159,18 @@ def test_growth_scan_diagonal():
         assert 0 < row["grid"] <= 2 ** 17  # nodes of the graded rule
 
 
+def test_growth_scan_refuses_degrees_and_radii_of_different_lengths():
+    fam = gen_blaschke_counterexample(3.0, 20)
+    for degrees, radii in (([8, 16], [0.9]), ([8], [0.9, 0.95])):
+        with pytest.raises(ValueError, match="one radius per degree"):
+            growth_scan(fam, degrees, radii, 3.0)
+
+
 def test_growth_ratio_strict_raises_on_unresolvable():
     fam = gen_blaschke_counterexample(3.0, 16)
     th = blaschke_truncation(fam, 16)
     # the graded rule needs about 5100 nodes here; a smaller budget is unresolvable
-    assert KernelRule(th, 0.99, 3.0).n > 2 ** 11
+    assert KernelRule(th, _kernel_point(th, 0.99), 3.0).n > 2 ** 11
     with pytest.raises(NoConvergence):
         growth_ratio(th, 0.99, 3.0, max_n=2 ** 11)
 
@@ -205,7 +213,8 @@ def test_a_boundary_point_reads_the_same_as_a_number_or_an_angle(zeros, more, t,
     space = ModelSpace(th)
     for pt in (zeta, angle):
         assert space.kernel(pt).norm() ** 2 == pytest.approx(value, rel=1e-12, abs=0)
-        assert KernelRule(th, pt, 3.0).exact_sq() == pytest.approx(value, rel=1e-12, abs=0)
+        assert KernelRule(th, _kernel_point(th, pt), 3.0).exact_sq() == pytest.approx(
+            value, rel=1e-12, abs=0)
     # the row's two-norm is the certificate whatever the sup's tolerance, which a
     # uniform grid may not reach next to a zero (kernel_lp raises NoConvergence)
     assert cls_ratio_scan(th, [zeta], tol=1.0).rows[0][2] == pytest.approx(value, rel=1e-12, abs=0)
@@ -229,7 +238,8 @@ def test_kernel_lp_hands_its_point_to_the_graded_rule_unread():
 def test_a_boundary_kernel_takes_its_certificate_at_its_own_angle():
     th = _read_once_product()
     pt = BoundaryPoint(3.2158701122134374)  # cmath.phase(e^{it}) is not t
-    assert KernelRule(th, pt, 2.0).exact_sq() == has_angular_derivative(th, pt).value
+    assert KernelRule(th, _kernel_point(th, pt), 2.0).exact_sq() == \
+        has_angular_derivative(th, pt).value
 
 
 # (Theta, points) of the kernel_scans CLS scans, of the false convergence on
@@ -301,6 +311,9 @@ def test_a_boundary_kernel_reads_its_point_once(monkeypatch):
     calls.clear()
     assert growth_ratio(SingularAtomic([Atom(2.0, 0.5)]), 1.0, 3.0) == 1.8890824914556945
     assert len(calls) == 1  # one read for both uniform-grid norms
+    calls.clear()
+    assert growth_ratio(Monomial(4), 1.0, math.inf) == 1.0
+    assert len(calls) == 1  # one read for the grid sup and the graded 2-norm
     calls.clear()
     phi = rank_one_symbol(GridSpace(Monomial(4), 1024), 1.0).f.samples
     assert len(calls) == 1 and phi[0] == 8.0  # Theta conj(z k^{z^8}_1) at z = 1
@@ -407,12 +420,19 @@ def test_rkt_scan_rows_match_the_per_lambda_reference(grid_n):
         assert {key: row[key] for key in ref} == ref
 
 
-def test_rkt_scan_validates_inputs():
+def test_rkt_scan_validates_inputs(monkeypatch):
+    # each refusal comes before any grid is built
+    def no_grid(n):
+        raise AssertionError(f"a grid of {n} points was built")
+
+    monkeypatch.setattr(ttolab.counterex, "BoundaryGrid", no_grid)
     th = SingularAtomic([Atom(0.0, 1.0)])
     with pytest.raises(ValueError):
         rkt_failure_scan(th, 1.0, [0.0])
     with pytest.raises(ValueError):
         rkt_failure_scan(BlaschkeProduct([0.3]), 0.5, [0.0])
+    with pytest.raises(ValueError, match="at least one point"):
+        rkt_failure_scan(th, 0.5, [])
 
 
 def test_kernel_lp_strict_rejects_nan_residual():
@@ -467,6 +487,11 @@ def test_malformed_tolerance_and_budget_are_rejected():
             kernel_lp(Monomial(3), 0.5, math.inf, **kw)
         with pytest.raises(ValueError):
             cls_ratio_scan(Monomial(3), [0.5], **kw)
+        with pytest.raises(ValueError):
+            cls_ratio_scan(Monomial(3), [], **kw)  # a scan of no points checks them too
+    for m in (0, -5):
+        with pytest.raises(ValueError):
+            growth_ratio(Monomial(3), 0.5, 3.0, max_n=m)
     assert kernel_lp(Monomial(3), 0.0, 2.0, tol=0.0, strict=False)[0] > 0.0
 
 
@@ -563,7 +588,7 @@ def test_square_bound_on_shared_nodes():
     fam = gen_blaschke_counterexample(3.0, 32)
     for d in (8, 32):
         th = blaschke_truncation(fam, d)
-        _, one, two = KernelRule(th, 1.0, 3.0).kernel_sq()
+        _, one, two = KernelRule(th, _kernel_point(th, 1.0), 3.0).kernel_sq()
         assert np.all(two <= 4.0 * one * (1 + 1e-12))
         (kp, _, _), _, kp_square = graded_norms(th, 1.0, 3.0)
         assert kp < kp_square <= 2.0 * kp
